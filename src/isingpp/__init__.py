@@ -20,7 +20,6 @@ from .topology import (
     ProblemGenSpec,
     chimera_graph,
     complete_graph,
-    connected_components,
     grid_graph,
     path_graph,
     random_problem,

@@ -9,38 +9,28 @@ directory argument; nothing else is read from the environment.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-from .altpp import builtin_opt_pp, sample_persistence
-from .errors import ConfigError, InputError
 from .harness import (
-    ExperimentConfig,
-    _MQC_STRATEGY,
     METHODS,
+    SAMPLERS,
+    ExperimentConfig,
+    apply_method,
     bench_reduce,
     load_config,
     load_records,
     render_report,
     report_from_records,
     run_experiment,
+    sampler_params,
     sensitivity_report,
     topology_graph,
+    write_report,
 )
-from .hpe import PrecisionModel, ScaleSet, hpe
-from .mqc import mqc_reduce
 from .rng import derive_seed
-from .samplers import (
-    BetaSchedule,
-    Provenance,
-    RunSet,
-    SamplerParams,
-    gibbs_sample,
-    random_runs,
-    simulated_anneal,
-)
-from .serialize import load_problem, load_runset, save_problem, save_runset
+from .samplers import Provenance, RunSet, random_runs
+from .serialize import load_problem, load_runset, save_problem, save_runset, write_json
 from .topology import ProblemGenSpec, random_problem
 
 
@@ -78,15 +68,30 @@ def _add_sampler_args(p):
     p.add_argument("--thinning", type=int, default=10)
 
 
-def _params(args, num_runs, seed, mode):
-    if mode == "sampling":
-        return SamplerParams(num_runs=num_runs, seed=seed, fixed_beta=args.beta,
-                             burn_in=args.burn_in, thinning=args.thinning)
-    return SamplerParams(
-        num_runs=num_runs, seed=seed, sweeps=args.sweeps,
-        beta_schedule=BetaSchedule(args.beta_start, args.beta_end,
-                                   args.interpolation),
-    )
+# Sampler and post-processor flags, by argparse destination, and the
+# ExperimentConfig field each one sets.
+_CONFIG_FLAGS = {
+    "sweeps": "sa_sweeps",
+    "beta_start": "sa_beta_start",
+    "beta_end": "sa_beta_end",
+    "interpolation": "sa_interpolation",
+    "beta": "gibbs_beta",
+    "burn_in": "gibbs_burn_in",
+    "thinning": "gibbs_thinning",
+    "width_cap": "width_cap",
+    "threshold": "persistence_threshold",
+    "rounds": "persistence_rounds",
+    "scales": "hpe_scales",
+    "levels": "hpe_levels",
+}
+
+
+def _config(args):
+    """An ExperimentConfig carrying the command's sampler and method flags."""
+    return ExperimentConfig(**{
+        name: getattr(args, flag)
+        for flag, name in _CONFIG_FLAGS.items() if hasattr(args, flag)
+    })
 
 
 def cmd_gen(args):
@@ -107,14 +112,11 @@ def cmd_gen(args):
 def cmd_sample(args):
     problem = load_problem(args.problem)
     pid = os.path.splitext(os.path.basename(args.problem))[0]
-    if args.mode == "raw":
-        runset = simulated_anneal(problem, _params(args, args.runs, args.seed, "raw"),
-                                  problem_id=pid)
-    elif args.mode == "sampling":
-        runset = gibbs_sample(problem, _params(args, args.runs, args.seed, "sampling"),
-                              problem_id=pid)
-    else:
+    if args.mode == "random":
         runset = random_runs(problem, args.runs, args.seed, problem_id=pid)
+    else:
+        params = sampler_params(_config(args), args.mode, args.runs, args.seed)
+        runset = SAMPLERS[args.mode](problem, params, problem_id=pid)
     save_runset(runset, _resolve_out(args.out))
     print(f"wrote {len(runset)} runs to {_resolve_out(args.out)}")
     return 0
@@ -123,59 +125,31 @@ def cmd_sample(args):
 def cmd_pp(args):
     problem = load_problem(args.problem)
     runset = load_runset(args.runs_file, problem)
-    method = args.method
-    if method in _MQC_STRATEGY:
-        final, _ = mqc_reduce(problem, runset, _MQC_STRATEGY[method])
-        out_runs = (final,)
-    elif method == "builtin_pp":
-        processed = builtin_opt_pp(problem, runset, args.width_cap)
-        out_runs = processed.runs
-    elif method == "sample_persistence":
-        sampler = simulated_anneal if args.resample_mode == "raw" else gibbs_sample
-        params = _params(args, len(runset), args.seed, args.resample_mode)
-        final = sample_persistence(problem, sampler, params,
-                                   threshold=args.threshold, rounds=args.rounds,
-                                   initial_runs=runset)
-        out_runs = (final,)
-    elif method == "hpe":
-        # The input file fixes the run budget; sampling happens per scale.
-        scales = tuple(args.scales)
-        per_scale = max(1, len(runset) // len(scales))
-        sampler = simulated_anneal if args.resample_mode == "raw" else gibbs_sample
-        params = _params(args, per_scale, args.seed, args.resample_mode)
-        final, _ = hpe(problem, ScaleSet(scales, per_scale),
-                       PrecisionModel(levels=args.levels), params, sampler=sampler)
-        out_runs = (final,)
-    else:
-        raise ConfigError(f"unknown method {method!r}")
+    # The input file fixes the run budget; the resampling methods take
+    # their seed from --seed as given.
+    out_runs, _ = apply_method(_config(args), problem, runset, args.method,
+                               args.resample_mode, seed=args.seed)
     result = RunSet(
         runs=out_runs,
         problem_id=runset.problem_id,
         provenance=Provenance(
-            sampler=method,
+            sampler=args.method,
             params={"source_sampler": runset.provenance.sampler,
                     "source_seed": runset.provenance.seed},
             seed=args.seed,
         ),
     )
     save_runset(result, _resolve_out(args.out))
-    print(f"{method}: best energy {min(r.energy for r in out_runs)}")
+    print(f"{args.method}: best energy {min(r.energy for r in out_runs)}")
     return 0
 
 
 def cmd_compare(args):
-    records = load_records(args.results)
-    rows = report_from_records(records)
-    text = render_report(rows)
+    rows = report_from_records(load_records(args.results))
     out = _resolve_out(args.out)
     if out:
-        os.makedirs(out, exist_ok=True)
-        with open(os.path.join(out, "report.json"), "w", encoding="utf-8") as f:
-            json.dump([r.to_dict() for r in rows], f, indent=2, sort_keys=True)
-            f.write("\n")
-        with open(os.path.join(out, "report.txt"), "w", encoding="utf-8") as f:
-            f.write(text)
-    print(text, end="")
+        write_report(rows, out)
+    print(render_report(rows), end="")
     return 0
 
 
@@ -189,9 +163,7 @@ def cmd_bench(args):
         print(f"{pt['run_count']:>6} runs  {pt['seconds'] * 1e3:9.2f} ms")
     out = _resolve_out(args.out)
     if out:
-        with open(out, "w", encoding="utf-8") as f:
-            json.dump(points, f, indent=2, sort_keys=True)
-            f.write("\n")
+        write_json(points, out)
     return 0
 
 

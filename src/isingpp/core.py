@@ -17,11 +17,12 @@ the contribution changes sign exactly when the whole tunnel is flipped.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, ParameterError
 
 SPIN_DTYPE = np.int8
 
@@ -33,7 +34,8 @@ class IsingProblem:
     """Immutable problem instance over vertices ``0 .. vertex_count - 1``.
 
     h maps vertex -> coefficient, J maps an unordered vertex pair -> coupling.
-    Self-couplings and duplicate pairs are rejected. Construction normalizes
+    Self-couplings, duplicate pairs and non-finite coefficients are
+    rejected. Construction normalizes
     every pair to (a, b) with a < b and precomputes dense coefficient arrays
     plus adjacency lists; instances must not be mutated afterwards.
     """
@@ -54,6 +56,8 @@ class IsingProblem:
             if not (0 <= a < n):
                 raise IndexError(f"h vertex {a} out of range for {n} vertices")
             h[a] = float(v)
+            if not math.isfinite(h[a]):
+                raise ParameterError(f"h[{a}] must be finite, got {v!r}")
 
         normalized = {}
         for pair, w in dict(J or {}).items():
@@ -66,6 +70,8 @@ class IsingProblem:
             if key in normalized:
                 raise IndexError(f"duplicate coupling for pair {key}")
             normalized[key] = float(w)
+            if not math.isfinite(normalized[key]):
+                raise ParameterError(f"J{key} must be finite, got {w!r}")
 
         self.h = h
         self.J = normalized

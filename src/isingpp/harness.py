@@ -12,9 +12,11 @@ so re-running a config reproduces identical files.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .altpp import builtin_opt_pp, sample_persistence
 from .core import ENERGY_ATOL, IsingProblem
@@ -29,6 +31,7 @@ from .samplers import (
     random_runs,
     simulated_anneal,
 )
+from .serialize import write_json
 from .topology import (
     ChimeraSpec,
     ProblemGenSpec,
@@ -51,8 +54,33 @@ _MQC_STRATEGY = {
 }
 
 
+# Element type of each sequence field of ExperimentConfig.
+_SEQUENCE_ITEMS = {
+    "h_range": "float", "j_range": "float", "run_counts": "int",
+    "modes": "str", "methods": "str", "hpe_scales": "float",
+}
+# Integer parameters of each topology kind.
+_TOPOLOGY_KEYS = {
+    "chimera": ("rows", "cols", "shore"),
+    "complete": ("n",),
+    "path": ("n",),
+    "grid": ("rows", "cols"),
+}
+
+
 def default_topology() -> dict:
     return {"kind": "chimera", "rows": 4, "cols": 4, "shore": 4}
+
+
+def _is_type(value, kind: str) -> bool:
+    """Whether ``value`` is an int, a finite float (ints count), a str or a dict."""
+    if isinstance(value, bool):
+        return False
+    if kind == "int":
+        return isinstance(value, numbers.Integral)
+    if kind == "float":
+        return isinstance(value, numbers.Real) and math.isfinite(value)
+    return isinstance(value, {"str": str, "dict": dict}[kind])
 
 
 @dataclass(frozen=True)
@@ -82,6 +110,15 @@ class ExperimentConfig:
     hpe_levels: int = 17
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in _SEQUENCE_ITEMS:
+                kind = _SEQUENCE_ITEMS[f.name]
+                if not isinstance(value, (list, tuple)) or not all(
+                        _is_type(v, kind) for v in value):
+                    raise ConfigError(f"{f.name} must be a list of {kind}, got {value!r}")
+            elif not _is_type(value, f.type):
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
         object.__setattr__(self, "run_counts", tuple(int(n) for n in self.run_counts))
         object.__setattr__(self, "modes", tuple(self.modes))
         object.__setattr__(self, "methods", tuple(self.methods))
@@ -128,19 +165,24 @@ def load_config(path) -> ExperimentConfig:
 def topology_graph(topology: dict):
     """Edge list and vertex count for a topology description."""
     kind = topology.get("kind")
+    if kind not in _TOPOLOGY_KEYS:
+        raise ConfigError(f"unknown topology kind {kind!r}")
+    for key in _TOPOLOGY_KEYS[kind]:
+        if not _is_type(topology.get(key), "int"):
+            raise ConfigError(
+                f"topology {kind!r} needs an integer {key!r}, got {topology.get(key)!r}"
+            )
     if kind == "chimera":
         spec = ChimeraSpec(topology["rows"], topology["cols"], topology["shore"])
         return chimera_graph(spec), spec.vertex_count
     if kind == "complete":
         n = topology["n"]
         return complete_graph(n), n
-    if kind == "path":
-        n = topology["n"]
-        return path_graph(n), n
     if kind == "grid":
         rows, cols = topology["rows"], topology["cols"]
         return grid_graph(rows, cols), rows * cols
-    raise ConfigError(f"unknown topology kind {kind!r}")
+    n = topology["n"]
+    return path_graph(n), n
 
 
 def problem_for(config: ExperimentConfig, index: int) -> IsingProblem:
@@ -156,16 +198,18 @@ def problem_for(config: ExperimentConfig, index: int) -> IsingProblem:
     return random_problem(graph, spec, vertex_count=n)
 
 
-def _sa_params(config, num_runs, seed):
-    return SamplerParams(
-        num_runs=num_runs, seed=seed, sweeps=config.sa_sweeps,
-        beta_schedule=BetaSchedule(
-            config.sa_beta_start, config.sa_beta_end, config.sa_interpolation
-        ),
-    )
+SAMPLERS = {"raw": simulated_anneal, "sampling": gibbs_sample}
 
 
-def _gibbs_params(config, num_runs, seed):
+def sampler_params(config: ExperimentConfig, mode: str, num_runs: int, seed: int):
+    """Parameters for the sampler of ``mode``: annealing for raw, Gibbs for sampling."""
+    if mode == "raw":
+        return SamplerParams(
+            num_runs=num_runs, seed=seed, sweeps=config.sa_sweeps,
+            beta_schedule=BetaSchedule(
+                config.sa_beta_start, config.sa_beta_end, config.sa_interpolation
+            ),
+        )
     return SamplerParams(
         num_runs=num_runs, seed=seed,
         fixed_beta=config.gibbs_beta,
@@ -176,52 +220,63 @@ def _gibbs_params(config, num_runs, seed):
 def mode_runset(config: ExperimentConfig, problem: IsingProblem, index: int,
                 mode: str, num_runs: int):
     """The run set a (problem, mode, run count) cell starts from."""
+    if mode not in SAMPLERS:
+        raise ConfigError(f"unknown mode {mode!r}")
     seed = derive_seed(config.master_seed, "sample", mode, num_runs, index)
-    pid = f"p{index:04d}"
-    if mode == "raw":
-        return simulated_anneal(problem, _sa_params(config, num_runs, seed), problem_id=pid)
-    if mode == "sampling":
-        return gibbs_sample(problem, _gibbs_params(config, num_runs, seed), problem_id=pid)
-    raise ConfigError(f"unknown mode {mode!r}")
+    return SAMPLERS[mode](problem, sampler_params(config, mode, num_runs, seed),
+                          problem_id=f"p{index:04d}")
 
 
 def apply_method(config: ExperimentConfig, problem: IsingProblem, runset,
-                 method: str, mode: str, index: int) -> dict:
-    """Run one post-processor; returns its record fields."""
+                 method: str, mode: str, index: int = 0, seed: int | None = None):
+    """Run one post-processor; returns (output runs, record fields).
+
+    sample_persistence and hpe re-sample with the sampler of ``mode``,
+    seeded with ``seed`` when given, else with a seed derived from the
+    master seed, the method, the mode and the problem ``index``.
+    """
+    def resampling(tag, num_runs):
+        s = derive_seed(config.master_seed, tag, mode, index) if seed is None else seed
+        return SAMPLERS[mode], sampler_params(config, mode, num_runs, s)
+
     if method in _MQC_STRATEGY:
         final, trace = mqc_reduce(problem, runset, _MQC_STRATEGY[method])
-        return {"energy": final.energy, "levels": len(trace.levels)}
+        return (final,), {"energy": final.energy, "levels": len(trace.levels)}
     if method == "builtin_pp":
         out = builtin_opt_pp(problem, runset, config.width_cap)
-        return {"energy": float(out.energies().min())}
+        return out.runs, {"energy": float(out.energies().min())}
     if method == "sample_persistence":
-        sampler = simulated_anneal if mode == "raw" else gibbs_sample
-        maker = _sa_params if mode == "raw" else _gibbs_params
-        params = maker(config, len(runset),
-                       derive_seed(config.master_seed, "persistence", mode, index))
+        sampler, params = resampling("persistence", len(runset))
         final = sample_persistence(
             problem, sampler, params,
             threshold=config.persistence_threshold,
             rounds=config.persistence_rounds,
             initial_runs=runset,
         )
-        return {"energy": final.energy}
+        return (final,), {"energy": final.energy}
     if method == "hpe":
         # Budget parity: split the cell's run count across the scales.
         per_scale = max(1, len(runset) // len(config.hpe_scales))
-        sampler = simulated_anneal if mode == "raw" else gibbs_sample
-        maker = _sa_params if mode == "raw" else _gibbs_params
-        params = maker(config, per_scale,
-                       derive_seed(config.master_seed, "hpe", mode, index))
-        final, report = hpe(
+        sampler, params = resampling("hpe", per_scale)
+        final, _ = hpe(
             problem,
             ScaleSet(config.hpe_scales, per_scale),
             PrecisionModel(h_clip=config.h_range, j_clip=config.j_range,
                            levels=config.hpe_levels),
             params, sampler=sampler,
         )
-        return {"energy": final.energy}
+        return (final,), {"energy": final.energy}
     raise ConfigError(f"unknown method {method!r}")
+
+
+def _cells(config: ExperimentConfig):
+    """(index, run count, mode, problem, run set) for every sweep cell, in order."""
+    for index in range(config.problem_count):
+        problem = problem_for(config, index)
+        for num_runs in config.run_counts:
+            for mode in config.modes:
+                yield (index, num_runs, mode, problem,
+                       mode_runset(config, problem, index, mode, num_runs))
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None):
@@ -233,24 +288,20 @@ def run_experiment(config: ExperimentConfig, out_dir=None):
     report.txt.
     """
     records = []
-    for index in range(config.problem_count):
-        problem = problem_for(config, index)
-        for num_runs in config.run_counts:
-            for mode in config.modes:
-                runset = mode_runset(config, problem, index, mode, num_runs)
-                best_input = float(runset.energies().min())
-                for method in config.methods:
-                    fields = apply_method(config, problem, runset, method, mode, index)
-                    rec = {
-                        "problem": index,
-                        "problem_id": runset.problem_id,
-                        "run_count": num_runs,
-                        "mode": mode,
-                        "method": method,
-                        "best_input": best_input,
-                    }
-                    rec.update(fields)
-                    records.append(rec)
+    for index, num_runs, mode, problem, runset in _cells(config):
+        best_input = float(runset.energies().min())
+        for method in config.methods:
+            _, fields = apply_method(config, problem, runset, method, mode, index)
+            rec = {
+                "problem": index,
+                "problem_id": runset.problem_id,
+                "run_count": num_runs,
+                "mode": mode,
+                "method": method,
+                "best_input": best_input,
+            }
+            rec.update(fields)
+            records.append(rec)
     rows = build_report(records, config)
     if out_dir is not None:
         write_outputs(config, records, rows, out_dir)
@@ -280,16 +331,11 @@ class ComparisonRow:
         return asdict(self)
 
 
-def _compare(records, run_count, method_a, mode_a, method_b, mode_b):
-    lookup = {}
-    for r in records:
-        if r["run_count"] == run_count:
-            lookup[(r["problem"], r["mode"], r["method"])] = r["energy"]
+def _compare(energies, problems, run_count, method_a, mode_a, method_b, mode_b):
     equal = a_lower = b_lower = 0
-    problems = sorted({r["problem"] for r in records})
     for p in problems:
-        ea = lookup.get((p, mode_a, method_a))
-        eb = lookup.get((p, mode_b, method_b))
+        ea = energies.get((p, mode_a, method_a))
+        eb = energies.get((p, mode_b, method_b))
         if ea is None or eb is None:
             raise InputError(
                 f"missing results for problem {p} at run count {run_count}"
@@ -304,20 +350,38 @@ def _compare(records, run_count, method_a, mode_a, method_b, mode_b):
                          equal, a_lower, b_lower)
 
 
-def build_report(records, config: ExperimentConfig):
-    """All comparison rows derivable from a record list."""
+def comparison_rows(records, run_counts, modes, methods, cross_mode=True):
+    """Comparison rows over every problem in ``records``.
+
+    Per run count: every method pair within each mode, then (with
+    ``cross_mode`` and both modes present) each method raw vs sampling.
+    """
     if not records:
         raise InputError("no records to compare")
+    problems = sorted({r["problem"] for r in records})
+    pairs = [(ma, mode, mb, mode) for mode in modes
+             for i, ma in enumerate(methods) for mb in methods[i + 1:]]
+    if cross_mode and "raw" in modes and "sampling" in modes:
+        pairs += [(m, "raw", m, "sampling") for m in methods]
     rows = []
-    for num_runs in config.run_counts:
-        for mode in config.modes:
-            for i, ma in enumerate(config.methods):
-                for mb in config.methods[i + 1:]:
-                    rows.append(_compare(records, num_runs, ma, mode, mb, mode))
-        if "raw" in config.modes and "sampling" in config.modes:
-            for m in config.methods:
-                rows.append(_compare(records, num_runs, m, "raw", m, "sampling"))
+    for num_runs in run_counts:
+        energies = {(r["problem"], r["mode"], r["method"]): r["energy"]
+                    for r in records if r["run_count"] == num_runs}
+        rows.extend(_compare(energies, problems, num_runs, *pair) for pair in pairs)
     return rows
+
+
+def build_report(records, config: ExperimentConfig):
+    """All comparison rows derivable from a record list."""
+    return comparison_rows(records, config.run_counts, config.modes, config.methods)
+
+
+def report_from_records(records):
+    """Rebuild comparison rows from a results file's records."""
+    return comparison_rows(records,
+                           sorted({r["run_count"] for r in records}),
+                           sorted({r["mode"] for r in records}),
+                           sorted({r["method"] for r in records}))
 
 
 def render_report(rows) -> str:
@@ -334,19 +398,21 @@ def render_report(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def write_report(rows, out_dir):
+    """Write report.json and report.txt for ``rows`` into ``out_dir``."""
+    os.makedirs(out_dir, exist_ok=True)
+    write_json([r.to_dict() for r in rows], os.path.join(out_dir, "report.json"))
+    with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as f:
+        f.write(render_report(rows))
+
+
 def write_outputs(config: ExperimentConfig, records, rows, out_dir):
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "config.json"), "w", encoding="utf-8") as f:
-        json.dump(config.to_dict(), f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(config.to_dict(), os.path.join(out_dir, "config.json"))
     with open(os.path.join(out_dir, "results.jsonl"), "w", encoding="utf-8") as f:
         for rec in records:
             f.write(json.dumps(rec, sort_keys=True) + "\n")
-    with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as f:
-        json.dump([r.to_dict() for r in rows], f, indent=2, sort_keys=True)
-        f.write("\n")
-    with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as f:
-        f.write(render_report(rows))
+    write_report(rows, out_dir)
 
 
 def load_records(path):
@@ -363,23 +429,6 @@ def load_records(path):
     if not records:
         raise InputError(f"{path}: no records")
     return records
-
-
-def report_from_records(records):
-    """Rebuild comparison rows from a results file's records."""
-    run_counts = sorted({r["run_count"] for r in records})
-    modes = sorted({r["mode"] for r in records})
-    methods = sorted({r["method"] for r in records})
-    rows = []
-    for num_runs in run_counts:
-        for mode in modes:
-            for i, ma in enumerate(methods):
-                for mb in methods[i + 1:]:
-                    rows.append(_compare(records, num_runs, ma, mode, mb, mode))
-        if "raw" in modes and "sampling" in modes:
-            for m in methods:
-                rows.append(_compare(records, num_runs, m, "raw", m, "sampling"))
-    return rows
 
 
 @dataclass(frozen=True, slots=True)
@@ -404,38 +453,28 @@ def sensitivity_report(config: ExperimentConfig, out_dir=None) -> SensitivityRep
     Flags every (problem, run count, mode) cell whose three final
     energies are not all equal within tolerance.
     """
-    strategies = ("mqc_sequential", "mqc_rank", "mqc_maxdiff")
+    strategies = tuple(_MQC_STRATEGY)
     records = []
     differing = []
-    for index in range(config.problem_count):
-        problem = problem_for(config, index)
-        for num_runs in config.run_counts:
-            for mode in config.modes:
-                runset = mode_runset(config, problem, index, mode, num_runs)
-                energies = {}
-                for method in strategies:
-                    final, _ = mqc_reduce(problem, runset, _MQC_STRATEGY[method])
-                    energies[method] = final.energy
-                    records.append({
-                        "problem": index, "run_count": num_runs, "mode": mode,
-                        "method": method, "energy": final.energy,
-                        "best_input": float(runset.energies().min()),
-                    })
-                values = list(energies.values())
-                if max(values) - min(values) > ENERGY_ATOL:
-                    differing.append((index, num_runs, mode))
-    rows = []
-    for num_runs in config.run_counts:
-        for mode in config.modes:
-            for i, ma in enumerate(strategies):
-                for mb in strategies[i + 1:]:
-                    rows.append(_compare(records, num_runs, ma, mode, mb, mode))
+    for index, num_runs, mode, problem, runset in _cells(config):
+        best_input = float(runset.energies().min())
+        energies = []
+        for method in strategies:
+            _, fields = apply_method(config, problem, runset, method, mode, index)
+            energies.append(fields["energy"])
+            records.append({
+                "problem": index, "run_count": num_runs, "mode": mode,
+                "method": method, "energy": fields["energy"],
+                "best_input": best_input,
+            })
+        if max(energies) - min(energies) > ENERGY_ATOL:
+            differing.append((index, num_runs, mode))
+    rows = comparison_rows(records, config.run_counts, config.modes, strategies,
+                           cross_mode=False)
     report = SensitivityReport(tuple(rows), tuple(differing), tuple(records))
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "sensitivity.json"), "w", encoding="utf-8") as f:
-            json.dump(report.to_dict(), f, indent=2, sort_keys=True)
-            f.write("\n")
+        write_json(report.to_dict(), os.path.join(out_dir, "sensitivity.json"))
         with open(os.path.join(out_dir, "sensitivity.txt"), "w", encoding="utf-8") as f:
             f.write(render_report(report.rows))
             f.write(f"\ninstances with differing strategies: {len(report.differing)}\n")
@@ -447,18 +486,17 @@ def bench_reduce(problem: IsingProblem, run_counts, seed: int,
                  repeats: int = 3):
     """Wall time of mqc_reduce per run count, best of ``repeats``.
 
-    Run generation is excluded from the timed region.
+    Run generation is excluded from the timed region. Each repeat times
+    every run count once, so a drift in machine speed hits all run counts
+    alike rather than only the ones timed last.
     """
     if repeats < 1:
         raise ConfigError(f"repeats must be positive, got {repeats}")
-    points = []
-    for num_runs in run_counts:
-        runset = random_runs(problem, num_runs, derive_seed(seed, "bench", num_runs))
-        best = None
-        for _ in range(repeats):
+    runsets = [random_runs(problem, n, derive_seed(seed, "bench", n)) for n in run_counts]
+    best = [float("inf")] * len(runsets)
+    for _ in range(repeats):
+        for k, runset in enumerate(runsets):
             start = time.perf_counter()
             mqc_reduce(problem, runset, strategy)
-            elapsed = time.perf_counter() - start
-            best = elapsed if best is None else min(best, elapsed)
-        points.append({"run_count": num_runs, "seconds": best})
-    return points
+            best[k] = min(best[k], time.perf_counter() - start)
+    return [{"run_count": n, "seconds": t} for n, t in zip(run_counts, best)]

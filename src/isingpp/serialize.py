@@ -44,7 +44,8 @@ def string_to_spins(text: str) -> np.ndarray:
     return spins
 
 
-def _dump(payload, path):
+def write_json(payload, path):
+    """Write ``payload`` as indented JSON with sorted keys and a final newline."""
     with open(path, "w", encoding="utf-8") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -64,8 +65,15 @@ def _field(doc, name, path):
     return doc[name]
 
 
+def _coefficient_entry(entry, width) -> bool:
+    """Whether ``entry`` is a list of ``width`` numbers, all but the last integers."""
+    return (isinstance(entry, list) and len(entry) == width
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
+            and all(isinstance(x, int) for x in entry[:-1]))
+
+
 def save_problem(problem: IsingProblem, path):
-    _dump({
+    write_json({
         "vertex_count": problem.vertex_count,
         "h": [[a, problem.h[a]] for a in sorted(problem.h)],
         "J": [[a, b, w] for (a, b), w in sorted(problem.J.items())],
@@ -79,14 +87,14 @@ def load_problem(path) -> IsingProblem:
         raise ParseError(f"{path}: field 'vertex_count' must be a non-negative integer")
     h = {}
     for i, entry in enumerate(_field(doc, "h", path)):
-        if not isinstance(entry, list) or len(entry) != 2:
+        if not _coefficient_entry(entry, 2):
             raise ParseError(f"{path}: field 'h' entry {i} must be [vertex, value]")
-        h[int(entry[0])] = float(entry[1])
+        h[entry[0]] = float(entry[1])
     J = {}
     for i, entry in enumerate(_field(doc, "J", path)):
-        if not isinstance(entry, list) or len(entry) != 3:
+        if not _coefficient_entry(entry, 3):
             raise ParseError(f"{path}: field 'J' entry {i} must be [a, b, value]")
-        J[(int(entry[0]), int(entry[1]))] = float(entry[2])
+        J[(entry[0], entry[1])] = float(entry[2])
     try:
         return IsingProblem(n, h, J)
     except (IndexError, ValueError) as e:
@@ -94,7 +102,7 @@ def load_problem(path) -> IsingProblem:
 
 
 def save_runset(runset: RunSet, path):
-    _dump({
+    write_json({
         "problem_id": runset.problem_id,
         "provenance": {
             "sampler": runset.provenance.sampler,

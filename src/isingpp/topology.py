@@ -1,4 +1,4 @@
-"""Problem graphs, random coefficient assignment, connected components.
+"""Problem graphs and random coefficient assignment.
 
 Graphs are plain edge lists: ``[(a, b), ...]`` with ``a < b``, sorted.
 Vertices are dense integers from 0.
@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import IsingProblem, Tunnel
+from .core import IsingProblem
 from .errors import InputError, ParameterError
 from .rng import child_sequences, make_generator
 
@@ -136,38 +136,3 @@ def random_problem(graph, spec: ProblemGenSpec, vertex_count=None) -> IsingProbl
     J = {e: float(x) for e, x in zip(edges, j_rng.uniform(j_lo, j_hi, len(edges)))}
     return IsingProblem(vertex_count, h, J)
 
-
-def connected_components(subset, graph):
-    """Connected components of ``subset`` under the edges of ``graph``.
-
-    Only edges with both ends in the subset count. Returns a list of
-    Tunnel objects ordered by smallest member vertex; vertices in the
-    subset that touch no such edge come out as singletons. Traversal is
-    an explicit-stack DFS, so deep components cannot hit the recursion
-    limit.
-    """
-    members = sorted(set(int(v) for v in subset))
-    member_set = set(members)
-    adj = {v: [] for v in members}
-    for a, b in graph:
-        if a in member_set and b in member_set:
-            adj[a].append(b)
-            adj[b].append(a)
-
-    seen = set()
-    components = []
-    for start in members:
-        if start in seen:
-            continue
-        stack = [start]
-        seen.add(start)
-        comp = []
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        components.append(Tunnel(tuple(comp)))
-    return components

@@ -13,7 +13,7 @@ from isingpp import (
     tunnel_contribution,
     validate_energy_cache,
 )
-from isingpp.errors import DimensionError
+from isingpp.errors import DimensionError, ParameterError
 from isingpp.mqc import disagreement_tunnels
 
 from conftest import make_chimera_problem, oracle_energy
@@ -98,6 +98,16 @@ class TestIsingProblem:
     def test_duplicate_pair_rejected(self):
         with pytest.raises(IndexError):
             IsingProblem(2, J={(0, 1): 1.0, (1, 0): 2.0})
+
+    @pytest.mark.parametrize("h,J", [
+        ({0: float("nan")}, {}),
+        ({1: float("inf")}, {}),
+        ({}, {(0, 1): float("-inf")}),
+        ({}, {(0, 1): float("nan")}),
+    ])
+    def test_non_finite_coefficients_rejected(self, h, J):
+        with pytest.raises(ParameterError, match="finite"):
+            IsingProblem(2, h=h, J=J)
 
     def test_pair_normalization(self):
         problem = IsingProblem(3, J={(2, 0): 0.25})

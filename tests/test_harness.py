@@ -111,6 +111,34 @@ def test_config_rejects_bad_values(overrides):
         tiny_config(**overrides)
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"problem_count": "3"},
+        {"problem_count": 2.0},
+        {"master_seed": True},
+        {"gibbs_beta": "hot"},
+        {"gibbs_beta": float("nan")},
+        {"sa_interpolation": 1},
+        {"topology": "chimera"},
+        {"run_counts": 200},
+        {"run_counts": [200, "400"]},
+        {"modes": "raw"},
+        {"h_range": [-2.0, None]},
+        {"hpe_scales": [1.0, float("inf")]},
+    ],
+)
+def test_config_rejects_wrong_types(doc):
+    with pytest.raises(ConfigError, match=next(iter(doc))):
+        ExperimentConfig.from_dict(doc)
+
+
+def test_config_accepts_integral_floats():
+    config = ExperimentConfig.from_dict({"gibbs_beta": 2, "h_range": [-1, 1]})
+    assert config.gibbs_beta == 2
+    assert config.h_range == (-1.0, 1.0)
+
+
 def test_load_config_round_trip(tmp_path):
     config = tiny_config()
     path = tmp_path / "config.json"
@@ -151,6 +179,21 @@ def test_topology_graph_families(topology, vertices, edges):
 def test_topology_graph_rejects_unknown_kind():
     with pytest.raises(ConfigError, match="torus"):
         topology_graph({"kind": "torus", "n": 8})
+
+
+@pytest.mark.parametrize(
+    "topology,key",
+    [
+        ({"kind": "grid"}, "rows"),
+        ({"kind": "grid", "rows": 2}, "cols"),
+        ({"kind": "chimera", "rows": 2, "cols": 2, "shore": 4.5}, "shore"),
+        ({"kind": "path", "n": "8"}, "'n'"),
+        ({"kind": "complete", "n": None}, "'n'"),
+    ],
+)
+def test_topology_graph_rejects_missing_or_non_integer_keys(topology, key):
+    with pytest.raises(ConfigError, match=key):
+        topology_graph(topology)
 
 
 def test_problem_family_is_seeded_and_distinct():
@@ -565,6 +608,43 @@ def test_cli_experiment_unknown_config_field_exits(tmp_path, capsys):
                  "--out", str(tmp_path / "exp")])
     assert code == 2
     assert "jitter" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"topology": {"kind": "grid"}}, {"problem_count": "3"}],
+)
+def test_cli_experiment_malformed_config_exits(tmp_path, capsys, doc):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["experiment", "--config", str(path),
+                 "--out", str(tmp_path / "exp")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "exp").exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"vertex_count": 2, "h": [[null, 1.0]], "J": []}',
+        '{"vertex_count": 2, "h": [[0, NaN]], "J": []}',
+        '{"vertex_count": 2, "h": [], "J": [[0, 1, -Infinity]]}',
+    ],
+)
+def test_cli_sample_malformed_problem_exits_without_output(tmp_path, capsys, text):
+    problem_path = tmp_path / "problem.json"
+    problem_path.write_text(text, encoding="utf-8")
+    out = tmp_path / "runs.json"
+    code = main(["sample", "--problem", str(problem_path), "--runs", "4",
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_cli_out_env_var_overrides_destination(tmp_path, monkeypatch):

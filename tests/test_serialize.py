@@ -72,6 +72,33 @@ class TestProblemFiles:
         with pytest.raises(ParseError, match="'h' entry 0"):
             load_problem(path)
 
+    @pytest.mark.parametrize("field,entries,match", [
+        ("h", [[None, 1.0]], "'h' entry 0"),
+        ("h", [[0, "1.5"]], "'h' entry 0"),
+        ("h", [[0, 1.0], [1.5, 1.0]], "'h' entry 1"),
+        ("h", [[True, 1.0]], "'h' entry 0"),
+        ("h", [[0, None]], "'h' entry 0"),
+        ("J", [[0, None, 0.5]], "'J' entry 0"),
+        ("J", [[0, 1, [0.5]]], "'J' entry 0"),
+    ])
+    def test_malformed_entry_named(self, tmp_path, field, entries, match):
+        doc = {"vertex_count": 2, "h": [], "J": []}
+        doc[field] = entries
+        path = tmp_path / "entries.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=match):
+            load_problem(path)
+
+    @pytest.mark.parametrize("text", [
+        '{"vertex_count": 2, "h": [[0, NaN]], "J": []}',
+        '{"vertex_count": 2, "h": [], "J": [[0, 1, Infinity]]}',
+    ])
+    def test_non_finite_coefficient_rejected(self, tmp_path, text):
+        path = tmp_path / "nan.json"
+        path.write_text(text)
+        with pytest.raises(ParseError, match="finite"):
+            load_problem(path)
+
     def test_bad_vertex_count(self, tmp_path):
         path = tmp_path / "count.json"
         path.write_text(json.dumps({"vertex_count": -3, "h": [], "J": []}))

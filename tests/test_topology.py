@@ -1,14 +1,16 @@
-"""Graph generators, seeded problem generation, connected components."""
+"""Graph generators, seeded problem generation, and the connected
+components that ``disagreement_tunnels`` labels on those graphs."""
 
 import numpy as np
 import pytest
 
 from isingpp import (
     ChimeraSpec,
+    IsingProblem,
     ProblemGenSpec,
     chimera_graph,
     complete_graph,
-    connected_components,
+    disagreement_tunnels,
     grid_graph,
     path_graph,
     random_problem,
@@ -168,24 +170,37 @@ def bfs_reachable(start, members, graph):
     return seen
 
 
+def subset_tunnels(subset, graph):
+    """Tunnels between an all-up run and the same run flipped on ``subset``,
+    on a problem whose couplings are the edges of ``graph``."""
+    problem = IsingProblem(max(b for _, b in graph) + 1, {}, {e: 1.0 for e in graph})
+    spins = np.ones(problem.vertex_count)
+    run1 = problem.configuration(spins)
+    spins[sorted(subset)] = -1
+    return disagreement_tunnels(problem, run1, problem.configuration(spins))
+
+
 class TestConnectedComponents:
+    """Components of a disagreement region, as ``disagreement_tunnels``
+    labels them."""
+
     def test_path_subset_splits(self):
         graph = path_graph(5)
-        comps = connected_components({1, 3, 4}, graph)
+        comps = subset_tunnels({1, 3, 4}, graph)
         assert [c.vertices for c in comps] == [(1,), (3, 4)]
 
     def test_empty_subset(self):
-        assert connected_components(set(), path_graph(3)) == []
+        assert subset_tunnels(set(), path_graph(3)) == []
 
     def test_complete_graph_single_component(self):
         graph = complete_graph(6)
         for subset in [{0, 5}, {1, 2, 3}, set(range(6))]:
-            comps = connected_components(subset, graph)
+            comps = subset_tunnels(subset, graph)
             assert len(comps) == 1
             assert set(comps[0].vertices) == subset
 
     def test_ordered_by_smallest_member(self):
-        comps = connected_components({0, 2, 4}, path_graph(5))
+        comps = subset_tunnels({0, 2, 4}, path_graph(5))
         assert [c.vertices[0] for c in comps] == [0, 2, 4]
 
     def test_partition_and_maximality(self):
@@ -197,7 +212,7 @@ class TestConnectedComponents:
         for _ in range(25):
             subset = set(int(v) for v in
                          rng.choice(n, size=rng.integers(1, n), replace=False))
-            comps = connected_components(subset, graph)
+            comps = subset_tunnels(subset, graph)
             seen = set()
             for comp in comps:
                 verts = set(comp.vertices)
@@ -205,13 +220,15 @@ class TestConnectedComponents:
                 seen |= verts
                 assert verts == bfs_reachable(comp.vertices[0], subset, graph)
             assert seen == subset
+            smallest = [min(c.vertices) for c in comps]
+            assert smallest == sorted(smallest)
 
     def test_no_edges_between_components(self):
         rng = np.random.default_rng(13)
         graph = chimera_graph(ChimeraSpec(2, 1, 4))
         for _ in range(20):
             subset = set(int(v) for v in rng.choice(16, size=8, replace=False))
-            comps = connected_components(subset, graph)
+            comps = subset_tunnels(subset, graph)
             owner = {}
             for i, comp in enumerate(comps):
                 for v in comp:
