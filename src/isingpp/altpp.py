@@ -6,7 +6,9 @@ its own output: the problem graph is cut into low-treewidth subgraphs, and
 each run is improved by exactly minimizing every subgraph conditioned on
 the spins outside it. The exact step is min-sum variable elimination along
 the order that certified the subgraph's width, so its cost is bounded by
-2^(width+1) table entries per step.
+2^(width+1) table entries per step and run. All runs go through a subgraph
+together, as one table with a leading runs axis, in blocks that bound the
+memory whatever the run count.
 
 Sample persistence instead freezes vertices on which a sample set agrees
 strongly, folds their couplings into the remaining linear terms, and
@@ -54,30 +56,21 @@ def min_degree_elimination(vertices, edges):
     its remaining neighbors; the width is the largest neighbor count seen
     at an elimination step.
     """
-    verts = sorted(set(vertices))
-    vset = set(verts)
-    adj = {v: set() for v in verts}
+    adj = {v: set() for v in vertices}
     for a, b in edges:
-        if a in vset and b in vset and a != b:
+        if a in adj and b in adj and a != b:
             adj[a].add(b)
             adj[b].add(a)
     order = []
     width = 0
-    remaining = set(verts)
-    while remaining:
-        v = min(remaining, key=lambda x: (len(adj[x]), x))
-        nbrs = adj[v]
+    while adj:
+        v = min(adj, key=lambda x: (len(adj[x]), x))
+        nbrs = adj.pop(v)
         width = max(width, len(nbrs))
         for a in nbrs:
-            for b in nbrs:
-                if a < b:
-                    adj[a].add(b)
-                    adj[b].add(a)
-        for a in nbrs:
-            adj[a].discard(v)
+            adj[a].update(nbrs)
+            adj[a].difference_update((a, v))
         order.append(v)
-        remaining.discard(v)
-        del adj[v]
     return order, width
 
 
@@ -100,37 +93,89 @@ def decompose_low_treewidth(problem: IsingProblem,
     while unassigned:
         region = [min(unassigned)]
         unassigned.discard(region[0])
-        order, width = [region[0]], 0
         while True:
-            candidates = sorted(
+            candidates = sorted({
                 w for v in region for w in problem.neighbors(v).tolist()
                 if w in unassigned
-            )
-            grown = False
+            })
             for cand in candidates:
-                trial = region + [cand]
-                trial_order, trial_width = min_degree_elimination(trial, edges)
+                _, trial_width = min_degree_elimination(region + [cand], edges)
                 if trial_width <= width_cap:
                     region.append(cand)
                     unassigned.discard(cand)
-                    order, width = trial_order, trial_width
-                    grown = True
                     break
-            if not grown:
+            else:
                 break
+        order, width = min_degree_elimination(region, edges)
         subgraphs.append(Subgraph(tuple(region), tuple(order), width))
     return subgraphs
 
 
-def _expand(table, scope, target_scope):
-    """Reshape a factor table for broadcasting over a superset scope.
+# Most table entries one elimination block may hold: a subgraph of width w
+# takes up to 2^(w+1) entries per run, so blocks hold 2^20 >> (w+1) runs.
+_TABLE_BUDGET = 1 << 20
 
-    Both scopes are sorted, so axis order is preserved and padding with
-    size-1 axes suffices.
+
+def _eliminate(problem: IsingProblem, spins, sub: Subgraph) -> np.ndarray:
+    """Copy of the (runs, n) matrix ``spins`` with ``sub``'s spins in every
+    row set to their exact minimum conditioned on the rest of the row.
+
+    Min-sum variable elimination along ``sub.elimination_order``; every
+    table carries a leading runs axis, of length 1 on the coupling tables
+    that all runs share.
     """
-    members = set(scope)
-    shape = [2 if v in members else 1 for v in target_scope]
-    return table.reshape(shape)
+    if spins.shape[1] != problem.vertex_count:
+        raise InputError(
+            f"configuration of length {spins.shape[1]} does not fit the problem"
+        )
+    for v in sub.vertices:
+        if not (0 <= v < problem.vertex_count):
+            raise IndexError(f"subgraph vertex {v} out of range")
+    inside = set(sub.vertices)
+    m = spins.shape[0]
+
+    # Factors: scope is a sorted tuple of variables, table axis k + 1
+    # indexes scope[k] with 0 -> spin -1, 1 -> spin +1.
+    factors = []
+    for v in sub.vertices:
+        unary = np.full(m, problem._h_vec[v])
+        for b, w in zip(problem._nbr[v].tolist(), problem._nbr_w[v].tolist()):
+            if b not in inside:
+                unary += w * spins[:, b]
+        # A zero field adds nothing, so the runs that have one are unaffected.
+        if np.any(unary != 0.0):
+            factors.append(((v,), np.stack([-unary, unary], axis=1)))
+    for (a, b), w in problem.J.items():
+        if a in inside and b in inside:
+            # s_a * s_b is +1 on the diagonal, -1 off it.
+            factors.append(((a, b), np.array([[[w, -w], [-w, w]]])))
+
+    eliminations = []
+    for v in sub.elimination_order:
+        touching = [f for f in factors if v in f[0]]
+        factors = [f for f in factors if v not in f[0]]
+        union = tuple(sorted(set().union(*(f[0] for f in touching)) if touching else {v}))
+        joint = np.zeros((m,) + (2,) * len(union))
+        for scope, table in touching:
+            shape = [len(table)] + [2 if u in scope else 1 for u in union]
+            joint = joint + table.reshape(shape)
+        axis = 1 + union.index(v)
+        down = np.take(joint, 0, axis=axis)
+        up = np.take(joint, 1, axis=axis)
+        # Ties resolve to +1, which also fixes the zero-field convention.
+        choice = (up <= down).astype(np.intp)
+        rest = tuple(u for u in union if u != v)
+        eliminations.append((v, rest, choice))
+        if rest:
+            factors.append((rest, np.minimum(down, up)))
+        # A scalar remainder is a constant; it cannot influence the argmin.
+
+    new_spins = spins.copy()
+    assignment = {}
+    for v, rest, choice in reversed(eliminations):
+        assignment[v] = choice[(np.arange(m),) + tuple(assignment[u] for u in rest)]
+        new_spins[:, v] = 2 * assignment[v] - 1
+    return new_spins
 
 
 def optimize_subgraph(problem: IsingProblem, config: SpinConfiguration,
@@ -147,87 +192,28 @@ def optimize_subgraph(problem: IsingProblem, config: SpinConfiguration,
         raise WidthError(
             f"subgraph width {sub.width} exceeds cap {width_cap}; re-decompose"
         )
-    spins = np.asarray(config.spins)
-    if spins.shape[0] != problem.vertex_count:
-        raise InputError(
-            f"configuration of length {spins.shape[0]} does not fit the problem"
-        )
-    inside = set(sub.vertices)
-    for v in sub.vertices:
-        if not (0 <= v < problem.vertex_count):
-            raise IndexError(f"subgraph vertex {v} out of range")
-
-    # Factors: scope is a sorted tuple of variables, table axis k indexes
-    # scope[k] with 0 -> spin -1, 1 -> spin +1.
-    factors = []
-    for v in sub.vertices:
-        unary = problem._h_vec[v]
-        for b, w in zip(problem._nbr[v].tolist(), problem._nbr_w[v].tolist()):
-            if b not in inside:
-                unary += w * float(spins[b])
-        if unary != 0.0:
-            factors.append(((v,), np.array([-unary, unary])))
-    for (a, b), w in problem.J.items():
-        if a in inside and b in inside:
-            # s_a * s_b is +1 on the diagonal, -1 off it.
-            factors.append(((a, b), np.array([[w, -w], [-w, w]])))
-
-    eliminations = []
-    for v in sub.elimination_order:
-        touching = [f for f in factors if v in f[0]]
-        factors = [f for f in factors if v not in f[0]]
-        union = tuple(sorted(set().union(*(f[0] for f in touching)) if touching else {v}))
-        joint = np.zeros([2] * len(union))
-        for scope, table in touching:
-            joint = joint + _expand(table, scope, union)
-        axis = union.index(v)
-        down = np.take(joint, 0, axis=axis)
-        up = np.take(joint, 1, axis=axis)
-        # Ties resolve to +1, which also fixes the zero-field convention.
-        choice = (up <= down).astype(np.intp)
-        value = np.minimum(down, up)
-        rest = tuple(u for u in union if u != v)
-        eliminations.append((v, rest, choice))
-        if rest:
-            factors.append((rest, value))
-        # A scalar remainder is a constant; it cannot influence the argmin.
-
-    assignment = {}
-    for v, rest, choice in reversed(eliminations):
-        idx = tuple(assignment[u] for u in rest)
-        assignment[v] = int(choice[idx])
-
-    new_spins = spins.copy()
-    for v, bit in assignment.items():
-        new_spins[v] = 2 * bit - 1
-    return problem.configuration(new_spins)
+    return problem.configuration(_eliminate(problem, config.spins[None], sub)[0])
 
 
 def builtin_opt_pp(problem: IsingProblem, runset: RunSet,
-                   width_cap: int = DEFAULT_WIDTH_CAP,
-                   repeat_until_stable: bool = False) -> RunSet:
+                   width_cap: int = DEFAULT_WIDTH_CAP) -> RunSet:
     """Improve every run by exact subgraph minimization.
 
     Subgraphs come from ``decompose_low_treewidth`` and are processed in
-    order; later subgraphs see the updates of earlier ones. Runs are
-    processed independently. By default each run gets a single pass;
-    ``repeat_until_stable`` keeps sweeping a run until a full pass stops
-    lowering its energy.
+    order, each once; later subgraphs see the updates of earlier ones.
+    All runs go through a subgraph together, in blocks of at most
+    ``_TABLE_BUDGET`` table entries, and each run ends as it would if
+    ``optimize_subgraph`` took it through the subgraphs alone.
     """
     subgraphs = decompose_low_treewidth(problem, width_cap)
-    out = []
-    for run in runset:
-        config = run
-        while True:
-            before = config.energy
-            for sub in subgraphs:
-                config = optimize_subgraph(problem, config, sub, width_cap)
-            if not repeat_until_stable or config.energy >= before:
-                break
-        out.append(config)
+    spins = runset.spins_matrix()
+    for sub in subgraphs:
+        rows = max(1, _TABLE_BUDGET >> (sub.width + 1))
+        spins = np.concatenate([_eliminate(problem, spins[i:i + rows], sub)
+                                for i in range(0, len(spins), rows)])
     prov = runset.provenance
     return RunSet(
-        runs=tuple(out),
+        runs=tuple(problem.configuration(s) for s in spins),
         problem_id=runset.problem_id,
         provenance=Provenance(
             sampler="builtin_opt_pp",
@@ -259,10 +245,8 @@ class FixedAssignment:
     def assemble(self, reduced_spins) -> np.ndarray:
         n = len(self.assignments) + len(self.free_vertices)
         full = np.zeros(n, dtype=np.int8)
-        for v, s in self.assignments.items():
-            full[v] = s
-        for i, v in enumerate(self.free_vertices):
-            full[v] = reduced_spins[i]
+        full[list(self.assignments)] = list(self.assignments.values())
+        full[list(self.free_vertices)] = reduced_spins
         return full
 
 
@@ -334,12 +318,11 @@ def sample_persistence(problem: IsingProblem, sampler, params: SamplerParams,
     """
     if rounds < 1:
         raise ParameterError(f"rounds must be positive, got {rounds}")
-    fixed = {}
-    free_map = list(range(problem.vertex_count))
+    frozen = []
     current = problem
-    best_free = None
+    spins = np.zeros(0, dtype=np.int8)
     for r in range(rounds):
-        if not free_map:
+        if current.vertex_count == 0:
             break
         if r == 0 and initial_runs is not None:
             runset = initial_runs
@@ -349,17 +332,12 @@ def sample_persistence(problem: IsingProblem, sampler, params: SamplerParams,
             round_params = replace(params, seed=derive_seed(params.seed, "persistence", r))
             runset = sampler(current, round_params)
         if r == rounds - 1:
-            best_free = runset.best()
+            spins = runset.best().spins
             break
-        fa = persistence_fix(current, runset, threshold)
-        for v, s in fa.assignments.items():
-            fixed[free_map[v]] = s
-        free_map = [free_map[v] for v in fa.free_vertices]
-        current = fa.reduced_problem
+        frozen.append(persistence_fix(current, runset, threshold))
+        current = frozen[-1].reduced_problem
 
-    full = np.zeros(problem.vertex_count, dtype=np.int8)
-    for v, s in fixed.items():
-        full[v] = s
-    for i, v in enumerate(free_map):
-        full[v] = best_free.spins[i]
-    return problem.configuration(full)
+    # Unfold the freezing rounds, last first, back to the full vertex set.
+    for fa in reversed(frozen):
+        spins = fa.assemble(spins)
+    return problem.configuration(spins)

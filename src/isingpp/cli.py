@@ -86,9 +86,9 @@ _CONFIG_FLAGS = {
 }
 
 
-def _config(args):
-    """An ExperimentConfig carrying the command's sampler and method flags."""
-    return ExperimentConfig(**{
+def _config(args, **fields):
+    """An ExperimentConfig of ``fields`` plus the command's sampler and method flags."""
+    return ExperimentConfig(**fields, **{
         name: getattr(args, flag)
         for flag, name in _CONFIG_FLAGS.items() if hasattr(args, flag)
     })
@@ -127,8 +127,8 @@ def cmd_pp(args):
     runset = load_runset(args.runs_file, problem)
     # The input file fixes the run budget; the resampling methods take
     # their seed from --seed as given.
-    out_runs, _ = apply_method(_config(args), problem, runset, args.method,
-                               args.resample_mode, seed=args.seed)
+    out_runs, _ = apply_method(_config(args, methods=(args.method,)), problem, runset,
+                               args.method, args.resample_mode, seed=args.seed)
     result = RunSet(
         runs=out_runs,
         problem_id=runset.problem_id,

@@ -171,9 +171,9 @@ class SpinConfiguration:
 
     def __post_init__(self):
         arr = np.asarray(self.spins, dtype=SPIN_DTYPE)
-        bad = np.setdiff1d(np.unique(arr), [-1, 1])
+        bad = arr[(arr != 1) & (arr != -1)]
         if bad.size:
-            raise ValueError(f"spins must be -1 or +1, found {bad.tolist()}")
+            raise ValueError(f"spins must be -1 or +1, found {np.unique(bad).tolist()}")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "spins", arr)

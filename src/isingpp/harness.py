@@ -137,6 +137,26 @@ class ExperimentConfig:
             )
         if len(set(self.methods)) != len(self.methods):
             raise ConfigError(f"duplicate methods in {self.methods}")
+        # Parameters of the listed methods only, so unused ones stay free.
+        if "builtin_pp" in self.methods and self.width_cap < 1:
+            raise ConfigError(f"width_cap must be at least 1, got {self.width_cap}")
+        if "sample_persistence" in self.methods:
+            if not (0.5 < self.persistence_threshold <= 1.0):
+                raise ConfigError(f"persistence_threshold must lie in (0.5, 1], "
+                                  f"got {self.persistence_threshold}")
+            if self.persistence_rounds < 1:
+                raise ConfigError(
+                    f"persistence_rounds must be positive, got {self.persistence_rounds}")
+        if "hpe" in self.methods:
+            # The parameter types hpe() takes check their own values.
+            for name, build in (("hpe_scales", ScaleSet),
+                                ("h_range", lambda r: PrecisionModel(h_clip=r)),
+                                ("j_range", lambda r: PrecisionModel(j_clip=r)),
+                                ("hpe_levels", lambda n: PrecisionModel(levels=n))):
+                try:
+                    build(getattr(self, name))
+                except ValueError as e:
+                    raise ConfigError(f"{name} does not suit hpe: {e}") from e
 
     def to_dict(self) -> dict:
         d = asdict(self)

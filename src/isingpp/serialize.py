@@ -85,16 +85,16 @@ def load_problem(path) -> IsingProblem:
     n = _field(doc, "vertex_count", path)
     if not isinstance(n, int) or n < 0:
         raise ParseError(f"{path}: field 'vertex_count' must be a non-negative integer")
-    h = {}
-    for i, entry in enumerate(_field(doc, "h", path)):
-        if not _coefficient_entry(entry, 2):
-            raise ParseError(f"{path}: field 'h' entry {i} must be [vertex, value]")
-        h[entry[0]] = float(entry[1])
-    J = {}
-    for i, entry in enumerate(_field(doc, "J", path)):
-        if not _coefficient_entry(entry, 3):
-            raise ParseError(f"{path}: field 'J' entry {i} must be [a, b, value]")
-        J[(entry[0], entry[1])] = float(entry[2])
+    h, J = {}, {}
+    for name, coefficients, width, form in (("h", h, 2, "[vertex, value]"),
+                                            ("J", J, 3, "[a, b, value]")):
+        for i, entry in enumerate(_field(doc, name, path)):
+            if not _coefficient_entry(entry, width):
+                raise ParseError(f"{path}: field {name!r} entry {i} must be {form}")
+            key = entry[0] if width == 2 else tuple(entry[:2])
+            if key in coefficients:
+                raise ParseError(f"{path}: field {name!r} entry {i} repeats an earlier entry")
+            coefficients[key] = float(entry[-1])
     try:
         return IsingProblem(n, h, J)
     except (IndexError, ValueError) as e:

@@ -15,6 +15,7 @@ from isingpp import (
     decompose_low_treewidth,
     exact_ground_state,
     gibbs_sample,
+    grid_graph,
     min_degree_elimination,
     optimize_subgraph,
     path_graph,
@@ -23,6 +24,7 @@ from isingpp import (
     random_runs,
     sample_persistence,
 )
+from isingpp import altpp
 from isingpp.altpp import FixedAssignment
 from isingpp.errors import InputError, ParameterError, WidthError
 
@@ -105,6 +107,34 @@ class TestDecomposeLowTreewidth:
         problem = make_chimera_problem(seed=5, rows=1, cols=1)
         with pytest.raises(ParameterError):
             decompose_low_treewidth(problem, width_cap=0)
+
+    def test_chimera_decomposition_pinned(self):
+        problem = make_chimera_problem(seed=5, rows=4, cols=4)
+        subs = decompose_low_treewidth(problem, width_cap=4)
+        orders = [list(s.elimination_order) for s in subs]
+        assert [s.width for s in subs] == [4] + [1] * 12
+        assert orders[0] == [
+            96, 64, 32, 97, 65, 33, 98, 66, 34, 99, 67, 35, 104, 72, 40, 105,
+            73, 41, 106, 74, 42, 107, 75, 43, 112, 80, 48, 113, 81, 49, 114, 82,
+            50, 115, 83, 51, 120, 88, 56, 121, 89, 57, 122, 90, 58, 123, 91, 59,
+        ] + list(range(32))
+        assert orders[1:] == [[start + 8 * k for k in range(4)] for start in
+                              (36, 37, 38, 39, 68, 69, 70, 71, 100, 101, 102, 103)]
+        assert [s.vertices for s in subs] == [tuple(sorted(o)) for o in orders]
+
+    def test_grid_decomposition_pinned(self):
+        problem = random_problem(grid_graph(9, 9), ProblemGenSpec((-1, 1), (-1, 1), seed=5),
+                                 vertex_count=81)
+        subs = decompose_low_treewidth(problem, width_cap=2)
+        assert [s.width for s in subs] == [2] + [0] * 17
+        assert list(subs[0].elimination_order) == [
+            44, 35, 34, 71, 62, 61, 52, 51, 42, 41, 32, 31, 76, 75, 66, 79,
+            78, 69, 68, 59, 58, 49, 48, 39, 0, 8, 17, 7, 21, 22, 24, 25,
+            16, 6, 15, 5, 14, 4, 13, 3, 12, 2, 11, 1, 9, 10, 18, 19,
+            27, 29, 38, 28, 36, 37, 45, 46, 54, 56, 65, 55, 63, 64, 72, 73,
+        ]
+        assert [s.vertices for s in subs[1:]] == [
+            (v,) for v in (20, 23, 26, 30, 33, 40, 43, 47, 50, 53, 57, 60, 67, 70, 74, 77, 80)]
 
     def test_isolated_vertices_covered(self):
         problem = IsingProblem(4, h={0: 1.0, 3: -1.0})
@@ -226,12 +256,52 @@ class TestBuiltinOptPp:
         assert len(out) == len(rs)
         assert np.all(out.energies() <= rs.energies() + 1e-9)
 
-    def test_repeat_until_stable_no_worse(self):
+    @staticmethod
+    def per_run_reference(problem, runset, width_cap):
+        """Every subgraph in turn on one run at a time."""
+        out = []
+        for run in runset:
+            for sub in decompose_low_treewidth(problem, width_cap):
+                run = optimize_subgraph(problem, run, sub, width_cap)
+            out.append(run)
+        return out
+
+    def assert_matches_per_run_reference(self, problem, runset, width_cap):
+        out = builtin_opt_pp(problem, runset, width_cap)
+        reference = self.per_run_reference(problem, runset, width_cap)
+        assert len(out) == len(reference)
+        for got, want in zip(out, reference):
+            assert np.array_equal(got.spins, want.spins)
+            assert got.energy == want.energy
+
+    @pytest.mark.parametrize("width_cap", [1, 2, 4])
+    def test_matches_per_run_reference(self, width_cap):
         problem = make_chimera_problem(seed=33, rows=2, cols=2)
-        rs = random_runs(problem, count=10, seed=5)
-        single = builtin_opt_pp(problem, rs, width_cap=4)
-        repeated = builtin_opt_pp(problem, rs, width_cap=4, repeat_until_stable=True)
-        assert np.all(repeated.energies() <= single.energies() + 1e-9)
+        self.assert_matches_per_run_reference(
+            problem, random_runs(problem, count=40, seed=5), width_cap)
+
+    @pytest.mark.parametrize("width_cap", [1, 2, 4])
+    def test_matches_per_run_reference_with_zero_fields(self, width_cap):
+        # No h and couplings of +-1: a vertex's effective field is an even
+        # integer sum, zero in some runs and not in others.
+        base = make_chimera_problem(seed=34, rows=2, cols=2)
+        problem = IsingProblem(base.vertex_count, {},
+                               {e: 1.0 if w > 0 else -1.0 for e, w in base.J.items()})
+        runset = random_runs(problem, count=40, seed=6)
+        spins, adjacency = runset.spins_matrix(), problem.adjacency
+        fields = [sum(w * spins[:, b] for b, w in adjacency[v] if b not in sub.vertices)
+                  for sub in decompose_low_treewidth(problem, width_cap)
+                  for v in sub.vertices]
+        assert any(np.any(f == 0) and np.any(f != 0) for f in fields)
+        self.assert_matches_per_run_reference(problem, runset, width_cap)
+
+    def test_blocks_smaller_than_run_count_match_reference(self):
+        problem = random_problem(
+            complete_graph(14), ProblemGenSpec((-1, 1), (-1, 1), seed=3))
+        runset = random_runs(problem, count=100, seed=7)
+        (sub,) = decompose_low_treewidth(problem, width_cap=13)
+        assert altpp._TABLE_BUDGET >> (sub.width + 1) < len(runset)
+        self.assert_matches_per_run_reference(problem, runset, 13)
 
     def test_provenance_nests_source(self):
         problem = make_chimera_problem(seed=31, rows=1, cols=1)

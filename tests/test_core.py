@@ -134,6 +134,11 @@ class TestSpinConfiguration:
         with pytest.raises(ValueError):
             SpinConfiguration(np.array([1, 0, -1]), 0.0)
 
+    def test_rejection_lists_sorted_bad_values(self):
+        with pytest.raises(ValueError) as info:
+            SpinConfiguration(np.array([1, 3, 0, -1, 0]), 0.0)
+        assert str(info.value) == "spins must be -1 or +1, found [0, 3]"
+
     def test_spins_read_only(self):
         config = SpinConfiguration(np.array([1, -1]), 0.0)
         with pytest.raises(ValueError):

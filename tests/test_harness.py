@@ -133,6 +133,34 @@ def test_config_rejects_wrong_types(doc):
         ExperimentConfig.from_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "method, overrides, field",
+    [
+        ("builtin_pp", {"width_cap": 0}, "width_cap"),
+        ("sample_persistence", {"persistence_threshold": 0.5}, "persistence_threshold"),
+        ("sample_persistence", {"persistence_threshold": 1.01}, "persistence_threshold"),
+        ("sample_persistence", {"persistence_rounds": 0}, "persistence_rounds"),
+        ("hpe", {"hpe_scales": (2.0, 1.0)}, "hpe_scales"),
+        ("hpe", {"hpe_scales": ()}, "hpe_scales"),
+        ("hpe", {"hpe_scales": (0.0, 1.0)}, "hpe_scales"),
+        ("hpe", {"h_range": (1.0, 1.0)}, "h_range"),
+        ("hpe", {"j_range": (1.0, -1.0)}, "j_range"),
+        ("hpe", {"hpe_levels": 1}, "hpe_levels"),
+    ],
+)
+def test_config_checks_parameters_of_listed_methods(method, overrides, field):
+    with pytest.raises(ConfigError, match=field):
+        tiny_config(methods=("mqc_sequential", method), **overrides)
+    # Methods that are not listed leave their parameters unchecked.
+    tiny_config(methods=("mqc_sequential",), **overrides)
+
+
+def test_config_names_the_first_bad_field_of_several():
+    with pytest.raises(ConfigError, match="width_cap"):
+        ExperimentConfig(hpe_scales=(2.0, 1.0), methods=("builtin_pp", "hpe"),
+                         width_cap=0, persistence_rounds=0)
+
+
 def test_config_accepts_integral_floats():
     config = ExperimentConfig.from_dict({"gibbs_beta": 2, "h_range": [-1, 1]})
     assert config.gibbs_beta == 2
@@ -525,6 +553,22 @@ def test_cli_pp_single_run_passes_through(tmp_path):
     assert reduced[0].same_spins(original[0])
 
 
+def test_cli_pp_checks_only_the_chosen_method(tmp_path, capsys):
+    problem_path = gen_problems(tmp_path) / "problem_0000.json"
+    runs_path = sample_runs(tmp_path, problem_path, "runs.json")
+    args = ["pp", "--problem", str(problem_path), "--runs-file", str(runs_path),
+            "--width-cap", "0"]
+    assert main(args + ["--method", "mqc_sequential",
+                        "--out", str(tmp_path / "mqc.json")]) == 0
+    capsys.readouterr()
+    assert main(args + ["--method", "builtin_pp",
+                        "--out", str(tmp_path / "builtin.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "width_cap" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "builtin.json").exists()
+
+
 def test_cli_pp_rejects_runs_for_a_different_problem(tmp_path, capsys):
     problems = gen_problems(tmp_path)
     runs_path = sample_runs(tmp_path, problems / "problem_0000.json", "runs.json")
@@ -612,7 +656,8 @@ def test_cli_experiment_unknown_config_field_exits(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "doc",
-    [{"topology": {"kind": "grid"}}, {"problem_count": "3"}],
+    [{"topology": {"kind": "grid"}}, {"problem_count": "3"},
+     {"methods": ["mqc_sequential", "hpe"], "hpe_scales": [2.0, 1.0]}],
 )
 def test_cli_experiment_malformed_config_exits(tmp_path, capsys, doc):
     path = tmp_path / "config.json"
@@ -632,6 +677,8 @@ def test_cli_experiment_malformed_config_exits(tmp_path, capsys, doc):
         '{"vertex_count": 2, "h": [[null, 1.0]], "J": []}',
         '{"vertex_count": 2, "h": [[0, NaN]], "J": []}',
         '{"vertex_count": 2, "h": [], "J": [[0, 1, -Infinity]]}',
+        '{"vertex_count": 2, "h": [[0, 1.0], [0, -5.0]], "J": []}',
+        '{"vertex_count": 2, "h": [], "J": [[0, 1, 0.5], [0, 1, 9.0]]}',
     ],
 )
 def test_cli_sample_malformed_problem_exits_without_output(tmp_path, capsys, text):

@@ -99,6 +99,18 @@ class TestProblemFiles:
         with pytest.raises(ParseError, match="finite"):
             load_problem(path)
 
+    @pytest.mark.parametrize("field,entries,match", [
+        ("h", [[0, 1.0], [0, -5.0]], "'h' entry 1 repeats"),
+        ("J", [[0, 1, 0.5], [1, 2, 0.1], [0, 1, 9.0]], "'J' entry 2 repeats"),
+    ])
+    def test_duplicate_entry_named(self, tmp_path, field, entries, match):
+        doc = {"vertex_count": 3, "h": [], "J": []}
+        doc[field] = entries
+        path = tmp_path / "duplicates.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=match):
+            load_problem(path)
+
     def test_bad_vertex_count(self, tmp_path):
         path = tmp_path / "count.json"
         path.write_text(json.dumps({"vertex_count": -3, "h": [], "J": []}))
