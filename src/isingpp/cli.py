@@ -28,6 +28,7 @@ from .harness import (
     topology_graph,
     write_report,
 )
+from .mqc import PairingStrategy
 from .rng import derive_seed
 from .samplers import Provenance, RunSet, random_runs
 from .serialize import load_problem, load_runset, save_problem, save_runset, write_json
@@ -158,7 +159,7 @@ def cmd_bench(args):
     spec = ProblemGenSpec(h_range=(-2.0, 2.0), j_range=(-1.0, 1.0),
                           seed=derive_seed(args.seed, "bench-problem"))
     problem = random_problem(graph, spec, vertex_count=n)
-    points = bench_reduce(problem, args.runs, args.seed, repeats=args.repeats)
+    points = bench_reduce(problem, args.runs, args.seed, args.strategy, repeats=args.repeats)
     for pt in points:
         print(f"{pt['run_count']:>6} runs  {pt['seconds'] * 1e3:9.2f} ms")
     out = _resolve_out(args.out)
@@ -228,6 +229,8 @@ def build_parser():
     p.add_argument("--runs", type=int, nargs="+", default=[256, 512, 1024, 2048])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--repeats", type=int, default=3)
+    p.add_argument("--strategy", default="sequential",
+                   choices=[s.value for s in PairingStrategy])
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bench)
 

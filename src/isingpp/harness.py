@@ -12,7 +12,6 @@ so re-running a config reproduces identical files.
 from __future__ import annotations
 
 import json
-import math
 import numbers
 import os
 import time
@@ -31,7 +30,7 @@ from .samplers import (
     random_runs,
     simulated_anneal,
 )
-from .serialize import write_json
+from .serialize import is_finite_number, write_json
 from .topology import (
     ChimeraSpec,
     ProblemGenSpec,
@@ -79,7 +78,7 @@ def _is_type(value, kind: str) -> bool:
     if kind == "int":
         return isinstance(value, numbers.Integral)
     if kind == "float":
-        return isinstance(value, numbers.Real) and math.isfinite(value)
+        return is_finite_number(value)
     return isinstance(value, {"str": str, "dict": dict}[kind])
 
 
@@ -435,20 +434,39 @@ def write_outputs(config: ExperimentConfig, records, rows, out_dir):
     write_report(rows, out_dir)
 
 
+# Fields every results record needs, with their kind for ``_is_type``.
+_RECORD_FIELDS = {"problem": "int", "run_count": "int", "mode": "str", "method": "str",
+                  "energy": "float"}
+
+
 def load_records(path):
-    records = []
+    """Records of a results.jsonl file, one JSON object a line.
+
+    Each record needs integer ``problem`` and ``run_count``, string
+    ``mode`` and ``method`` and a finite number ``energy``. Syntax is
+    checked on every line first; then the first bad field raises
+    InputError naming its line.
+    """
+    lines = []
     with open(path, "r", encoding="utf-8") as f:
         for i, line in enumerate(f):
             line = line.strip()
             if not line:
                 continue
             try:
-                records.append(json.loads(line))
+                lines.append((i + 1, json.loads(line)))
             except json.JSONDecodeError as e:
                 raise InputError(f"{path}: line {i + 1}: {e.msg}") from e
-    if not records:
+    if not lines:
         raise InputError(f"{path}: no records")
-    return records
+    for lineno, rec in lines:
+        if not isinstance(rec, dict):
+            raise InputError(f"{path}: line {lineno}: a record must be a JSON object")
+        for name, kind in _RECORD_FIELDS.items():
+            if not _is_type(rec.get(name), kind):
+                raise InputError(f"{path}: line {lineno}: field {name!r} must be {kind}, "
+                                 f"got {rec.get(name)!r}")
+    return [rec for _, rec in lines]
 
 
 @dataclass(frozen=True, slots=True)

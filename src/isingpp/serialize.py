@@ -20,6 +20,8 @@ data produces identical bytes.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 
 import numpy as np
 
@@ -63,6 +65,16 @@ def _field(doc, name, path):
     if not isinstance(doc, dict) or name not in doc:
         raise ParseError(f"{path}: missing field {name!r}")
     return doc[name]
+
+
+def is_finite_number(value) -> bool:
+    """Whether ``value`` is a real number, not a bool, with a finite float value."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def _coefficient_entry(entry, width) -> bool:
@@ -118,19 +130,30 @@ def save_runset(runset: RunSet, path):
 
 def load_runset(path, problem: IsingProblem | None = None) -> RunSet:
     """Load a runs file; with ``problem`` given, verify lengths and that
-    every stored energy matches a fresh evaluation."""
+    every stored energy matches a fresh evaluation.
+
+    Stored energies must be finite JSON numbers and the provenance seed a
+    JSON integer.
+    """
     doc = _load_json(path)
     prov_doc = _field(doc, "provenance", path)
     provenance = Provenance(
         sampler=str(_field(prov_doc, "sampler", path)),
         params=_field(prov_doc, "params", path),
-        seed=int(_field(prov_doc, "seed", path)),
+        seed=_field(prov_doc, "seed", path),
     )
+    if not isinstance(provenance.seed, int) or isinstance(provenance.seed, bool):
+        raise ParseError(f"{path}: field 'seed' must be an integer")
+    records = _field(doc, "runs", path)
+    if not isinstance(records, list):
+        raise ParseError(f"{path}: field 'runs' must be a list")
     runs = []
-    for i, rec in enumerate(_field(doc, "runs", path)):
+    for i, rec in enumerate(records):
         spins = string_to_spins(str(_field(rec, "spins", path)))
-        energy = float(_field(rec, "energy", path))
-        runs.append(SpinConfiguration(spins, energy))
+        energy = _field(rec, "energy", path)
+        if not is_finite_number(energy):
+            raise ParseError(f"{path}: run {i} field 'energy' must be a finite number")
+        runs.append(SpinConfiguration(spins, float(energy)))
     if not runs:
         raise ParseError(f"{path}: field 'runs' is empty")
     runset = RunSet(tuple(runs), str(_field(doc, "problem_id", path)), provenance)

@@ -356,6 +356,36 @@ def test_load_records_rejects_empty_and_malformed(tmp_path):
         load_records(bad)
 
 
+GOOD_RECORD = {"problem": 0, "run_count": 4, "mode": "raw", "method": "alpha",
+               "energy": -1.0}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("run_count", None), ("run_count", True), ("run_count", 4.0),
+    ("problem", "0"), ("mode", 1), ("method", None),
+    ("energy", float("nan")), ("energy", float("inf")), ("energy", [1.0]),
+    ("energy", "1.0"), ("energy", 10**400),
+])
+def test_load_records_checks_each_record(tmp_path, field, value):
+    bad = dict(GOOD_RECORD)
+    if value is None:
+        del bad[field]
+    else:
+        bad[field] = value
+    path = tmp_path / "results.jsonl"
+    path.write_text(json.dumps(GOOD_RECORD) + "\n\n" + json.dumps(bad) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(InputError, match=f"line 3: field '{field}'"):
+        load_records(path)
+
+
+def test_load_records_rejects_non_object_line(tmp_path):
+    path = tmp_path / "results.jsonl"
+    path.write_text(json.dumps(GOOD_RECORD) + "\n[1, 2]\n", encoding="utf-8")
+    with pytest.raises(InputError, match="line 2: a record must be a JSON object"):
+        load_records(path)
+
+
 def test_render_report_is_a_padded_table():
     _, rows = run_experiment(tiny_config(problem_count=2, run_counts=(4,)))
     text = render_report(rows)
@@ -581,6 +611,33 @@ def test_cli_pp_rejects_runs_for_a_different_problem(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("where, field, value", [
+    ("run", "energy", float("nan")),
+    ("run", "energy", float("-inf")),
+    ("run", "energy", [1.0]),
+    ("run", "energy", True),
+    ("run", "energy", "1.0"),
+    ("provenance", "seed", None),
+    ("provenance", "seed", "3"),
+    ("provenance", "seed", 3.5),
+    ("provenance", "seed", False),
+])
+def test_cli_pp_rejects_bad_stored_values(tmp_path, capsys, where, field, value):
+    problem_path = gen_problems(tmp_path) / "problem_0000.json"
+    runs_path = sample_runs(tmp_path, problem_path, "runs.json")
+    doc = json.loads(runs_path.read_text(encoding="utf-8"))
+    (doc["runs"][1] if where == "run" else doc["provenance"])[field] = value
+    runs_path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "reduced.json"
+    code = main(["pp", "--problem", str(problem_path), "--runs-file", str(runs_path),
+                 "--method", "mqc_rank", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(field) in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_cli_compare_builds_tables_from_results(tmp_path, capsys):
     records = []
     for problem in range(3):
@@ -602,6 +659,23 @@ def test_cli_compare_builds_tables_from_results(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "alpha vs beta" in stdout
     assert (out / "report.txt").read_text(encoding="utf-8") in stdout
+
+
+@pytest.mark.parametrize("field, value", [("run_count", None), ("energy", float("nan"))])
+def test_cli_compare_rejects_bad_record(tmp_path, capsys, field, value):
+    bad = dict(GOOD_RECORD, method="beta", **{field: value})
+    if value is None:
+        del bad[field]
+    results = tmp_path / "results.jsonl"
+    results.write_text(json.dumps(GOOD_RECORD) + "\n" + json.dumps(bad) + "\n",
+                       encoding="utf-8")
+    out = tmp_path / "report"
+    code = main(["compare", "--results", str(results), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "line 2" in err and repr(field) in err
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_cli_compare_empty_results_exits_with_diagnostic(tmp_path, capsys):
@@ -712,3 +786,28 @@ def test_cli_bench_reports_timings(tmp_path, capsys):
     points = json.loads(out.read_text(encoding="utf-8"))
     assert [pt["run_count"] for pt in points] == [4, 8]
     assert capsys.readouterr().out.count("runs") == 2
+
+
+def test_cli_bench_passes_strategy_through(tmp_path, capsys, monkeypatch):
+    seen = []
+
+    def fake_bench_reduce(problem, run_counts, seed, strategy, repeats):
+        seen.append(strategy)
+        return [{"run_count": n, "seconds": 0.001} for n in run_counts]
+
+    monkeypatch.setattr("isingpp.cli.bench_reduce", fake_bench_reduce)
+    base = ["bench", "--topology", "path", "--n", "4", "--runs", "4", "--repeats", "1"]
+    assert main(base) == 0
+    for strategy in ("sequential", "rank_order", "max_difference"):
+        assert main(base + ["--strategy", strategy]) == 0
+    assert seen == ["sequential", "sequential", "rank_order", "max_difference"]
+    assert capsys.readouterr().out == "     4 runs       1.00 ms\n" * 4
+
+
+def test_cli_bench_max_difference_reports_timings(tmp_path, capsys):
+    out = tmp_path / "bench.json"
+    code = main(["bench", "--topology", "path", "--n", "4", "--runs", "5", "8",
+                 "--repeats", "1", "--strategy", "max_difference", "--out", str(out)])
+    assert code == 0
+    points = json.loads(out.read_text(encoding="utf-8"))
+    assert [pt["run_count"] for pt in points] == [5, 8]

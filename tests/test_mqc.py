@@ -1,6 +1,7 @@
 """Pairwise run merging, pairing strategies, and the log-depth reduction."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -267,6 +268,20 @@ class TestPairRuns:
             seen.append(leftover)
         assert sorted(seen) == list(range(count))
         assert (leftover is None) == (count % 2 == 0)
+
+    def test_max_difference_memory_is_one_small_table(self):
+        """2,048 runs of 128 vertices: the int16 distance table is 8 MiB;
+        the pair-list version peaked at 153 MiB."""
+        problem = make_chimera_problem(seed=5, rows=4, cols=4)
+        rs = random_runs(problem, count=2048, seed=5)
+        tracemalloc.start()
+        try:
+            pairs, leftover = pair_runs(rs, PairingStrategy.MAX_DIFFERENCE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(pairs) == 1024 and leftover is None
+        assert peak < 24 * 2**20
 
 
 def reduce_pairs_for(configs, strategy):

@@ -192,3 +192,14 @@ class TestRunsFiles:
         }))
         with pytest.raises(ParseError, match="'params'"):
             load_runset(path)
+
+    @pytest.mark.parametrize("runs", [5, {"spins": "+", "energy": 0.0}, "+"])
+    def test_runs_must_be_a_list(self, tmp_path, runs):
+        path = tmp_path / "runs.json"
+        path.write_text(json.dumps({
+            "problem_id": "x",
+            "provenance": {"sampler": "manual", "params": {}, "seed": 0},
+            "runs": runs,
+        }))
+        with pytest.raises(ParseError, match="'runs' must be a list"):
+            load_runset(path)
