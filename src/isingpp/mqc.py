@@ -19,6 +19,18 @@ pairwise merging. The pairing order at each level is a strategy choice:
 An odd run out is carried to the next level unchanged, after the merged
 pairs.
 
+All pairs of a level are merged together, ``_ROW_BLOCK`` (256) pairs per
+numpy pass. The disagreement entries of a block are the nodes of one
+graph, the disjoint union of its pairs' disagreement subgraphs, and a
+hook-and-compress union-find labels its components, the tunnels, in
+order of pair and then smallest vertex. One ``bincount`` over those
+labels gives every tunnel's contribution, and one product per block
+every merged energy. A block costs O(P (n + E)) per union-find round
+for P pairs, n vertices and E couplings; the block size bounds the
+(P, E) masks and products, so the memory of a merge does not grow with
+the run count. Each sum runs in the order of a one-pair merge, so no
+contribution, tie or energy bit depends on the block size.
+
 Sequential pairing is O(m) and rank order O(m log m) for m runs.
 Max-difference pairing fills one m x m int16 table of Hamming
 distances (2 m^2 bytes: 8 MiB at 2,048 runs) with blocked float32
@@ -56,91 +68,114 @@ def hamming_distance(run1: SpinConfiguration, run2: SpinConfiguration) -> int:
     return int(np.count_nonzero(run1.spins != run2.spins))
 
 
+def _check_runs(problem, configs):
+    """Raise DimensionError naming the first run that does not fit."""
+    n = problem.vertex_count
+    for k, config in enumerate(configs):
+        if config.spins.shape != (n,):
+            raise DimensionError(
+                f"run {k} of length {config.spins.size} does not fit a problem "
+                f"with {n} vertices"
+            )
+
+
 def disagreement_tunnels(problem: IsingProblem, run1: SpinConfiguration,
                          run2: SpinConfiguration) -> list:
     """Tunnels of the disagreement region, ordered by smallest vertex."""
-    verts, comp_ids, count = _label_components(problem, run1.spins, run2.spins)
-    groups = [[] for _ in range(count)]
-    for v, c in zip(verts.tolist(), comp_ids.tolist()):
+    _check_runs(problem, (run1, run2))
+    _, _, verts, labels, counts, _ = _merge_rows(
+        problem, run1.spins[None], run2.spins[None])
+    groups = [[] for _ in range(int(counts[0]))]
+    for v, c in zip(verts.tolist(), labels.tolist()):
         groups[c].append(v)
     return [Tunnel(tuple(g)) for g in groups]
 
 
-def _label_components(problem, s1, s2):
-    """Disagreement vertices, their component labels, and the label count.
+def _component_roots(u, v, size):
+    """Each node's smallest component member, on ``size`` nodes joined by
+    the edges (u[k], v[k]).
 
-    Components are labeled in order of their smallest vertex. DFS uses an
-    explicit stack over the problem's adjacency arrays.
+    Hook-and-compress union-find. A round hooks, for every edge whose ends
+    have different roots, the larger root onto the smaller one
+    (``np.minimum.at``), then pointer-jumps ``parent = parent[parent]``
+    until no entry changes, so every node points at a root again.
+    ``parent[x] <= x`` throughout, which makes each root its component's
+    smallest node. A round removes every root that is the larger end of a
+    live edge, so at least one root of every component that still has
+    two; edges whose ends share a root stay that way and are dropped.
     """
-    diff = np.nonzero(s1 != s2)[0]
-    n = problem.vertex_count
-    if diff.size == 0:
-        return diff, np.empty(0, dtype=np.intp), 0
-    in_diff = np.zeros(n, dtype=bool)
-    in_diff[diff] = True
-    labels = np.full(n, -1, dtype=np.intp)
-    count = 0
-    nbr = problem._nbr
-    for start in diff.tolist():
-        if labels[start] >= 0:
-            continue
-        stack = [start]
-        labels[start] = count
-        while stack:
-            v = stack.pop()
-            for w in nbr[v].tolist():
-                if in_diff[w] and labels[w] < 0:
-                    labels[w] = count
-                    stack.append(w)
-        count += 1
-    return diff, labels[diff], count
+    parent = np.arange(size)
+    while True:
+        ru, rv = parent[u], parent[v]
+        live = ru != rv
+        if not live.any():
+            return parent
+        u, v, ru, rv = u[live], v[live], ru[live], rv[live]
+        np.minimum.at(parent, np.maximum(ru, rv), np.minimum(ru, rv))
+        while True:
+            jumped = parent[parent]
+            if (jumped == parent).all():
+                break
+            parent = jumped
 
 
-def _merge_pair(problem, run1, run2):
-    """Merge two runs; returns (config, tunnel_sizes, contributions, adopted).
+def _merge_rows(problem, s1, s2):
+    """Merge run-1 row p of ``s1`` with run-2 row p of ``s2`` for every p.
 
-    contributions[k] is (run1, run2) for tunnel k; adopted[k] is 1 or 2.
-    Tunnels appear in order of their smallest vertex.
+    Nodes are the disagreement entries, numbered in
+    ``np.flatnonzero(s1 != s2)`` order (by row, then vertex); a problem
+    edge with both ends in one row's disagreement region joins two nodes.
+    The components of that graph, labeled by ``_component_roots`` in node
+    order of their smallest member, are the tunnels. A tunnel's run-1
+    contribution sums, vertex by vertex, the linear term plus the
+    couplings to agreement vertices (couplings inside the disagreement
+    region are internal to a tunnel, since distinct tunnels are never
+    adjacent); run 2's side is its negative, so run 2 wins iff the sum is
+    > 0. Every sum runs in the order of a one-row call. Work is
+    O(P (n + E)) per union-find round for P rows, n vertices and E edges.
+
+    Returns the merged spins, their energies (summed as
+    ``IsingProblem.evaluate`` sums them), the nodes (flat indices into the
+    rows), each node's tunnel label, the tunnel count of each row and the
+    run-1 contribution of each tunnel.
     """
-    s1, s2 = run1.spins, run2.spins
-    if s1.shape[0] != problem.vertex_count or s2.shape[0] != problem.vertex_count:
-        raise DimensionError(
-            f"runs of length {s1.shape[0]}/{s2.shape[0]} do not fit a problem "
-            f"with {problem.vertex_count} vertices"
-        )
-    diff, comp_ids, count = _label_components(problem, s1, s2)
-    if count == 0:
-        merged = problem.configuration(s1)
-        return merged, (), (), ()
+    rows, n = s1.shape
+    ea, eb, w = problem._edge_a, problem._edge_b, problem._edge_w
+    diff = s1 != s2
+    nodes = np.flatnonzero(diff)
+    node_of = np.cumsum(diff.ravel()) - 1
+    da, db = diff.take(ea, axis=1), diff.take(eb, axis=1)
 
-    # Per-vertex share of the contribution: the vertex's linear term plus
-    # its couplings to agreement vertices. Couplings inside the
-    # disagreement region are internal to some tunnel (distinct tunnels
-    # are never adjacent) and drop out.
-    n = problem.vertex_count
-    s1f = s1.astype(np.float64)
-    in_diff = np.zeros(n, dtype=bool)
-    in_diff[diff] = True
-    field = np.zeros(n, dtype=np.float64)
-    if problem._edge_w.size:
-        ea, eb, w = problem._edge_a, problem._edge_b, problem._edge_w
-        field += np.bincount(ea, weights=w * s1f[eb] * ~in_diff[eb], minlength=n)
-        field += np.bincount(eb, weights=w * s1f[ea] * ~in_diff[ea], minlength=n)
-    per_vertex = s1f * (problem._h_vec + field)
-    contrib1 = np.bincount(comp_ids, weights=per_vertex[diff], minlength=count)
+    p, e = np.nonzero(da & db)
+    roots = _component_roots(node_of[p * n + ea[e]], node_of[p * n + eb[e]],
+                             nodes.size)
+    is_root = roots == np.arange(nodes.size)
+    labels = (np.cumsum(is_root) - 1)[roots]
+    counts = np.bincount(nodes[is_root] // n, minlength=rows)
 
-    # Flipping a whole tunnel negates its contribution, so run2's side is
-    # exactly -contrib1 and run2 wins iff contrib1 > 0.
-    adopt2 = contrib1 > 0.0
-    merged_spins = s1.copy()
-    flip = diff[adopt2[comp_ids]]
-    merged_spins[flip] = s2[flip]
-    merged = problem.configuration(merged_spins)
+    # Couplings to agreement vertices, in edge order: the ones from an
+    # edge's first end, then the ones from its second end.
+    field = np.zeros(nodes.size)
+    p, e = np.nonzero(da & ~db)
+    field += np.bincount(node_of[p * n + ea[e]], weights=w[e] * s1[p, eb[e]],
+                         minlength=nodes.size)
+    p, e = np.nonzero(db & ~da)
+    field += np.bincount(node_of[p * n + eb[e]], weights=w[e] * s1[p, ea[e]],
+                         minlength=nodes.size)
+    per_vertex = s1.ravel()[nodes] * (problem._h_vec[nodes % n] + field)
+    contrib1 = np.bincount(labels, weights=per_vertex, minlength=int(is_root.sum()))
 
-    sizes = tuple(np.bincount(comp_ids, minlength=count).tolist())
-    contribs = tuple((float(c), float(-c)) for c in contrib1)
-    adopted = tuple(2 if a else 1 for a in adopt2.tolist())
-    return merged, sizes, contribs, adopted
+    merged = s1.copy()
+    flip = nodes[contrib1[labels] > 0.0]
+    merged.ravel()[flip] = s2.ravel()[flip]
+    # Row sums reduce C-ordered rows, which numpy sums pairwise exactly as
+    # it sums one vector; a column-major operand would be summed in
+    # another order.
+    energies = np.sum(problem._h_vec * merged, axis=1)
+    if w.size:
+        energies += np.sum(w * (merged.take(ea, axis=1) * merged.take(eb, axis=1)),
+                           axis=1)
+    return merged, energies, nodes, labels, counts, contrib1
 
 
 def mqc_pair(problem: IsingProblem, run1: SpinConfiguration,
@@ -151,8 +186,10 @@ def mqc_pair(problem: IsingProblem, run1: SpinConfiguration,
     lower-contribution side on every tunnel (run 1 on ties), and carries a
     freshly evaluated energy that is at most min of the input energies.
     """
-    merged, _, _, _ = _merge_pair(problem, run1, run2)
-    return merged
+    _check_runs(problem, (run1, run2))
+    merged, energies, _, _, _, _ = _merge_rows(
+        problem, run1.spins[None], run2.spins[None])
+    return SpinConfiguration(merged[0], energies[0])
 
 
 @dataclass(frozen=True, slots=True)
@@ -235,7 +272,8 @@ def _pair_indices(configs, strategy):
     raise InputError(f"unknown pairing strategy {strategy!r}")
 
 
-# Rows of the distance table filled, or rescanned, per numpy call.
+# Rows of the distance table filled or rescanned, and pairs merged, per
+# numpy call.
 _ROW_BLOCK = 256
 
 
@@ -299,32 +337,53 @@ def pair_runs(runset: RunSet, strategy: PairingStrategy):
     return _pair_indices(list(runset.runs), PairingStrategy(strategy))
 
 
+def _merge_pairs(problem, configs, pairs):
+    """Merge each index pair (i, j) of ``configs``, configs[i] as run 1.
+
+    Returns the merged configurations and a PairMerge per pair. The pairs
+    go through ``_merge_rows`` in blocks of ``_ROW_BLOCK``, so the memory
+    a call adds is bounded whatever the number of pairs.
+    """
+    merged, records = [], []
+    for lo in range(0, len(pairs), _ROW_BLOCK):
+        block = pairs[lo:lo + _ROW_BLOCK]
+        spins, energies, _, labels, counts, contrib1 = _merge_rows(
+            problem,
+            np.stack([configs[i].spins for i, _ in block]),
+            np.stack([configs[j].spins for _, j in block]))
+        sizes = np.bincount(labels, minlength=contrib1.size).tolist()
+        side1, side2 = contrib1.tolist(), (-contrib1).tolist()
+        adopted = np.where(contrib1 > 0.0, 2, 1).tolist()
+        start = 0
+        for (i, j), row, energy, end in zip(block, spins, energies.tolist(),
+                                            np.cumsum(counts).tolist()):
+            merged.append(SpinConfiguration(row, energy))
+            records.append(PairMerge(
+                i, j, tuple(sizes[start:end]),
+                tuple(zip(side1[start:end], side2[start:end])),
+                tuple(adopted[start:end])))
+            start = end
+    return merged, records
+
+
 def reduce_configs(problem: IsingProblem, configs,
                    strategy: PairingStrategy = PairingStrategy.SEQUENTIAL):
     """Reduce a list of configurations by levels of pairwise merges.
 
-    The strategy is re-applied at every level. Returns the final
-    configuration and a ReductionTrace recording each level's pairs and
-    per-tunnel decisions.
+    The strategy is re-applied at every level, and all pairs of a level
+    are merged together. Returns the final configuration and a
+    ReductionTrace recording each level's pairs and per-tunnel decisions.
+    Every run is checked against the problem before any pairing.
     """
     strategy = PairingStrategy(strategy)
     configs = list(configs)
     if not configs:
         raise InputError("nothing to reduce")
-    if configs[0].spins.shape[0] != problem.vertex_count:
-        raise DimensionError(
-            f"runs of length {configs[0].spins.shape[0]} do not fit a problem "
-            f"with {problem.vertex_count} vertices"
-        )
+    _check_runs(problem, configs)
     levels = []
     while len(configs) > 1:
         pairs, leftover = _pair_indices(configs, strategy)
-        merged = []
-        records = []
-        for i, j in pairs:
-            out, sizes, contribs, adopted = _merge_pair(problem, configs[i], configs[j])
-            merged.append(out)
-            records.append(PairMerge(i, j, sizes, contribs, adopted))
+        merged, records = _merge_pairs(problem, configs, pairs)
         if leftover is not None:
             merged.append(configs[leftover])
         levels.append(ReductionLevel(len(configs), tuple(records), leftover))

@@ -1,6 +1,9 @@
 """Pairwise run merging, pairing strategies, and the log-depth reduction."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -24,6 +27,8 @@ from isingpp import (
     simulated_anneal,
     tunnel_contribution,
 )
+import isingpp
+from isingpp import mqc
 from isingpp.errors import DimensionError, InputError
 from isingpp.mqc import reduce_configs
 
@@ -96,6 +101,15 @@ class TestDisagreementTunnels:
         problem = make_chimera_problem(seed=10)
         c = problem.configuration(np.ones(problem.vertex_count, dtype=np.int8))
         assert disagreement_tunnels(problem, c, c) == []
+
+    def test_length_mismatch(self):
+        problem = IsingProblem(3, J={(0, 1): 1.0, (1, 2): 1.0})
+        one = IsingProblem(1).configuration([1])
+        five = IsingProblem(5).configuration([1, 1, 1, 1, -1])
+        fits = problem.configuration([1, 1, 1])
+        for run1, run2 in ((one, fits), (fits, one), (five, five)):
+            with pytest.raises(DimensionError):
+                disagreement_tunnels(problem, run1, run2)
 
 
 class TestMqcPair:
@@ -377,3 +391,60 @@ class TestMqcReduce:
         other = IsingProblem(2).configuration([1, 1])
         with pytest.raises(DimensionError):
             reduce_configs(problem, [other, other], PairingStrategy.SEQUENTIAL)
+
+    @pytest.mark.parametrize("strategy", list(PairingStrategy))
+    def test_every_run_length_checked_before_pairing(self, strategy):
+        problem = make_chimera_problem(seed=3, rows=1, cols=1)
+        configs = list(random_runs(problem, count=9, seed=4))
+        configs[5] = IsingProblem(2).configuration([1, 1])
+        configs[7] = IsingProblem(9).configuration([1] * 9)
+        with pytest.raises(DimensionError, match="run 5 "):
+            reduce_configs(problem, configs, strategy)
+
+    @pytest.mark.parametrize("strategy", list(PairingStrategy))
+    def test_row_blocks_do_not_change_reduction(self, strategy, monkeypatch):
+        """Levels merged in blocks of 1, 3 or 7 pairs give the trace and
+        final spins of the default blocks."""
+        problem = make_chimera_problem(seed=6, rows=4, cols=4)
+        rs = simulated_anneal(problem, SamplerParams(num_runs=2047, seed=6, sweeps=2))
+        final, trace = mqc_reduce(problem, rs, strategy)
+        for block in (1, 3, 7):
+            monkeypatch.setattr(mqc, "_ROW_BLOCK", block)
+            again, trace_again = mqc_reduce(problem, rs, strategy)
+            assert again.same_spins(final) and again.energy == final.energy
+            assert trace_again.to_dict() == trace.to_dict()
+
+    def test_sequential_memory_is_bounded(self):
+        """2,048 random runs of 128 vertices: pairs are merged 256 at a
+        time; merging a whole level at once peaked at 13-15 MiB."""
+        problem = make_chimera_problem(seed=5, rows=4, cols=4)
+        rs = random_runs(problem, count=2048, seed=5)
+        tracemalloc.start()
+        try:
+            mqc_reduce(problem, rs, PairingStrategy.SEQUENTIAL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+
+def test_merging_imports_no_scipy():
+    """Every merge and pairing path runs on numpy alone."""
+    script = (
+        "import sys\n"
+        "import isingpp as ip\n"
+        "from isingpp.mqc import disagreement_tunnels\n"
+        "p = ip.random_problem(ip.chimera_graph(ip.ChimeraSpec(2, 2, 4)),\n"
+        "                      ip.ProblemGenSpec((-2, 2), (-1, 1), seed=1))\n"
+        "rs = ip.random_runs(p, count=33, seed=2)\n"
+        "for strategy in ip.PairingStrategy:\n"
+        "    ip.mqc_reduce(p, rs, strategy)\n"
+        "disagreement_tunnels(p, rs[0], rs[1])\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+    )
+    src = os.path.dirname(os.path.dirname(isingpp.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr

@@ -30,7 +30,7 @@ from isingpp import (
     save_runset,
 )
 from isingpp.altpp import _eliminate
-from isingpp.mqc import _merge_pair, _pair_indices
+from isingpp.mqc import _merge_pairs, _pair_indices, reduce_configs
 
 from conftest import conditional_min_enum
 
@@ -109,7 +109,9 @@ def test_tunnel_contributions_flip_sign(case):
     of run 1 to run 2's spins changes the freshly evaluated energy by
     their difference."""
     problem, run1, run2 = case
-    _, sizes, contributions, _ = _merge_pair(problem, run1, run2)
+    _, trace = reduce_configs(problem, [run1, run2])
+    record, = trace.levels[0].pairs
+    sizes, contributions = record.tunnel_sizes, record.contributions
     tunnels = disagreement_tunnels(problem, run1, run2)
     assert list(sizes) == [len(t) for t in tunnels]
     for tunnel, (c1, c2) in zip(tunnels, contributions):
@@ -117,6 +119,95 @@ def test_tunnel_contributions_flip_sign(case):
         moved = run1.spins.copy()
         moved[list(tunnel.vertices)] = run2.spins[list(tunnel.vertices)]
         assert abs(problem.evaluate(moved) - run1.energy - (c2 - c1)) <= ENERGY_ATOL
+
+
+def label_components(problem, s1, s2):
+    """The component labeler as first written, kept as its specification:
+    disagreement vertices, their component labels and the label count,
+    by a depth-first search from each unlabeled vertex in ascending
+    order."""
+    diff = np.nonzero(s1 != s2)[0]
+    n = problem.vertex_count
+    if diff.size == 0:
+        return diff, np.empty(0, dtype=np.intp), 0
+    in_diff = np.zeros(n, dtype=bool)
+    in_diff[diff] = True
+    labels = np.full(n, -1, dtype=np.intp)
+    count = 0
+    nbr = problem._nbr
+    for start in diff.tolist():
+        if labels[start] >= 0:
+            continue
+        stack = [start]
+        labels[start] = count
+        while stack:
+            v = stack.pop()
+            for w in nbr[v].tolist():
+                if in_diff[w] and labels[w] < 0:
+                    labels[w] = count
+                    stack.append(w)
+        count += 1
+    return diff, labels[diff], count
+
+
+def merge_pair(problem, run1, run2):
+    """The one-pair merge as first written, kept as its specification;
+    returns (config, tunnel_sizes, contributions, adopted)."""
+    s1, s2 = run1.spins, run2.spins
+    diff, comp_ids, count = label_components(problem, s1, s2)
+    if count == 0:
+        return problem.configuration(s1), (), (), ()
+    n = problem.vertex_count
+    s1f = s1.astype(np.float64)
+    in_diff = np.zeros(n, dtype=bool)
+    in_diff[diff] = True
+    field = np.zeros(n, dtype=np.float64)
+    if problem._edge_w.size:
+        ea, eb, w = problem._edge_a, problem._edge_b, problem._edge_w
+        field += np.bincount(ea, weights=w * s1f[eb] * ~in_diff[eb], minlength=n)
+        field += np.bincount(eb, weights=w * s1f[ea] * ~in_diff[ea], minlength=n)
+    per_vertex = s1f * (problem._h_vec + field)
+    contrib1 = np.bincount(comp_ids, weights=per_vertex[diff], minlength=count)
+    adopt2 = contrib1 > 0.0
+    merged_spins = s1.copy()
+    flip = diff[adopt2[comp_ids]]
+    merged_spins[flip] = s2[flip]
+    sizes = tuple(np.bincount(comp_ids, minlength=count).tolist())
+    contribs = tuple((float(c), float(-c)) for c in contrib1)
+    adopted = tuple(2 if a else 1 for a in adopt2.tolist())
+    return problem.configuration(merged_spins), sizes, contribs, adopted
+
+
+@st.composite
+def run_levels(draw):
+    """A problem and 1 to 40 pairs of its runs, each a random pair or one
+    run twice."""
+    problem = draw(problems())
+    count = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    runs = rng.choice(np.array([-1, 1], dtype=np.int8), size=(count, 2, problem.vertex_count))
+    equal = rng.random(count) < 0.2
+    runs[equal, 1] = runs[equal, 0]
+    return problem, [problem.configuration(row) for row in runs.reshape(2 * count, -1)]
+
+
+@derandomized
+@given(run_levels())
+def test_batched_merge_matches_pairwise(case):
+    """Merging all pairs of a level together gives, pair by pair, the
+    spins, energy bits and tunnel decisions of the one-pair merge."""
+    problem, configs = case
+    pairs = [(k, k + 1) for k in range(0, len(configs), 2)]
+    merged, records = _merge_pairs(problem, configs, pairs)
+    for (i, j), out, record in zip(pairs, merged, records, strict=True):
+        ref, sizes, contributions, adopted = merge_pair(problem, configs[i], configs[j])
+        assert np.array_equal(out.spins, ref.spins)
+        assert struct.pack("<d", out.energy) == struct.pack("<d", ref.energy)
+        assert (record.first, record.second) == (i, j)
+        assert record.tunnel_sizes == sizes
+        assert [struct.pack("<dd", *c) for c in record.contributions] == \
+            [struct.pack("<dd", *c) for c in contributions]
+        assert record.adopted == adopted
 
 
 @st.composite
