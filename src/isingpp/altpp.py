@@ -4,8 +4,12 @@ sample persistence.
 ``builtin_opt_pp`` mimics the cleanup pass a hardware optimizer applies to
 its own output: the problem graph is cut into low-treewidth subgraphs, and
 each run is improved by exactly minimizing every subgraph conditioned on
-the spins outside it. The exact step is min-sum variable elimination along
-the order that certified the subgraph's width, so its cost is bounded by
+the spins outside it. The cover depends only on the graph, so it is
+computed once per graph and cap and cached; every call gets a fresh list
+of the cached subgraphs. Growing it tries regions with a heap-driven
+min-degree elimination, O(r log r) per trial region of r vertices for a
+fixed cap. The exact step is min-sum variable elimination along the
+order that certified the subgraph's width, so its cost is bounded by
 2^(width+1) table entries per step and run. All runs go through a subgraph
 together, as one table with a leading runs axis, in blocks that bound the
 memory whatever the run count.
@@ -17,6 +21,8 @@ re-samples the smaller problem.
 
 from __future__ import annotations
 
+import functools
+import heapq
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -48,6 +54,42 @@ class Subgraph:
         return len(self.vertices)
 
 
+def _min_degree(adj, width_cap=None):
+    """Min-degree elimination of the graph ``adj`` (vertex -> neighbor set).
+
+    Consumes ``adj``. Each step eliminates the vertex of least (degree,
+    vertex id), popped from a heap of (degree, vertex) entries; an entry
+    whose degree is no longer its vertex's is stale and skipped, and a
+    vertex whose degree changes gets a new entry. Eliminating a vertex
+    connects its remaining neighbors; the width is the largest neighbor
+    count seen at a step. Returns (order, width). With ``width_cap``, it
+    returns as soon as the width exceeds the cap, with the order so far.
+    """
+    heap = [(len(nbrs), v) for v, nbrs in adj.items()]
+    heapq.heapify(heap)
+    order = []
+    width = 0
+    while heap:
+        degree, v = heapq.heappop(heap)
+        nbrs = adj.get(v)
+        if nbrs is None or len(nbrs) != degree:
+            continue
+        del adj[v]
+        width = max(width, degree)
+        if width_cap is not None and width > width_cap:
+            return order, width
+        for a in nbrs:
+            other = adj[a]
+            before = len(other)
+            other |= nbrs
+            other.discard(a)
+            other.discard(v)
+            if len(other) != before:
+                heapq.heappush(heap, (len(other), a))
+        order.append(v)
+    return order, width
+
+
 def min_degree_elimination(vertices, edges):
     """Min-degree elimination order and induced width of a vertex set.
 
@@ -61,17 +103,7 @@ def min_degree_elimination(vertices, edges):
         if a in adj and b in adj and a != b:
             adj[a].add(b)
             adj[b].add(a)
-    order = []
-    width = 0
-    while adj:
-        v = min(adj, key=lambda x: (len(adj[x]), x))
-        nbrs = adj.pop(v)
-        width = max(width, len(nbrs))
-        for a in nbrs:
-            adj[a].update(nbrs)
-            adj[a].difference_update((a, v))
-        order.append(v)
-    return order, width
+    return _min_degree(adj)
 
 
 def decompose_low_treewidth(problem: IsingProblem,
@@ -84,31 +116,48 @@ def decompose_low_treewidth(problem: IsingProblem,
     no neighbor fits, the region is closed and a new one starts. The
     result is a partition of the vertices, deterministic for a given
     problem and cap.
+
+    The cover depends only on the graph, so it is computed once per
+    (vertex count, edge list, cap) and cached; every call returns a fresh
+    list of the cached (frozen) subgraphs. A trial on a region of r
+    vertices costs O(r log r) for a fixed cap, and stops as soon as its
+    width exceeds the cap.
     """
     if width_cap < 1:
         raise ParameterError(f"width_cap must be at least 1, got {width_cap}")
-    edges = problem.edge_list
-    unassigned = set(range(problem.vertex_count))
+    return list(_decompose(problem.vertex_count, tuple(problem.edge_list), width_cap))
+
+
+# A sweep decomposes one graph at one cap; a few entries keep alternating
+# graphs or caps cached without holding every graph a process has seen.
+@functools.lru_cache(maxsize=8)
+def _decompose(vertex_count, edges, width_cap):
+    nbrs = [set() for _ in range(vertex_count)]
+    for a, b in edges:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+
+    def induced(members):
+        return {v: nbrs[v] & members for v in members}
+
+    unassigned = set(range(vertex_count))
     subgraphs = []
     while unassigned:
-        region = [min(unassigned)]
-        unassigned.discard(region[0])
+        region = {min(unassigned)}
+        unassigned -= region
         while True:
-            candidates = sorted({
-                w for v in region for w in problem.neighbors(v).tolist()
-                if w in unassigned
-            })
+            candidates = sorted({w for v in region for w in nbrs[v] if w in unassigned})
             for cand in candidates:
-                _, trial_width = min_degree_elimination(region + [cand], edges)
+                _, trial_width = _min_degree(induced(region | {cand}), width_cap)
                 if trial_width <= width_cap:
-                    region.append(cand)
+                    region.add(cand)
                     unassigned.discard(cand)
                     break
             else:
                 break
-        order, width = min_degree_elimination(region, edges)
+        order, width = _min_degree(induced(region))
         subgraphs.append(Subgraph(tuple(region), tuple(order), width))
-    return subgraphs
+    return tuple(subgraphs)
 
 
 # Most table entries one elimination block may hold: a subgraph of width w

@@ -18,7 +18,14 @@ import numpy as np
 
 from .core import IsingProblem, SpinConfiguration
 from .errors import InputError, ParameterError
-from .mqc import PairingStrategy, reduce_configs
+from .mqc import (
+    PairingStrategy,
+    _check_runs,
+    _merge_pairs,
+    _pair_indices,
+    _row_energies,
+    reduce_configs,
+)
 from .rng import derive_seed
 from .samplers import RunSet, SamplerParams, simulated_anneal
 
@@ -120,6 +127,28 @@ class HpeReport:
         }
 
 
+def _reduce_groups(problem, groups, strategy):
+    """Reduce equal-size groups of configurations, each as its own
+    ``reduce_configs`` call would, and return the group winners.
+
+    Level by level, each group is paired under ``strategy`` and the pairs
+    of all groups are merged by one ``_merge_pairs`` call; a group's odd
+    run out follows its merged pairs to the next level.
+    """
+    while len(groups[0]) > 1:
+        flat, pairs, leftovers = [], [], []
+        for group in groups:
+            group_pairs, leftover = _pair_indices(group, strategy)
+            pairs += [(len(flat) + i, len(flat) + j) for i, j in group_pairs]
+            leftovers.append([] if leftover is None else [group[leftover]])
+            flat += group
+        merged, _ = _merge_pairs(problem, flat, pairs)
+        half = len(groups[0]) // 2
+        groups = [merged[g * half:(g + 1) * half] + left
+                  for g, left in enumerate(leftovers)]
+    return [group[0] for group in groups]
+
+
 def hpe_from_runsets(problem: IsingProblem, runsets,
                      scales=None,
                      strategy: PairingStrategy = PairingStrategy.SEQUENTIAL):
@@ -128,7 +157,9 @@ def hpe_from_runsets(problem: IsingProblem, runsets,
     Every runset must hold the same number of runs. Group i collects the
     i-th run of each scale; each group is reduced, then the group winners
     are reduced to the final configuration. All energies and tunnel
-    decisions use the full-precision coefficients of ``problem``.
+    decisions use the full-precision coefficients of ``problem``. The
+    groups are reduced together, one batched merge per level, with the
+    result of one ``reduce_configs`` call per group.
     """
     runsets = list(runsets)
     if not runsets:
@@ -138,16 +169,21 @@ def hpe_from_runsets(problem: IsingProblem, runsets,
         raise InputError(
             f"run sets must agree on run count, got sizes {sorted(counts)}"
         )
-    per_scale = [
-        [problem.configuration(r.spins) for r in rs]
-        for rs in runsets
-    ]
     num_runs = counts.pop()
-    group_winners = []
-    for i in range(num_runs):
-        group = [cfgs[i] for cfgs in per_scale]
-        winner, _ = reduce_configs(problem, group, strategy)
-        group_winners.append(winner)
+    if not num_runs:
+        raise InputError("nothing to reduce")
+    runs = [r for rs in runsets for r in rs]
+    _check_runs(problem, runs)
+    spins = np.stack([r.spins for r in runs])
+    energies = _row_energies(problem, spins).tolist()
+    per_scale = [
+        [SpinConfiguration(spins[k], energies[k])
+         for k in range(s * num_runs, (s + 1) * num_runs)]
+        for s in range(len(runsets))
+    ]
+    strategy = PairingStrategy(strategy)
+    group_winners = _reduce_groups(
+        problem, [[cfgs[i] for cfgs in per_scale] for i in range(num_runs)], strategy)
     final, _ = reduce_configs(problem, group_winners, strategy)
 
     report = HpeReport(

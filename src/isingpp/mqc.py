@@ -168,14 +168,23 @@ def _merge_rows(problem, s1, s2):
     merged = s1.copy()
     flip = nodes[contrib1[labels] > 0.0]
     merged.ravel()[flip] = s2.ravel()[flip]
-    # Row sums reduce C-ordered rows, which numpy sums pairwise exactly as
-    # it sums one vector; a column-major operand would be summed in
-    # another order.
-    energies = np.sum(problem._h_vec * merged, axis=1)
+    return merged, _row_energies(problem, merged), nodes, labels, counts, contrib1
+
+
+def _row_energies(problem, spins):
+    """Energy of every row of the (rows, n) matrix ``spins``, each summed
+    bit for bit as ``IsingProblem.evaluate`` sums one vector.
+
+    Row sums reduce C-ordered rows, which numpy sums pairwise exactly as
+    it sums one vector; a column-major operand would be summed in
+    another order.
+    """
+    ea, eb, w = problem._edge_a, problem._edge_b, problem._edge_w
+    energies = np.sum(problem._h_vec * spins, axis=1)
     if w.size:
-        energies += np.sum(w * (merged.take(ea, axis=1) * merged.take(eb, axis=1)),
+        energies += np.sum(w * (spins.take(ea, axis=1) * spins.take(eb, axis=1)),
                            axis=1)
-    return merged, energies, nodes, labels, counts, contrib1
+    return energies
 
 
 def mqc_pair(problem: IsingProblem, run1: SpinConfiguration,

@@ -39,18 +39,28 @@ def oracle_ground(problem):
     return np.array(best_spins, dtype=np.int8), best_energy
 
 
-def conditional_min_enum(problem, base_spins, subset):
-    """Exact conditional minimum over ``subset`` with the rest fixed.
-
-    Enumerates all 2^k assignments of the subset (k <= 15) on top of
-    ``base_spins`` and evaluates them in a batch.
-    """
+def subset_states(base_spins, subset):
+    """All 2^k assignments of ``subset`` (sorted, k <= 15) on top of
+    ``base_spins``, one per row, in lexicographic order (-1 before +1):
+    row j sets the subset's spins from the bits of j, most significant
+    first."""
     subset = sorted(subset)
     k = len(subset)
     assert k <= 15
     states = np.tile(np.asarray(base_spins, dtype=np.int8), (1 << k, 1))
-    for j, assignment in enumerate(itertools.product((-1, 1), repeat=k)):
-        states[j, subset] = assignment
+    codes = np.arange(1 << k)
+    states[:, subset] = ((codes[:, None] >> np.arange(k - 1, -1, -1)) & 1) * 2 - 1
+    return states
+
+
+def conditional_min_enum(problem, base_spins, subset):
+    """Exact conditional minimum over ``subset`` with the rest fixed.
+
+    Enumerates all 2^k assignments of the subset (k <= 15) on top of
+    ``base_spins`` and evaluates them in a batch; ties go to the first in
+    lexicographic order.
+    """
+    states = subset_states(base_spins, subset)
     energies = problem.evaluate_many(states)
     i = int(np.argmin(energies))
     return states[i], float(energies[i])

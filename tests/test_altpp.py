@@ -1,5 +1,7 @@
 """Low-treewidth exact cleanup and sample persistence."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,7 @@ from conftest import (
     conditional_min_enum,
     make_chimera_problem,
     make_tree_problem,
+    subset_states,
 )
 
 
@@ -141,6 +144,96 @@ class TestDecomposeLowTreewidth:
         subs = decompose_low_treewidth(problem, width_cap=2)
         covered = sorted(v for s in subs for v in s.vertices)
         assert covered == [0, 1, 2, 3]
+
+
+class TestDecompositionCache:
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        """Clear the cache and count min-degree kernel calls."""
+        calls = []
+        kernel = altpp._min_degree
+
+        def counting(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        altpp._decompose.cache_clear()
+        monkeypatch.setattr(altpp, "_min_degree", counting)
+        yield calls
+        altpp._decompose.cache_clear()
+
+    def test_one_decomposition_per_graph(self, kernel_calls):
+        first = make_chimera_problem(seed=40, rows=2, cols=2)
+        second = make_chimera_problem(seed=41, rows=2, cols=2, h_range=(-1, 1))
+        assert first.edge_list == second.edge_list
+        assert (first.h, first.J) != (second.h, second.J)
+        runs = random_runs(first, count=12, seed=9)
+        outputs = [builtin_opt_pp(first, runs, width_cap=4)]
+        cold = len(kernel_calls)
+        assert cold > 0
+        outputs.append(builtin_opt_pp(second, runs, width_cap=4))
+        assert len(kernel_calls) == cold
+        for problem, out in zip((first, second), outputs):
+            want = TestBuiltinOptPp.per_run_reference(problem, runs, 4)
+            for got, ref in zip(out, want):
+                assert np.array_equal(got.spins, ref.spins)
+                assert got.energy == ref.energy
+        assert len(kernel_calls) == cold
+
+    def test_graph_vertex_count_and_cap_are_keys(self, kernel_calls):
+        problem = make_chimera_problem(seed=42, rows=1, cols=2)
+        base = decompose_low_treewidth(problem, width_cap=4)
+        fewer_edges = IsingProblem(problem.vertex_count, problem.h,
+                                   dict(list(problem.J.items())[1:]))
+        more_vertices = IsingProblem(problem.vertex_count + 1, problem.h, problem.J)
+        for other, cap in ((fewer_edges, 4), (more_vertices, 4), (problem, 3)):
+            before = len(kernel_calls)
+            subs = decompose_low_treewidth(other, width_cap=cap)
+            assert len(kernel_calls) > before
+            covered = sorted(v for s in subs for v in s.vertices)
+            assert covered == list(range(other.vertex_count))
+            assert all(s.width <= cap for s in subs)
+        before = len(kernel_calls)
+        assert decompose_low_treewidth(problem, width_cap=4) == base
+        assert len(kernel_calls) == before
+
+    def test_returned_list_is_fresh(self):
+        problem = make_chimera_problem(seed=43, rows=2, cols=2)
+        first = decompose_low_treewidth(problem, width_cap=2)
+        expected = list(first)
+        first.clear()
+        second = decompose_low_treewidth(problem, width_cap=2)
+        assert second == expected
+        second[0] = None
+        second.append(None)
+        assert decompose_low_treewidth(problem, width_cap=2) == expected
+
+    def test_cap_checked_before_cache(self, monkeypatch):
+        problem = make_chimera_problem(seed=44, rows=1, cols=1)
+        decompose_low_treewidth(problem, width_cap=1)
+
+        def unreachable(*args):
+            raise AssertionError("cache consulted for an invalid cap")
+
+        monkeypatch.setattr(altpp, "_decompose", unreachable)
+        for bad in (0, -1):
+            with pytest.raises(ParameterError):
+                decompose_low_treewidth(problem, width_cap=bad)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_subset_states_match_product_loop(k):
+    """The enumeration helper's bit-shift states equal the row-by-row
+    itertools.product fill they replaced: same rows, same order."""
+    rng = np.random.default_rng(k)
+    base = rng.choice(np.array([-1, 1], dtype=np.int8), size=11)
+    subset = sorted(rng.choice(11, size=k, replace=False).tolist())
+    expected = np.tile(base, (1 << k, 1))
+    for j, assignment in enumerate(itertools.product((-1, 1), repeat=k)):
+        expected[j, subset] = assignment
+    states = subset_states(base, subset)
+    assert states.dtype == np.int8
+    assert np.array_equal(states, expected)
 
 
 def whole_graph_subgraph(problem):

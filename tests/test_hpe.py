@@ -140,7 +140,42 @@ class TestQuantizeProblem:
             assert twice.J == once.J
 
 
+def per_group_hpe_from_runsets(problem, runsets, strategy):
+    """hpe_from_runsets as first written, kept as its specification: one
+    reduce_configs call per group, then one over the group winners.
+    Returns (final, per-scale bests, group winners)."""
+    per_scale = [[problem.configuration(r.spins) for r in rs] for rs in runsets]
+    group_winners = []
+    for i in range(len(runsets[0])):
+        winner, _ = reduce_configs(problem, [cfgs[i] for cfgs in per_scale], strategy)
+        group_winners.append(winner)
+    final, _ = reduce_configs(problem, group_winners, strategy)
+    return final, [min(c.energy for c in cfgs) for cfgs in per_scale], group_winners
+
+
+def energy_bits(values):
+    return np.array(values, dtype=np.float64).tobytes()
+
+
 class TestHpeFromRunsets:
+    @pytest.mark.parametrize("strategy", list(PairingStrategy))
+    @pytest.mark.parametrize("scale_count", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("unit_couplings", [False, True])
+    def test_matches_per_group_reduction(self, strategy, scale_count, unit_couplings):
+        problem = make_chimera_problem(seed=45, rows=2, cols=2)
+        if unit_couplings:
+            # Integer energies: many ties for rank order and inside tunnels.
+            problem = IsingProblem(problem.vertex_count, {},
+                                   {e: 1.0 if w > 0 else -1.0 for e, w in problem.J.items()})
+        runsets = [random_runs(problem, count=27, seed=10 + k) for k in range(scale_count)]
+        final, report = hpe_from_runsets(problem, runsets, strategy=strategy)
+        want, per_scale_best, winners = per_group_hpe_from_runsets(problem, runsets, strategy)
+        assert np.array_equal(final.spins, want.spins)
+        assert energy_bits([final.energy, report.final_energy]) == \
+            energy_bits([want.energy, want.energy])
+        assert energy_bits(report.per_scale_best) == energy_bits(per_scale_best)
+        assert energy_bits(report.group_energies) == energy_bits([w.energy for w in winners])
+
     def test_single_scale_equals_plain_reduction(self):
         problem = make_chimera_problem(seed=36, rows=1, cols=2)
         rs = random_runs(problem, count=12, seed=5)

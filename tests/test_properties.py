@@ -17,19 +17,26 @@ from hypothesis import strategies as st
 
 from isingpp import (
     ENERGY_ATOL,
+    ChimeraSpec,
     IsingProblem,
     PairingStrategy,
     Provenance,
     RunSet,
     SpinConfiguration,
     Subgraph,
+    chimera_graph,
+    complete_graph,
+    decompose_low_treewidth,
     disagreement_tunnels,
+    grid_graph,
     load_runset,
+    min_degree_elimination,
     mqc_pair,
     optimize_subgraph,
+    path_graph,
     save_runset,
 )
-from isingpp.altpp import _eliminate
+from isingpp.altpp import _eliminate, _min_degree
 from isingpp.mqc import _merge_pairs, _pair_indices, reduce_configs
 
 from conftest import conditional_min_enum
@@ -287,3 +294,112 @@ def test_max_difference_pairing_matches_lexsort_greedy(spins):
     configs = [problem.configuration(row) for row in spins]
     assert _pair_indices(configs, PairingStrategy.MAX_DIFFERENCE) == \
         lexsort_max_difference(spins)
+
+
+def scan_min_degree_elimination(vertices, edges):
+    """The min-degree elimination as first written, kept as its
+    specification: each step scans every remaining vertex for the least
+    (degree, vertex id)."""
+    adj = {v: set() for v in vertices}
+    for a, b in edges:
+        if a in adj and b in adj and a != b:
+            adj[a].add(b)
+            adj[b].add(a)
+    order = []
+    width = 0
+    while adj:
+        v = min(adj, key=lambda x: (len(adj[x]), x))
+        nbrs = adj.pop(v)
+        width = max(width, len(nbrs))
+        for a in nbrs:
+            adj[a].update(nbrs)
+            adj[a].difference_update((a, v))
+        order.append(v)
+    return order, width
+
+
+def scan_decompose_low_treewidth(problem, width_cap):
+    """The region-growing cover as first written, over the scan above,
+    kept as its specification."""
+    edges = problem.edge_list
+    unassigned = set(range(problem.vertex_count))
+    subgraphs = []
+    while unassigned:
+        region = [min(unassigned)]
+        unassigned.discard(region[0])
+        while True:
+            candidates = sorted({
+                w for v in region for w in problem.neighbors(v).tolist()
+                if w in unassigned
+            })
+            for cand in candidates:
+                _, trial_width = scan_min_degree_elimination(region + [cand], edges)
+                if trial_width <= width_cap:
+                    region.append(cand)
+                    unassigned.discard(cand)
+                    break
+            else:
+                break
+        order, width = scan_min_degree_elimination(region, edges)
+        subgraphs.append(Subgraph(tuple(region), tuple(order), width))
+    return subgraphs
+
+
+@st.composite
+def graphs(draw):
+    """(vertex count, edge list) of a random graph or of a tie-heavy one:
+    a path, a grid, a complete graph or a few Chimera cells."""
+    kind = draw(st.sampled_from(["random", "path", "grid", "complete", "chimera"]))
+    if kind == "random":
+        n = draw(st.integers(1, 16))
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        return n, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    if kind == "path":
+        n = draw(st.integers(1, 16))
+        return n, path_graph(n)
+    if kind == "grid":
+        rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+        return rows * cols, grid_graph(rows, cols)
+    if kind == "complete":
+        n = draw(st.integers(2, 9))
+        return n, complete_graph(n)
+    spec = ChimeraSpec(draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(1, 4)))
+    return spec.vertex_count, chimera_graph(spec)
+
+
+@st.composite
+def vertex_subsets(draw):
+    """A graph and a vertex subset of it in random order."""
+    n, edges = draw(graphs())
+    subset = draw(st.permutations(range(n)))[:draw(st.integers(0, n))]
+    return edges, subset
+
+
+@derandomized
+@given(vertex_subsets())
+def test_min_degree_kernel_matches_scan(case):
+    edges, subset = case
+    order, width = scan_min_degree_elimination(subset, edges)
+    assert min_degree_elimination(subset, edges) == (order, width)
+    for cap in range(width + 2):
+        adj = {v: set() for v in subset}
+        for a, b in edges:
+            if a in adj and b in adj:
+                adj[a].add(b)
+                adj[b].add(a)
+        capped_order, capped_width = _min_degree(adj, cap)
+        assert (capped_width > cap) == (width > cap)
+        if width <= cap:
+            assert (capped_order, capped_width) == (order, width)
+
+
+@derandomized
+@given(graphs())
+def test_decomposition_matches_scan(graph):
+    n, edges = graph
+    problem = IsingProblem(n, {}, {e: 1.0 for e in edges})
+    for cap in range(1, 7):
+        expected = scan_decompose_low_treewidth(problem, cap)
+        subs = decompose_low_treewidth(problem, cap)
+        assert [(s.vertices, s.elimination_order, s.width) for s in subs] == \
+            [(s.vertices, s.elimination_order, s.width) for s in expected]
