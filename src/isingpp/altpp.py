@@ -29,6 +29,7 @@ import numpy as np
 
 from .core import IsingProblem, SpinConfiguration
 from .errors import InputError, ParameterError, WidthError
+from .mqc import _row_energies
 from .rng import derive_seed
 from .samplers import Provenance, RunSet, SamplerParams
 
@@ -255,16 +256,15 @@ def builtin_opt_pp(problem: IsingProblem, runset: RunSet,
     ``optimize_subgraph`` took it through the subgraphs alone.
     """
     subgraphs = decompose_low_treewidth(problem, width_cap)
-    spins = runset.spins_matrix()
+    spins = runset.spins
     for sub in subgraphs:
         rows = max(1, _TABLE_BUDGET >> (sub.width + 1))
         spins = np.concatenate([_eliminate(problem, spins[i:i + rows], sub)
                                 for i in range(0, len(spins), rows)])
     prov = runset.provenance
-    return RunSet(
-        runs=tuple(problem.configuration(s) for s in spins),
-        problem_id=runset.problem_id,
-        provenance=Provenance(
+    return RunSet.from_matrix(
+        spins, _row_energies(problem, spins), runset.problem_id,
+        Provenance(
             sampler="builtin_opt_pp",
             params={"width_cap": width_cap, "source": {
                 "sampler": prov.sampler, "params": prov.params, "seed": prov.seed,
@@ -313,7 +313,7 @@ def persistence_fix(problem: IsingProblem, runset: RunSet,
         )
     if len(runset) < 2:
         raise InputError("persistence_fix needs at least two runs")
-    spins = runset.spins_matrix()
+    spins = runset.spins
     if spins.shape[1] != problem.vertex_count:
         raise InputError("runs do not fit the problem")
     num = spins.shape[0]
@@ -375,7 +375,7 @@ def sample_persistence(problem: IsingProblem, sampler, params: SamplerParams,
             break
         if r == 0 and initial_runs is not None:
             runset = initial_runs
-            if len(runset[0]) != current.vertex_count:
+            if runset.spins.shape[1] != current.vertex_count:
                 raise InputError("initial_runs do not fit the problem")
         else:
             round_params = replace(params, seed=derive_seed(params.seed, "persistence", r))

@@ -12,6 +12,7 @@ import argparse
 import os
 import sys
 
+from .errors import ParameterError
 from .harness import (
     METHODS,
     SAMPLERS,
@@ -96,6 +97,8 @@ def _config(args, **fields):
 
 
 def cmd_gen(args):
+    if args.count < 0:
+        raise ParameterError(f"--count must be non-negative, got {args.count}")
     out = _resolve_out(args.out)
     os.makedirs(out, exist_ok=True)
     graph, n = topology_graph(_topology_dict(args))
@@ -128,20 +131,17 @@ def cmd_pp(args):
     runset = load_runset(args.runs_file, problem)
     # The input file fixes the run budget; the resampling methods take
     # their seed from --seed as given.
-    out_runs, _ = apply_method(_config(args, methods=(args.method,)), problem, runset,
-                               args.method, args.resample_mode, seed=args.seed)
-    result = RunSet(
-        runs=out_runs,
-        problem_id=runset.problem_id,
-        provenance=Provenance(
-            sampler=args.method,
-            params={"source_sampler": runset.provenance.sampler,
-                    "source_seed": runset.provenance.seed},
-            seed=args.seed,
-        ),
-    )
+    spins, energies, _ = apply_method(_config(args, methods=(args.method,)), problem,
+                                      runset, args.method, args.resample_mode,
+                                      seed=args.seed)
+    result = RunSet.from_matrix(spins, energies, runset.problem_id, Provenance(
+        sampler=args.method,
+        params={"source_sampler": runset.provenance.sampler,
+                "source_seed": runset.provenance.seed},
+        seed=args.seed,
+    ))
     save_runset(result, _resolve_out(args.out))
-    print(f"{args.method}: best energy {min(r.energy for r in out_runs)}")
+    print(f"{args.method}: best energy {result.best().energy}")
     return 0
 
 

@@ -118,12 +118,9 @@ class ExperimentConfig:
                     raise ConfigError(f"{f.name} must be a list of {kind}, got {value!r}")
             elif not _is_type(value, f.type):
                 raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
-        object.__setattr__(self, "run_counts", tuple(int(n) for n in self.run_counts))
-        object.__setattr__(self, "modes", tuple(self.modes))
-        object.__setattr__(self, "methods", tuple(self.methods))
-        object.__setattr__(self, "h_range", tuple(float(x) for x in self.h_range))
-        object.__setattr__(self, "j_range", tuple(float(x) for x in self.j_range))
-        object.__setattr__(self, "hpe_scales", tuple(float(s) for s in self.hpe_scales))
+        for name, kind in _SEQUENCE_ITEMS.items():
+            convert = {"int": int, "float": float, "str": str}[kind]
+            object.__setattr__(self, name, tuple(map(convert, getattr(self, name))))
         if self.problem_count < 1:
             raise ConfigError(f"problem_count must be positive, got {self.problem_count}")
         if not self.run_counts or any(n < 1 for n in self.run_counts):
@@ -146,6 +143,11 @@ class ExperimentConfig:
             if self.persistence_rounds < 1:
                 raise ConfigError(
                     f"persistence_rounds must be positive, got {self.persistence_rounds}")
+            # Every round but the last freezes on agreement between runs.
+            if self.persistence_rounds >= 2 and min(self.run_counts) < 2:
+                raise ConfigError(
+                    f"run_counts must be at least 2 for sample_persistence with "
+                    f"{self.persistence_rounds} rounds, got {self.run_counts}")
         if "hpe" in self.methods:
             # The parameter types hpe() takes check their own values.
             for name, build in (("hpe_scales", ScaleSet),
@@ -159,12 +161,14 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         d = asdict(self)
-        for key in ("run_counts", "modes", "methods", "h_range", "j_range", "hpe_scales"):
+        for key in _SEQUENCE_ITEMS:
             d[key] = list(d[key])
         return d
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
+        if not isinstance(doc, dict):
+            raise ConfigError(f"a config must be a JSON object, got {type(doc).__name__}")
         known = set(cls.__dataclass_fields__)
         unknown = set(doc) - known
         if unknown:
@@ -248,7 +252,8 @@ def mode_runset(config: ExperimentConfig, problem: IsingProblem, index: int,
 
 def apply_method(config: ExperimentConfig, problem: IsingProblem, runset,
                  method: str, mode: str, index: int = 0, seed: int | None = None):
-    """Run one post-processor; returns (output runs, record fields).
+    """Run one post-processor; returns (output spins, their energies,
+    record fields), the spins one row per output run.
 
     sample_persistence and hpe re-sample with the sampler of ``mode``,
     seeded with ``seed`` when given, else with a seed derived from the
@@ -258,21 +263,23 @@ def apply_method(config: ExperimentConfig, problem: IsingProblem, runset,
         s = derive_seed(config.master_seed, tag, mode, index) if seed is None else seed
         return SAMPLERS[mode], sampler_params(config, mode, num_runs, s)
 
+    def single(final, **fields):
+        return final.spins[None], [final.energy], {"energy": final.energy, **fields}
+
     if method in _MQC_STRATEGY:
         final, trace = mqc_reduce(problem, runset, _MQC_STRATEGY[method])
-        return (final,), {"energy": final.energy, "levels": len(trace.levels)}
+        return single(final, levels=len(trace.levels))
     if method == "builtin_pp":
         out = builtin_opt_pp(problem, runset, config.width_cap)
-        return out.runs, {"energy": float(out.energies().min())}
+        return out.spins, out.energies(), {"energy": float(out.energies().min())}
     if method == "sample_persistence":
         sampler, params = resampling("persistence", len(runset))
-        final = sample_persistence(
+        return single(sample_persistence(
             problem, sampler, params,
             threshold=config.persistence_threshold,
             rounds=config.persistence_rounds,
             initial_runs=runset,
-        )
-        return (final,), {"energy": final.energy}
+        ))
     if method == "hpe":
         # Budget parity: split the cell's run count across the scales.
         per_scale = max(1, len(runset) // len(config.hpe_scales))
@@ -284,7 +291,7 @@ def apply_method(config: ExperimentConfig, problem: IsingProblem, runset,
                            levels=config.hpe_levels),
             params, sampler=sampler,
         )
-        return (final,), {"energy": final.energy}
+        return single(final)
     raise ConfigError(f"unknown method {method!r}")
 
 
@@ -298,6 +305,17 @@ def _cells(config: ExperimentConfig):
                        mode_runset(config, problem, index, mode, num_runs))
 
 
+def _sweep(config: ExperimentConfig, methods):
+    """One record per cell and method, in sweep order: the cell, the best
+    input energy and the method's record fields."""
+    for index, num_runs, mode, problem, runset in _cells(config):
+        best_input = float(runset.energies().min())
+        for method in methods:
+            *_, fields = apply_method(config, problem, runset, method, mode, index)
+            yield {"problem": index, "problem_id": runset.problem_id, "run_count": num_runs,
+                   "mode": mode, "method": method, "best_input": best_input, **fields}
+
+
 def run_experiment(config: ExperimentConfig, out_dir=None):
     """Execute the full sweep; returns (records, report rows).
 
@@ -306,21 +324,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None):
     ``out_dir`` set, writes config.json, results.jsonl, report.json, and
     report.txt.
     """
-    records = []
-    for index, num_runs, mode, problem, runset in _cells(config):
-        best_input = float(runset.energies().min())
-        for method in config.methods:
-            _, fields = apply_method(config, problem, runset, method, mode, index)
-            rec = {
-                "problem": index,
-                "problem_id": runset.problem_id,
-                "run_count": num_runs,
-                "mode": mode,
-                "method": method,
-                "best_input": best_input,
-            }
-            rec.update(fields)
-            records.append(rec)
+    records = list(_sweep(config, config.methods))
     rows = build_report(records, config)
     if out_dir is not None:
         write_outputs(config, records, rows, out_dir)
@@ -478,11 +482,7 @@ class SensitivityReport:
     records: tuple
 
     def to_dict(self) -> dict:
-        return {
-            "rows": [r.to_dict() for r in self.rows],
-            "differing": [list(d) for d in self.differing],
-            "records": list(self.records),
-        }
+        return asdict(self)
 
 
 def sensitivity_report(config: ExperimentConfig, out_dir=None) -> SensitivityReport:
@@ -492,21 +492,12 @@ def sensitivity_report(config: ExperimentConfig, out_dir=None) -> SensitivityRep
     energies are not all equal within tolerance.
     """
     strategies = tuple(_MQC_STRATEGY)
-    records = []
-    differing = []
-    for index, num_runs, mode, problem, runset in _cells(config):
-        best_input = float(runset.energies().min())
-        energies = []
-        for method in strategies:
-            _, fields = apply_method(config, problem, runset, method, mode, index)
-            energies.append(fields["energy"])
-            records.append({
-                "problem": index, "run_count": num_runs, "mode": mode,
-                "method": method, "energy": fields["energy"],
-                "best_input": best_input,
-            })
-        if max(energies) - min(energies) > ENERGY_ATOL:
-            differing.append((index, num_runs, mode))
+    records = [{key: rec[key] for key in ("problem", "run_count", "mode", "method",
+                                          "energy", "best_input")}
+               for rec in _sweep(config, strategies)]
+    cells = [records[k:k + len(strategies)] for k in range(0, len(records), len(strategies))]
+    differing = [(cell[0]["problem"], cell[0]["run_count"], cell[0]["mode"]) for cell in cells
+                 if max(r["energy"] for r in cell) - min(r["energy"] for r in cell) > ENERGY_ATOL]
     rows = comparison_rows(records, config.run_counts, config.modes, strategies,
                            cross_mode=False)
     report = SensitivityReport(tuple(rows), tuple(differing), tuple(records))

@@ -7,25 +7,20 @@ copy is sampled separately. Scaling up preserves the spin-spin structure
 of the large coefficients while pushing fine detail above the grid's
 resolution; clipping sacrifices the largest terms instead. Merging runs
 across scales with full-precision tunnel arithmetic then combines the
-complementary views.
+complementary views. Group i, run i of every scale, is row i of one
+(runs, scales, n) matrix, and ``mqc``'s level loop reduces all groups at
+once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .core import IsingProblem, SpinConfiguration
+from .core import IsingProblem
 from .errors import InputError, ParameterError
-from .mqc import (
-    PairingStrategy,
-    _check_runs,
-    _merge_pairs,
-    _pair_indices,
-    _row_energies,
-    reduce_configs,
-)
+from .mqc import PairingStrategy, _reduce_levels, _row_energies, mqc_reduce
 from .rng import derive_seed
 from .samplers import RunSet, SamplerParams, simulated_anneal
 
@@ -119,34 +114,7 @@ class HpeReport:
     final_energy: float
 
     def to_dict(self) -> dict:
-        return {
-            "scales": list(self.scales),
-            "per_scale_best": list(self.per_scale_best),
-            "group_energies": list(self.group_energies),
-            "final_energy": self.final_energy,
-        }
-
-
-def _reduce_groups(problem, groups, strategy):
-    """Reduce equal-size groups of configurations, each as its own
-    ``reduce_configs`` call would, and return the group winners.
-
-    Level by level, each group is paired under ``strategy`` and the pairs
-    of all groups are merged by one ``_merge_pairs`` call; a group's odd
-    run out follows its merged pairs to the next level.
-    """
-    while len(groups[0]) > 1:
-        flat, pairs, leftovers = [], [], []
-        for group in groups:
-            group_pairs, leftover = _pair_indices(group, strategy)
-            pairs += [(len(flat) + i, len(flat) + j) for i, j in group_pairs]
-            leftovers.append([] if leftover is None else [group[leftover]])
-            flat += group
-        merged, _ = _merge_pairs(problem, flat, pairs)
-        half = len(groups[0]) // 2
-        groups = [merged[g * half:(g + 1) * half] + left
-                  for g, left in enumerate(leftovers)]
-    return [group[0] for group in groups]
+        return asdict(self)
 
 
 def hpe_from_runsets(problem: IsingProblem, runsets,
@@ -157,9 +125,8 @@ def hpe_from_runsets(problem: IsingProblem, runsets,
     Every runset must hold the same number of runs. Group i collects the
     i-th run of each scale; each group is reduced, then the group winners
     are reduced to the final configuration. All energies and tunnel
-    decisions use the full-precision coefficients of ``problem``. The
-    groups are reduced together, one batched merge per level, with the
-    result of one ``reduce_configs`` call per group.
+    decisions use the full-precision coefficients of ``problem``. Each
+    group ends as its own ``reduce_configs`` call would end it.
     """
     runsets = list(runsets)
     if not runsets:
@@ -169,27 +136,20 @@ def hpe_from_runsets(problem: IsingProblem, runsets,
         raise InputError(
             f"run sets must agree on run count, got sizes {sorted(counts)}"
         )
-    num_runs = counts.pop()
-    if not num_runs:
-        raise InputError("nothing to reduce")
-    runs = [r for rs in runsets for r in rs]
-    _check_runs(problem, runs)
-    spins = np.stack([r.spins for r in runs])
-    energies = _row_energies(problem, spins).tolist()
-    per_scale = [
-        [SpinConfiguration(spins[k], energies[k])
-         for k in range(s * num_runs, (s + 1) * num_runs)]
-        for s in range(len(runsets))
-    ]
-    strategy = PairingStrategy(strategy)
-    group_winners = _reduce_groups(
-        problem, [[cfgs[i] for cfgs in per_scale] for i in range(num_runs)], strategy)
-    final, _ = reduce_configs(problem, group_winners, strategy)
+    for rs in runsets:
+        problem._check_length(rs.spins)
+    # (scales, runs, n) -> groups of one run per scale: (runs, scales, n).
+    spins = np.stack([rs.spins for rs in runsets])
+    energies = np.stack([_row_energies(problem, rs.spins) for rs in runsets])
+    group_spins, group_energies, _ = _reduce_levels(
+        problem, spins.transpose(1, 0, 2), energies.T, PairingStrategy(strategy))
+    final, _ = mqc_reduce(problem, RunSet.from_matrix(group_spins, group_energies, None, None),
+                          strategy)
 
     report = HpeReport(
         scales=tuple(scales) if scales is not None else tuple(range(len(runsets))),
-        per_scale_best=tuple(min(c.energy for c in cfgs) for cfgs in per_scale),
-        group_energies=tuple(c.energy for c in group_winners),
+        per_scale_best=tuple(energies.min(axis=1).tolist()),
+        group_energies=tuple(group_energies.tolist()),
         final_energy=final.energy,
     )
     return final, report

@@ -9,7 +9,9 @@ preferring run 1 on ties. Because the contribution changes sign under a
 whole-tunnel flip, the merged energy never exceeds either input's.
 
 ``mqc_reduce`` folds a whole RunSet to a single configuration by repeated
-pairwise merging. The pairing order at each level is a strategy choice:
+pairwise merging, each level one (runs, n) spin matrix; ``hpe`` reduces
+its groups through the same level loop. The pairing order at each level
+is a strategy choice:
 
 * sequential      - pair runs in the order they appear;
 * rank_order      - sort by energy (ties by position) and pair adjacent;
@@ -44,7 +46,7 @@ one farthest partner step after step can raise it to O(m^3).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -216,28 +218,12 @@ class PairMerge:
     contributions: tuple
     adopted: tuple
 
-    def to_dict(self) -> dict:
-        return {
-            "first": self.first,
-            "second": self.second,
-            "tunnel_sizes": list(self.tunnel_sizes),
-            "contributions": [list(c) for c in self.contributions],
-            "adopted": list(self.adopted),
-        }
-
 
 @dataclass(frozen=True, slots=True)
 class ReductionLevel:
     size: int
     pairs: tuple
     leftover: int | None
-
-    def to_dict(self) -> dict:
-        return {
-            "size": self.size,
-            "pairs": [p.to_dict() for p in self.pairs],
-            "leftover": self.leftover,
-        }
 
 
 @dataclass(frozen=True, slots=True)
@@ -248,35 +234,33 @@ class ReductionTrace:
     levels: tuple
 
     def to_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "levels": [lv.to_dict() for lv in self.levels],
-        }
+        return asdict(self)
 
 
-def _pair_indices(configs, strategy):
-    """Index pairs plus the leftover index (or None) for one level.
+def _pair_indices(spins, energies, strategy):
+    """Index pairs plus the leftover index (or None) for one level: the
+    rows of ``spins``, with cached ``energies``.
 
-    A pair (i, j) means configs[i] plays run 1 and configs[j] run 2 in
-    the merge, so ties inside a tunnel go to configs[i]. Max-difference
-    pairs have i < j and come out in (distance descending, i, j) order;
-    they cost one m x m int16 distance table and, on sampled runs, O(m^2)
-    time (see the module docstring).
+    A pair (i, j) means row i plays run 1 and row j run 2 in the merge,
+    so ties inside a tunnel go to row i. Max-difference pairs have i < j
+    and come out in (distance descending, i, j) order; they cost one
+    m x m int16 distance table and, on sampled runs, O(m^2) time (see
+    the module docstring).
     """
-    m = len(configs)
+    m = len(spins)
     if strategy == PairingStrategy.SEQUENTIAL:
         pairs = [(i, i + 1) for i in range(0, m - 1, 2)]
         leftover = m - 1 if m % 2 else None
         return pairs, leftover
 
     if strategy == PairingStrategy.RANK_ORDER:
-        order = sorted(range(m), key=lambda i: (configs[i].energy, i))
-        pairs = [(order[k], order[k + 1]) for k in range(0, m - 1, 2)]
+        order = np.argsort(energies, kind="stable").tolist()
+        pairs = list(zip(order[0:m - 1:2], order[1::2]))
         leftover = order[-1] if m % 2 else None
         return pairs, leftover
 
     if strategy == PairingStrategy.MAX_DIFFERENCE:
-        return _max_difference_pairs(np.stack([c.spins for c in configs]))
+        return _max_difference_pairs(spins)
 
     raise InputError(f"unknown pairing strategy {strategy!r}")
 
@@ -343,65 +327,83 @@ def _max_difference_pairs(spins):
 
 def pair_runs(runset: RunSet, strategy: PairingStrategy):
     """Pair up a RunSet's runs; returns (index pairs, leftover index)."""
-    return _pair_indices(list(runset.runs), PairingStrategy(strategy))
+    return _pair_indices(runset.spins, runset.energies(), PairingStrategy(strategy))
 
 
-def _merge_pairs(problem, configs, pairs):
-    """Merge each index pair (i, j) of ``configs``, configs[i] as run 1.
+def _merge_pairs(problem, spins, pairs):
+    """Merge each index pair (i, j) of the rows of ``spins``, row i as run 1.
 
-    Returns the merged configurations and a PairMerge per pair. The pairs
-    go through ``_merge_rows`` in blocks of ``_ROW_BLOCK``, so the memory
-    a call adds is bounded whatever the number of pairs.
+    Returns the merged rows, their energies and a PairMerge per pair. The
+    pairs go through ``_merge_rows`` in blocks of ``_ROW_BLOCK``, so the
+    memory a call adds besides its output is bounded.
     """
-    merged, records = [], []
-    for lo in range(0, len(pairs), _ROW_BLOCK):
-        block = pairs[lo:lo + _ROW_BLOCK]
-        spins, energies, _, labels, counts, contrib1 = _merge_rows(
-            problem,
-            np.stack([configs[i].spins for i, _ in block]),
-            np.stack([configs[j].spins for _, j in block]))
+    index = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    merged = np.empty((len(index), spins.shape[1]), dtype=spins.dtype)
+    energies = np.empty(len(index))
+    records = []
+    for lo in range(0, len(index), _ROW_BLOCK):
+        block = index[lo:lo + _ROW_BLOCK]
+        hi = lo + len(block)
+        merged[lo:hi], energies[lo:hi], _, labels, counts, contrib1 = _merge_rows(
+            problem, spins[block[:, 0]], spins[block[:, 1]])
         sizes = np.bincount(labels, minlength=contrib1.size).tolist()
         side1, side2 = contrib1.tolist(), (-contrib1).tolist()
         adopted = np.where(contrib1 > 0.0, 2, 1).tolist()
         start = 0
-        for (i, j), row, energy, end in zip(block, spins, energies.tolist(),
-                                            np.cumsum(counts).tolist()):
-            merged.append(SpinConfiguration(row, energy))
+        for (i, j), end in zip(pairs[lo:hi], np.cumsum(counts).tolist()):
             records.append(PairMerge(
                 i, j, tuple(sizes[start:end]),
                 tuple(zip(side1[start:end], side2[start:end])),
                 tuple(adopted[start:end])))
             start = end
-    return merged, records
+    return merged, energies, records
+
+
+def _reduce_levels(problem, spins, energies, strategy):
+    """Reduce each group of runs in the (G, k, n) ``spins``, with (G, k)
+    ``energies``, to one: every level pairs each group under ``strategy``
+    and merges all groups' pairs in one ``_merge_pairs`` call; a group's
+    odd run out follows its merged pairs, energy unchanged. Returns the
+    winners' (G, n) spins and (G,) energies, and group 0's levels.
+    """
+    problem._check_length(spins)
+    groups, size, n = spins.shape
+    levels = []
+    while size > 1:
+        flat, flat_energies = spins.reshape(-1, n), energies.reshape(-1)
+        flat_pairs, left = [], []
+        for g in range(groups):
+            pairs, leftover = _pair_indices(spins[g], energies[g], strategy)
+            flat_pairs += [(g * size + i, g * size + j) for i, j in pairs]
+            if leftover is not None:
+                left.append(g * size + leftover)
+        merged, merged_energies, records = _merge_pairs(problem, flat, flat_pairs)
+        half = size // 2
+        levels.append(ReductionLevel(size, tuple(records[:half]), left[0] if left else None))
+        spins = merged.reshape(groups, half, n)
+        energies = merged_energies.reshape(groups, half)
+        if left:
+            spins = np.concatenate([spins, flat[left][:, None]], axis=1)
+            energies = np.concatenate([energies, flat_energies[left][:, None]], axis=1)
+        size = spins.shape[1]
+    return spins[:, 0], energies[:, 0], levels
 
 
 def reduce_configs(problem: IsingProblem, configs,
                    strategy: PairingStrategy = PairingStrategy.SEQUENTIAL):
-    """Reduce a list of configurations by levels of pairwise merges.
-
-    The strategy is re-applied at every level, and all pairs of a level
-    are merged together. Returns the final configuration and a
-    ReductionTrace recording each level's pairs and per-tunnel decisions.
-    Every run is checked against the problem before any pairing.
-    """
-    strategy = PairingStrategy(strategy)
+    """``mqc_reduce`` of a list of configurations, each checked against
+    the problem before any pairing."""
     configs = list(configs)
-    if not configs:
-        raise InputError("nothing to reduce")
     _check_runs(problem, configs)
-    levels = []
-    while len(configs) > 1:
-        pairs, leftover = _pair_indices(configs, strategy)
-        merged, records = _merge_pairs(problem, configs, pairs)
-        if leftover is not None:
-            merged.append(configs[leftover])
-        levels.append(ReductionLevel(len(configs), tuple(records), leftover))
-        configs = merged
-    trace = ReductionTrace(strategy.value, tuple(levels))
-    return configs[0], trace
+    return mqc_reduce(problem, RunSet(configs, None, None), strategy)
 
 
 def mqc_reduce(problem: IsingProblem, runset: RunSet,
                strategy: PairingStrategy = PairingStrategy.SEQUENTIAL):
-    """Reduce a whole RunSet to a single configuration."""
-    return reduce_configs(problem, runset.runs, strategy)
+    """Reduce a whole RunSet to a single configuration by levels of
+    pairwise merges, the strategy re-applied at every level. Returns it
+    and a ReductionTrace of each level's pairs and tunnel decisions."""
+    strategy = PairingStrategy(strategy)
+    spins, energies, levels = _reduce_levels(
+        problem, runset.spins[None], runset.energies()[None], strategy)
+    return SpinConfiguration(spins[0], energies[0]), ReductionTrace(strategy.value, tuple(levels))

@@ -1,7 +1,8 @@
 """Seeded sample generators standing in for an annealer.
 
-Every sampler returns a RunSet whose provenance records the sampler name,
-its parameters, and the seed, so a runs file can be regenerated exactly.
+Every sampler returns its (runs, n) spin matrix as a RunSet, energies from
+one ``evaluate_many`` call, whose provenance records the sampler name, its
+parameters, and the seed, so a runs file can be regenerated exactly.
 Per-run randomness comes from per-run child streams of the master seed
 (see rng.child_sequences), which makes the output independent of how runs
 are scheduled.
@@ -87,52 +88,75 @@ class Provenance:
     seed: int
 
 
-@dataclass(frozen=True, slots=True)
 class RunSet:
-    """Runs from one sampler invocation against one problem."""
+    """Runs from one sampler invocation against one problem: a read-only
+    (m, n) int8 matrix ``spins``, row i run i, and their m cached energies,
+    checked once (m >= 1, every spin -1 or +1). ``RunSet(runs, ...)``
+    stacks SpinConfigurations; ``from_matrix`` takes the matrix itself.
+    Indexing, iteration and ``best()`` yield SpinConfigurations.
+    """
 
-    runs: tuple
-    problem_id: str
-    provenance: Provenance
+    __slots__ = ("spins", "_energies", "problem_id", "provenance")
 
-    def __post_init__(self):
-        object.__setattr__(self, "runs", tuple(self.runs))
-        if not self.runs:
-            raise InputError("a RunSet must contain at least one run")
-        n = len(self.runs[0])
-        for i, r in enumerate(self.runs):
-            if len(r) != n:
-                raise InputError(f"run {i} has length {len(r)}, expected {n}")
+    def __init__(self, runs, problem_id, provenance):
+        runs = tuple(runs)
+        for i, r in enumerate(runs):
+            if len(r) != len(runs[0]):
+                raise InputError(f"run {i} has length {len(r)}, expected {len(runs[0])}")
+        self._set(np.array([r.spins for r in runs], dtype=SPIN_DTYPE),
+                  [r.energy for r in runs], problem_id, provenance)
+
+    @classmethod
+    def from_matrix(cls, spins, energies, problem_id, provenance) -> "RunSet":
+        runset = cls.__new__(cls)
+        runset._set(spins, energies, problem_id, provenance)
+        return runset
+
+    def _set(self, spins, energies, problem_id, provenance):
+        spins = np.array(spins, dtype=SPIN_DTYPE)
+        energies = np.array(energies, dtype=np.float64)
+        if spins.ndim != 2 or not len(spins) or energies.shape != spins.shape[:1]:
+            raise InputError(f"a RunSet needs m >= 1 runs as an (m, n) spin matrix and m "
+                             f"energies, got shapes {spins.shape} and {energies.shape}")
+        bad = spins[(spins != 1) & (spins != -1)]
+        if bad.size:
+            raise ValueError(f"spins must be -1 or +1, found {np.unique(bad).tolist()}")
+        spins.setflags(write=False)
+        energies.setflags(write=False)
+        for name, value in zip(self.__slots__, (spins, energies, problem_id, provenance)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"RunSet is read-only; cannot set {name!r}")
 
     def __len__(self):
-        return len(self.runs)
+        return len(self.spins)
 
     def __iter__(self):
-        return iter(self.runs)
+        return map(SpinConfiguration, self.spins, self._energies.tolist())
 
     def __getitem__(self, i):
-        return self.runs[i]
+        return SpinConfiguration(self.spins[i], self._energies[i])
+
+    @property
+    def runs(self) -> tuple:
+        return tuple(self)
 
     def energies(self) -> np.ndarray:
-        return np.array([r.energy for r in self.runs], dtype=np.float64)
+        return self._energies
 
     def best(self) -> SpinConfiguration:
-        return self.runs[int(np.argmin(self.energies()))]
+        return self[int(np.argmin(self._energies))]
 
     def spins_matrix(self) -> np.ndarray:
-        return np.stack([r.spins for r in self.runs])
+        return self.spins
 
 
 def _wrap_runs(problem, spins_matrix, name, params_dict, seed, problem_id=None):
-    energies = problem.evaluate_many(spins_matrix)
-    runs = tuple(
-        SpinConfiguration(spins_matrix[i], float(energies[i]))
-        for i in range(spins_matrix.shape[0])
-    )
-    return RunSet(
-        runs=runs,
-        problem_id=problem_id if problem_id is not None else problem.content_hash(),
-        provenance=Provenance(sampler=name, params=params_dict, seed=seed),
+    return RunSet.from_matrix(
+        spins_matrix, problem.evaluate_many(spins_matrix),
+        problem_id if problem_id is not None else problem.content_hash(),
+        Provenance(sampler=name, params=params_dict, seed=seed),
     )
 
 

@@ -22,27 +22,45 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from dataclasses import asdict
 
 import numpy as np
 
-from .core import ENERGY_ATOL, SPIN_DTYPE, IsingProblem, SpinConfiguration
+from .core import ENERGY_ATOL, SPIN_DTYPE, IsingProblem
 from .errors import InputError, ParseError
+from .mqc import _row_energies
 from .samplers import Provenance, RunSet
 
 
-def spins_to_string(spins) -> str:
-    return "".join("+" if s > 0 else "-" for s in np.asarray(spins))
+# Spin + 1 -> byte, and byte -> spin (0 for every byte but '+' and '-').
+_SPIN_BYTES = np.frombuffer(b"-?+", dtype=np.uint8)
+_BYTE_SPINS = np.zeros(256, dtype=SPIN_DTYPE)
+_BYTE_SPINS[[ord("-"), ord("+")]] = [-1, 1]
 
 
-def string_to_spins(text: str) -> np.ndarray:
-    spins = np.empty(len(text), dtype=SPIN_DTYPE)
-    for i, ch in enumerate(text):
-        if ch == "+":
-            spins[i] = 1
-        elif ch == "-":
-            spins[i] = -1
-        else:
-            raise ParseError(f"spin character {ch!r} at position {i} (need '+' or '-')")
+def spins_to_strings(spins) -> list:
+    """'+'/'-' strings of the rows of the (m, n) +-1 matrix ``spins``,
+    cut from one byte table."""
+    m, n = spins.shape
+    text = _SPIN_BYTES[spins + 1].tobytes().decode("ascii")
+    return [text[k * n:(k + 1) * n] for k in range(m)]
+
+
+def strings_to_spins(texts, where="") -> np.ndarray:
+    """(m, n) spin matrix of m equal-length '+'/'-' strings, decoded at
+    once; errors name ``where``, the run and the position."""
+    n = len(texts[0])
+    for i, text in enumerate(texts):
+        if len(text) != n:
+            raise ParseError(f"{where}run {i} has length {len(text)}, expected {n}")
+    # Every non-ASCII character becomes one '?', so positions hold.
+    codes = np.frombuffer("".join(texts).encode("ascii", "replace"), dtype=np.uint8)
+    spins = _BYTE_SPINS[codes].reshape(len(texts), n)
+    bad = np.argwhere(spins == 0)
+    if bad.size:
+        i, pos = bad[0].tolist()
+        raise ParseError(f"{where}run {i} spin character {texts[i][pos]!r} at position "
+                         f"{pos} (need '+' or '-')")
     return spins
 
 
@@ -116,15 +134,9 @@ def load_problem(path) -> IsingProblem:
 def save_runset(runset: RunSet, path):
     write_json({
         "problem_id": runset.problem_id,
-        "provenance": {
-            "sampler": runset.provenance.sampler,
-            "params": runset.provenance.params,
-            "seed": runset.provenance.seed,
-        },
-        "runs": [
-            {"spins": spins_to_string(r.spins), "energy": r.energy}
-            for r in runset
-        ],
+        "provenance": asdict(runset.provenance),
+        "runs": [{"spins": text, "energy": energy} for text, energy in
+                 zip(spins_to_strings(runset.spins), runset.energies().tolist())],
     }, path)
 
 
@@ -133,7 +145,7 @@ def load_runset(path, problem: IsingProblem | None = None) -> RunSet:
     every stored energy matches a fresh evaluation.
 
     Stored energies must be finite JSON numbers and the provenance seed a
-    JSON integer.
+    JSON integer. Spins are decoded, and energies re-checked, all at once.
     """
     doc = _load_json(path)
     prov_doc = _field(doc, "provenance", path)
@@ -147,26 +159,27 @@ def load_runset(path, problem: IsingProblem | None = None) -> RunSet:
     records = _field(doc, "runs", path)
     if not isinstance(records, list):
         raise ParseError(f"{path}: field 'runs' must be a list")
-    runs = []
-    for i, rec in enumerate(records):
-        spins = string_to_spins(str(_field(rec, "spins", path)))
-        energy = _field(rec, "energy", path)
-        if not is_finite_number(energy):
-            raise ParseError(f"{path}: run {i} field 'energy' must be a finite number")
-        runs.append(SpinConfiguration(spins, float(energy)))
-    if not runs:
+    if not records:
         raise ParseError(f"{path}: field 'runs' is empty")
-    runset = RunSet(tuple(runs), str(_field(doc, "problem_id", path)), provenance)
+    texts, energies = [], []
+    for i, rec in enumerate(records):
+        run = f"{path}: run {i}"
+        texts.append(str(_field(rec, "spins", run)))
+        energy = _field(rec, "energy", run)
+        if not is_finite_number(energy):
+            raise ParseError(f"{run} field 'energy' must be a finite number")
+        energies.append(float(energy))
+    runset = RunSet.from_matrix(strings_to_spins(texts, f"{path}: "), energies,
+                                str(_field(doc, "problem_id", path)), provenance)
     if problem is not None:
-        for i, r in enumerate(runset):
-            if len(r) != problem.vertex_count:
-                raise InputError(
-                    f"{path}: run {i} has {len(r)} spins, problem has "
-                    f"{problem.vertex_count} vertices"
-                )
-            fresh = problem.evaluate(r.spins)
-            if abs(fresh - r.energy) > ENERGY_ATOL:
-                raise InputError(
-                    f"{path}: run {i} stores energy {r.energy}, evaluates to {fresh}"
-                )
+        n = runset.spins.shape[1]
+        if n != problem.vertex_count:
+            raise InputError(f"{path}: run 0 has {n} spins, problem has "
+                             f"{problem.vertex_count} vertices")
+        fresh = _row_energies(problem, runset.spins)
+        wrong = np.flatnonzero(np.abs(fresh - runset.energies()) > ENERGY_ATOL)
+        if wrong.size:
+            i = wrong[0]
+            raise InputError(f"{path}: run {i} stores energy {energies[i]}, "
+                             f"evaluates to {fresh[i]}")
     return runset

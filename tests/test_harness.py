@@ -146,6 +146,7 @@ def test_config_rejects_wrong_types(doc):
         ("hpe", {"h_range": (1.0, 1.0)}, "h_range"),
         ("hpe", {"j_range": (1.0, -1.0)}, "j_range"),
         ("hpe", {"hpe_levels": 1}, "hpe_levels"),
+        ("sample_persistence", {"run_counts": (4, 1)}, "run_counts"),
     ],
 )
 def test_config_checks_parameters_of_listed_methods(method, overrides, field):
@@ -153,6 +154,13 @@ def test_config_checks_parameters_of_listed_methods(method, overrides, field):
         tiny_config(methods=("mqc_sequential", method), **overrides)
     # Methods that are not listed leave their parameters unchecked.
     tiny_config(methods=("mqc_sequential",), **overrides)
+
+
+def test_config_allows_one_run_for_a_single_persistence_round():
+    # Only rounds before the last freeze on agreement between runs.
+    tiny_config(methods=("sample_persistence",), run_counts=(1,), persistence_rounds=1)
+    with pytest.raises(ConfigError, match="run_counts"):
+        tiny_config(methods=("sample_persistence",), run_counts=(1,), persistence_rounds=2)
 
 
 def test_config_names_the_first_bad_field_of_several():
@@ -488,6 +496,19 @@ def test_cli_gen_writes_seeded_problem_files(tmp_path, capsys):
         assert file_hash(out / name) == file_hash(again / name)
 
 
+def test_cli_gen_rejects_negative_count(tmp_path, capsys):
+    code = main(["gen", "--topology", "path", "--n", "4", "--count", "-1",
+                 "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--count" in err
+    assert err.count("\n") == 1
+    assert main(["gen", "--topology", "path", "--n", "4", "--count", "0",
+                 "--out", str(tmp_path / "none")]) == 0
+    assert "wrote 0 problems" in capsys.readouterr().out
+    assert os.listdir(tmp_path / "none") == []
+
+
 def test_cli_gen_rejects_empty_coefficient_interval(tmp_path, capsys):
     code = main(["gen", "--topology", "path", "--n", "4", "--count", "1",
                  "--h-range", "2", "1", "--out", str(tmp_path / "x")])
@@ -741,6 +762,19 @@ def test_cli_experiment_malformed_config_exits(tmp_path, capsys, doc):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "exp").exists()
+
+
+@pytest.mark.parametrize("text", ["[]", "42", "null"])
+def test_cli_experiment_non_object_config_exits(tmp_path, capsys, text):
+    path = tmp_path / "config.json"
+    path.write_text(text, encoding="utf-8")
+    code = main(["experiment", "--config", str(path),
+                 "--out", str(tmp_path / "exp")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "JSON object" in err
     assert err.count("\n") == 1
     assert not (tmp_path / "exp").exists()
 

@@ -4,6 +4,7 @@ Runs are derandomized with a fixed example count, so the suite stays
 deterministic.
 """
 
+import json
 import os
 import struct
 import tempfile
@@ -37,7 +38,9 @@ from isingpp import (
     save_runset,
 )
 from isingpp.altpp import _eliminate, _min_degree
+from isingpp.errors import ParseError
 from isingpp.mqc import _merge_pairs, _pair_indices, reduce_configs
+from isingpp.serialize import strings_to_spins
 
 from conftest import conditional_min_enum
 
@@ -205,11 +208,13 @@ def test_batched_merge_matches_pairwise(case):
     spins, energy bits and tunnel decisions of the one-pair merge."""
     problem, configs = case
     pairs = [(k, k + 1) for k in range(0, len(configs), 2)]
-    merged, records = _merge_pairs(problem, configs, pairs)
-    for (i, j), out, record in zip(pairs, merged, records, strict=True):
+    merged, energies, records = _merge_pairs(
+        problem, np.stack([c.spins for c in configs]), pairs)
+    for (i, j), spins, energy, record in zip(pairs, merged, energies.tolist(), records,
+                                             strict=True):
         ref, sizes, contributions, adopted = merge_pair(problem, configs[i], configs[j])
-        assert np.array_equal(out.spins, ref.spins)
-        assert struct.pack("<d", out.energy) == struct.pack("<d", ref.energy)
+        assert np.array_equal(spins, ref.spins)
+        assert struct.pack("<d", energy) == struct.pack("<d", ref.energy)
         assert (record.first, record.second) == (i, j)
         assert record.tunnel_sizes == sizes
         assert [struct.pack("<dd", *c) for c in record.contributions] == \
@@ -229,15 +234,39 @@ def runs_files(draw):
     return problem, RunSet(runs, "p", Provenance("manual", {"sweeps": 3}, seed))
 
 
+def save_runset_per_run(runset, path):
+    """The runs-file writer as first written, one run at a time, kept as
+    the specification of ``save_runset``'s bytes."""
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump({
+            "problem_id": runset.problem_id,
+            "provenance": {
+                "sampler": runset.provenance.sampler,
+                "params": runset.provenance.params,
+                "seed": runset.provenance.seed,
+            },
+            "runs": [
+                {"spins": "".join("+" if s > 0 else "-" for s in r.spins),
+                 "energy": r.energy}
+                for r in runset
+            ],
+        }, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
 @derandomized
 @given(runs_files())
 def test_runs_file_round_trip(case):
     """Spins and the bits of every stored energy survive save and load,
-    also through the energy re-check when the energies are fresh."""
+    also through the energy re-check when the energies are fresh; the
+    saved bytes are those of the per-run writer."""
     problem, runset = case
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "runs.json")
+        path, spec = os.path.join(tmp, "runs.json"), os.path.join(tmp, "spec.json")
         save_runset(runset, path)
+        save_runset_per_run(runset, spec)
+        with open(path, "rb") as saved, open(spec, "rb") as expected:
+            assert saved.read() == expected.read()
         loaded = load_runset(path)
         fresh = RunSet([problem.configuration(r.spins) for r in runset], "p",
                        runset.provenance)
@@ -248,6 +277,76 @@ def test_runs_file_round_trip(case):
         assert [struct.pack("<d", r.energy) for r in after] == \
             [struct.pack("<d", r.energy) for r in before]
         assert after.provenance == before.provenance
+
+
+@derandomized
+@given(runs_files())
+def test_runset_from_configurations_matches_matrix(case):
+    """A RunSet stacked from configurations and one built from their
+    matrix hold the same spins and energy bits, and give the same best
+    run, runs by index and runs by iteration."""
+    _, runset = case
+    configs = list(runset)
+    spins = np.array([c.spins for c in configs], dtype=np.int8)
+    energies = [c.energy for c in configs]
+    built = RunSet.from_matrix(spins, energies, "p", runset.provenance)
+    stacked = RunSet(configs, "p", runset.provenance)
+
+    def bits(config):
+        return config.spins.tobytes(), struct.pack("<d", config.energy)
+
+    for rs in (stacked, built):
+        assert rs.spins.dtype == np.int8 and not rs.spins.flags.writeable
+        assert np.array_equal(rs.spins, spins)
+        assert rs.energies().tobytes() == np.array(energies).tobytes()
+        assert bits(rs.best()) == bits(min(configs, key=lambda c: c.energy))
+        assert [bits(rs[k]) for k in range(len(rs))] == [bits(c) for c in configs]
+        assert [bits(c) for c in rs] == [bits(c) for c in configs]
+
+
+def parse_spins_per_run(texts):
+    """The spin parser one character at a time, as the per-run parser
+    first written did it, after the length check; kept as the
+    specification of ``strings_to_spins``. Returns the spins or the
+    error message."""
+    rows = []
+    for i, text in enumerate(texts):
+        if len(text) != len(texts[0]):
+            return f"run {i} has length {len(text)}, expected {len(texts[0])}"
+    for i, text in enumerate(texts):
+        row = []
+        for pos, ch in enumerate(text):
+            if ch not in "+-":
+                return f"run {i} spin character {ch!r} at position {pos} (need '+' or '-')"
+            row.append(1 if ch == "+" else -1)
+        rows.append(row)
+    return np.array(rows, dtype=np.int8).reshape(len(texts), len(texts[0]))
+
+
+@derandomized
+@given(st.lists(st.text("+-", max_size=6) | st.text("+-x\u00e9\ud800", max_size=6),
+                min_size=1, max_size=5))
+def test_spin_parser_matches_per_run_parser(texts):
+    expected = parse_spins_per_run(texts)
+    if isinstance(expected, str):
+        with pytest.raises(ParseError) as err:
+            strings_to_spins(texts)
+        assert str(err.value) == expected
+    else:
+        spins = strings_to_spins(texts)
+        assert spins.dtype == np.int8 and np.array_equal(spins, expected)
+
+
+@derandomized
+@given(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 2.5]), min_size=1, max_size=40))
+def test_rank_order_pairing_matches_sorted(energies):
+    """Rank order pairs runs in (energy, position) order; -0.0 and 0.0 tie."""
+    order = sorted(range(len(energies)), key=lambda i: (energies[i], i))
+    m = len(energies)
+    expected = ([(order[k], order[k + 1]) for k in range(0, m - 1, 2)],
+                order[-1] if m % 2 else None)
+    spins = np.ones((m, 1), dtype=np.int8)
+    assert _pair_indices(spins, np.array(energies), PairingStrategy.RANK_ORDER) == expected
 
 
 def lexsort_max_difference(spins):
@@ -291,8 +390,8 @@ def spin_matrices(draw):
 @given(spin_matrices())
 def test_max_difference_pairing_matches_lexsort_greedy(spins):
     problem = IsingProblem(spins.shape[1])
-    configs = [problem.configuration(row) for row in spins]
-    assert _pair_indices(configs, PairingStrategy.MAX_DIFFERENCE) == \
+    energies = np.array([problem.configuration(row).energy for row in spins])
+    assert _pair_indices(spins, energies, PairingStrategy.MAX_DIFFERENCE) == \
         lexsort_max_difference(spins)
 
 

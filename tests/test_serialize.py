@@ -15,24 +15,27 @@ from isingpp import (
     simulated_anneal,
 )
 from isingpp.errors import InputError, ParseError
-from isingpp.serialize import spins_to_string, string_to_spins
+from isingpp.serialize import spins_to_strings, strings_to_spins
 
 from conftest import make_chimera_problem
 
 
 class TestSpinStrings:
     def test_round_trip(self):
-        spins = np.array([1, -1, -1, 1], dtype=np.int8)
-        assert spins_to_string(spins) == "+--+"
-        assert np.array_equal(string_to_spins("+--+"), spins)
+        spins = np.array([[1, -1, -1, 1], [-1, 1, 1, 1]], dtype=np.int8)
+        assert spins_to_strings(spins) == ["+--+", "-+++"]
+        assert np.array_equal(strings_to_spins(["+--+", "-+++"]), spins)
 
     def test_empty(self):
-        assert spins_to_string([]) == ""
-        assert string_to_spins("").shape == (0,)
+        assert spins_to_strings(np.empty((2, 0), dtype=np.int8)) == ["", ""]
+        assert strings_to_spins(["", ""]).shape == (2, 0)
 
     def test_bad_character_names_position(self):
-        with pytest.raises(ParseError, match="position 2"):
-            string_to_spins("+-x-")
+        with pytest.raises(ParseError, match="run 1 spin character 'x' at position 2"):
+            strings_to_spins(["++++", "+-x-"])
+        # A non-ASCII character takes one position, like any other.
+        with pytest.raises(ParseError, match="run 0 spin character 'é' at position 1"):
+            strings_to_spins(["+é+x"])
 
 
 class TestProblemFiles:
@@ -172,6 +175,41 @@ class TestRunsFiles:
         }))
         with pytest.raises(InputError, match="run 0"):
             load_runset(path, problem=problem)
+
+    def test_ragged_runs_name_file_and_run(self, tmp_path):
+        path = tmp_path / "ragged.json"
+        path.write_text(json.dumps({
+            "problem_id": "x",
+            "provenance": {"sampler": "manual", "params": {}, "seed": 0},
+            "runs": [{"spins": "+-+", "energy": 0.0}, {"spins": "+-", "energy": 0.0}],
+        }))
+        with pytest.raises(ParseError) as err:
+            load_runset(path)
+        assert str(err.value) == f"{path}: run 1 has length 2, expected 3"
+
+    def test_bad_spin_names_file_run_and_position(self, tmp_path):
+        path = tmp_path / "spins.json"
+        path.write_text(json.dumps({
+            "problem_id": "x",
+            "provenance": {"sampler": "manual", "params": {}, "seed": 0},
+            "runs": [{"spins": "+-+", "energy": 0.0}, {"spins": "[-+", "energy": 0.0}],
+        }))
+        with pytest.raises(ParseError) as err:
+            load_runset(path)
+        assert str(err.value).startswith(
+            f"{path}: run 1 spin character '[' at position 0")
+
+    @pytest.mark.parametrize("record", [5, {"energy": 0.0}])
+    def test_missing_spins_name_file_and_run(self, tmp_path, record):
+        path = tmp_path / "missing.json"
+        path.write_text(json.dumps({
+            "problem_id": "x",
+            "provenance": {"sampler": "manual", "params": {}, "seed": 0},
+            "runs": [{"spins": "+", "energy": 0.0}, record],
+        }))
+        with pytest.raises(ParseError) as err:
+            load_runset(path)
+        assert str(err.value) == f"{path}: run 1: missing field 'spins'"
 
     def test_empty_runs_rejected(self, tmp_path):
         path = tmp_path / "runs.json"
