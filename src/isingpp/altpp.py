@@ -29,7 +29,6 @@ import numpy as np
 
 from .core import IsingProblem, SpinConfiguration
 from .errors import InputError, ParameterError, WidthError
-from .mqc import _row_energies
 from .rng import derive_seed
 from .samplers import Provenance, RunSet, SamplerParams
 
@@ -253,7 +252,8 @@ def builtin_opt_pp(problem: IsingProblem, runset: RunSet,
     order, each once; later subgraphs see the updates of earlier ones.
     All runs go through a subgraph together, in blocks of at most
     ``_TABLE_BUDGET`` table entries, and each run ends as it would if
-    ``optimize_subgraph`` took it through the subgraphs alone.
+    ``optimize_subgraph`` took it through the subgraphs alone. The
+    energies come from one ``problem.evaluate_many`` call.
     """
     subgraphs = decompose_low_treewidth(problem, width_cap)
     spins = runset.spins
@@ -263,7 +263,7 @@ def builtin_opt_pp(problem: IsingProblem, runset: RunSet,
                                 for i in range(0, len(spins), rows)])
     prov = runset.provenance
     return RunSet.from_matrix(
-        spins, _row_energies(problem, spins), runset.problem_id,
+        spins, problem.evaluate_many(spins), runset.problem_id,
         Provenance(
             sampler="builtin_opt_pp",
             params={"width_cap": width_cap, "source": {

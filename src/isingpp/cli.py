@@ -59,19 +59,19 @@ def _topology_dict(args):
 
 
 def _add_sampler_args(p):
-    p.add_argument("--sweeps", type=int, default=100)
-    p.add_argument("--beta-start", type=float, default=0.1)
-    p.add_argument("--beta-end", type=float, default=5.0)
-    p.add_argument("--interpolation", default="geometric",
+    p.add_argument("--sweeps", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--beta-start", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--beta-end", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--interpolation", default=argparse.SUPPRESS,
                    choices=["geometric", "linear"])
-    p.add_argument("--beta", type=float, default=1.0,
+    p.add_argument("--beta", type=float, default=argparse.SUPPRESS,
                    help="fixed inverse temperature for sampling mode")
-    p.add_argument("--burn-in", type=int, default=1000)
-    p.add_argument("--thinning", type=int, default=10)
+    p.add_argument("--burn-in", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--thinning", type=int, default=argparse.SUPPRESS)
 
 
 # Sampler and post-processor flags, by argparse destination, and the
-# ExperimentConfig field each one sets.
+# ExperimentConfig field each one sets; an absent flag keeps its default.
 _CONFIG_FLAGS = {
     "sweeps": "sa_sweeps",
     "beta_start": "sa_beta_start",
@@ -209,11 +209,11 @@ def build_parser():
     p.add_argument("--runs-file", required=True)
     p.add_argument("--method", required=True, choices=list(METHODS))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--width-cap", type=int, default=4)
-    p.add_argument("--threshold", type=float, default=0.9)
-    p.add_argument("--rounds", type=int, default=3)
-    p.add_argument("--scales", type=float, nargs="+", default=[1.0, 2.0, 4.0, 8.0])
-    p.add_argument("--levels", type=int, default=17)
+    p.add_argument("--width-cap", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--threshold", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--rounds", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--scales", type=float, nargs="+", default=argparse.SUPPRESS)
+    p.add_argument("--levels", type=int, default=argparse.SUPPRESS)
     p.add_argument("--resample-mode", default="raw", choices=["raw", "sampling"])
     _add_sampler_args(p)
     p.add_argument("--out", required=True)

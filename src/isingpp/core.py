@@ -117,23 +117,25 @@ class IsingProblem:
             )
 
     def evaluate(self, spins) -> float:
-        """Energy of one spin vector. Terms are summed in a fixed order
-        (h by vertex, then J by sorted pair), so results are reproducible."""
-        s = np.asarray(spins, dtype=np.float64)
-        self._check_length(s)
-        e = float(np.sum(self._h_vec * s))
-        if self._edge_w.size:
-            e += float(np.sum(self._edge_w * s[self._edge_a] * s[self._edge_b]))
-        return e
+        """Energy of one spin vector: the one-row case of ``evaluate_many``."""
+        return float(self.evaluate_many(np.asarray(spins)[None])[0])
 
     def evaluate_many(self, spins_matrix) -> np.ndarray:
-        """Energies of a (runs, vertex_count) matrix of spin vectors."""
-        s = np.asarray(spins_matrix, dtype=np.float64)
+        """Energies of a (runs, vertex_count) matrix of spin vectors, the
+        package's one energy kernel. Each C-ordered row is summed h by
+        vertex, then J by sorted pair, so a row's energy has the same bits
+        whatever the matrix's layout, dtype or other rows."""
+        s = np.ascontiguousarray(spins_matrix)
+        # +-1 products are exact in int8, the RunSet dtype, at half the cost.
+        if s.dtype != SPIN_DTYPE:
+            s = s.astype(np.float64, copy=False)
         self._check_length(s)
-        e = s @ self._h_vec
+        energies = np.sum(self._h_vec * s, axis=1)
         if self._edge_w.size:
-            e = e + (s[:, self._edge_a] * s[:, self._edge_b]) @ self._edge_w
-        return e
+            energies += np.sum(
+                self._edge_w * (s.take(self._edge_a, axis=1) * s.take(self._edge_b, axis=1)),
+                axis=1)
+        return energies
 
     def configuration(self, spins) -> "SpinConfiguration":
         """Wrap a spin vector, computing its energy fresh."""

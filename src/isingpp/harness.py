@@ -17,13 +17,16 @@ import os
 import time
 from dataclasses import asdict, dataclass, field, fields
 
-from .altpp import builtin_opt_pp, sample_persistence
+from .altpp import (DEFAULT_PERSISTENCE_ROUNDS, DEFAULT_PERSISTENCE_THRESHOLD,
+                    DEFAULT_WIDTH_CAP, builtin_opt_pp, sample_persistence)
 from .core import ENERGY_ATOL, IsingProblem
 from .errors import ConfigError, InputError
-from .hpe import PrecisionModel, ScaleSet, hpe
+from .hpe import DEFAULT_LEVELS, DEFAULT_SCALES, PrecisionModel, ScaleSet, hpe
 from .mqc import PairingStrategy, mqc_reduce
 from .rng import derive_seed
 from .samplers import (
+    DEFAULT_BURN_IN,
+    DEFAULT_THINNING,
     BetaSchedule,
     SamplerParams,
     gibbs_sample,
@@ -100,13 +103,13 @@ class ExperimentConfig:
     sa_beta_end: float = 5.0
     sa_interpolation: str = "geometric"
     gibbs_beta: float = 1.0
-    gibbs_burn_in: int = 1000
-    gibbs_thinning: int = 10
-    width_cap: int = 4
-    persistence_threshold: float = 0.9
-    persistence_rounds: int = 3
-    hpe_scales: tuple = (1.0, 2.0, 4.0, 8.0)
-    hpe_levels: int = 17
+    gibbs_burn_in: int = DEFAULT_BURN_IN
+    gibbs_thinning: int = DEFAULT_THINNING
+    width_cap: int = DEFAULT_WIDTH_CAP
+    persistence_threshold: float = DEFAULT_PERSISTENCE_THRESHOLD
+    persistence_rounds: int = DEFAULT_PERSISTENCE_ROUNDS
+    hpe_scales: tuple = DEFAULT_SCALES
+    hpe_levels: int = DEFAULT_LEVELS
 
     def __post_init__(self):
         for f in fields(self):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import IsingProblem
 from .errors import InputError, ParameterError
-from .mqc import PairingStrategy, _reduce_levels, _row_energies, mqc_reduce
+from .mqc import PairingStrategy, _reduce_levels, mqc_reduce
 from .rng import derive_seed
 from .samplers import RunSet, SamplerParams, simulated_anneal
 
@@ -125,8 +125,9 @@ def hpe_from_runsets(problem: IsingProblem, runsets,
     Every runset must hold the same number of runs. Group i collects the
     i-th run of each scale; each group is reduced, then the group winners
     are reduced to the final configuration. All energies and tunnel
-    decisions use the full-precision coefficients of ``problem``. Each
-    group ends as its own ``reduce_configs`` call would end it.
+    decisions use the full-precision coefficients of ``problem``; every
+    run is re-evaluated by ``problem.evaluate_many``. Each group ends as
+    its own ``reduce_configs`` call would end it.
     """
     runsets = list(runsets)
     if not runsets:
@@ -136,11 +137,9 @@ def hpe_from_runsets(problem: IsingProblem, runsets,
         raise InputError(
             f"run sets must agree on run count, got sizes {sorted(counts)}"
         )
-    for rs in runsets:
-        problem._check_length(rs.spins)
+    energies = np.stack([problem.evaluate_many(rs.spins) for rs in runsets])
     # (scales, runs, n) -> groups of one run per scale: (runs, scales, n).
     spins = np.stack([rs.spins for rs in runsets])
-    energies = np.stack([_row_energies(problem, rs.spins) for rs in runsets])
     group_spins, group_energies, _ = _reduce_levels(
         problem, spins.transpose(1, 0, 2), energies.T, PairingStrategy(strategy))
     final, _ = mqc_reduce(problem, RunSet.from_matrix(group_spins, group_energies, None, None),

@@ -26,11 +26,11 @@ numpy pass. The disagreement entries of a block are the nodes of one
 graph, the disjoint union of its pairs' disagreement subgraphs, and a
 hook-and-compress union-find labels its components, the tunnels, in
 order of pair and then smallest vertex. One ``bincount`` over those
-labels gives every tunnel's contribution, and one product per block
-every merged energy. A block costs O(P (n + E)) per union-find round
-for P pairs, n vertices and E couplings; the block size bounds the
-(P, E) masks and products, so the memory of a merge does not grow with
-the run count. Each sum runs in the order of a one-pair merge, so no
+labels gives every tunnel's contribution, and one ``evaluate_many``
+call per block every merged energy. A block costs O(P (n + E)) per
+union-find round for P pairs, n vertices and E couplings; the block
+size bounds the (P, E) masks and products, so the memory of a merge
+does not grow with the run count. Each sum runs in the order of a one-pair merge, so no
 contribution, tie or energy bit depends on the block size.
 
 Sequential pairing is O(m) and rank order O(m log m) for m runs.
@@ -136,10 +136,10 @@ def _merge_rows(problem, s1, s2):
     > 0. Every sum runs in the order of a one-row call. Work is
     O(P (n + E)) per union-find round for P rows, n vertices and E edges.
 
-    Returns the merged spins, their energies (summed as
-    ``IsingProblem.evaluate`` sums them), the nodes (flat indices into the
-    rows), each node's tunnel label, the tunnel count of each row and the
-    run-1 contribution of each tunnel.
+    Returns the merged spins, their energies from
+    ``problem.evaluate_many``, the nodes (flat indices into the rows),
+    each node's tunnel label, the tunnel count of each row and the run-1
+    contribution of each tunnel.
     """
     rows, n = s1.shape
     ea, eb, w = problem._edge_a, problem._edge_b, problem._edge_w
@@ -170,23 +170,7 @@ def _merge_rows(problem, s1, s2):
     merged = s1.copy()
     flip = nodes[contrib1[labels] > 0.0]
     merged.ravel()[flip] = s2.ravel()[flip]
-    return merged, _row_energies(problem, merged), nodes, labels, counts, contrib1
-
-
-def _row_energies(problem, spins):
-    """Energy of every row of the (rows, n) matrix ``spins``, each summed
-    bit for bit as ``IsingProblem.evaluate`` sums one vector.
-
-    Row sums reduce C-ordered rows, which numpy sums pairwise exactly as
-    it sums one vector; a column-major operand would be summed in
-    another order.
-    """
-    ea, eb, w = problem._edge_a, problem._edge_b, problem._edge_w
-    energies = np.sum(problem._h_vec * spins, axis=1)
-    if w.size:
-        energies += np.sum(w * (spins.take(ea, axis=1) * spins.take(eb, axis=1)),
-                           axis=1)
-    return energies
+    return merged, problem.evaluate_many(merged), nodes, labels, counts, contrib1
 
 
 def mqc_pair(problem: IsingProblem, run1: SpinConfiguration,

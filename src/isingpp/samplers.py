@@ -1,8 +1,9 @@
 """Seeded sample generators standing in for an annealer.
 
-Every sampler returns its (runs, n) spin matrix as a RunSet, energies from
-one ``evaluate_many`` call, whose provenance records the sampler name, its
-parameters, and the seed, so a runs file can be regenerated exactly.
+Every sampler returns its (runs, n) spin matrix as a RunSet whose
+provenance records the sampler name, its parameters, and the seed, so a
+runs file can be regenerated exactly. Energies come from one call of
+``IsingProblem.evaluate_many``, the package's one energy kernel.
 Per-run randomness comes from per-run child streams of the master seed
 (see rng.child_sequences), which makes the output independent of how runs
 are scheduled.

@@ -28,7 +28,6 @@ import numpy as np
 
 from .core import ENERGY_ATOL, SPIN_DTYPE, IsingProblem
 from .errors import InputError, ParseError
-from .mqc import _row_energies
 from .samplers import Provenance, RunSet
 
 
@@ -85,6 +84,14 @@ def _field(doc, name, path):
     return doc[name]
 
 
+def _typed_field(doc, name, path, types, form):
+    """``doc[name]``, which must be one of ``types`` (never a bool)."""
+    value = _field(doc, name, path)
+    if not isinstance(value, types) or isinstance(value, bool):
+        raise ParseError(f"{path}: field {name!r} must be {form}")
+    return value
+
+
 def is_finite_number(value) -> bool:
     """Whether ``value`` is a real number, not a bool, with a finite float value."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -113,7 +120,7 @@ def save_problem(problem: IsingProblem, path):
 def load_problem(path) -> IsingProblem:
     doc = _load_json(path)
     n = _field(doc, "vertex_count", path)
-    if not isinstance(n, int) or n < 0:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ParseError(f"{path}: field 'vertex_count' must be a non-negative integer")
     h, J = {}, {}
     for name, coefficients, width, form in (("h", h, 2, "[vertex, value]"),
@@ -144,18 +151,18 @@ def load_runset(path, problem: IsingProblem | None = None) -> RunSet:
     """Load a runs file; with ``problem`` given, verify lengths and that
     every stored energy matches a fresh evaluation.
 
-    Stored energies must be finite JSON numbers and the provenance seed a
-    JSON integer. Spins are decoded, and energies re-checked, all at once.
+    ``problem_id`` must be a string or null, the provenance ``sampler`` a
+    string, ``params`` an object and ``seed`` an integer, every run's
+    ``spins`` a string and its ``energy`` a finite number. Spins are
+    decoded, and energies re-checked, all at once.
     """
     doc = _load_json(path)
     prov_doc = _field(doc, "provenance", path)
     provenance = Provenance(
-        sampler=str(_field(prov_doc, "sampler", path)),
-        params=_field(prov_doc, "params", path),
-        seed=_field(prov_doc, "seed", path),
+        sampler=_typed_field(prov_doc, "sampler", path, str, "a string"),
+        params=_typed_field(prov_doc, "params", path, dict, "an object"),
+        seed=_typed_field(prov_doc, "seed", path, int, "an integer"),
     )
-    if not isinstance(provenance.seed, int) or isinstance(provenance.seed, bool):
-        raise ParseError(f"{path}: field 'seed' must be an integer")
     records = _field(doc, "runs", path)
     if not isinstance(records, list):
         raise ParseError(f"{path}: field 'runs' must be a list")
@@ -164,19 +171,20 @@ def load_runset(path, problem: IsingProblem | None = None) -> RunSet:
     texts, energies = [], []
     for i, rec in enumerate(records):
         run = f"{path}: run {i}"
-        texts.append(str(_field(rec, "spins", run)))
+        texts.append(_typed_field(rec, "spins", run, str, "a string"))
         energy = _field(rec, "energy", run)
         if not is_finite_number(energy):
             raise ParseError(f"{run} field 'energy' must be a finite number")
         energies.append(float(energy))
     runset = RunSet.from_matrix(strings_to_spins(texts, f"{path}: "), energies,
-                                str(_field(doc, "problem_id", path)), provenance)
+                                _typed_field(doc, "problem_id", path, (str, type(None)),
+                                             "a string or null"), provenance)
     if problem is not None:
         n = runset.spins.shape[1]
         if n != problem.vertex_count:
             raise InputError(f"{path}: run 0 has {n} spins, problem has "
                              f"{problem.vertex_count} vertices")
-        fresh = _row_energies(problem, runset.spins)
+        fresh = problem.evaluate_many(runset.spins)
         wrong = np.flatnonzero(np.abs(fresh - runset.energies()) > ENERGY_ATOL)
         if wrong.size:
             i = wrong[0]

@@ -17,7 +17,7 @@ from isingpp import (
     run_experiment,
     sensitivity_report,
 )
-from isingpp.cli import main
+from isingpp.cli import _config, build_parser, main
 from isingpp.errors import ConfigError, InputError
 from isingpp.harness import (
     ComparisonRow,
@@ -484,6 +484,18 @@ def gen_problems(tmp_path, count=2, seed=7):
     return out
 
 
+@pytest.mark.parametrize("argv", [
+    ["sample", "--problem", "p.json", "--out", "r.json"],
+    ["pp", "--problem", "p.json", "--runs-file", "r.json", "--method", "hpe",
+     "--out", "o.json"],
+])
+def test_cli_config_flags_default_to_experiment_config(argv):
+    args = build_parser().parse_args(argv)
+    assert _config(args) == ExperimentConfig()
+    args = build_parser().parse_args(argv + ["--sweeps", "7", "--thinning", "3"])
+    assert _config(args) == ExperimentConfig(sa_sweeps=7, gibbs_thinning=3)
+
+
 def test_cli_gen_writes_seeded_problem_files(tmp_path, capsys):
     out = gen_problems(tmp_path, count=3)
     files = sorted(os.listdir(out))
@@ -642,12 +654,16 @@ def test_cli_pp_rejects_runs_for_a_different_problem(tmp_path, capsys):
     ("provenance", "seed", "3"),
     ("provenance", "seed", 3.5),
     ("provenance", "seed", False),
+    ("provenance", "sampler", ["x"]),
+    ("provenance", "params", 5),
+    ("run", "spins", 5),
+    ("doc", "problem_id", 5),
 ])
 def test_cli_pp_rejects_bad_stored_values(tmp_path, capsys, where, field, value):
     problem_path = gen_problems(tmp_path) / "problem_0000.json"
     runs_path = sample_runs(tmp_path, problem_path, "runs.json")
     doc = json.loads(runs_path.read_text(encoding="utf-8"))
-    (doc["runs"][1] if where == "run" else doc["provenance"])[field] = value
+    {"doc": doc, "provenance": doc["provenance"], "run": doc["runs"][1]}[where][field] = value
     runs_path.write_text(json.dumps(doc), encoding="utf-8")
     out = tmp_path / "reduced.json"
     code = main(["pp", "--problem", str(problem_path), "--runs-file", str(runs_path),

@@ -67,6 +67,35 @@ def problems(draw):
     return IsingProblem(n, h, {e: draw(coefficients) for e in edges})
 
 
+def same_bits(a, b):
+    return np.asarray(a, dtype=np.float64).tobytes() == np.asarray(b, dtype=np.float64).tobytes()
+
+
+@st.composite
+def spin_matrices(draw):
+    """A problem and an int8 matrix of up to 12 runs of it."""
+    problem = draw(problems())
+    runs = draw(st.lists(spin_rows(problem.vertex_count), min_size=1, max_size=12))
+    return problem, np.array(runs, dtype=np.int8)
+
+
+@derandomized
+@given(spin_matrices())
+def test_evaluate_many_is_one_kernel(case):
+    """A run's energy has the same bits alone or among other runs, through
+    ``evaluate`` or ``evaluate_many``, and whatever the matrix's layout
+    or dtype."""
+    problem, spins = case
+    energies = problem.evaluate_many(spins)
+    for i, row in enumerate(spins):
+        assert same_bits(problem.evaluate(row), energies[i])
+        assert same_bits(problem.evaluate_many(spins[i:i + 1]), energies[i:i + 1])
+    for other in (np.asfortranarray(spins), spins.astype(np.int64),
+                  spins.astype(np.float64), np.repeat(spins, 2, axis=1)[:, ::2]):
+        assert same_bits(problem.evaluate_many(other), energies)
+    assert same_bits(problem.evaluate_many(spins[::2]), energies[::2])
+
+
 @st.composite
 def elimination_cases(draw):
     """A problem, a vertex subset with an arbitrary elimination order, and

@@ -84,10 +84,14 @@ class TestRunSet:
         assert rs[0].same_spins(list(rs)[0])
 
     def test_cached_energies_validate(self):
-        problem = make_chimera_problem(seed=2, rows=1, cols=1)
-        rs = simulated_anneal(problem, SamplerParams(num_runs=6, seed=4, sweeps=20))
-        fresh = problem.evaluate_many(rs.spins_matrix())
-        assert np.allclose(rs.energies(), fresh, atol=1e-9)
+        problem = make_chimera_problem(seed=2, rows=2, cols=2)
+        for rs in (
+            simulated_anneal(problem, SamplerParams(num_runs=6, seed=4, sweeps=20)),
+            gibbs_sample(problem, SamplerParams(num_runs=6, seed=4, fixed_beta=1.0,
+                                                burn_in=10, thinning=2)),
+            random_runs(problem, 6, 4),
+        ):
+            assert rs.energies().tolist() == [problem.evaluate(row) for row in rs.spins]
 
 
 class TestSimulatedAnneal:

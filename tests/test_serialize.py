@@ -7,6 +7,8 @@ import pytest
 
 from isingpp import (
     IsingProblem,
+    Provenance,
+    RunSet,
     SamplerParams,
     load_problem,
     load_runset,
@@ -116,9 +118,11 @@ class TestProblemFiles:
 
     def test_bad_vertex_count(self, tmp_path):
         path = tmp_path / "count.json"
-        path.write_text(json.dumps({"vertex_count": -3, "h": [], "J": []}))
-        with pytest.raises(ParseError, match="vertex_count"):
-            load_problem(path)
+        # JSON booleans are not counts, though Python's bool is an int.
+        for count in (-3, True, False):
+            path.write_text(json.dumps({"vertex_count": count, "h": [], "J": []}))
+            with pytest.raises(ParseError, match="vertex_count"):
+                load_problem(path)
 
     def test_inconsistent_contents_rejected(self, tmp_path):
         path = tmp_path / "loop.json"
@@ -230,6 +234,39 @@ class TestRunsFiles:
         }))
         with pytest.raises(ParseError, match="'params'"):
             load_runset(path)
+
+    def test_null_problem_id_round_trips(self, tmp_path):
+        problem = IsingProblem(2, h={0: 1.0})
+        rs = RunSet.from_matrix(np.array([[1, -1]]), [1.0], None,
+                                Provenance("manual", {}, 0))
+        path = tmp_path / "runs.json"
+        save_runset(rs, path)
+        assert json.loads(path.read_text())["problem_id"] is None
+        assert load_runset(path, problem).problem_id is None
+
+    @pytest.mark.parametrize("where,name,value,form", [
+        ("doc", "problem_id", 5, "a string or null"),
+        ("doc", "problem_id", ["x"], "a string or null"),
+        ("provenance", "sampler", ["x"], "a string"),
+        ("provenance", "sampler", None, "a string"),
+        ("provenance", "params", 5, "an object"),
+        ("provenance", "params", [], "an object"),
+        ("run", "spins", 5, "a string"),
+        ("run", "spins", ["+"], "a string"),
+    ])
+    def test_wrongly_typed_field_named(self, tmp_path, where, name, value, form):
+        doc = {
+            "problem_id": "x",
+            "provenance": {"sampler": "manual", "params": {}, "seed": 0},
+            "runs": [{"spins": "+", "energy": 0.0}],
+        }
+        {"doc": doc, "provenance": doc["provenance"], "run": doc["runs"][0]}[where][name] = value
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError) as err:
+            load_runset(path)
+        run = ": run 0" if where == "run" else ""
+        assert str(err.value) == f"{path}{run}: field {name!r} must be {form}"
 
     @pytest.mark.parametrize("runs", [5, {"spins": "+", "energy": 0.0}, "+"])
     def test_runs_must_be_a_list(self, tmp_path, runs):
