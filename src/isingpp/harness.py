@@ -25,7 +25,10 @@ from .hpe import DEFAULT_LEVELS, DEFAULT_SCALES, PrecisionModel, ScaleSet, hpe
 from .mqc import PairingStrategy, mqc_reduce
 from .rng import derive_seed
 from .samplers import (
+    DEFAULT_BETA_END,
+    DEFAULT_BETA_START,
     DEFAULT_BURN_IN,
+    DEFAULT_SWEEPS,
     DEFAULT_THINNING,
     BetaSchedule,
     SamplerParams,
@@ -98,9 +101,9 @@ class ExperimentConfig:
     modes: tuple = ("raw", "sampling")
     methods: tuple = ("mqc_sequential", "mqc_rank", "mqc_maxdiff", "builtin_pp")
     master_seed: int = 2024
-    sa_sweeps: int = 100
-    sa_beta_start: float = 0.1
-    sa_beta_end: float = 5.0
+    sa_sweeps: int = DEFAULT_SWEEPS
+    sa_beta_start: float = DEFAULT_BETA_START
+    sa_beta_end: float = DEFAULT_BETA_END
     sa_interpolation: str = "geometric"
     gibbs_beta: float = 1.0
     gibbs_burn_in: int = DEFAULT_BURN_IN

@@ -22,6 +22,9 @@ from .rng import child_sequences, make_generator
 
 EXACT_VERTEX_CAP = 25
 
+DEFAULT_SWEEPS = 100
+DEFAULT_BETA_START = 0.1
+DEFAULT_BETA_END = 5.0
 DEFAULT_BURN_IN = 1000
 DEFAULT_THINNING = 10
 
@@ -58,8 +61,9 @@ class SamplerParams:
 
     num_runs: int
     seed: int
-    sweeps: int = 100
-    beta_schedule: BetaSchedule = field(default_factory=lambda: BetaSchedule(0.1, 5.0))
+    sweeps: int = DEFAULT_SWEEPS
+    beta_schedule: BetaSchedule = field(
+        default_factory=lambda: BetaSchedule(DEFAULT_BETA_START, DEFAULT_BETA_END))
     fixed_beta: float | None = None
     burn_in: int = DEFAULT_BURN_IN
     thinning: int = DEFAULT_THINNING
@@ -161,6 +165,37 @@ def _wrap_runs(problem, spins_matrix, name, params_dict, seed, problem_id=None):
     )
 
 
+def _sweep_levels(problem: IsingProblem):
+    """Dependency levels of an index-order sweep, with neighbour tables.
+
+    A vertex's level is 1 + the largest level among its lower-indexed
+    neighbours, or 0 if it has none, so no edge joins two vertices of one
+    level. Returns one ``(V, P, W, h)`` per level: its vertices ``V`` in
+    ascending order; column j of ``P`` and ``W`` holds the neighbours of
+    ``V[j]``, in ``_nbr`` order, and their couplings, padded with vertex 0
+    and weight 0.0; ``h`` holds the linear coefficients of ``V`` as a
+    column.
+    """
+    nbr = [a.tolist() for a in problem._nbr]
+    groups = []
+    level = []
+    for a in range(problem.vertex_count):
+        level.append(1 + max((level[b] for b in nbr[a] if b < a), default=-1))
+        if level[a] == len(groups):
+            groups.append([])
+        groups[level[a]].append(a)
+    levels = []
+    for V in groups:
+        width = max(1, max(len(nbr[v]) for v in V))
+        P = np.zeros((width, len(V)), dtype=np.intp)
+        W = np.zeros((width, len(V), 1), dtype=np.float64)
+        for j, v in enumerate(V):
+            P[:len(nbr[v]), j] = nbr[v]
+            W[:len(nbr[v]), j, 0] = problem._nbr_w[v]
+        levels.append((np.array(V), P, W, problem._h_vec[V, None]))
+    return levels
+
+
 def simulated_anneal(problem: IsingProblem, params: SamplerParams,
                      problem_id=None) -> RunSet:
     """Metropolis single-spin-flip annealing.
@@ -168,10 +203,16 @@ def simulated_anneal(problem: IsingProblem, params: SamplerParams,
     Run i draws from child stream i of the seed: first n integers for the
     initial state, then n uniforms per sweep. Within a sweep vertices are
     visited in index order; flipping spin a changes the energy by
-    dE = -2 s[a] (h[a] + sum_b J[a,b] s[b]) at O(degree) cost, and the
-    flip is accepted with probability min(1, exp(-beta dE)). All runs
-    advance together, one vertex at a time, which keeps per-run streams
-    intact while letting the arithmetic vectorize across runs.
+    dE = -2 s[a] (h[a] + sum_b J[a,b] s[b]) at O(degree) cost, the sum
+    taken left to right over a's neighbours in ascending order, and the
+    flip is accepted with probability min(1, exp(-beta dE)), uniform a of
+    the sweep deciding.
+
+    All runs advance together, one dependency level of vertices at a time
+    (see ``_sweep_levels``). Vertices of one level share no edge, and each
+    reads this sweep's spins of its lower-indexed neighbours and last
+    sweep's spins of its higher-indexed ones, so updating a whole level at
+    once gives exactly the index-order sweep.
     """
     n = problem.vertex_count
     if n == 0:
@@ -181,24 +222,31 @@ def simulated_anneal(problem: IsingProblem, params: SamplerParams,
     for i, g in enumerate(gens):
         spins[i] = g.integers(0, 2, n).astype(SPIN_DTYPE) * 2 - 1
 
-    betas = params.beta_schedule.betas(params.sweeps)
+    levels = _sweep_levels(problem)
+    # Row a of state is vertex a, column i run i.
+    state = spins.T.copy()
     uniforms = np.empty((params.num_runs, n), dtype=np.float64)
-    h_vec = problem._h_vec
-    nbr, nbr_w = problem._nbr, problem._nbr_w
-
-    for t in range(params.sweeps):
-        beta = betas[t]
-        for i, g in enumerate(gens):
-            uniforms[i] = g.random(n)
-        for a in range(n):
-            field = h_vec[a]
-            if nbr[a].size:
-                field = field + spins[:, nbr[a]].astype(np.float64) @ nbr_w[a]
-            delta = -2.0 * spins[:, a] * field
-            accept = uniforms[:, a] < np.exp(-beta * np.maximum(delta, 0.0))
-            spins[accept, a] *= -1
-
-    return _wrap_runs(problem, spins, "simulated_anneal", params.to_dict(),
+    # At a huge beta, beta * dE may overflow to inf; exp(-inf) = 0 is then
+    # the right acceptance, so the overflow is not reported.
+    with np.errstate(over="ignore"):
+        for beta in params.beta_schedule.betas(params.sweeps):
+            for i, g in enumerate(gens):
+                g.random(n, out=uniforms[i])
+            for V, P, W, h in levels:
+                # In place, x becomes the neighbour sum (added left to
+                # right), the field, dE, -beta * max(dE, 0) and then the
+                # acceptance probability.
+                x = state[P[0]] * W[0]
+                for k in range(1, len(P)):
+                    x += state[P[k]] * W[k]
+                x += h
+                s = state[V]
+                x *= -2.0 * s
+                np.maximum(x, 0.0, out=x)
+                x *= -beta
+                accept = uniforms.T[V] < np.exp(x, out=x)
+                state[V] = s * (1 - 2 * accept.view(np.int8))  # flip where accepted
+    return _wrap_runs(problem, state.T, "simulated_anneal", params.to_dict(),
                       params.seed, problem_id)
 
 

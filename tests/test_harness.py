@@ -4,6 +4,7 @@ invariants, byte-stable outputs, and end-to-end pipeline runs."""
 import hashlib
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -11,11 +12,13 @@ import pytest
 from isingpp import (
     ENERGY_ATOL,
     ExperimentConfig,
+    SamplerParams,
     bench_reduce,
     load_problem,
     load_runset,
     run_experiment,
     sensitivity_report,
+    single_flip_delta,
 )
 from isingpp.cli import _config, build_parser, main
 from isingpp.errors import ConfigError, InputError
@@ -28,6 +31,7 @@ from isingpp.harness import (
     problem_for,
     render_report,
     report_from_records,
+    sampler_params,
     topology_graph,
 )
 from isingpp.topology import ChimeraSpec, chimera_graph
@@ -259,6 +263,10 @@ def test_mode_runset_dispatches_on_mode():
     assert len(raw) == len(sampling) == 4
     with pytest.raises(ConfigError, match="warm"):
         mode_runset(config, problem, 0, "warm", 4)
+
+
+def test_default_config_anneals_with_sampler_defaults():
+    assert sampler_params(ExperimentConfig(), "raw", 7, 3) == SamplerParams(num_runs=7, seed=3)
 
 
 # -- experiment sweep ----------------------------------------------------
@@ -556,6 +564,23 @@ def test_cli_sample_is_deterministic(tmp_path):
     a = sample_runs(tmp_path, problems / "problem_0000.json", "a.json")
     b = sample_runs(tmp_path, problems / "problem_0000.json", "b.json")
     assert file_hash(a) == file_hash(b)
+
+
+def test_cli_sample_at_huge_beta_quenches_without_warnings(tmp_path):
+    """beta * dE overflows to inf here; exp(-inf) = 0 is the right
+    acceptance, and no numpy warning reaches the user."""
+    problems = gen_problems(tmp_path)
+    out = tmp_path / "runs.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["sample", "--problem", str(problems / "problem_0000.json"),
+                     "--mode", "raw", "--beta-start", "1e307", "--beta-end", "1e308",
+                     "--runs", "8", "--out", str(out)])
+    assert code == 0
+    problem = load_problem(problems / "problem_0000.json")
+    for run in load_runset(out, problem):
+        for a in range(problem.vertex_count):
+            assert single_flip_delta(problem, run.spins, a) >= -1e-9
 
 
 def test_cli_sample_missing_problem_exits_with_diagnostic(tmp_path, capsys):

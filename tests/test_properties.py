@@ -18,11 +18,13 @@ from hypothesis import strategies as st
 
 from isingpp import (
     ENERGY_ATOL,
+    BetaSchedule,
     ChimeraSpec,
     IsingProblem,
     PairingStrategy,
     Provenance,
     RunSet,
+    SamplerParams,
     SpinConfiguration,
     Subgraph,
     chimera_graph,
@@ -36,10 +38,12 @@ from isingpp import (
     optimize_subgraph,
     path_graph,
     save_runset,
+    simulated_anneal,
 )
 from isingpp.altpp import _eliminate, _min_degree
 from isingpp.errors import ParseError
 from isingpp.mqc import _merge_pairs, _pair_indices, reduce_configs
+from isingpp.rng import child_sequences, make_generator
 from isingpp.serialize import strings_to_spins
 
 from conftest import conditional_min_enum
@@ -531,3 +535,87 @@ def test_decomposition_matches_scan(graph):
         subs = decompose_low_treewidth(problem, cap)
         assert [(s.vertices, s.elimination_order, s.width) for s in subs] == \
             [(s.vertices, s.elimination_order, s.width) for s in expected]
+
+
+def per_vertex_anneal(problem, params, neighbour_sum):
+    """The Metropolis kernel as first written, kept as its specification:
+    all runs advance together one vertex at a time, in index order.
+    ``neighbour_sum(spins, weights)`` sums each run's neighbour terms from
+    the (runs, degree) neighbour spins and the couplings."""
+    n = problem.vertex_count
+    gens = [make_generator(s) for s in child_sequences(params.seed, params.num_runs)]
+    spins = np.empty((params.num_runs, n), dtype=np.int8)
+    for i, g in enumerate(gens):
+        spins[i] = g.integers(0, 2, n).astype(np.int8) * 2 - 1
+
+    betas = params.beta_schedule.betas(params.sweeps)
+    uniforms = np.empty((params.num_runs, n), dtype=np.float64)
+    h_vec = problem._h_vec
+    nbr, nbr_w = problem._nbr, problem._nbr_w
+
+    for t in range(params.sweeps):
+        beta = betas[t]
+        for i, g in enumerate(gens):
+            uniforms[i] = g.random(n)
+        for a in range(n):
+            field = h_vec[a]
+            if nbr[a].size:
+                field = field + neighbour_sum(spins[:, nbr[a]].astype(np.float64), nbr_w[a])
+            delta = -2.0 * spins[:, a] * field
+            accept = uniforms[:, a] < np.exp(-beta * np.maximum(delta, 0.0))
+            spins[accept, a] *= -1
+    return spins
+
+
+def left_to_right(spins, weights):
+    terms = spins * weights
+    total = terms[:, 0]
+    for k in range(1, len(weights)):
+        total = total + terms[:, k]
+    return total
+
+
+def blas_dot(spins, weights):
+    """The sum as first written: a BLAS product, in the kernel's own order."""
+    return spins @ weights
+
+
+@st.composite
+def anneal_cases(draw):
+    """A problem on a tie-heavy, edgeless or full-size graph, with integer
+    or float coefficients, and annealing parameters for it."""
+    n, edges = draw(st.one_of(
+        graphs(),
+        st.integers(1, 12).map(lambda n: (n, [])),
+        st.sampled_from([(128, chimera_graph(ChimeraSpec(4, 4, 4))), (81, grid_graph(9, 9))]),
+    ))
+    integral = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def values(size):
+        if integral:
+            return rng.integers(-2, 3, size).astype(float)
+        return np.where(rng.random(size) < 0.2, 0.0, rng.uniform(-2.0, 2.0, size))
+
+    problem = IsingProblem(n, dict(enumerate(values(n))), dict(zip(edges, values(len(edges)))))
+    start = draw(st.floats(0.01, 5.0))
+    schedule = BetaSchedule(start, start * draw(st.floats(1.0, 20.0)),
+                            draw(st.sampled_from(["geometric", "linear"])))
+    params = SamplerParams(num_runs=draw(st.integers(1, 8)), seed=draw(st.integers(0, 2**32)),
+                           sweeps=draw(st.integers(1, 5)), beta_schedule=schedule)
+    return problem, params, integral
+
+
+@derandomized
+@given(anneal_cases())
+def test_level_anneal_matches_per_vertex_kernel(case):
+    """Updating a dependency level at once is the index-order sweep: the
+    same spins and energy bits as the per-vertex kernel, and, where every
+    sum is exact, as the kernel with its BLAS product."""
+    problem, params, integral = case
+    runset = simulated_anneal(problem, params)
+    expected = per_vertex_anneal(problem, params, left_to_right)
+    assert np.array_equal(runset.spins, expected)
+    assert same_bits(runset.energies(), problem.evaluate_many(expected))
+    if integral:
+        assert np.array_equal(runset.spins, per_vertex_anneal(problem, params, blas_dot))

@@ -1,5 +1,7 @@
 """Sampler determinism, chain correctness, and the enumeration oracle."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from isingpp import (
     complete_graph,
     exact_ground_state,
     gibbs_sample,
+    grid_graph,
     path_graph,
     random_problem,
     random_runs,
@@ -22,7 +25,8 @@ from isingpp import (
     single_flip_delta,
 )
 from isingpp.errors import InputError, ParameterError, SizeError
-from isingpp.samplers import Provenance
+from isingpp.harness import ExperimentConfig, problem_for
+from isingpp.samplers import Provenance, _sweep_levels
 
 from conftest import make_chimera_problem, oracle_ground
 
@@ -147,6 +151,55 @@ class TestSimulatedAnneal:
         assert rs.provenance.seed == 77
         assert rs.provenance.params["sweeps"] == 10
         assert rs.problem_id == problem.content_hash()
+
+    def test_pinned_output(self):
+        """Spins and energies of default problem 0 at 200 runs, pinned
+        before annealing went level by level; any change to the chain
+        changes the hash."""
+        problem = problem_for(ExperimentConfig(), 0)
+        rs = simulated_anneal(problem, SamplerParams(num_runs=200, seed=2024))
+        digest = hashlib.sha256(rs.spins_matrix().tobytes() + rs.energies().tobytes())
+        assert digest.hexdigest() == \
+            "8f35ca3515c77309648fefff3564fe380ba85ba8a2a71ebb5c6b189ecf1801f3"
+
+
+class TestSweepLevels:
+    @pytest.mark.parametrize("n, edges, count", [
+        (128, chimera_graph(ChimeraSpec(4, 4, 4)), 8),
+        (32, chimera_graph(ChimeraSpec(2, 2, 4)), 4),
+        (81, grid_graph(9, 9), 17),
+        (12, path_graph(12), 12),
+        (9, complete_graph(9), 9),
+        (10, [], 1),
+        (1, [], 1),
+    ])
+    def test_levels_order_the_sweep(self, n, edges, count):
+        """Each level is 1 + the largest among lower-indexed neighbours, so
+        every edge climbs from its lower to its higher end and none stays
+        inside a level; the level count is as stated."""
+        problem = IsingProblem(n, {}, {e: 1.0 for e in edges})
+        levels = _sweep_levels(problem)
+        assert len(levels) == count
+        level = np.full(n, -1)
+        for k, (V, _, _, _) in enumerate(levels):
+            assert V.tolist() == sorted(V.tolist())
+            level[V] = k
+        assert (level >= 0).all() and sum(len(V) for V, *_ in levels) == n
+        for a in range(n):
+            lower = [level[b] for b in problem.neighbors(a).tolist() if b < a]
+            assert level[a] == 1 + max(lower, default=-1)
+        for a, b in edges:
+            assert level[min(a, b)] < level[max(a, b)]
+
+    def test_tables_hold_neighbours_in_order(self):
+        problem = make_chimera_problem(seed=3, rows=2, cols=2)
+        for V, P, W, h in _sweep_levels(problem):
+            for j, v in enumerate(V.tolist()):
+                deg = len(problem._nbr[v])
+                assert P[:deg, j].tolist() == problem._nbr[v].tolist()
+                assert W[:deg, j, 0].tolist() == problem._nbr_w[v].tolist()
+                assert (W[deg:, j] == 0.0).all()
+                assert h[j, 0] == problem._h_vec[v]
 
 
 class TestGibbsSample:
