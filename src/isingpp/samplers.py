@@ -21,6 +21,7 @@ from .errors import InputError, ParameterError, SizeError
 from .rng import child_sequences, make_generator
 
 EXACT_VERTEX_CAP = 25
+_RUN_BLOCK = 256
 
 DEFAULT_SWEEPS = 100
 DEFAULT_BETA_START = 0.1
@@ -208,37 +209,53 @@ def simulated_anneal(problem: IsingProblem, params: SamplerParams,
     flip is accepted with probability min(1, exp(-beta dE)), uniform a of
     the sweep deciding.
 
-    All runs advance together, one dependency level of vertices at a time
-    (see ``_sweep_levels``). Vertices of one level share no edge, and each
-    reads this sweep's spins of its lower-indexed neighbours and last
-    sweep's spins of its higher-indexed ones, so updating a whole level at
-    once gives exactly the index-order sweep.
+    Up to ``_RUN_BLOCK`` runs advance together, one dependency level of
+    vertices at a time (see ``_sweep_levels``). Vertices of one level
+    share no edge, and each reads this sweep's spins of its lower-indexed
+    neighbours and last sweep's spins of its higher-indexed ones, so
+    updating a whole level at once gives exactly the index-order sweep.
+    A level costs about twenty numpy calls, whatever its size and width,
+    so paths and complete graphs, one vertex a level, pay that per vertex.
     """
     n = problem.vertex_count
     if n == 0:
         raise InputError("cannot sample a problem with no vertices")
+    levels = _sweep_levels(problem)
+    betas = params.beta_schedule.betas(params.sweeps)
     gens = [make_generator(s) for s in child_sequences(params.seed, params.num_runs)]
     spins = np.empty((params.num_runs, n), dtype=SPIN_DTYPE)
-    for i, g in enumerate(gens):
-        spins[i] = g.integers(0, 2, n).astype(SPIN_DTYPE) * 2 - 1
+    # Runs are independent chains; annealing them in blocks bounds the
+    # per-level temporaries to _RUN_BLOCK columns.
+    for lo in range(0, params.num_runs, _RUN_BLOCK):
+        spins[lo:lo + _RUN_BLOCK] = _anneal_block(levels, betas, gens[lo:lo + _RUN_BLOCK], n)
+    return _wrap_runs(problem, spins, "simulated_anneal", params.to_dict(),
+                      params.seed, problem_id)
 
-    levels = _sweep_levels(problem)
-    # Row a of state is vertex a, column i run i.
-    state = spins.T.copy()
-    uniforms = np.empty((params.num_runs, n), dtype=np.float64)
+
+def _anneal_block(levels, betas, gens, n):
+    """(runs, n) spins of one simulated_anneal chain per generator."""
+    runs = len(gens)
+    # Row a of state is vertex a, column i run i. The last column holds
+    # zero spins, which no flip changes; it keeps every row of a level's
+    # terms at two or more entries, and add.reduce over axis 0 sums such
+    # rows one after another, in the order of the sweep's neighbour sum.
+    state = np.zeros((n, runs + 1), dtype=SPIN_DTYPE)
+    for i, g in enumerate(gens):
+        state[:, i] = g.integers(0, 2, n).astype(SPIN_DTYPE) * 2 - 1
+    uniforms = np.ones((runs + 1, n), dtype=np.float64)
     # At a huge beta, beta * dE may overflow to inf; exp(-inf) = 0 is then
     # the right acceptance, so the overflow is not reported.
     with np.errstate(over="ignore"):
-        for beta in params.beta_schedule.betas(params.sweeps):
+        for beta in betas:
             for i, g in enumerate(gens):
                 g.random(n, out=uniforms[i])
             for V, P, W, h in levels:
-                # In place, x becomes the neighbour sum (added left to
-                # right), the field, dE, -beta * max(dE, 0) and then the
-                # acceptance probability.
-                x = state[P[0]] * W[0]
-                for k in range(1, len(P)):
-                    x += state[P[k]] * W[k]
+                # terms[k, j] holds coupling k of vertex V[j] times its
+                # neighbour's spin. In place, x becomes the field, dE,
+                # -beta * max(dE, 0) and then the acceptance probability.
+                terms = state[P].astype(np.float64)
+                terms *= W
+                x = np.add.reduce(terms, axis=0)
                 x += h
                 s = state[V]
                 x *= -2.0 * s
@@ -246,8 +263,7 @@ def simulated_anneal(problem: IsingProblem, params: SamplerParams,
                 x *= -beta
                 accept = uniforms.T[V] < np.exp(x, out=x)
                 state[V] = s * (1 - 2 * accept.view(np.int8))  # flip where accepted
-    return _wrap_runs(problem, state.T, "simulated_anneal", params.to_dict(),
-                      params.seed, problem_id)
+    return state[:, :runs].T
 
 
 def gibbs_sample(problem: IsingProblem, params: SamplerParams,

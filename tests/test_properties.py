@@ -8,6 +8,7 @@ import json
 import os
 import struct
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from isingpp import (
     save_runset,
     simulated_anneal,
 )
+from isingpp import samplers
 from isingpp.altpp import _eliminate, _min_degree
 from isingpp.errors import ParseError
 from isingpp.mqc import _merge_pairs, _pair_indices, reduce_configs
@@ -603,7 +605,7 @@ def anneal_cases(draw):
                             draw(st.sampled_from(["geometric", "linear"])))
     params = SamplerParams(num_runs=draw(st.integers(1, 8)), seed=draw(st.integers(0, 2**32)),
                            sweeps=draw(st.integers(1, 5)), beta_schedule=schedule)
-    return problem, params, integral
+    return problem, params, integral, draw(st.integers(1, 9))
 
 
 @derandomized
@@ -611,11 +613,53 @@ def anneal_cases(draw):
 def test_level_anneal_matches_per_vertex_kernel(case):
     """Updating a dependency level at once is the index-order sweep: the
     same spins and energy bits as the per-vertex kernel, and, where every
-    sum is exact, as the kernel with its BLAS product."""
-    problem, params, integral = case
-    runset = simulated_anneal(problem, params)
+    sum is exact, as the kernel with its BLAS product. Runs are annealed
+    in blocks of a drawn size, down to one run a block."""
+    problem, params, integral, block = case
+    with mock.patch.object(samplers, "_RUN_BLOCK", block):
+        runset = simulated_anneal(problem, params)
     expected = per_vertex_anneal(problem, params, left_to_right)
     assert np.array_equal(runset.spins, expected)
     assert same_bits(runset.energies(), problem.evaluate_many(expected))
     if integral:
         assert np.array_equal(runset.spins, per_vertex_anneal(problem, params, blas_dot))
+
+
+def test_anneal_blocks_match_per_vertex_kernel():
+    """More runs than one block: every block, the short last one too,
+    follows the specification."""
+    problem = IsingProblem(9, {a: 0.3 * a - 1.1 for a in range(9)},
+                           {e: 0.7 - 0.13 * i for i, e in enumerate(complete_graph(9))})
+    params = SamplerParams(num_runs=2 * samplers._RUN_BLOCK + 1, seed=5, sweeps=3)
+    expected = per_vertex_anneal(problem, params, left_to_right)
+    assert np.array_equal(simulated_anneal(problem, params).spins, expected)
+
+
+@pytest.mark.parametrize("sweeps", [1, 2])
+def test_one_run_sums_left_to_right(sweeps):
+    """One run, and vertex 8 alone in its level: its neighbours are held
+    at -1, so its neighbour terms are -1, -1e16, 0.25, 0.25, 0.25, 0.25,
+    1e16, 0.25. Left to right they sum to 0.25 and the vertex settles at
+    -1; summed pairwise they give 0 and it would flip every sweep."""
+    weights = [1.0, 1e16, -0.25, -0.25, -0.25, -0.25, -1e16, -0.25]
+    problem = IsingProblem(9, {**{a: 1e30 for a in range(8)}, 8: 0.0},
+                           {(a, 8): w for a, w in enumerate(weights)})
+    params = SamplerParams(num_runs=1, seed=0, sweeps=sweeps,
+                           beta_schedule=BetaSchedule(1e3, 1e3))
+    expected = per_vertex_anneal(problem, params, left_to_right)
+    assert np.array_equal(simulated_anneal(problem, params).spins, expected)
+
+
+@pytest.mark.parametrize("width", [3, 9, 40])
+@pytest.mark.parametrize("shape", [(1, 2), (2, 1), (3, 5)])
+def test_reduce_adds_rows_left_to_right(width, shape):
+    """simulated_anneal sums a level's neighbour terms with add.reduce
+    over axis 0 and relies on it adding whole rows one after another
+    whenever a row has two or more entries; terms of mixed magnitude make
+    any other order show in the bits."""
+    rng = np.random.default_rng(width)
+    terms = rng.standard_normal((width, *shape)) * 10.0 ** rng.integers(-8, 9, (width, *shape))
+    expected = terms[0]
+    for row in terms[1:]:
+        expected = expected + row
+    assert same_bits(np.add.reduce(terms, axis=0), expected)
