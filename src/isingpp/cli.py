@@ -15,25 +15,27 @@ import sys
 from .errors import ParameterError
 from .harness import (
     METHODS,
+    MODES,
     SAMPLERS,
+    TOPOLOGIES,
     ExperimentConfig,
     apply_method,
     bench_reduce,
+    default_topology,
     load_config,
     load_records,
+    problem_family,
     render_report,
     report_from_records,
     run_experiment,
     sampler_params,
     sensitivity_report,
-    topology_graph,
     write_report,
 )
 from .mqc import PairingStrategy
 from .rng import derive_seed
-from .samplers import Provenance, RunSet, random_runs
+from .samplers import INTERPOLATIONS, Provenance, RunSet, random_runs
 from .serialize import load_problem, load_runset, save_problem, save_runset, write_json
-from .topology import ProblemGenSpec, random_problem
 
 
 def _resolve_out(path):
@@ -41,58 +43,51 @@ def _resolve_out(path):
 
 
 def _add_topology_args(p):
-    p.add_argument("--topology", default="chimera",
-                   choices=["chimera", "complete", "path", "grid"])
-    p.add_argument("--rows", type=int, default=4)
-    p.add_argument("--cols", type=int, default=4)
-    p.add_argument("--shore", type=int, default=4)
+    default = default_topology()
+    p.add_argument("--topology", default=default["kind"], choices=list(TOPOLOGIES))
+    p.add_argument("--rows", type=int, default=default["rows"])
+    p.add_argument("--cols", type=int, default=default["cols"])
+    p.add_argument("--shore", type=int, default=default["shore"])
     p.add_argument("--n", type=int, default=16, help="vertex count for complete/path")
 
 
 def _topology_dict(args):
-    if args.topology == "chimera":
-        return {"kind": "chimera", "rows": args.rows, "cols": args.cols,
-                "shore": args.shore}
-    if args.topology == "grid":
-        return {"kind": "grid", "rows": args.rows, "cols": args.cols}
-    return {"kind": args.topology, "n": args.n}
+    keys, _ = TOPOLOGIES[args.topology]
+    return {"kind": args.topology, **{key: getattr(args, key) for key in keys}}
 
 
-def _add_sampler_args(p):
-    p.add_argument("--sweeps", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--beta-start", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--beta-end", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--interpolation", default=argparse.SUPPRESS,
-                   choices=["geometric", "linear"])
-    p.add_argument("--beta", type=float, default=argparse.SUPPRESS,
-                   help="fixed inverse temperature for sampling mode")
-    p.add_argument("--burn-in", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--thinning", type=int, default=argparse.SUPPRESS)
-
-
-# Sampler and post-processor flags, by argparse destination, and the
-# ExperimentConfig field each one sets; an absent flag keeps its default.
-_CONFIG_FLAGS = {
-    "sweeps": "sa_sweeps",
-    "beta_start": "sa_beta_start",
-    "beta_end": "sa_beta_end",
-    "interpolation": "sa_interpolation",
-    "beta": "gibbs_beta",
-    "burn_in": "gibbs_burn_in",
-    "thinning": "gibbs_thinning",
-    "width_cap": "width_cap",
-    "threshold": "persistence_threshold",
-    "rounds": "persistence_rounds",
-    "scales": "hpe_scales",
-    "levels": "hpe_levels",
+# Sampler flags (sample, pp) and post-processor flags (pp), by argparse
+# destination: the ExperimentConfig field each one sets and its argparse
+# settings. An absent flag keeps the field's default.
+_SAMPLER_FLAGS = {
+    "sweeps": ("sa_sweeps", {"type": int}),
+    "beta_start": ("sa_beta_start", {"type": float}),
+    "beta_end": ("sa_beta_end", {"type": float}),
+    "interpolation": ("sa_interpolation", {"choices": INTERPOLATIONS}),
+    "beta": ("gibbs_beta", {"type": float,
+                            "help": "fixed inverse temperature for sampling mode"}),
+    "burn_in": ("gibbs_burn_in", {"type": int}),
+    "thinning": ("gibbs_thinning", {"type": int}),
 }
+_METHOD_FLAGS = {
+    "width_cap": ("width_cap", {"type": int}),
+    "threshold": ("persistence_threshold", {"type": float}),
+    "rounds": ("persistence_rounds", {"type": int}),
+    "scales": ("hpe_scales", {"type": float, "nargs": "+"}),
+    "levels": ("hpe_levels", {"type": int}),
+}
+
+
+def _add_flags(p, flags):
+    for dest, (_, settings) in flags.items():
+        p.add_argument("--" + dest.replace("_", "-"), default=argparse.SUPPRESS, **settings)
 
 
 def _config(args, **fields):
     """An ExperimentConfig of ``fields`` plus the command's sampler and method flags."""
     return ExperimentConfig(**fields, **{
-        name: getattr(args, flag)
-        for flag, name in _CONFIG_FLAGS.items() if hasattr(args, flag)
+        name: getattr(args, dest)
+        for dest, (name, _) in (_SAMPLER_FLAGS | _METHOD_FLAGS).items() if hasattr(args, dest)
     })
 
 
@@ -101,13 +96,9 @@ def cmd_gen(args):
         raise ParameterError(f"--count must be non-negative, got {args.count}")
     out = _resolve_out(args.out)
     os.makedirs(out, exist_ok=True)
-    graph, n = topology_graph(_topology_dict(args))
+    draw = problem_family(_topology_dict(args), args.h_range, args.j_range)
     for index in range(args.count):
-        spec = ProblemGenSpec(
-            h_range=tuple(args.h_range), j_range=tuple(args.j_range),
-            seed=derive_seed(args.seed, "problem", index),
-        )
-        problem = random_problem(graph, spec, vertex_count=n)
+        problem = draw(derive_seed(args.seed, "problem", index))
         save_problem(problem, os.path.join(out, f"problem_{index:04d}.json"))
     print(f"wrote {args.count} problems to {out}")
     return 0
@@ -155,10 +146,9 @@ def cmd_compare(args):
 
 
 def cmd_bench(args):
-    graph, n = topology_graph(_topology_dict(args))
-    spec = ProblemGenSpec(h_range=(-2.0, 2.0), j_range=(-1.0, 1.0),
-                          seed=derive_seed(args.seed, "bench-problem"))
-    problem = random_problem(graph, spec, vertex_count=n)
+    defaults = ExperimentConfig()
+    draw = problem_family(_topology_dict(args), defaults.h_range, defaults.j_range)
+    problem = draw(derive_seed(args.seed, "bench-problem"))
     points = bench_reduce(problem, args.runs, args.seed, args.strategy, repeats=args.repeats)
     for pt in points:
         print(f"{pt['run_count']:>6} runs  {pt['seconds'] * 1e3:9.2f} ms")
@@ -171,9 +161,9 @@ def cmd_bench(args):
 def cmd_experiment(args):
     config = load_config(args.config) if args.config else ExperimentConfig()
     out = _resolve_out(args.out)
-    run_experiment(config, out)
+    records, _ = run_experiment(config, out)
     if args.sensitivity:
-        report = sensitivity_report(config, out)
+        report = sensitivity_report(config, out, records)
         print(f"strategy-differing instances: {len(report.differing)}")
     print(f"experiment outputs in {out}")
     return 0
@@ -184,23 +174,24 @@ def build_parser():
         prog="isingpp",
         description="Post-processing pipeline for Ising optimizer outputs",
     )
+    defaults = ExperimentConfig()
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate seeded random problems")
     _add_topology_args(p)
-    p.add_argument("--count", type=int, default=50)
-    p.add_argument("--seed", type=int, default=316)
-    p.add_argument("--h-range", type=float, nargs=2, default=[-2.0, 2.0])
-    p.add_argument("--j-range", type=float, nargs=2, default=[-1.0, 1.0])
+    p.add_argument("--count", type=int, default=defaults.problem_count)
+    p.add_argument("--seed", type=int, default=defaults.gen_seed)
+    p.add_argument("--h-range", type=float, nargs=2, default=list(defaults.h_range))
+    p.add_argument("--j-range", type=float, nargs=2, default=list(defaults.j_range))
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("sample", help="sample runs for one problem file")
     p.add_argument("--problem", required=True)
-    p.add_argument("--mode", default="raw", choices=["raw", "sampling", "random"])
+    p.add_argument("--mode", default=MODES[0], choices=[*MODES, "random"])
     p.add_argument("--runs", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    _add_sampler_args(p)
+    _add_flags(p, _SAMPLER_FLAGS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sample)
 
@@ -209,13 +200,9 @@ def build_parser():
     p.add_argument("--runs-file", required=True)
     p.add_argument("--method", required=True, choices=list(METHODS))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--width-cap", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--threshold", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--rounds", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--scales", type=float, nargs="+", default=argparse.SUPPRESS)
-    p.add_argument("--levels", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--resample-mode", default="raw", choices=["raw", "sampling"])
-    _add_sampler_args(p)
+    _add_flags(p, _METHOD_FLAGS)
+    p.add_argument("--resample-mode", default=MODES[0], choices=MODES)
+    _add_flags(p, _SAMPLER_FLAGS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_pp)
 

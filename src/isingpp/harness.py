@@ -11,6 +11,7 @@ so re-running a config reproduces identical files.
 
 from __future__ import annotations
 
+import itertools
 import json
 import numbers
 import os
@@ -20,7 +21,7 @@ from dataclasses import asdict, dataclass, field, fields
 from .altpp import (DEFAULT_PERSISTENCE_ROUNDS, DEFAULT_PERSISTENCE_THRESHOLD,
                     DEFAULT_WIDTH_CAP, builtin_opt_pp, sample_persistence)
 from .core import ENERGY_ATOL, IsingProblem
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, ParameterError
 from .hpe import DEFAULT_LEVELS, DEFAULT_SCALES, PrecisionModel, ScaleSet, hpe
 from .mqc import PairingStrategy, mqc_reduce
 from .rng import derive_seed
@@ -28,6 +29,7 @@ from .samplers import (
     DEFAULT_BETA_END,
     DEFAULT_BETA_START,
     DEFAULT_BURN_IN,
+    DEFAULT_INTERPOLATION,
     DEFAULT_SWEEPS,
     DEFAULT_THINNING,
     BetaSchedule,
@@ -47,16 +49,15 @@ from .topology import (
     random_problem,
 )
 
-MODES = ("raw", "sampling")
-METHODS = (
-    "mqc_sequential", "mqc_rank", "mqc_maxdiff",
-    "builtin_pp", "sample_persistence", "hpe",
-)
+# The sampler of each mode: annealing for raw, Gibbs for sampling.
+SAMPLERS = {"raw": simulated_anneal, "sampling": gibbs_sample}
+MODES = tuple(SAMPLERS)
 _MQC_STRATEGY = {
     "mqc_sequential": PairingStrategy.SEQUENTIAL,
     "mqc_rank": PairingStrategy.RANK_ORDER,
     "mqc_maxdiff": PairingStrategy.MAX_DIFFERENCE,
 }
+METHODS = (*_MQC_STRATEGY, "builtin_pp", "sample_persistence", "hpe")
 
 
 # Element type of each sequence field of ExperimentConfig.
@@ -64,12 +65,20 @@ _SEQUENCE_ITEMS = {
     "h_range": "float", "j_range": "float", "run_counts": "int",
     "modes": "str", "methods": "str", "hpe_scales": "float",
 }
-# Integer parameters of each topology kind.
-_TOPOLOGY_KEYS = {
-    "chimera": ("rows", "cols", "shore"),
-    "complete": ("n",),
-    "path": ("n",),
-    "grid": ("rows", "cols"),
+
+
+def _chimera(rows, cols, shore):
+    spec = ChimeraSpec(rows, cols, shore)
+    return chimera_graph(spec), spec.vertex_count
+
+
+# Each topology kind's integer parameters, and the builder that takes
+# them, in that order, and returns (edge list, vertex count).
+TOPOLOGIES = {
+    "chimera": (("rows", "cols", "shore"), _chimera),
+    "complete": (("n",), lambda n: (complete_graph(n), n)),
+    "path": (("n",), lambda n: (path_graph(n), n)),
+    "grid": (("rows", "cols"), lambda rows, cols: (grid_graph(rows, cols), rows * cols)),
 }
 
 
@@ -98,13 +107,13 @@ class ExperimentConfig:
     h_range: tuple = (-2.0, 2.0)
     j_range: tuple = (-1.0, 1.0)
     run_counts: tuple = (200, 400)
-    modes: tuple = ("raw", "sampling")
-    methods: tuple = ("mqc_sequential", "mqc_rank", "mqc_maxdiff", "builtin_pp")
+    modes: tuple = MODES
+    methods: tuple = (*_MQC_STRATEGY, "builtin_pp")
     master_seed: int = 2024
     sa_sweeps: int = DEFAULT_SWEEPS
     sa_beta_start: float = DEFAULT_BETA_START
     sa_beta_end: float = DEFAULT_BETA_END
-    sa_interpolation: str = "geometric"
+    sa_interpolation: str = DEFAULT_INTERPOLATION
     gibbs_beta: float = 1.0
     gibbs_burn_in: int = DEFAULT_BURN_IN
     gibbs_thinning: int = DEFAULT_THINNING
@@ -194,40 +203,31 @@ def load_config(path) -> ExperimentConfig:
 def topology_graph(topology: dict):
     """Edge list and vertex count for a topology description."""
     kind = topology.get("kind")
-    if kind not in _TOPOLOGY_KEYS:
+    if kind not in TOPOLOGIES:
         raise ConfigError(f"unknown topology kind {kind!r}")
-    for key in _TOPOLOGY_KEYS[kind]:
+    keys, build = TOPOLOGIES[kind]
+    for key in keys:
         if not _is_type(topology.get(key), "int"):
             raise ConfigError(
                 f"topology {kind!r} needs an integer {key!r}, got {topology.get(key)!r}"
             )
-    if kind == "chimera":
-        spec = ChimeraSpec(topology["rows"], topology["cols"], topology["shore"])
-        return chimera_graph(spec), spec.vertex_count
-    if kind == "complete":
-        n = topology["n"]
-        return complete_graph(n), n
-    if kind == "grid":
-        rows, cols = topology["rows"], topology["cols"]
-        return grid_graph(rows, cols), rows * cols
-    n = topology["n"]
-    return path_graph(n), n
+    return build(*(topology[key] for key in keys))
+
+
+def problem_family(topology: dict, h_range, j_range):
+    """The function from a seed to the random problem on ``topology``
+    whose fields and couplings are uniform in ``h_range`` and ``j_range``."""
+    graph, n = topology_graph(topology)
+    return lambda seed: random_problem(graph, ProblemGenSpec(h_range, j_range, seed),
+                                       vertex_count=n)
 
 
 def problem_for(config: ExperimentConfig, index: int) -> IsingProblem:
     """Problem ``index`` of the configured family."""
     if not (0 <= index < config.problem_count):
         raise ConfigError(f"problem index {index} outside 0..{config.problem_count - 1}")
-    graph, n = topology_graph(config.topology)
-    spec = ProblemGenSpec(
-        h_range=config.h_range,
-        j_range=config.j_range,
-        seed=derive_seed(config.gen_seed, "problem", index),
-    )
-    return random_problem(graph, spec, vertex_count=n)
-
-
-SAMPLERS = {"raw": simulated_anneal, "sampling": gibbs_sample}
+    draw = problem_family(config.topology, config.h_range, config.j_range)
+    return draw(derive_seed(config.gen_seed, "problem", index))
 
 
 def sampler_params(config: ExperimentConfig, mode: str, num_runs: int, seed: int):
@@ -301,25 +301,27 @@ def apply_method(config: ExperimentConfig, problem: IsingProblem, runset,
     raise ConfigError(f"unknown method {method!r}")
 
 
-def _cells(config: ExperimentConfig):
-    """(index, run count, mode, problem, run set) for every sweep cell, in order."""
-    for index in range(config.problem_count):
-        problem = problem_for(config, index)
-        for num_runs in config.run_counts:
-            for mode in config.modes:
-                yield (index, num_runs, mode, problem,
-                       mode_runset(config, problem, index, mode, num_runs))
-
-
 def _sweep(config: ExperimentConfig, methods):
     """One record per cell and method, in sweep order: the cell, the best
-    input energy and the method's record fields."""
-    for index, num_runs, mode, problem, runset in _cells(config):
-        best_input = float(runset.energies().min())
-        for method in methods:
-            *_, fields = apply_method(config, problem, runset, method, mode, index)
-            yield {"problem": index, "problem_id": runset.problem_id, "run_count": num_runs,
-                   "mode": mode, "method": method, "best_input": best_input, **fields}
+    input energy and the method's record fields.
+
+    Every listed mode's sampler settings are checked before the first cell.
+    """
+    for mode in config.modes:
+        try:
+            sampler_params(config, mode, 1, 0)
+        except ParameterError as e:
+            raise ConfigError(f"sampler settings of mode {mode!r}: {e}") from e
+    for index in range(config.problem_count):
+        problem = problem_for(config, index)
+        for num_runs, mode in itertools.product(config.run_counts, config.modes):
+            runset = mode_runset(config, problem, index, mode, num_runs)
+            best_input = float(runset.energies().min())
+            for method in methods:
+                *_, fields = apply_method(config, problem, runset, method, mode, index)
+                yield {"problem": index, "problem_id": runset.problem_id,
+                       "run_count": num_runs, "mode": mode, "method": method,
+                       "best_input": best_input, **fields}
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None):
@@ -491,17 +493,24 @@ class SensitivityReport:
         return asdict(self)
 
 
-def sensitivity_report(config: ExperimentConfig, out_dir=None) -> SensitivityReport:
+def sensitivity_report(config: ExperimentConfig, out_dir=None,
+                       records=None) -> SensitivityReport:
     """Reduce identical run sets under all three pairing strategies.
 
     Flags every (problem, run count, mode) cell whose three final
-    energies are not all equal within tolerance.
+    energies are not all equal within tolerance. ``records`` may be
+    ``run_experiment(config)``'s; when the config lists all three MQC
+    methods, the report is built from them instead of a sweep of its own.
     """
     strategies = tuple(_MQC_STRATEGY)
-    records = [{key: rec[key] for key in ("problem", "run_count", "mode", "method",
-                                          "energy", "best_input")}
-               for rec in _sweep(config, strategies)]
-    cells = [records[k:k + len(strategies)] for k in range(0, len(records), len(strategies))]
+    if records is None or not set(strategies) <= set(config.methods):
+        records = _sweep(config, strategies)
+    keys = ("problem", "run_count", "mode", "method", "energy", "best_input")
+    records = [{key: rec[key] for key in keys} for rec in records if rec["method"] in strategies]
+    # Each cell's records, in strategy order.
+    cells = [sorted(records[k:k + 3], key=lambda rec: strategies.index(rec["method"]))
+             for k in range(0, len(records), 3)]
+    records = [rec for cell in cells for rec in cell]
     differing = [(cell[0]["problem"], cell[0]["run_count"], cell[0]["mode"]) for cell in cells
                  if max(r["energy"] for r in cell) - min(r["energy"] for r in cell) > ENERGY_ATOL]
     rows = comparison_rows(records, config.run_counts, config.modes, strategies,

@@ -28,6 +28,9 @@ DEFAULT_BETA_START = 0.1
 DEFAULT_BETA_END = 5.0
 DEFAULT_BURN_IN = 1000
 DEFAULT_THINNING = 10
+# The beta spacing of each annealing interpolation.
+INTERPOLATIONS = {"geometric": np.geomspace, "linear": np.linspace}
+DEFAULT_INTERPOLATION = "geometric"
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,20 +39,18 @@ class BetaSchedule:
 
     start: float
     end: float
-    interpolation: str = "geometric"
+    interpolation: str = DEFAULT_INTERPOLATION
 
     def __post_init__(self):
         if not (0 < self.start <= self.end):
             raise ParameterError(
                 f"need 0 < start <= end, got start={self.start}, end={self.end}"
             )
-        if self.interpolation not in ("geometric", "linear"):
+        if self.interpolation not in INTERPOLATIONS:
             raise ParameterError(f"unknown interpolation {self.interpolation!r}")
 
     def betas(self, sweeps: int) -> np.ndarray:
-        if self.interpolation == "geometric":
-            return np.geomspace(self.start, self.end, sweeps)
-        return np.linspace(self.start, self.end, sweeps)
+        return INTERPOLATIONS[self.interpolation](self.start, self.end, sweeps)
 
 
 @dataclass(frozen=True, slots=True)

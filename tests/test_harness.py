@@ -20,6 +20,7 @@ from isingpp import (
     sensitivity_report,
     single_flip_delta,
 )
+from isingpp import harness
 from isingpp.cli import _config, build_parser, main
 from isingpp.errors import ConfigError, InputError
 from isingpp.harness import (
@@ -34,7 +35,9 @@ from isingpp.harness import (
     sampler_params,
     topology_graph,
 )
-from isingpp.topology import ChimeraSpec, chimera_graph
+from isingpp.rng import derive_seed
+from isingpp.serialize import save_problem
+from isingpp.topology import ChimeraSpec, ProblemGenSpec, chimera_graph, random_problem
 
 from conftest import oracle_energy
 
@@ -66,6 +69,22 @@ def tiny_config(**overrides):
 def file_hash(path):
     with open(path, "rb") as f:
         return hashlib.sha256(f.read()).hexdigest()
+
+
+def count_sampler_calls(monkeypatch):
+    """Route the harness's samplers through wrappers; returns the list of
+    modes they are called with, one entry a call."""
+    calls = []
+
+    def counted(mode, sampler):
+        def sample(*args, **kwargs):
+            calls.append(mode)
+            return sampler(*args, **kwargs)
+        return sample
+
+    monkeypatch.setattr(harness, "SAMPLERS", {
+        mode: counted(mode, sampler) for mode, sampler in harness.SAMPLERS.items()})
+    return calls
 
 
 # -- configuration ------------------------------------------------------
@@ -217,8 +236,9 @@ def test_topology_graph_families(topology, vertices, edges):
 
 
 def test_topology_graph_rejects_unknown_kind():
-    with pytest.raises(ConfigError, match="torus"):
+    with pytest.raises(ConfigError, match="torus") as e:
         topology_graph({"kind": "torus", "n": 8})
+    assert str(e.value) == "unknown topology kind 'torus'"
 
 
 @pytest.mark.parametrize(
@@ -232,8 +252,32 @@ def test_topology_graph_rejects_unknown_kind():
     ],
 )
 def test_topology_graph_rejects_missing_or_non_integer_keys(topology, key):
-    with pytest.raises(ConfigError, match=key):
+    with pytest.raises(ConfigError, match=key) as e:
         topology_graph(topology)
+    name = key.strip("'")
+    assert str(e.value) == (f"topology {topology['kind']!r} needs an integer {name!r}, "
+                            f"got {topology.get(name)!r}")
+
+
+@pytest.mark.parametrize("topology", [
+    {"kind": "chimera", "rows": 1, "cols": 2, "shore": 3},
+    {"kind": "complete", "n": 5},
+    {"kind": "path", "n": 6},
+    {"kind": "grid", "rows": 2, "cols": 3},
+])
+def test_cli_gen_writes_the_problems_of_problem_for(tmp_path, topology):
+    config = ExperimentConfig(topology=topology, problem_count=2, gen_seed=9,
+                              h_range=(-1.0, 3.0), j_range=(-0.5, 0.5))
+    sizes = [arg for key, value in topology.items() if key != "kind"
+             for arg in (f"--{key}", str(value))]
+    out = tmp_path / "problems"
+    assert main(["gen", "--topology", topology["kind"], *sizes, "--count", "2",
+                 "--seed", "9", "--h-range", "-1", "3", "--j-range", "-0.5", "0.5",
+                 "--out", str(out)]) == 0
+    for index in range(2):
+        save_problem(problem_for(config, index), tmp_path / "expected.json")
+        assert (file_hash(out / f"problem_{index:04d}.json")
+                == file_hash(tmp_path / "expected.json"))
 
 
 def test_problem_family_is_seeded_and_distinct():
@@ -466,6 +510,37 @@ def test_sensitivity_report_is_deterministic():
     assert first.to_dict() == second.to_dict()
 
 
+def splitting_config(methods):
+    """Two Chimera problems whose second splits the pairing strategies in
+    sampling mode (see the pinned instance above)."""
+    return ExperimentConfig(
+        topology={"kind": "chimera", "rows": 2, "cols": 2, "shore": 4},
+        problem_count=2, run_counts=(32,), modes=("raw", "sampling"), methods=methods,
+        sa_sweeps=30, gibbs_burn_in=200, gibbs_thinning=2,
+    )
+
+
+@pytest.mark.parametrize("methods", [
+    ("mqc_sequential", "mqc_rank", "mqc_maxdiff", "builtin_pp"),
+    ("mqc_maxdiff", "builtin_pp", "mqc_sequential", "mqc_rank"),
+    ("mqc_sequential", "builtin_pp"),
+])
+def test_sensitivity_report_from_experiment_records_matches_own_sweep(
+        tmp_path, monkeypatch, methods):
+    config = splitting_config(methods)
+    records, _ = run_experiment(config)
+    own = sensitivity_report(config, tmp_path / "own")
+    assert own.differing == ((1, 32, "sampling"),)
+    calls = count_sampler_calls(monkeypatch)
+    sensitivity_report(config, tmp_path / "given", records)
+    # With all three strategies listed the records are reused; otherwise
+    # the report samples every cell in a sweep of its own.
+    reused = {"mqc_sequential", "mqc_rank", "mqc_maxdiff"} <= set(methods)
+    assert calls == ([] if reused else ["raw", "sampling"] * 2)
+    for name in ("sensitivity.json", "sensitivity.txt"):
+        assert file_hash(tmp_path / "own" / name) == file_hash(tmp_path / "given" / name)
+
+
 # -- benchmark helper ----------------------------------------------------
 
 
@@ -648,6 +723,8 @@ def test_cli_pp_checks_only_the_chosen_method(tmp_path, capsys):
             "--width-cap", "0"]
     assert main(args + ["--method", "mqc_sequential",
                         "--out", str(tmp_path / "mqc.json")]) == 0
+    assert main(args + ["--method", "mqc_sequential", "--sweeps", "0",
+                        "--out", str(tmp_path / "mqc.json")]) == 0
     capsys.readouterr()
     assert main(args + ["--method", "builtin_pp",
                         "--out", str(tmp_path / "builtin.json")]) == 2
@@ -780,6 +857,37 @@ def test_cli_experiment_sensitivity_flag_adds_tables(tmp_path, capsys):
     assert "strategy-differing instances" in capsys.readouterr().out
 
 
+def test_cli_experiment_sensitivity_samples_each_cell_once(tmp_path, monkeypatch):
+    config = tiny_config(methods=("mqc_maxdiff", "builtin_pp", "mqc_sequential", "mqc_rank"))
+    config_path = write_config(tmp_path, methods=config.methods)
+    calls = count_sampler_calls(monkeypatch)
+    assert main(["experiment", "--config", str(config_path), "--out", str(tmp_path / "exp"),
+                 "--sensitivity"]) == 0
+    assert calls == list(config.modes) * (config.problem_count * len(config.run_counts))
+
+
+@pytest.mark.parametrize("fields, mode", [
+    ({"sa_sweeps": 0}, "raw"),
+    ({"sa_beta_start": 5.0, "sa_beta_end": 0.1}, "raw"),
+    ({"sa_interpolation": "cubic"}, "raw"),
+    ({"gibbs_beta": 0.0}, "sampling"),
+    ({"gibbs_thinning": 0}, "sampling"),
+    ({"gibbs_burn_in": -1}, "sampling"),
+])
+def test_cli_experiment_rejects_bad_sampler_settings_before_sampling(
+        tmp_path, capsys, monkeypatch, fields, mode):
+    config_path = write_config(tmp_path, modes=("sampling", "raw"), **fields)
+    calls = count_sampler_calls(monkeypatch)
+    out = tmp_path / "exp"
+    assert main(["experiment", "--config", str(config_path), "--out", str(out),
+                 "--sensitivity"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"mode {mode!r}" in err
+    assert err.count("\n") == 1
+    assert calls == []
+    assert not out.exists()
+
+
 def test_cli_experiment_unknown_config_field_exits(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"problem_count": 2, "jitter": 1}),
@@ -877,6 +985,22 @@ def test_cli_bench_passes_strategy_through(tmp_path, capsys, monkeypatch):
         assert main(base + ["--strategy", strategy]) == 0
     assert seen == ["sequential", "sequential", "rank_order", "max_difference"]
     assert capsys.readouterr().out == "     4 runs       1.00 ms\n" * 4
+
+
+def test_cli_bench_times_its_seeded_default_range_problem(monkeypatch):
+    seen = []
+
+    def fake_bench_reduce(problem, run_counts, seed, strategy, repeats):
+        seen.append(problem)
+        return []
+
+    monkeypatch.setattr("isingpp.cli.bench_reduce", fake_bench_reduce)
+    assert main(["bench", "--topology", "grid", "--rows", "2", "--cols", "3",
+                 "--seed", "5", "--runs", "4"]) == 0
+    graph = [(0, 1), (0, 3), (1, 2), (1, 4), (2, 5), (3, 4), (4, 5)]
+    expected = random_problem(graph, ProblemGenSpec(
+        (-2.0, 2.0), (-1.0, 1.0), derive_seed(5, "bench-problem")), vertex_count=6)
+    assert (seen[0].h, seen[0].J) == (expected.h, expected.J)
 
 
 def test_cli_bench_max_difference_reports_timings(tmp_path, capsys):

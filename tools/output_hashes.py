@@ -9,9 +9,16 @@ OUT_DIR must not exist yet. The script runs, in process, through
 
 * ``experiment --sensitivity`` on the default config cut to 2 problems,
   with all six methods, into ``OUT_DIR/experiment``;
+* ``experiment --sensitivity`` on a small path-graph config that lists
+  one pairing strategy only, so the sensitivity tables come from their
+  own sweep, into ``OUT_DIR/experiment_one_strategy``;
 * ``gen`` of one default problem, ``sample`` of it in modes raw, sampling
   and random, and ``pp`` of each runs file with every method, into
-  ``OUT_DIR/pipeline``.
+  ``OUT_DIR/pipeline``;
+* ``gen`` of two problems of each topology kind at its default sizes,
+  into ``OUT_DIR/gen/<kind>``;
+* the ``--help`` text of the program and of each subcommand, into
+  ``OUT_DIR/help`` (formatted for 80 columns).
 
 It then prints one ``sha256  path`` line per file, sorted by path
 relative to OUT_DIR. Run it once with the ``src`` of each of two
@@ -23,6 +30,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import io
 import json
 import os
 import sys
@@ -31,6 +39,14 @@ from isingpp.cli import main
 from isingpp.harness import METHODS, ExperimentConfig
 
 MODES = ("raw", "sampling", "random")
+TOPOLOGY_KINDS = ("chimera", "complete", "path", "grid")
+COMMANDS = ("gen", "sample", "pp", "compare", "bench", "experiment")
+# Criterion 10's config: mqc_sequential is its only pairing strategy.
+ONE_STRATEGY = {
+    "topology": {"kind": "path", "n": 8}, "problem_count": 4, "run_counts": [4],
+    "modes": ["raw", "sampling"], "methods": ["mqc_sequential", "builtin_pp"],
+    "sa_sweeps": 15, "gibbs_burn_in": 30, "gibbs_thinning": 1,
+}
 
 
 def _run(*argv):
@@ -38,14 +54,17 @@ def _run(*argv):
         raise SystemExit(f"isingpp {' '.join(argv)} failed")
 
 
-def run_pipeline(out):
-    experiment = os.path.join(out, "experiment")
-    os.makedirs(experiment)
-    config = ExperimentConfig(problem_count=2, methods=METHODS).to_dict()
-    config_path = os.path.join(out, "config.json")
+def _experiment(out, name, config):
+    config_path = os.path.join(out, f"{name}.json")
     with open(config_path, "w", encoding="utf-8") as f:
         json.dump(config, f)
-    _run("experiment", "--config", config_path, "--out", experiment, "--sensitivity")
+    _run("experiment", "--config", config_path, "--out", os.path.join(out, name),
+         "--sensitivity")
+
+
+def run_pipeline(out):
+    _experiment(out, "experiment", ExperimentConfig(problem_count=2, methods=METHODS).to_dict())
+    _experiment(out, "experiment_one_strategy", ONE_STRATEGY)
 
     pipeline = os.path.join(out, "pipeline")
     _run("gen", "--count", "1", "--out", pipeline)
@@ -56,6 +75,18 @@ def run_pipeline(out):
         for method in METHODS:
             _run("pp", "--problem", problem, "--runs-file", runs, "--method", method,
                  "--seed", "11", "--out", os.path.join(pipeline, f"pp_{mode}_{method}.json"))
+
+    for kind in TOPOLOGY_KINDS:
+        _run("gen", "--topology", kind, "--count", "2", "--out", os.path.join(out, "gen", kind))
+
+    os.makedirs(os.path.join(out, "help"))
+    for command in ("", *COMMANDS):
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text), contextlib.suppress(SystemExit):
+            main([command, "--help"] if command else ["--help"])
+        with open(os.path.join(out, "help", f"{command or 'isingpp'}.txt"), "w",
+                  encoding="utf-8") as f:
+            f.write(text.getvalue())
 
 
 def hash_lines(out):
@@ -77,6 +108,8 @@ def cli(argv):
         raise SystemExit(f"{out} exists; give a new directory")
     # ISINGPP_OUT would redirect every output of the runs above.
     os.environ.pop("ISINGPP_OUT", None)
+    # argparse wraps help text to the terminal width it reads from COLUMNS.
+    os.environ["COLUMNS"] = "80"
     os.makedirs(out)
     # The commands' own messages would mix with the listing.
     with contextlib.redirect_stdout(sys.stderr):
