@@ -31,8 +31,11 @@ from .samplers import (
     SamplerParams,
     exact_ground_state,
     gibbs_sample,
+    gibbs_sample_many,
     random_runs,
+    sample_many,
     simulated_anneal,
+    simulated_anneal_many,
 )
 from .mqc import (
     PairingStrategy,

@@ -11,6 +11,7 @@ so re-running a config reproduces identical files.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import numbers
@@ -36,12 +37,14 @@ from .samplers import (
     SamplerParams,
     gibbs_sample,
     random_runs,
+    sample_many,
     simulated_anneal,
 )
 from .serialize import is_finite_number, write_json
 from .topology import (
     ChimeraSpec,
     ProblemGenSpec,
+    check_span,
     chimera_graph,
     complete_graph,
     grid_graph,
@@ -58,6 +61,11 @@ _MQC_STRATEGY = {
     "mqc_maxdiff": PairingStrategy.MAX_DIFFERENCE,
 }
 METHODS = (*_MQC_STRATEGY, "builtin_pp", "sample_persistence", "hpe")
+# Problems whose cells of one run count and mode are sampled in one call;
+# their run sets are held until the block's records are out.
+_PROBLEM_BLOCK = 16
+# Time bench_reduce spends on each run count in each of its rounds.
+_BENCH_ROUND_SECONDS = 0.2
 
 
 # Element type of each sequence field of ExperimentConfig.
@@ -138,6 +146,13 @@ class ExperimentConfig:
             object.__setattr__(self, name, tuple(map(convert, getattr(self, name))))
         if self.problem_count < 1:
             raise ConfigError(f"problem_count must be positive, got {self.problem_count}")
+        for name in ("h_range", "j_range"):
+            if len(getattr(self, name)) != 2:
+                raise ConfigError(f"{name} must hold two numbers, got {getattr(self, name)}")
+            try:
+                check_span(name, *getattr(self, name))
+            except ParameterError as e:
+                raise ConfigError(str(e)) from e
         if not self.run_counts or any(n < 1 for n in self.run_counts):
             raise ConfigError(f"run_counts must be positive, got {self.run_counts}")
         if not self.modes or any(m not in MODES for m in self.modes):
@@ -203,7 +218,7 @@ def load_config(path) -> ExperimentConfig:
 def topology_graph(topology: dict):
     """Edge list and vertex count for a topology description."""
     kind = topology.get("kind")
-    if kind not in TOPOLOGIES:
+    if not isinstance(kind, str) or kind not in TOPOLOGIES:
         raise ConfigError(f"unknown topology kind {kind!r}")
     keys, build = TOPOLOGIES[kind]
     for key in keys:
@@ -249,11 +264,17 @@ def sampler_params(config: ExperimentConfig, mode: str, num_runs: int, seed: int
 def mode_runset(config: ExperimentConfig, problem: IsingProblem, index: int,
                 mode: str, num_runs: int):
     """The run set a (problem, mode, run count) cell starts from."""
+    return mode_runsets(config, [problem], [index], mode, num_runs)[0]
+
+
+def mode_runsets(config: ExperimentConfig, problems, indices, mode: str, num_runs: int):
+    """``mode_runset`` of each problem and its index, sampled in one call."""
     if mode not in SAMPLERS:
         raise ConfigError(f"unknown mode {mode!r}")
-    seed = derive_seed(config.master_seed, "sample", mode, num_runs, index)
-    return SAMPLERS[mode](problem, sampler_params(config, mode, num_runs, seed),
-                          problem_id=f"p{index:04d}")
+    return sample_many(SAMPLERS[mode], [
+        (problem, sampler_params(config, mode, num_runs, derive_seed(
+            config.master_seed, "sample", mode, num_runs, index)), f"p{index:04d}")
+        for problem, index in zip(problems, indices)])
 
 
 def apply_method(config: ExperimentConfig, problem: IsingProblem, runset,
@@ -306,22 +327,29 @@ def _sweep(config: ExperimentConfig, methods):
     input energy and the method's record fields.
 
     Every listed mode's sampler settings are checked before the first cell.
+    The cells of up to ``_PROBLEM_BLOCK`` problems that share a run count
+    and mode are sampled in one call.
     """
     for mode in config.modes:
         try:
             sampler_params(config, mode, 1, 0)
         except ParameterError as e:
             raise ConfigError(f"sampler settings of mode {mode!r}: {e}") from e
-    for index in range(config.problem_count):
-        problem = problem_for(config, index)
-        for num_runs, mode in itertools.product(config.run_counts, config.modes):
-            runset = mode_runset(config, problem, index, mode, num_runs)
-            best_input = float(runset.energies().min())
-            for method in methods:
-                *_, fields = apply_method(config, problem, runset, method, mode, index)
-                yield {"problem": index, "problem_id": runset.problem_id,
-                       "run_count": num_runs, "mode": mode, "method": method,
-                       "best_input": best_input, **fields}
+    cells = list(itertools.product(config.run_counts, config.modes))
+    for lo in range(0, config.problem_count, _PROBLEM_BLOCK):
+        indices = range(lo, min(lo + _PROBLEM_BLOCK, config.problem_count))
+        problems = [problem_for(config, index) for index in indices]
+        runsets = [mode_runsets(config, problems, indices, mode, num_runs)
+                   for num_runs, mode in cells]
+        for k, (index, problem) in enumerate(zip(indices, problems)):
+            for (num_runs, mode), block in zip(cells, runsets):
+                runset = block[k]
+                best_input = float(runset.energies().min())
+                for method in methods:
+                    *_, fields = apply_method(config, problem, runset, method, mode, index)
+                    yield {"problem": index, "problem_id": runset.problem_id,
+                           "run_count": num_runs, "mode": mode, "method": method,
+                           "best_input": best_input, **fields}
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None):
@@ -528,19 +556,36 @@ def sensitivity_report(config: ExperimentConfig, out_dir=None,
 def bench_reduce(problem: IsingProblem, run_counts, seed: int,
                  strategy: PairingStrategy = PairingStrategy.SEQUENTIAL,
                  repeats: int = 3):
-    """Wall time of mqc_reduce per run count, best of ``repeats``.
+    """Wall time of one mqc_reduce call per run count: the fastest call.
 
-    Run generation is excluded from the timed region. Each repeat times
-    every run count once, so a drift in machine speed hits all run counts
-    alike rather than only the ones timed last.
+    Run generation is excluded from the timed region. Each of ``repeats``
+    rounds calls mqc_reduce on the run counts in turn, one call each,
+    until every run count has spent ``_BENCH_ROUND_SECONDS``, as
+    ``timeit.Timer.autorange`` runs a statement until a minimum time has
+    passed. So a drift in machine speed hits all run counts alike, and a
+    run count of a few milliseconds gets as many chances at an undisturbed
+    call as one of a tenth of a second. As in ``timeit``, the garbage
+    collector is off while timing: collections of the long-lived objects
+    of the calling process would land in some calls and not others.
     """
     if repeats < 1:
         raise ConfigError(f"repeats must be positive, got {repeats}")
     runsets = [random_runs(problem, n, derive_seed(seed, "bench", n)) for n in run_counts]
     best = [float("inf")] * len(runsets)
-    for _ in range(repeats):
-        for k, runset in enumerate(runsets):
-            start = time.perf_counter()
-            mqc_reduce(problem, runset, strategy)
-            best[k] = min(best[k], time.perf_counter() - start)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(repeats):
+            spent = [0.0] * len(runsets)
+            while min(spent) < _BENCH_ROUND_SECONDS:
+                for k, runset in enumerate(runsets):
+                    if spent[k] < _BENCH_ROUND_SECONDS:
+                        start = time.perf_counter()
+                        mqc_reduce(problem, runset, strategy)
+                        seconds = time.perf_counter() - start
+                        spent[k] += seconds
+                        best[k] = min(best[k], seconds)
+    finally:
+        if collecting:
+            gc.enable()
     return [{"run_count": n, "seconds": t} for n, t in zip(run_counts, best)]

@@ -3,7 +3,7 @@
 Hardware exposes only a few discrete coefficient levels inside fixed
 ranges. To recover precision, the problem is multiplied by several scale
 factors, each scaled copy is clipped and snapped to the grid, and every
-copy is sampled separately. Scaling up preserves the spin-spin structure
+copy is sampled. Scaling up preserves the spin-spin structure
 of the large coefficients while pushing fine detail above the grid's
 resolution; clipping sacrifices the largest terms instead. Merging runs
 across scales with full-precision tunnel arithmetic then combines the
@@ -22,7 +22,7 @@ from .core import IsingProblem
 from .errors import InputError, ParameterError
 from .mqc import PairingStrategy, _reduce_levels, mqc_reduce
 from .rng import derive_seed
-from .samplers import RunSet, SamplerParams, simulated_anneal
+from .samplers import RunSet, SamplerParams, sample_many, simulated_anneal
 
 DEFAULT_SCALES = (1.0, 2.0, 4.0, 8.0)
 DEFAULT_LEVELS = 17
@@ -161,17 +161,15 @@ def hpe(problem: IsingProblem, scaleset: ScaleSet, model: PrecisionModel,
 
     Scale index k samples with a sub-seed derived from (params.seed,
     "hpe_scale", k), so the whole procedure is reproducible from one
-    seed. Returns (final configuration, HpeReport); the configuration's
+    seed. The copies keep every edge, a coupling snapped to 0.0 too, so
+    they share the problem's graph and ``sample_many`` samples them in one
+    call. Returns (final configuration, HpeReport); the configuration's
     energy is computed against the unscaled, unquantized problem.
     """
-    runsets = []
-    for k, factor in enumerate(scaleset.scales):
-        emulated = quantize_problem(scale_problem(problem, factor), model)
-        scale_params = replace(
-            params,
-            num_runs=scaleset.runs_per_scale,
-            seed=derive_seed(params.seed, "hpe_scale", k),
-        )
-        runsets.append(sampler(emulated, scale_params))
-    return hpe_from_runsets(problem, runsets, scales=scaleset.scales,
+    jobs = [(quantize_problem(scale_problem(problem, factor), model),
+             replace(params, num_runs=scaleset.runs_per_scale,
+                     seed=derive_seed(params.seed, "hpe_scale", k)),
+             None)
+            for k, factor in enumerate(scaleset.scales)]
+    return hpe_from_runsets(problem, sample_many(sampler, jobs), scales=scaleset.scales,
                             strategy=strategy)

@@ -22,6 +22,10 @@ from .rng import child_sequences, make_generator
 
 EXACT_VERTEX_CAP = 25
 _RUN_BLOCK = 256
+# A chain draws the uniforms of up to _SWEEP_CHUNK sweeps per
+# Generator.random call, into a buffer of at most _UNIFORM_BUFFER doubles.
+_SWEEP_CHUNK = 16
+_UNIFORM_BUFFER = 1 << 16
 
 DEFAULT_SWEEPS = 100
 DEFAULT_BETA_START = 0.1
@@ -167,35 +171,88 @@ def _wrap_runs(problem, spins_matrix, name, params_dict, seed, problem_id=None):
     )
 
 
-def _sweep_levels(problem: IsingProblem):
+def _shared_graph(jobs):
+    """The problems of ``jobs``, checked to be on one nonempty graph."""
+    problems = [problem for problem, _, _ in jobs]
+    first = problems[0]
+    if first.vertex_count == 0:
+        raise InputError("cannot sample a problem with no vertices")
+    for problem in problems[1:]:
+        if not (problem.vertex_count == first.vertex_count
+                and np.array_equal(problem._edge_a, first._edge_a)
+                and np.array_equal(problem._edge_b, first._edge_b)):
+            raise InputError(f"jobs sampled in one call must share one graph, got "
+                             f"{first!r} and {problem!r}")
+    return problems
+
+
+def _coefficients(problem: IsingProblem) -> np.ndarray:
+    """The vector ``_sweep_levels``' index tables point into: h by vertex,
+    then each vertex's couplings in ``_nbr`` order, then a 0.0 pad."""
+    return np.concatenate([problem._h_vec, *problem._nbr_w, [0.0]])
+
+
+def _sweep_levels(problem: IsingProblem, field_first: bool):
     """Dependency levels of an index-order sweep, with neighbour tables.
 
     A vertex's level is 1 + the largest level among its lower-indexed
     neighbours, or 0 if it has none, so no edge joins two vertices of one
-    level. Returns one ``(V, P, W, h)`` per level: its vertices ``V`` in
-    ascending order; column j of ``P`` and ``W`` holds the neighbours of
-    ``V[j]``, in ``_nbr`` order, and their couplings, padded with vertex 0
-    and weight 0.0; ``h`` holds the linear coefficients of ``V`` as a
-    column.
+    level. The kernels keep one state row per vertex, in level order, so a
+    level's rows are one slice, plus row n, which holds a constant +1 spin.
+    Returns the vertex of each row, ``order`` (ascending within a level),
+    and one ``(rows, P, Q)`` per level: column j of ``P`` holds the state
+    rows that the local field of row ``rows.start + j`` sums and column j
+    of ``Q`` their coefficients, as indices into ``_coefficients``. They
+    are the vertex's neighbours in ``_nbr`` order, padded with coefficient
+    0.0, plus the field row, h against row n, first with ``field_first``
+    and last otherwise. The tables depend on the graph only, so problems
+    on one graph share them.
     """
+    n = problem.vertex_count
     nbr = [a.tolist() for a in problem._nbr]
+    start = n + np.cumsum([0] + [len(b) for b in nbr])
     groups = []
     level = []
-    for a in range(problem.vertex_count):
+    for a in range(n):
         level.append(1 + max((level[b] for b in nbr[a] if b < a), default=-1))
         if level[a] == len(groups):
             groups.append([])
         groups[level[a]].append(a)
+    order = np.array([v for V in groups for v in V], dtype=np.intp)
+    row = np.empty(n, dtype=np.intp)
+    row[order] = np.arange(n)
     levels = []
     for V in groups:
-        width = max(1, max(len(nbr[v]) for v in V))
-        P = np.zeros((width, len(V)), dtype=np.intp)
-        W = np.zeros((width, len(V), 1), dtype=np.float64)
+        width = max(len(nbr[v]) for v in V)
+        field, first = (0, 1) if field_first else (width, 0)
+        P = np.full((width + 1, len(V)), n, dtype=np.intp)
+        Q = np.full((width + 1, len(V)), start[-1], dtype=np.intp)
         for j, v in enumerate(V):
-            P[:len(nbr[v]), j] = nbr[v]
-            W[:len(nbr[v]), j, 0] = problem._nbr_w[v]
-        levels.append((np.array(V), P, W, problem._h_vec[V, None]))
-    return levels
+            P[first:first + len(nbr[v]), j] = row[nbr[v]]
+            Q[first:first + len(nbr[v]), j] = np.arange(start[v], start[v + 1])
+            Q[field, j] = v
+        levels.append((slice(int(row[V[0]]), int(row[V[0]]) + len(V)), P, Q))
+    return order, levels
+
+
+def _sweep_uniforms(gens, sweeps, n, columns):
+    """Each sweep's uniforms as an (n, columns) array, row a for vertex a,
+    column i drawn from ``gens[i]`` for its first ``sweeps[i]`` sweeps.
+    Columns without a generator hold 1.0; those of a generator past its
+    sweeps hold stale values. A generator draws several sweeps a call;
+    PCG64 gives k sweeps at once exactly as k draws of one sweep.
+    """
+    total = max(sweeps)
+    chunk = max(1, min(_SWEEP_CHUNK, total, _UNIFORM_BUFFER // (columns * n)))
+    drawn = np.ones((columns, chunk, n), dtype=np.float64)
+    for lo in range(0, total, chunk):
+        for g, count, out in zip(gens, sweeps, drawn):
+            if count >= lo + chunk:
+                g.random(out=out)
+            elif count > lo:
+                g.random(out=out[:count - lo])
+        for t in range(min(chunk, total - lo)):
+            yield drawn[:, t].T
 
 
 def simulated_anneal(problem: IsingProblem, params: SamplerParams,
@@ -215,56 +272,92 @@ def simulated_anneal(problem: IsingProblem, params: SamplerParams,
     share no edge, and each reads this sweep's spins of its lower-indexed
     neighbours and last sweep's spins of its higher-indexed ones, so
     updating a whole level at once gives exactly the index-order sweep.
-    A level costs about twenty numpy calls, whatever its size and width,
+    A level costs about a dozen numpy calls, whatever its size and width,
     so paths and complete graphs, one vertex a level, pay that per vertex.
     """
-    n = problem.vertex_count
-    if n == 0:
-        raise InputError("cannot sample a problem with no vertices")
-    levels = _sweep_levels(problem)
-    betas = params.beta_schedule.betas(params.sweeps)
-    gens = [make_generator(s) for s in child_sequences(params.seed, params.num_runs)]
-    spins = np.empty((params.num_runs, n), dtype=SPIN_DTYPE)
-    # Runs are independent chains; annealing them in blocks bounds the
-    # per-level temporaries to _RUN_BLOCK columns.
-    for lo in range(0, params.num_runs, _RUN_BLOCK):
-        spins[lo:lo + _RUN_BLOCK] = _anneal_block(levels, betas, gens[lo:lo + _RUN_BLOCK], n)
-    return _wrap_runs(problem, spins, "simulated_anneal", params.to_dict(),
-                      params.seed, problem_id)
+    return simulated_anneal_many([(problem, params, problem_id)])[0]
 
 
-def _anneal_block(levels, betas, gens, n):
-    """(runs, n) spins of one simulated_anneal chain per generator."""
-    runs = len(gens)
-    # Row a of state is vertex a, column i run i. The last column holds
-    # zero spins, which no flip changes; it keeps every row of a level's
-    # terms at two or more entries, and add.reduce over axis 0 sums such
-    # rows one after another, in the order of the sweep's neighbour sum.
-    state = np.zeros((n, runs + 1), dtype=SPIN_DTYPE)
+def simulated_anneal_many(jobs) -> list:
+    """``simulated_anneal`` of each ``(problem, params, problem_id)`` job,
+    the problems on one graph: one RunSet per job, bit for bit that job's
+    own call. Jobs with the same sweeps and beta schedule pool their runs,
+    so runs of different problems share a block, each job's runs with its
+    own coefficients.
+    """
+    jobs = list(jobs)
+    if not jobs:
+        return []
+    problems = _shared_graph(jobs)
+    n = problems[0].vertex_count
+    order, levels = _sweep_levels(problems[0], field_first=False)
+    coefs = np.stack([_coefficients(p) for p in problems], axis=1)
+    pools = {}
+    for k, (_, params, _) in enumerate(jobs):
+        pools.setdefault((params.sweeps, params.beta_schedule), []).append(k)
+    spins = [None] * len(jobs)
+    for (sweeps, schedule), ks in pools.items():
+        betas = schedule.betas(sweeps)
+        counts = [jobs[k][1].num_runs for k in ks]
+        gens = [make_generator(s) for k in ks
+                for s in child_sequences(jobs[k][1].seed, jobs[k][1].num_runs)]
+        column_job = np.repeat(ks, counts)
+        pooled = np.empty((len(gens), n), dtype=SPIN_DTYPE)
+        # Runs are independent chains; annealing them in blocks bounds the
+        # per-level temporaries to _RUN_BLOCK columns.
+        for lo in range(0, len(gens), _RUN_BLOCK):
+            cols = column_job[lo:lo + _RUN_BLOCK]
+            # Each job's columns of the block; the last job's take the pad.
+            bounds = [0, *(np.flatnonzero(np.diff(cols)) + 1), len(cols) + 1]
+            segments = [(slice(a, b), cols[a]) for a, b in zip(bounds, bounds[1:])]
+            pooled[lo:lo + _RUN_BLOCK] = _anneal_block(
+                order, levels, coefs, segments, betas, gens[lo:lo + _RUN_BLOCK])
+        for k, block in zip(ks, np.split(pooled, np.cumsum(counts)[:-1])):
+            spins[k] = block
+    return [_wrap_runs(problem, s, "simulated_anneal", params.to_dict(), params.seed, pid)
+            for (problem, params, pid), s in zip(jobs, spins)]
+
+
+def _anneal_block(order, levels, coefs, segments, betas, gens):
+    """(runs, n) spins of one simulated_anneal chain per generator; each
+    ``(cols, k)`` of ``segments`` gives the runs ``cols`` the coefficients
+    ``coefs[:, k]``."""
+    runs, n = len(gens), len(order)
+    tables = [(rows, order[rows], P, [(cols, coefs[Q][:, :, k, None]) for cols, k in segments])
+              for rows, P, Q in levels]
+    # Row r of state is vertex order[r], column i run i; row n is the
+    # constant spin of the field rows. The last column holds zero spins,
+    # which no flip changes; it keeps every row of a level's terms at two
+    # or more entries, and add.reduce over axis 0 sums such rows one after
+    # another, in the order of the sweep's neighbour sum.
+    bits = np.empty((runs, n), dtype=SPIN_DTYPE)
     for i, g in enumerate(gens):
-        state[:, i] = g.integers(0, 2, n).astype(SPIN_DTYPE) * 2 - 1
-    uniforms = np.ones((runs + 1, n), dtype=np.float64)
+        bits[i] = g.integers(0, 2, n)
+    state = np.zeros((n + 1, runs + 1), dtype=SPIN_DTYPE)
+    state[n] = 1
+    state[:n, :runs] = bits[:, order].T * 2 - 1
+    uniforms = _sweep_uniforms(gens, [len(betas)] * runs, n, runs + 1)
     # At a huge beta, beta * dE may overflow to inf; exp(-inf) = 0 is then
     # the right acceptance, so the overflow is not reported.
     with np.errstate(over="ignore"):
-        for beta in betas:
-            for i, g in enumerate(gens):
-                g.random(n, out=uniforms[i])
-            for V, P, W, h in levels:
-                # terms[k, j] holds coupling k of vertex V[j] times its
-                # neighbour's spin. In place, x becomes the field, dE,
+        for beta, u in zip(betas, uniforms):
+            for rows, V, P, weights in tables:
+                # terms[k, j] holds coefficient k of the vertex of row j
+                # times its spin. In place, x becomes the field, dE,
                 # -beta * max(dE, 0) and then the acceptance probability.
                 terms = state[P].astype(np.float64)
-                terms *= W
+                for cols, W in weights:
+                    terms[:, :, cols] *= W
                 x = np.add.reduce(terms, axis=0)
-                x += h
-                s = state[V]
+                s = state[rows]
                 x *= -2.0 * s
                 np.maximum(x, 0.0, out=x)
                 x *= -beta
-                accept = uniforms.T[V] < np.exp(x, out=x)
-                state[V] = s * (1 - 2 * accept.view(np.int8))  # flip where accepted
-    return state[:, :runs].T
+                accept = u[V] < np.exp(x, out=x)
+                np.negative(s, out=s, where=accept)  # flip where accepted
+    spins = np.empty((runs, n), dtype=SPIN_DTYPE)
+    spins[:, order] = state[:n, :runs].T
+    return spins
 
 
 def gibbs_sample(problem: IsingProblem, params: SamplerParams,
@@ -278,11 +371,35 @@ def gibbs_sample(problem: IsingProblem, params: SamplerParams,
     P(s[a] = +1 | rest) = 1 / (1 + exp(2 beta f_a)) with
     f_a = h[a] + sum_b J[a,b] s[b].
     """
-    if params.fixed_beta is None:
-        raise ParameterError("gibbs_sample requires fixed_beta")
+    return gibbs_sample_many([(problem, params, problem_id)])[0]
+
+
+def gibbs_sample_many(jobs) -> list:
+    """``gibbs_sample`` of each ``(problem, params, problem_id)`` job, the
+    problems on one graph: one RunSet per job, bit for bit that job's own
+    call. A lone chain runs site by site in Python; two or more run as
+    the columns of one level kernel (``_gibbs_columns``), which one column
+    does not repay.
+    """
+    jobs = list(jobs)
+    if not jobs:
+        return []
+    for _, params, _ in jobs:
+        if params.fixed_beta is None:
+            raise ParameterError("gibbs_sample requires fixed_beta")
+    problems = _shared_graph(jobs)
+    params = [params for _, params, _ in jobs]
+    if len(jobs) == 1:
+        spins = [_gibbs_chain(problems[0], params[0])]
+    else:
+        spins = _gibbs_columns(problems, params)
+    return [_wrap_runs(problem, s, "gibbs_sample", q.to_dict(), q.seed, pid)
+            for (problem, q, pid), s in zip(jobs, spins)]
+
+
+def _gibbs_chain(problem, params):
+    """(num_runs, n) states of one Gibbs chain, one site at a time."""
     n = problem.vertex_count
-    if n == 0:
-        raise InputError("cannot sample a problem with no vertices")
     beta = params.fixed_beta
     rng = make_generator(params.seed)
     state = (rng.integers(0, 2, n) * 2 - 1).tolist()
@@ -315,9 +432,74 @@ def gibbs_sample(problem: IsingProblem, params: SamplerParams,
         if done > 0 and done % params.thinning == 0:
             samples[collected] = state
             collected += 1
+    return samples
 
-    return _wrap_runs(problem, samples, "gibbs_sample", params.to_dict(),
-                      params.seed, problem_id)
+
+def _gibbs_columns(problems, params):
+    """(num_runs, n) states of the Gibbs chain of each (problem, params),
+    two or more chains on one graph, as columns of one level kernel.
+
+    Column c is chain c, with its own coefficient tables, beta, burn-in,
+    thinning and generator, drawn as in ``_gibbs_chain``. Each field is
+    summed h first, then the neighbours left to right, as add.reduce over
+    the rows of ``_sweep_levels(field_first=True)`` sums them, so the
+    chain is ``_gibbs_chain``'s up to ``np.exp`` against ``math.exp``
+    (equal but for the last bit of a few values). A chain that has
+    collected all its states stops drawing; its column runs on unread.
+    """
+    n = problems[0].vertex_count
+    coefs = np.stack([_coefficients(p) for p in problems], axis=1)
+    order, levels = _sweep_levels(problems[0], field_first=True)
+    tables = [(rows, P, coefs[Q]) for rows, P, Q in levels]
+    beta2 = np.array([2.0 * q.fixed_beta for q in params])
+    totals = [q.burn_in + q.num_runs * q.thinning for q in params]
+    gens = [make_generator(q.seed) for q in params]
+    # Row r of state is vertex order[r], column c chain c; row n is the
+    # constant spin of the field rows. Two or more columns keep add.reduce
+    # adding whole rows one after another.
+    state = np.ones((n + 1, len(gens)), dtype=np.float64)
+    for c, g in enumerate(gens):
+        state[:n, c] = (g.integers(0, 2, n) * 2 - 1)[order]
+    samples = [np.empty((q.num_runs, n), dtype=SPIN_DTYPE) for q in params]
+    collect = {}  # sweep count -> (chain, sample index) pairs collected then
+    for c, q in enumerate(params):
+        for k in range(q.num_runs):
+            collect.setdefault(q.burn_in + (k + 1) * q.thinning, []).append((c, k))
+    # exp overflows to inf where x > 709, where the x > 700 guard decides.
+    with np.errstate(over="ignore"):
+        for sweep, u in enumerate(_sweep_uniforms(gens, totals, n, len(gens))):
+            u = u[order]
+            for rows, P, W in tables:
+                terms = state[P]
+                terms *= W
+                x = np.add.reduce(terms, axis=0)
+                x *= beta2
+                p_up = np.exp(x)
+                p_up += 1.0
+                np.divide(1.0, p_up, out=p_up)
+                # The guards: above x = 700 p_up is 0, so no uniform sets
+                # the spin; below x = -700, 1 + exp(x) rounds to 1.0, so
+                # p_up is already 1.0 and every uniform sets it.
+                up = u[rows] < p_up
+                up &= x <= 700.0
+                state[rows] = np.where(up, 1.0, -1.0)
+            for c, k in collect.pop(sweep + 1, ()):
+                samples[c][k, order] = state[:n, c]
+    return samples
+
+
+_BATCHED = {simulated_anneal: simulated_anneal_many, gibbs_sample: gibbs_sample_many}
+
+
+def sample_many(sampler, jobs) -> list:
+    """``sampler(problem, params, problem_id=problem_id)`` for each
+    ``(problem, params, problem_id)`` job, as one batched call when
+    ``sampler`` is ``simulated_anneal`` or ``gibbs_sample``; their
+    problems must then share one graph."""
+    batched = _BATCHED.get(sampler)
+    if batched is not None:
+        return batched(jobs)
+    return [sampler(problem, params, problem_id=pid) for problem, params, pid in jobs]
 
 
 def random_runs(problem: IsingProblem, count: int, seed: int,

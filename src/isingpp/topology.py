@@ -6,6 +6,7 @@ Vertices are dense integers from 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .core import IsingProblem
@@ -45,6 +46,12 @@ class ChimeraSpec:
         return ((row * self.cols + col) * 2 + side) * self.shore + k
 
 
+def check_span(name, lo, hi):
+    """Raise unless ``hi - lo`` is finite, as uniform draws need."""
+    if not math.isfinite(hi - lo):
+        raise ParameterError(f"{name} [{lo}, {hi}] does not span a finite width")
+
+
 @dataclass(frozen=True, slots=True)
 class ProblemGenSpec:
     """Uniform coefficient ranges plus the seed that fixes the draw."""
@@ -58,6 +65,7 @@ class ProblemGenSpec:
             lo, hi = getattr(self, name)
             if not (lo <= hi):
                 raise ParameterError(f"{name} is empty: [{lo}, {hi}]")
+            check_span(name, lo, hi)
         object.__setattr__(self, "h_range", (float(self.h_range[0]), float(self.h_range[1])))
         object.__setattr__(self, "j_range", (float(self.j_range[0]), float(self.j_range[1])))
 

@@ -76,6 +76,8 @@ def count_sampler_calls(monkeypatch):
     modes they are called with, one entry a call."""
     calls = []
 
+    # The wrappers are not the package's samplers, so a block's jobs reach
+    # them one call each.
     def counted(mode, sampler):
         def sample(*args, **kwargs):
             calls.append(mode)
@@ -534,9 +536,10 @@ def test_sensitivity_report_from_experiment_records_matches_own_sweep(
     calls = count_sampler_calls(monkeypatch)
     sensitivity_report(config, tmp_path / "given", records)
     # With all three strategies listed the records are reused; otherwise
-    # the report samples every cell in a sweep of its own.
+    # the report samples every cell in a sweep of its own, a mode's cells
+    # of both problems together.
     reused = {"mqc_sequential", "mqc_rank", "mqc_maxdiff"} <= set(methods)
-    assert calls == ([] if reused else ["raw", "sampling"] * 2)
+    assert calls == ([] if reused else ["raw", "raw", "sampling", "sampling"])
     for name in ("sensitivity.json", "sensitivity.txt"):
         assert file_hash(tmp_path / "own" / name) == file_hash(tmp_path / "given" / name)
 
@@ -602,6 +605,47 @@ def test_cli_gen_rejects_negative_count(tmp_path, capsys):
                  "--out", str(tmp_path / "none")]) == 0
     assert "wrote 0 problems" in capsys.readouterr().out
     assert os.listdir(tmp_path / "none") == []
+
+
+@pytest.mark.parametrize("h_range", [[" -1e308", "1e308"], [" -inf", "1"]])
+def test_cli_gen_rejects_range_without_finite_width(tmp_path, capsys, h_range):
+    code = main(["gen", "--topology", "path", "--n", "4", "--count", "1",
+                 "--h-range", *h_range, "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite width" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("field", ["h_range", "j_range"])
+def test_config_rejects_range_without_finite_width(field):
+    with pytest.raises(ConfigError, match=field):
+        tiny_config(**{field: (-1e308, 1e308)})
+    with pytest.raises(ConfigError, match=field):
+        tiny_config(**{field: (-1.0, 0.0, 1.0)})
+
+
+def test_cli_experiment_rejects_range_without_finite_width(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**tiny_config().to_dict(), "h_range": [-1e308, 1e308]}),
+                    encoding="utf-8")
+    out = tmp_path / "exp"
+    assert main(["experiment", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "h_range" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", [["chimera"], {"kind": "path"}, None, 3])
+def test_cli_experiment_rejects_non_string_topology_kind(tmp_path, capsys, kind):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**tiny_config().to_dict(), "topology": {"kind": kind, "n": 6}}),
+                    encoding="utf-8")
+    assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "exp")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown topology kind")
+    assert err.count("\n") == 1
 
 
 def test_cli_gen_rejects_empty_coefficient_interval(tmp_path, capsys):
@@ -863,7 +907,9 @@ def test_cli_experiment_sensitivity_samples_each_cell_once(tmp_path, monkeypatch
     calls = count_sampler_calls(monkeypatch)
     assert main(["experiment", "--config", str(config_path), "--out", str(tmp_path / "exp"),
                  "--sensitivity"]) == 0
-    assert calls == list(config.modes) * (config.problem_count * len(config.run_counts))
+    # One block of problems: each run count and mode samples all of them.
+    assert calls == [mode for _ in config.run_counts for mode in config.modes
+                     for _ in range(config.problem_count)]
 
 
 @pytest.mark.parametrize("fields, mode", [

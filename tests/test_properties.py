@@ -5,6 +5,7 @@ deterministic.
 """
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -23,6 +24,7 @@ from isingpp import (
     ChimeraSpec,
     IsingProblem,
     PairingStrategy,
+    PrecisionModel,
     Provenance,
     RunSet,
     SamplerParams,
@@ -38,7 +40,9 @@ from isingpp import (
     mqc_pair,
     optimize_subgraph,
     path_graph,
+    quantize_problem,
     save_runset,
+    scale_problem,
     simulated_anneal,
 )
 from isingpp import samplers
@@ -663,3 +667,121 @@ def test_reduce_adds_rows_left_to_right(width, shape):
     for row in terms[1:]:
         expected = expected + row
     assert same_bits(np.add.reduce(terms, axis=0), expected)
+
+
+def python_gibbs_chain(problem, params):
+    """The Gibbs chain as first written, kept as its specification: one
+    site at a time, the field summed h first and then the neighbours left
+    to right, and p_up = 1 / (1 + exp(2 beta f)) with math.exp, set to 0
+    above x = 700 and to 1 below x = -700."""
+    n = problem.vertex_count
+    beta = params.fixed_beta
+    rng = make_generator(params.seed)
+    state = (rng.integers(0, 2, n) * 2 - 1).tolist()
+    h_list = problem._h_vec.tolist()
+    adj = [list(zip(problem._nbr[a].tolist(), problem._nbr_w[a].tolist())) for a in range(n)]
+    samples = np.empty((params.num_runs, n), dtype=np.int8)
+    collected = 0
+    for sweep in range(params.burn_in + params.num_runs * params.thinning):
+        u = rng.random(n)
+        for a in range(n):
+            f = h_list[a]
+            for b, w in adj[a]:
+                f += w * state[b]
+            x = 2.0 * beta * f
+            if x > 700.0:
+                p_up = 0.0
+            elif x < -700.0:
+                p_up = 1.0
+            else:
+                p_up = 1.0 / (1.0 + math.exp(x))
+            state[a] = 1 if u[a] < p_up else -1
+        done = sweep + 1 - params.burn_in
+        if done > 0 and done % params.thinning == 0:
+            samples[collected] = state
+            collected += 1
+    return samples
+
+
+@st.composite
+def shared_graph_problems(draw):
+    """Two to four problems on one graph: a random graph (often with
+    isolated vertices), a path, K8 or a few Chimera cells. Either their
+    coefficients are drawn with many exact zeros, or they are the scaled
+    and quantized copies hpe samples, where couplings snap to 0.0 and stay
+    edges."""
+    n, edges = draw(st.one_of(graphs(), st.just((8, complete_graph(8))),
+                              st.integers(1, 16).map(lambda n: (n, path_graph(n)))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = draw(st.integers(2, 4))
+
+    def values(size):
+        return np.where(rng.random(size) < 0.3, 0.0, rng.uniform(-2.0, 2.0, size))
+
+    if draw(st.booleans()):
+        return [IsingProblem(n, dict(enumerate(values(n))), dict(zip(edges, values(len(edges)))))
+                for _ in range(count)]
+    base = IsingProblem(n, dict(enumerate(values(n))), dict(zip(edges, values(len(edges)))))
+    model = PrecisionModel(levels=draw(st.sampled_from([3, 5, 17])))
+    return [quantize_problem(scale_problem(base, 2.0 ** k), model) for k in range(count)]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(shared_graph_problems(), st.data())
+def test_gibbs_columns_match_python_chain(problems, data):
+    """Gibbs chains of problems on one graph, sampled in one call as the
+    columns of the level kernel, give each chain's spins and energy bits
+    as the Python chain does. The chains differ in length, beta, burn-in
+    and thinning; betas up to 1e6 push x past both 700 guards."""
+    jobs = [(problem, SamplerParams(
+        num_runs=data.draw(st.sampled_from([200, 400])), seed=data.draw(st.integers(0, 2**32)),
+        fixed_beta=data.draw(st.one_of(st.floats(0.05, 5.0), st.sampled_from([400.0, 1e6]))),
+        burn_in=data.draw(st.integers(0, 30)), thinning=data.draw(st.integers(1, 2))), None)
+        for problem in problems]
+    for (problem, params, _), runset in zip(jobs, samplers.gibbs_sample_many(jobs)):
+        expected = python_gibbs_chain(problem, params)
+        assert np.array_equal(runset.spins, expected)
+        assert same_bits(runset.energies(), problem.evaluate_many(expected))
+
+
+def test_gibbs_columns_sum_h_first_then_left_to_right():
+    """Vertex 3 alone in its level: its neighbours are held at -1, so its
+    field is h = 1.0 and then the terms 1e16, -1e16, -0.5. In that order
+    they sum to -0.5, as 1.0 + 1e16 rounds to 1e16, and the vertex settles
+    at +1; with h added last the field is 0.5 and it would settle at -1."""
+    problem = IsingProblem(4, {0: 1e30, 1: 1e30, 2: 1e30, 3: 1.0},
+                           {(0, 3): -1e16, (1, 3): 1e16, (2, 3): 0.5})
+    params = SamplerParams(num_runs=3, seed=0, fixed_beta=1e3, burn_in=1, thinning=1)
+    expected = python_gibbs_chain(problem, params)
+    assert (expected == [-1, -1, -1, 1]).all()
+    for runset in samplers.gibbs_sample_many([(problem, params, None)] * 2):
+        assert np.array_equal(runset.spins, expected)
+
+
+def test_lone_gibbs_chain_is_python_chain():
+    problem = IsingProblem(9, {a: 0.3 * a - 1.1 for a in range(9)},
+                           {e: 0.7 - 0.13 * i for i, e in enumerate(complete_graph(9))})
+    params = SamplerParams(num_runs=50, seed=3, fixed_beta=0.7, burn_in=10, thinning=2)
+    assert np.array_equal(samplers.gibbs_sample(problem, params).spins,
+                          python_gibbs_chain(problem, params))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(shared_graph_problems(), st.integers(1, 9), st.data())
+def test_batched_anneal_matches_per_problem_anneal(problems, block, data):
+    """Runs of problems on one graph, annealed in one call, give each
+    problem's spins and energy bits as its own call and the per-vertex
+    kernel do. Jobs share a sweep count and schedule or not, and blocks of
+    a drawn size mix the runs of several problems."""
+    schedules = [BetaSchedule(0.1, 5.0), BetaSchedule(0.5, 2.0, "linear")]
+    jobs = [(problem, SamplerParams(
+        num_runs=data.draw(st.integers(1, 8)), seed=data.draw(st.integers(0, 2**32)),
+        sweeps=data.draw(st.integers(1, 3)), beta_schedule=data.draw(st.sampled_from(schedules))),
+        None) for problem in problems]
+    with mock.patch.object(samplers, "_RUN_BLOCK", block):
+        runsets = samplers.simulated_anneal_many(jobs)
+    for (problem, params, _), runset in zip(jobs, runsets):
+        expected = per_vertex_anneal(problem, params, left_to_right)
+        assert np.array_equal(runset.spins, expected)
+        assert np.array_equal(simulated_anneal(problem, params).spins, expected)
+        assert same_bits(runset.energies(), problem.evaluate_many(expected))

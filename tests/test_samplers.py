@@ -24,9 +24,10 @@ from isingpp import (
     simulated_anneal,
     single_flip_delta,
 )
+from isingpp import samplers
 from isingpp.errors import InputError, ParameterError, SizeError
 from isingpp.harness import ExperimentConfig, problem_for
-from isingpp.samplers import Provenance, _sweep_levels
+from isingpp.samplers import Provenance, _coefficients, _sweep_levels
 
 from conftest import make_chimera_problem, oracle_ground
 
@@ -176,15 +177,19 @@ class TestSweepLevels:
     def test_levels_order_the_sweep(self, n, edges, count):
         """Each level is 1 + the largest among lower-indexed neighbours, so
         every edge climbs from its lower to its higher end and none stays
-        inside a level; the level count is as stated."""
+        inside a level; the level count is as stated. The levels' rows
+        follow one another and hold their vertices in ascending order."""
         problem = IsingProblem(n, {}, {e: 1.0 for e in edges})
-        levels = _sweep_levels(problem)
+        order, levels = _sweep_levels(problem, field_first=False)
         assert len(levels) == count
+        assert sorted(order.tolist()) == list(range(n))
         level = np.full(n, -1)
-        for k, (V, _, _, _) in enumerate(levels):
+        for k, (rows, _, _) in enumerate(levels):
+            assert rows.start == (levels[k - 1][0].stop if k else 0)
+            V = order[rows]
             assert V.tolist() == sorted(V.tolist())
             level[V] = k
-        assert (level >= 0).all() and sum(len(V) for V, *_ in levels) == n
+        assert (level >= 0).all() and levels[-1][0].stop == n
         for a in range(n):
             lower = [level[b] for b in problem.neighbors(a).tolist() if b < a]
             assert level[a] == 1 + max(lower, default=-1)
@@ -192,14 +197,66 @@ class TestSweepLevels:
             assert level[min(a, b)] < level[max(a, b)]
 
     def test_tables_hold_neighbours_in_order(self):
+        """Each column holds the field row, h against the constant spin of
+        row n, first or last, and the neighbours' rows in order, padded with
+        coefficient 0.0."""
         problem = make_chimera_problem(seed=3, rows=2, cols=2)
-        for V, P, W, h in _sweep_levels(problem):
-            for j, v in enumerate(V.tolist()):
-                deg = len(problem._nbr[v])
-                assert P[:deg, j].tolist() == problem._nbr[v].tolist()
-                assert W[:deg, j, 0].tolist() == problem._nbr_w[v].tolist()
-                assert (W[deg:, j] == 0.0).all()
-                assert h[j, 0] == problem._h_vec[v]
+        n = problem.vertex_count
+        coefs = _coefficients(problem)
+        for field_first in (True, False):
+            order, levels = _sweep_levels(problem, field_first)
+            vertex_of_row = np.append(order, n)
+            for rows, P, Q in levels:
+                field = 0 if field_first else len(P) - 1
+                nbrs = slice(1, None) if field_first else slice(0, -1)
+                for j, v in enumerate(order[rows].tolist()):
+                    deg = len(problem._nbr[v])
+                    assert P[field, j] == n and coefs[Q[field, j]] == problem._h_vec[v]
+                    assert vertex_of_row[P[nbrs][:deg, j]].tolist() == problem._nbr[v].tolist()
+                    assert coefs[Q[nbrs][:deg, j]].tolist() == problem._nbr_w[v].tolist()
+                    assert (coefs[Q[nbrs][deg:, j]] == 0.0).all()
+
+
+class TestBatchedSampling:
+    @pytest.mark.parametrize("batched", [samplers.simulated_anneal_many,
+                                         samplers.gibbs_sample_many])
+    def test_jobs_on_different_graphs_fail(self, batched):
+        params = SamplerParams(num_runs=2, seed=0, fixed_beta=1.0)
+        path = IsingProblem(3, {}, {(0, 1): 1.0, (1, 2): 1.0})
+        for other in (IsingProblem(3, {}, {(0, 1): 1.0, (0, 2): 1.0}),
+                      IsingProblem(4, {}, {(0, 1): 1.0, (1, 2): 1.0}),
+                      IsingProblem(3, {}, {(0, 1): 1.0})):
+            with pytest.raises(InputError, match="one graph"):
+                batched([(path, params, None), (other, params, None)])
+
+    def test_zero_coupling_keeps_the_graph(self):
+        params = SamplerParams(num_runs=2, seed=0, fixed_beta=1.0)
+        one = IsingProblem(3, {}, {(0, 1): 1.0, (1, 2): -1.0})
+        zero = IsingProblem(3, {}, {(0, 1): 0.0, (1, 2): 0.5})
+        assert len(samplers.gibbs_sample_many([(one, params, None), (zero, params, None)])) == 2
+
+    def test_other_samplers_are_called_per_job(self):
+        calls = []
+
+        def sampler(problem, params, problem_id=None):
+            calls.append(problem_id)
+            return random_runs(problem, params.num_runs, params.seed, problem_id=problem_id)
+
+        problem = IsingProblem(2, {0: 1.0})
+        params = SamplerParams(num_runs=2, seed=0)
+        out = samplers.sample_many(sampler, [(problem, params, "a"), (problem, params, "b")])
+        assert calls == ["a", "b"] and [rs.problem_id for rs in out] == ["a", "b"]
+
+    def test_gibbs_columns_keep_the_700_guards(self, monkeypatch):
+        """Above x = 700 p_up is 0, so even a uniform of exactly 0.0 leaves
+        a spin at -1, where 1 / (1 + exp(705)) would still be above 0.
+        Below x = -700 p_up is 1."""
+        monkeypatch.setattr(samplers, "_sweep_uniforms", lambda gens, sweeps, n, columns: (
+            np.zeros((n, columns)) for _ in range(max(sweeps))))
+        problem = IsingProblem(2, {0: 1.0, 1: -1.0})
+        params = SamplerParams(num_runs=2, seed=0, fixed_beta=352.5, burn_in=0, thinning=1)
+        for runset in samplers.gibbs_sample_many([(problem, params, None)] * 2):
+            assert runset.spins.tolist() == [[-1, 1], [-1, 1]]
 
 
 class TestGibbsSample:

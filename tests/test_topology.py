@@ -1,6 +1,8 @@
 """Graph generators, seeded problem generation, and the connected
 components that ``disagreement_tunnels`` labels on those graphs."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,14 @@ class TestRandomProblem:
     def test_empty_interval_rejected(self):
         with pytest.raises(ParameterError):
             ProblemGenSpec((2, -2), (-1, 1), seed=1)
+
+    @pytest.mark.parametrize("bad", [(-1e308, 1e308), (-math.inf, 1.0), (-math.inf, -math.inf),
+                                     (1.0, math.inf)])
+    def test_interval_without_finite_width_rejected(self, bad):
+        # Generator.uniform overflows on such a range.
+        for h_range, j_range in ((bad, (-1, 1)), ((-2, 2), bad)):
+            with pytest.raises(ParameterError, match="finite width"):
+                ProblemGenSpec(h_range, j_range, seed=1)
 
     def test_different_seeds_differ(self):
         graph = path_graph(6)
