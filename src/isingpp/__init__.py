@@ -9,11 +9,7 @@ from .core import (
     ENERGY_ATOL,
     IsingProblem,
     SpinConfiguration,
-    Tunnel,
-    energy,
-    single_flip_delta,
     tunnel_contribution,
-    validate_energy_cache,
 )
 from .topology import (
     ChimeraSpec,
@@ -41,7 +37,6 @@ from .mqc import (
     PairingStrategy,
     ReductionTrace,
     disagreement_tunnels,
-    hamming_distance,
     mqc_pair,
     mqc_reduce,
     pair_runs,

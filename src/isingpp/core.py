@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, InputError, ParameterError
 
 SPIN_DTYPE = np.int8
 
@@ -98,17 +98,6 @@ class IsingProblem:
     def edge_list(self):
         """Edges as a list of (a, b) with a < b, sorted."""
         return list(zip(self._edge_a.tolist(), self._edge_b.tolist()))
-
-    @property
-    def adjacency(self):
-        """Per-vertex list of (neighbor, coupling) pairs, neighbors ascending."""
-        return [
-            list(zip(self._nbr[a].tolist(), self._nbr_w[a].tolist()))
-            for a in range(self.vertex_count)
-        ]
-
-    def neighbors(self, a):
-        return self._nbr[a]
 
     def _check_length(self, spins):
         if spins.shape[-1] != self.vertex_count:
@@ -191,53 +180,20 @@ class SpinConfiguration:
         return f"SpinConfiguration(n={len(self)}, energy={self.energy})"
 
 
-@dataclass(frozen=True, slots=True)
-class Tunnel:
-    """Nonempty set of vertices flipped as a unit, stored sorted."""
-
-    vertices: tuple
-
-    def __post_init__(self):
-        verts = tuple(sorted(set(int(v) for v in self.vertices)))
-        if not verts:
-            raise ValueError("a tunnel must contain at least one vertex")
-        object.__setattr__(self, "vertices", verts)
-
-    def __len__(self):
-        return len(self.vertices)
-
-    def __iter__(self):
-        return iter(self.vertices)
-
-    def __contains__(self, v):
-        return v in set(self.vertices)
-
-
-def energy(problem: IsingProblem, config: SpinConfiguration) -> float:
-    """Fresh energy of ``config`` under ``problem`` (the cache is ignored)."""
-    return problem.evaluate(config.spins)
-
-
-def validate_energy_cache(problem: IsingProblem, config: SpinConfiguration):
-    """Raise if the cached energy drifts from a fresh evaluation."""
-    fresh = problem.evaluate(config.spins)
-    if abs(fresh - config.energy) > ENERGY_ATOL:
-        raise ValueError(
-            f"cached energy {config.energy} differs from evaluated {fresh}"
-        )
-
-
 def tunnel_contribution(problem: IsingProblem, config: SpinConfiguration,
-                        tunnel: Tunnel) -> float:
-    """Energy terms a tunnel owns under ``config``:
+                        vertices) -> float:
+    """Energy terms the tunnel T, the set of ``vertices``, owns under ``config``:
 
         sum_{a in T} h[a] s[a]  +  sum_{a in T, b not in T} J[a, b] s[a] s[b]
 
     Couplings with both ends inside the tunnel are excluded, so negating
-    every spin in the tunnel negates the value exactly.
+    every spin in the tunnel negates the value exactly. A vertex listed
+    twice counts once; an empty tunnel is rejected.
     """
-    verts = np.fromiter(tunnel.vertices, dtype=np.intp)
-    if verts.min() < 0 or verts.max() >= problem.vertex_count:
+    verts = np.unique(np.fromiter((int(v) for v in vertices), dtype=np.intp))
+    if not verts.size:
+        raise InputError("a tunnel must contain at least one vertex")
+    if verts[0] < 0 or verts[-1] >= problem.vertex_count:
         raise IndexError(
             f"tunnel vertices out of range for {problem.vertex_count} vertices"
         )
@@ -257,21 +213,3 @@ def tunnel_contribution(problem: IsingProblem, config: SpinConfiguration,
                 * s[problem._edge_b[boundary]]
             ))
     return total
-
-
-def single_flip_delta(problem: IsingProblem, spins, vertex: int) -> float:
-    """Energy change from flipping one spin.
-
-    Equals 2 s'[a] (h[a] + sum_b J[a,b] s[b]) with s'[a] the proposed
-    (flipped) value, i.e. -2 s[a] (...) in terms of the current one.
-    Costs O(degree of a) instead of a full re-evaluation.
-    """
-    s = np.asarray(spins, dtype=np.float64)
-    problem._check_length(s)
-    if not (0 <= vertex < problem.vertex_count):
-        raise IndexError(f"vertex {vertex} out of range")
-    field = problem._h_vec[vertex]
-    nbrs = problem._nbr[vertex]
-    if nbrs.size:
-        field += float(np.sum(problem._nbr_w[vertex] * s[nbrs]))
-    return -2.0 * float(s[vertex]) * field

@@ -14,7 +14,7 @@ once.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -112,9 +112,6 @@ class HpeReport:
     per_scale_best: tuple
     group_energies: tuple
     final_energy: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def hpe_from_runsets(problem: IsingProblem, runsets,

@@ -50,7 +50,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import IsingProblem, SpinConfiguration, Tunnel
+from .core import IsingProblem, SpinConfiguration
 from .errors import DimensionError, InputError
 from .samplers import RunSet
 
@@ -59,15 +59,6 @@ class PairingStrategy(str, enum.Enum):
     SEQUENTIAL = "sequential"
     RANK_ORDER = "rank_order"
     MAX_DIFFERENCE = "max_difference"
-
-
-def hamming_distance(run1: SpinConfiguration, run2: SpinConfiguration) -> int:
-    """Number of vertices where the two runs disagree."""
-    if len(run1) != len(run2):
-        raise DimensionError(
-            f"runs have lengths {len(run1)} and {len(run2)}"
-        )
-    return int(np.count_nonzero(run1.spins != run2.spins))
 
 
 def _check_runs(problem, configs):
@@ -83,14 +74,14 @@ def _check_runs(problem, configs):
 
 def disagreement_tunnels(problem: IsingProblem, run1: SpinConfiguration,
                          run2: SpinConfiguration) -> list:
-    """Tunnels of the disagreement region, ordered by smallest vertex."""
+    """The disagreement region's tunnels as sorted vertex tuples, by smallest vertex."""
     _check_runs(problem, (run1, run2))
     _, _, verts, labels, counts, _ = _merge_rows(
         problem, run1.spins[None], run2.spins[None])
     groups = [[] for _ in range(int(counts[0]))]
     for v, c in zip(verts.tolist(), labels.tolist()):
         groups[c].append(v)
-    return [Tunnel(tuple(g)) for g in groups]
+    return [tuple(g) for g in groups]
 
 
 def _component_roots(u, v, size):

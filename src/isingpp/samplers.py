@@ -376,10 +376,12 @@ def gibbs_sample(problem: IsingProblem, params: SamplerParams,
 
 def gibbs_sample_many(jobs) -> list:
     """``gibbs_sample`` of each ``(problem, params, problem_id)`` job, the
-    problems on one graph: one RunSet per job, bit for bit that job's own
-    call. A lone chain runs site by site in Python; two or more run as
-    the columns of one level kernel (``_gibbs_columns``), which one column
-    does not repay.
+    problems on one graph: one RunSet per job. A lone chain runs site by
+    site in Python; two or more run as the columns of one level kernel
+    (``_gibbs_columns``), which one column does not repay. A column's
+    ``np.exp`` can differ from ``math.exp`` in the last bit, so its spins
+    can differ from the job's own call only where a uniform falls between
+    the two ``p_up`` values, a few ulps apart.
     """
     jobs = list(jobs)
     if not jobs:
@@ -444,7 +446,7 @@ def _gibbs_columns(problems, params):
     summed h first, then the neighbours left to right, as add.reduce over
     the rows of ``_sweep_levels(field_first=True)`` sums them, so the
     chain is ``_gibbs_chain``'s up to ``np.exp`` against ``math.exp``
-    (equal but for the last bit of a few values). A chain that has
+    (see ``gibbs_sample_many``). A chain that has
     collected all its states stops drawing; its column runs on unread.
     """
     n = problems[0].vertex_count

@@ -29,21 +29,23 @@ class ChimeraSpec:
 
     def __post_init__(self):
         for name in ("rows", "cols", "shore"):
-            v = getattr(self, name)
-            if int(v) != v or v < 1:
-                raise ParameterError(f"{name} must be a positive integer, got {v!r}")
+            object.__setattr__(self, name, _whole(getattr(self, name), 1, name))
 
     @property
     def vertex_count(self) -> int:
         return self.rows * self.cols * 2 * self.shore
 
-    @property
-    def edge_count(self) -> int:
-        m, n, s = self.rows, self.cols, self.shore
-        return m * n * s * s + s * (n * (m - 1) + m * (n - 1))
-
     def vertex(self, row: int, col: int, side: int, k: int) -> int:
         return ((row * self.cols + col) * 2 + side) * self.shore + k
+
+
+def _whole(value, least, what):
+    """``value`` as an int; ParameterError unless it is an integer of at
+    least ``least``."""
+    if ((isinstance(value, float) and not math.isfinite(value))
+            or int(value) != value or value < least):
+        raise ParameterError(f"{what} must be an integer of at least {least}, got {value!r}")
+    return int(value)
 
 
 def check_span(name, lo, hi):
@@ -90,22 +92,19 @@ def chimera_graph(spec: ChimeraSpec):
 
 def complete_graph(n: int):
     """Edge list of K_n."""
-    if int(n) != n or n < 2:
-        raise ParameterError(f"complete graph needs at least 2 vertices, got {n!r}")
+    n = _whole(n, 2, "complete graph vertex count")
     return [(a, b) for a in range(n) for b in range(a + 1, n)]
 
 
 def path_graph(n: int):
     """Edge list of the path 0 - 1 - ... - (n-1)."""
-    if int(n) != n or n < 1:
-        raise ParameterError(f"path graph needs a positive vertex count, got {n!r}")
+    n = _whole(n, 1, "path graph vertex count")
     return [(a, a + 1) for a in range(n - 1)]
 
 
 def grid_graph(rows: int, cols: int):
     """Edge list of the rows x cols square lattice, row-major vertex ids."""
-    if rows < 1 or cols < 1:
-        raise ParameterError(f"grid needs positive dimensions, got {rows} x {cols}")
+    rows, cols = _whole(rows, 1, "grid rows"), _whole(cols, 1, "grid cols")
     edges = []
     for i in range(rows):
         for j in range(cols):

@@ -381,8 +381,10 @@ class TestBuiltinOptPp:
         problem = IsingProblem(base.vertex_count, {},
                                {e: 1.0 if w > 0 else -1.0 for e, w in base.J.items()})
         runset = random_runs(problem, count=40, seed=6)
-        spins, adjacency = runset.spins_matrix(), problem.adjacency
-        fields = [sum(w * spins[:, b] for b, w in adjacency[v] if b not in sub.vertices)
+        spins = runset.spins_matrix()
+        fields = [sum(w * spins[:, b] for b, w in zip(problem._nbr[v].tolist(),
+                                                         problem._nbr_w[v].tolist())
+                      if b not in sub.vertices)
                   for sub in decompose_low_treewidth(problem, width_cap)
                   for v in sub.vertices]
         assert any(np.any(f == 0) and np.any(f != 0) for f in fields)

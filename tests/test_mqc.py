@@ -18,7 +18,6 @@ from isingpp import (
     chimera_graph,
     complete_graph,
     disagreement_tunnels,
-    hamming_distance,
     mqc_pair,
     mqc_reduce,
     pair_runs,
@@ -57,26 +56,28 @@ def fragment_graph():
 
 
 class TestHammingDistance:
+    """``mqc._distance_table``, the Hamming distances of max-difference
+    pairing: entry (i, j) for i < j, -1 on and below the diagonal."""
+
     def test_examples(self):
-        p = IsingProblem(3)
-        a = p.configuration([1, -1, 1])
-        b = p.configuration([1, 1, 1])
-        assert hamming_distance(a, a) == 0
-        assert hamming_distance(a, b) == 1
-        assert hamming_distance(a, p.configuration([-1, 1, -1])) == 3
+        a, b, c = [1, -1, 1], [1, 1, 1], [-1, 1, -1]
+        table = mqc._distance_table(np.array([a, a, b, c], dtype=np.int8))
+        assert table.tolist() == [[-1, 0, 1, 3],
+                                  [-1, -1, 1, 3],
+                                  [-1, -1, -1, 2],
+                                  [-1, -1, -1, -1]]
 
     def test_symmetric(self):
+        """Each unordered pair is held once, at (min, max), and equals the
+        disagreement count from either run's side."""
         p = make_chimera_problem(seed=1, rows=1, cols=1)
         rs = random_runs(p, count=6, seed=2)
+        table = mqc._distance_table(rs.spins_matrix())
         for i in range(6):
             for j in range(6):
-                assert hamming_distance(rs[i], rs[j]) == hamming_distance(rs[j], rs[i])
-
-    def test_length_mismatch(self):
-        a = IsingProblem(2).configuration([1, 1])
-        b = IsingProblem(3).configuration([1, 1, 1])
-        with pytest.raises(DimensionError):
-            hamming_distance(a, b)
+                if i != j:
+                    count = int(np.count_nonzero(rs[j].spins != rs[i].spins))
+                    assert table[min(i, j), max(i, j)] == count
 
 
 class TestDisagreementTunnels:

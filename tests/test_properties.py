@@ -166,7 +166,7 @@ def test_tunnel_contributions_flip_sign(case):
     for tunnel, (c1, c2) in zip(tunnels, contributions):
         assert c2 == -c1
         moved = run1.spins.copy()
-        moved[list(tunnel.vertices)] = run2.spins[list(tunnel.vertices)]
+        moved[list(tunnel)] = run2.spins[list(tunnel)]
         assert abs(problem.evaluate(moved) - run1.energy - (c2 - c1)) <= ENERGY_ATOL
 
 
@@ -467,7 +467,7 @@ def scan_decompose_low_treewidth(problem, width_cap):
         unassigned.discard(region[0])
         while True:
             candidates = sorted({
-                w for v in region for w in problem.neighbors(v).tolist()
+                w for v in region for w in problem._nbr[v].tolist()
                 if w in unassigned
             })
             for cand in candidates:

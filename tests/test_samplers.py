@@ -22,7 +22,6 @@ from isingpp import (
     random_problem,
     random_runs,
     simulated_anneal,
-    single_flip_delta,
 )
 from isingpp import samplers
 from isingpp.errors import InputError, ParameterError, SizeError
@@ -130,7 +129,8 @@ class TestSimulatedAnneal:
             flipped = spins.copy()
             flipped[a] *= -1
             direct = problem.evaluate(flipped) - problem.evaluate(spins)
-            assert single_flip_delta(problem, spins, a) == pytest.approx(direct, abs=1e-9)
+            field = problem._h_vec[a] + np.sum(problem._nbr_w[a] * spins[problem._nbr[a]])
+            assert -2.0 * spins[a] * field == pytest.approx(direct, abs=1e-9)
 
     def test_reaches_ground_state_on_small_problems(self):
         """Calibrated: 50/50 seeds hit the exact optimum with this budget;
@@ -191,7 +191,7 @@ class TestSweepLevels:
             level[V] = k
         assert (level >= 0).all() and levels[-1][0].stop == n
         for a in range(n):
-            lower = [level[b] for b in problem.neighbors(a).tolist() if b < a]
+            lower = [level[b] for b in problem._nbr[a].tolist() if b < a]
             assert level[a] == 1 + max(lower, default=-1)
         for a, b in edges:
             assert level[min(a, b)] < level[max(a, b)]

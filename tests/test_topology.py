@@ -93,6 +93,26 @@ class TestSimpleGraphs:
         with pytest.raises(ParameterError):
             grid_graph(0, 3)
 
+    @pytest.mark.parametrize("build,integral", [
+        (lambda: complete_graph(3.0), lambda: complete_graph(3)),
+        (lambda: path_graph(3.0), lambda: path_graph(3)),
+        (lambda: grid_graph(2.0, 2), lambda: grid_graph(2, 2)),
+        (lambda: grid_graph(1.5, 2), None),
+        (lambda: chimera_graph(ChimeraSpec(1, 1.0, 2)), lambda: chimera_graph(ChimeraSpec(1, 1, 2))),
+        (lambda: complete_graph(math.inf), None),
+        (lambda: ChimeraSpec(1, 1, math.nan), None),
+    ], ids=["complete", "path", "grid", "grid_fraction", "chimera", "complete_inf", "chimera_nan"])
+    def test_float_sizes(self, build, integral):
+        """A non-integral size fails with ParameterError; an integral float
+        builds the same graph of int vertex ids as the int size."""
+        if integral is None:
+            with pytest.raises(ParameterError):
+                build()
+            return
+        graph = build()
+        assert graph == integral()
+        assert all(type(v) is int for edge in graph for v in edge)
+
 
 class TestRandomProblem:
     def test_deterministic(self):
@@ -197,7 +217,7 @@ class TestConnectedComponents:
     def test_path_subset_splits(self):
         graph = path_graph(5)
         comps = subset_tunnels({1, 3, 4}, graph)
-        assert [c.vertices for c in comps] == [(1,), (3, 4)]
+        assert comps == [(1,), (3, 4)]
 
     def test_empty_subset(self):
         assert subset_tunnels(set(), path_graph(3)) == []
@@ -207,11 +227,11 @@ class TestConnectedComponents:
         for subset in [{0, 5}, {1, 2, 3}, set(range(6))]:
             comps = subset_tunnels(subset, graph)
             assert len(comps) == 1
-            assert set(comps[0].vertices) == subset
+            assert set(comps[0]) == subset
 
     def test_ordered_by_smallest_member(self):
         comps = subset_tunnels({0, 2, 4}, path_graph(5))
-        assert [c.vertices[0] for c in comps] == [0, 2, 4]
+        assert [c[0] for c in comps] == [0, 2, 4]
 
     def test_partition_and_maximality(self):
         """Components partition the subset; each one equals its BFS closure,
@@ -225,12 +245,13 @@ class TestConnectedComponents:
             comps = subset_tunnels(subset, graph)
             seen = set()
             for comp in comps:
-                verts = set(comp.vertices)
+                verts = set(comp)
+                assert comp == tuple(sorted(verts))
                 assert not (verts & seen)
                 seen |= verts
-                assert verts == bfs_reachable(comp.vertices[0], subset, graph)
+                assert verts == bfs_reachable(comp[0], subset, graph)
             assert seen == subset
-            smallest = [min(c.vertices) for c in comps]
+            smallest = [min(c) for c in comps]
             assert smallest == sorted(smallest)
 
     def test_no_edges_between_components(self):
