@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import IsingProblem, SpinConfiguration
+from .core import SPIN_DTYPE, IsingProblem, SpinConfiguration
 from .errors import InputError, ParameterError, WidthError
 from .rng import derive_seed
 from .samplers import Provenance, RunSet, SamplerParams
@@ -305,7 +305,9 @@ def persistence_fix(problem: IsingProblem, runset: RunSet,
 
     The threshold must exceed 0.5 (so at most one value can qualify) and
     be at most 1. Frozen couplings fold into the free vertices' linear
-    terms: h'[a] = h[a] + sum over frozen neighbors b of J[a,b] * s[b].
+    terms: h'[a] = h[a] + sum over frozen neighbors b of J[a,b] * s[b],
+    summed h first, then b in ascending order. The offset is the energy
+    of the frozen spins with the free ones set to 0.
     """
     if not (0.5 < threshold <= 1.0):
         raise ParameterError(
@@ -316,40 +318,31 @@ def persistence_fix(problem: IsingProblem, runset: RunSet,
     spins = runset.spins
     if spins.shape[1] != problem.vertex_count:
         raise InputError("runs do not fit the problem")
-    num = spins.shape[0]
-    plus = np.count_nonzero(spins == 1, axis=0)
-    frac_plus = plus / num
-    fix_plus = frac_plus >= threshold
-    fix_minus = (1.0 - frac_plus) >= threshold
+    frac_plus = np.count_nonzero(spins == 1, axis=0) / spins.shape[0]
+    fixed = np.zeros(problem.vertex_count, dtype=SPIN_DTYPE)
+    fixed[frac_plus >= threshold] = 1
+    fixed[(1.0 - frac_plus) >= threshold] = -1
+    free = fixed == 0
+    index = np.cumsum(free) - 1  # a free vertex's id in the reduced problem
 
-    assignments = {}
-    for v in np.nonzero(fix_plus)[0].tolist():
-        assignments[v] = 1
-    for v in np.nonzero(fix_minus)[0].tolist():
-        assignments[v] = -1
-    free = tuple(v for v in range(problem.vertex_count) if v not in assignments)
-    index_of = {v: i for i, v in enumerate(free)}
+    a, b, w = problem._edge_a, problem._edge_b, problem._edge_w
+    # Each edge from both ends; those from a free end to a frozen one fold
+    # in, sorted by (free end, frozen end) as add.at adds them in order.
+    ends, to = np.concatenate([a, b]), np.concatenate([b, a])
+    fold = free[ends] & ~free[to]
+    ends, to, weights = ends[fold], to[fold], np.concatenate([w, w])[fold]
+    by_end = np.lexsort((to, ends))
+    h = problem._h_vec.copy()
+    np.add.at(h, ends[by_end], weights[by_end] * fixed[to[by_end]])
+    h_reduced = {i: x for i, x in enumerate(h[free].tolist()) if x != 0.0}
+    inner = free[a] & free[b]
+    j_reduced = dict(zip(zip(index[a[inner]].tolist(), index[b[inner]].tolist()),
+                         w[inner].tolist()))
 
-    h_reduced = {}
-    for i, v in enumerate(free):
-        hv = problem._h_vec[v]
-        for b, w in zip(problem._nbr[v].tolist(), problem._nbr_w[v].tolist()):
-            if b in assignments:
-                hv += w * assignments[b]
-        if hv != 0.0:
-            h_reduced[i] = float(hv)
-    j_reduced = {}
-    offset = 0.0
-    for (a, b), w in sorted(problem.J.items()):
-        if a in assignments and b in assignments:
-            offset += w * assignments[a] * assignments[b]
-        elif a in index_of and b in index_of:
-            j_reduced[(index_of[a], index_of[b])] = w
-    for v, s in assignments.items():
-        offset += problem._h_vec[v] * s
-
-    reduced = IsingProblem(len(free), h_reduced, j_reduced)
-    return FixedAssignment(assignments, free, reduced, float(offset))
+    assignments = {v: int(fixed[v]) for v in np.flatnonzero(fixed).tolist()}
+    free_vertices = tuple(np.flatnonzero(free).tolist())
+    reduced = IsingProblem(len(free_vertices), h_reduced, j_reduced)
+    return FixedAssignment(assignments, free_vertices, reduced, problem.evaluate(fixed))
 
 
 def sample_persistence(problem: IsingProblem, sampler, params: SamplerParams,

@@ -94,9 +94,9 @@ def _config(args, **fields):
 def cmd_gen(args):
     if args.count < 0:
         raise ParameterError(f"--count must be non-negative, got {args.count}")
+    draw = problem_family(_topology_dict(args), args.h_range, args.j_range)
     out = _resolve_out(args.out)
     os.makedirs(out, exist_ok=True)
-    draw = problem_family(_topology_dict(args), args.h_range, args.j_range)
     for index in range(args.count):
         problem = draw(derive_seed(args.seed, "problem", index))
         save_problem(problem, os.path.join(out, f"problem_{index:04d}.json"))

@@ -22,12 +22,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InputError, ParameterError
+from .errors import DimensionError, InputError, ParameterError, SizeError
 
 SPIN_DTYPE = np.int8
 
 # Global tolerance for energy equality checks.
 ENERGY_ATOL = 1e-9
+
+# The most vertices a problem, and the most edges a generated graph, may
+# have. Sizes are checked before anything of that size is allocated.
+SIZE_LIMIT = 1 << 20
 
 
 class IsingProblem:
@@ -49,6 +53,8 @@ class IsingProblem:
         if int(vertex_count) != vertex_count or vertex_count < 0:
             raise DimensionError(f"vertex_count must be a non-negative integer, got {vertex_count!r}")
         n = int(vertex_count)
+        if n > SIZE_LIMIT:
+            raise SizeError(f"vertex_count {n} is above the limit of {SIZE_LIMIT}")
         self.vertex_count = n
 
         h = dict(h or {})

@@ -15,7 +15,8 @@ class ParameterError(ValueError):
 
 
 class SizeError(ValueError):
-    """A problem is too large for an exact (enumerating) operation."""
+    """A problem or graph is too large: above ``core.SIZE_LIMIT``, or for an
+    exact (enumerating) operation."""
 
 
 class InputError(ValueError):

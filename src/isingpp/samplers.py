@@ -171,9 +171,21 @@ def _wrap_runs(problem, spins_matrix, name, params_dict, seed, problem_id=None):
     )
 
 
-def _shared_graph(jobs):
-    """The problems of ``jobs``, checked to be on one nonempty graph."""
-    problems = [problem for problem, _, _ in jobs]
+def _level_tables(problems):
+    """Dependency levels of an index-order sweep over the one nonempty
+    graph that ``problems`` share, with their neighbour tables.
+
+    A vertex's level is 1 + the largest level among its lower-indexed
+    neighbours, or 0 if it has none, so no edge joins two vertices of one
+    level. The kernels keep one state row per vertex, in level order, so a
+    level's rows are one slice, plus row n, which holds a constant +1 spin.
+    Returns the vertex of each row, ``order`` (ascending within a level),
+    and one ``(rows, P, W)`` per level. Column j of ``P`` holds the state
+    rows that the local field of row ``rows.start + j`` sums: row n first,
+    for h, then the vertex's neighbours in ``_nbr`` order, padded with row
+    n. ``W[:, j, k]`` holds problem k's coefficients of those rows, 0.0 in
+    the pads.
+    """
     first = problems[0]
     if first.vertex_count == 0:
         raise InputError("cannot sample a problem with no vertices")
@@ -183,33 +195,11 @@ def _shared_graph(jobs):
                 and np.array_equal(problem._edge_b, first._edge_b)):
             raise InputError(f"jobs sampled in one call must share one graph, got "
                              f"{first!r} and {problem!r}")
-    return problems
-
-
-def _coefficients(problem: IsingProblem) -> np.ndarray:
-    """The vector ``_sweep_levels``' index tables point into: h by vertex,
-    then each vertex's couplings in ``_nbr`` order, then a 0.0 pad."""
-    return np.concatenate([problem._h_vec, *problem._nbr_w, [0.0]])
-
-
-def _sweep_levels(problem: IsingProblem, field_first: bool):
-    """Dependency levels of an index-order sweep, with neighbour tables.
-
-    A vertex's level is 1 + the largest level among its lower-indexed
-    neighbours, or 0 if it has none, so no edge joins two vertices of one
-    level. The kernels keep one state row per vertex, in level order, so a
-    level's rows are one slice, plus row n, which holds a constant +1 spin.
-    Returns the vertex of each row, ``order`` (ascending within a level),
-    and one ``(rows, P, Q)`` per level: column j of ``P`` holds the state
-    rows that the local field of row ``rows.start + j`` sums and column j
-    of ``Q`` their coefficients, as indices into ``_coefficients``. They
-    are the vertex's neighbours in ``_nbr`` order, padded with coefficient
-    0.0, plus the field row, h against row n, first with ``field_first``
-    and last otherwise. The tables depend on the graph only, so problems
-    on one graph share them.
-    """
-    n = problem.vertex_count
-    nbr = [a.tolist() for a in problem._nbr]
+    n = first.vertex_count
+    nbr = [a.tolist() for a in first._nbr]
+    # Row i of coefs holds each problem's h of vertex i, rows from start[v]
+    # the couplings of vertex v in _nbr order, and the last row the pad.
+    coefs = np.stack([np.concatenate([p._h_vec, *p._nbr_w, [0.0]]) for p in problems], axis=1)
     start = n + np.cumsum([0] + [len(b) for b in nbr])
     groups = []
     level = []
@@ -224,14 +214,13 @@ def _sweep_levels(problem: IsingProblem, field_first: bool):
     levels = []
     for V in groups:
         width = max(len(nbr[v]) for v in V)
-        field, first = (0, 1) if field_first else (width, 0)
         P = np.full((width + 1, len(V)), n, dtype=np.intp)
         Q = np.full((width + 1, len(V)), start[-1], dtype=np.intp)
+        Q[0] = V
         for j, v in enumerate(V):
-            P[first:first + len(nbr[v]), j] = row[nbr[v]]
-            Q[first:first + len(nbr[v]), j] = np.arange(start[v], start[v + 1])
-            Q[field, j] = v
-        levels.append((slice(int(row[V[0]]), int(row[V[0]]) + len(V)), P, Q))
+            P[1:1 + len(nbr[v]), j] = row[nbr[v]]
+            Q[1:1 + len(nbr[v]), j] = np.arange(start[v], start[v + 1])
+        levels.append((slice(int(row[V[0]]), int(row[V[0]]) + len(V)), P, coefs[Q]))
     return order, levels
 
 
@@ -268,7 +257,7 @@ def simulated_anneal(problem: IsingProblem, params: SamplerParams,
     the sweep deciding.
 
     Up to ``_RUN_BLOCK`` runs advance together, one dependency level of
-    vertices at a time (see ``_sweep_levels``). Vertices of one level
+    vertices at a time (see ``_level_tables``). Vertices of one level
     share no edge, and each reads this sweep's spins of its lower-indexed
     neighbours and last sweep's spins of its higher-indexed ones, so
     updating a whole level at once gives exactly the index-order sweep.
@@ -288,10 +277,8 @@ def simulated_anneal_many(jobs) -> list:
     jobs = list(jobs)
     if not jobs:
         return []
-    problems = _shared_graph(jobs)
-    n = problems[0].vertex_count
-    order, levels = _sweep_levels(problems[0], field_first=False)
-    coefs = np.stack([_coefficients(p) for p in problems], axis=1)
+    order, levels = _level_tables([problem for problem, _, _ in jobs])
+    n = len(order)
     pools = {}
     for k, (_, params, _) in enumerate(jobs):
         pools.setdefault((params.sweeps, params.beta_schedule), []).append(k)
@@ -311,25 +298,26 @@ def simulated_anneal_many(jobs) -> list:
             bounds = [0, *(np.flatnonzero(np.diff(cols)) + 1), len(cols) + 1]
             segments = [(slice(a, b), cols[a]) for a, b in zip(bounds, bounds[1:])]
             pooled[lo:lo + _RUN_BLOCK] = _anneal_block(
-                order, levels, coefs, segments, betas, gens[lo:lo + _RUN_BLOCK])
+                order, levels, segments, betas, gens[lo:lo + _RUN_BLOCK])
         for k, block in zip(ks, np.split(pooled, np.cumsum(counts)[:-1])):
             spins[k] = block
     return [_wrap_runs(problem, s, "simulated_anneal", params.to_dict(), params.seed, pid)
             for (problem, params, pid), s in zip(jobs, spins)]
 
 
-def _anneal_block(order, levels, coefs, segments, betas, gens):
+def _anneal_block(order, levels, segments, betas, gens):
     """(runs, n) spins of one simulated_anneal chain per generator; each
-    ``(cols, k)`` of ``segments`` gives the runs ``cols`` the coefficients
-    ``coefs[:, k]``."""
+    ``(cols, k)`` of ``segments`` gives the runs ``cols`` problem k's
+    coefficients of the level tables."""
     runs, n = len(gens), len(order)
-    tables = [(rows, order[rows], P, [(cols, coefs[Q][:, :, k, None]) for cols, k in segments])
-              for rows, P, Q in levels]
+    tables = [(rows, order[rows], P, [(cols, W[:, :, k, None]) for cols, k in segments])
+              for rows, P, W in levels]
     # Row r of state is vertex order[r], column i run i; row n is the
     # constant spin of the field rows. The last column holds zero spins,
     # which no flip changes; it keeps every row of a level's terms at two
     # or more entries, and add.reduce over axis 0 sums such rows one after
-    # another, in the order of the sweep's neighbour sum.
+    # another, in the order of the sweep's neighbour sum, to which h is
+    # then added.
     bits = np.empty((runs, n), dtype=SPIN_DTYPE)
     for i, g in enumerate(gens):
         bits[i] = g.integers(0, 2, n)
@@ -348,7 +336,8 @@ def _anneal_block(order, levels, coefs, segments, betas, gens):
                 terms = state[P].astype(np.float64)
                 for cols, W in weights:
                     terms[:, :, cols] *= W
-                x = np.add.reduce(terms, axis=0)
+                x = np.add.reduce(terms[1:], axis=0)
+                x += terms[0]
                 s = state[rows]
                 x *= -2.0 * s
                 np.maximum(x, 0.0, out=x)
@@ -389,9 +378,10 @@ def gibbs_sample_many(jobs) -> list:
     for _, params, _ in jobs:
         if params.fixed_beta is None:
             raise ParameterError("gibbs_sample requires fixed_beta")
-    problems = _shared_graph(jobs)
+    problems = [problem for problem, _, _ in jobs]
     params = [params for _, params, _ in jobs]
-    if len(jobs) == 1:
+    # A lone empty problem goes on to _level_tables, which rejects it.
+    if len(jobs) == 1 and problems[0].vertex_count:
         spins = [_gibbs_chain(problems[0], params[0])]
     else:
         spins = _gibbs_columns(problems, params)
@@ -441,18 +431,16 @@ def _gibbs_columns(problems, params):
     """(num_runs, n) states of the Gibbs chain of each (problem, params),
     two or more chains on one graph, as columns of one level kernel.
 
-    Column c is chain c, with its own coefficient tables, beta, burn-in,
+    Column c is chain c, with its own coefficients, beta, burn-in,
     thinning and generator, drawn as in ``_gibbs_chain``. Each field is
     summed h first, then the neighbours left to right, as add.reduce over
-    the rows of ``_sweep_levels(field_first=True)`` sums them, so the
-    chain is ``_gibbs_chain``'s up to ``np.exp`` against ``math.exp``
-    (see ``gibbs_sample_many``). A chain that has
-    collected all its states stops drawing; its column runs on unread.
+    the rows of ``_level_tables`` sums them, so the chain is
+    ``_gibbs_chain``'s up to ``np.exp`` against ``math.exp`` (see
+    ``gibbs_sample_many``). A chain that has collected all its states
+    stops drawing; its column runs on unread.
     """
-    n = problems[0].vertex_count
-    coefs = np.stack([_coefficients(p) for p in problems], axis=1)
-    order, levels = _sweep_levels(problems[0], field_first=True)
-    tables = [(rows, P, coefs[Q]) for rows, P, Q in levels]
+    order, levels = _level_tables(problems)
+    n = len(order)
     beta2 = np.array([2.0 * q.fixed_beta for q in params])
     totals = [q.burn_in + q.num_runs * q.thinning for q in params]
     gens = [make_generator(q.seed) for q in params]
@@ -471,7 +459,7 @@ def _gibbs_columns(problems, params):
     with np.errstate(over="ignore"):
         for sweep, u in enumerate(_sweep_uniforms(gens, totals, n, len(gens))):
             u = u[order]
-            for rows, P, W in tables:
+            for rows, P, W in levels:
                 terms = state[P]
                 terms *= W
                 x = np.add.reduce(terms, axis=0)

@@ -9,8 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import IsingProblem
-from .errors import InputError, ParameterError
+from .core import SIZE_LIMIT, IsingProblem
+from .errors import InputError, ParameterError, SizeError
 from .rng import child_sequences, make_generator
 
 
@@ -48,6 +48,14 @@ def _whole(value, least, what):
     return int(value)
 
 
+def _bounded(what, vertices, edges):
+    """Raise SizeError unless a graph of ``vertices`` and ``edges`` stays
+    within SIZE_LIMIT, before any list of that size is built."""
+    if max(vertices, edges) > SIZE_LIMIT:
+        raise SizeError(f"{what} would have {vertices} vertices and {edges} edges, "
+                        f"above the limit of {SIZE_LIMIT}")
+
+
 def check_span(name, lo, hi):
     """Raise unless ``hi - lo`` is finite, as uniform draws need."""
     if not math.isfinite(hi - lo):
@@ -74,6 +82,9 @@ class ProblemGenSpec:
 
 def chimera_graph(spec: ChimeraSpec):
     """Edge list of the Chimera topology described by ``spec``."""
+    rows, cols, shore = spec.rows, spec.cols, spec.shore
+    _bounded("chimera graph", spec.vertex_count, rows * cols * shore * shore
+             + (rows - 1) * cols * shore + rows * (cols - 1) * shore)
     edges = []
     for i in range(spec.rows):
         for j in range(spec.cols):
@@ -93,18 +104,21 @@ def chimera_graph(spec: ChimeraSpec):
 def complete_graph(n: int):
     """Edge list of K_n."""
     n = _whole(n, 2, "complete graph vertex count")
+    _bounded("complete graph", n, n * (n - 1) // 2)
     return [(a, b) for a in range(n) for b in range(a + 1, n)]
 
 
 def path_graph(n: int):
     """Edge list of the path 0 - 1 - ... - (n-1)."""
     n = _whole(n, 1, "path graph vertex count")
+    _bounded("path graph", n, n - 1)
     return [(a, a + 1) for a in range(n - 1)]
 
 
 def grid_graph(rows: int, cols: int):
     """Edge list of the rows x cols square lattice, row-major vertex ids."""
     rows, cols = _whole(rows, 1, "grid rows"), _whole(cols, 1, "grid cols")
+    _bounded("grid graph", rows * cols, rows * (cols - 1) + (rows - 1) * cols)
     edges = []
     for i in range(rows):
         for j in range(cols):

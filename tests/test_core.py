@@ -9,7 +9,8 @@ from isingpp import (
     SpinConfiguration,
     tunnel_contribution,
 )
-from isingpp.errors import DimensionError, InputError, ParameterError
+from isingpp.core import SIZE_LIMIT
+from isingpp.errors import DimensionError, InputError, ParameterError, SizeError
 from isingpp.mqc import disagreement_tunnels
 
 from conftest import make_chimera_problem, oracle_energy
@@ -104,6 +105,11 @@ class TestIsingProblem:
     def test_non_finite_coefficients_rejected(self, h, J):
         with pytest.raises(ParameterError, match="finite"):
             IsingProblem(2, h=h, J=J)
+
+    @pytest.mark.parametrize("n", [SIZE_LIMIT + 1, 10**12])
+    def test_vertex_count_above_limit_rejected(self, n):
+        with pytest.raises(SizeError, match="limit"):
+            IsingProblem(n)
 
     def test_pair_normalization(self):
         problem = IsingProblem(3, J={(2, 0): 0.25})

@@ -4,6 +4,7 @@ invariants, byte-stable outputs, and end-to-end pipeline runs."""
 import hashlib
 import json
 import os
+import time
 import warnings
 
 import numpy as np
@@ -604,6 +605,31 @@ def test_cli_gen_rejects_negative_count(tmp_path, capsys):
                  "--out", str(tmp_path / "none")]) == 0
     assert "wrote 0 problems" in capsys.readouterr().out
     assert os.listdir(tmp_path / "none") == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--topology", "complete", "--n", "100000000", "--count", "0"],
+    ["gen", "--topology", "path", "--n", "1000000000"],
+    ["gen", "--topology", "grid", "--rows", "100000", "--cols", "100000"],
+    ["gen", "--topology", "chimera", "--rows", "10000", "--cols", "10000"],
+    ["sample", "--problem", "{huge}"],
+    ["pp", "--problem", "{huge}", "--runs-file", "{huge}", "--method", "mqc_sequential"],
+], ids=["complete", "path", "grid", "chimera", "sample", "pp"])
+def test_cli_rejects_sizes_above_the_limit(tmp_path, capsys, argv):
+    """A graph or problem file above the size limit fails with one
+    error: line at once, before any edge list is built and before any
+    output is written."""
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"vertex_count": 10**12, "h": [], "J": []}), encoding="utf-8")
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    code = main([arg.format(huge=huge) for arg in argv] + ["--out", str(out)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "limit" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("h_range", [[" -1e308", "1e308"], [" -inf", "1"]])

@@ -46,7 +46,7 @@ from isingpp import (
     simulated_anneal,
 )
 from isingpp import samplers
-from isingpp.altpp import _eliminate, _min_degree
+from isingpp.altpp import _eliminate, _min_degree, persistence_fix
 from isingpp.errors import ParseError
 from isingpp.mqc import _merge_pairs, _pair_indices, reduce_configs
 from isingpp.rng import child_sequences, make_generator
@@ -758,6 +758,20 @@ def test_gibbs_columns_sum_h_first_then_left_to_right():
         assert np.array_equal(runset.spins, expected)
 
 
+def test_anneal_adds_h_to_the_neighbour_sum():
+    """The problem of the test above, annealed: vertex 3's field is h = 1.0
+    plus the neighbour terms 1e16, -1e16, -0.5 summed left to right, which
+    is 0.5, so the vertex settles at -1; summed h first, as the Gibbs
+    columns sum it, the field would be -0.5 and it would settle at +1."""
+    problem = IsingProblem(4, {0: 1e30, 1: 1e30, 2: 1e30, 3: 1.0},
+                           {(0, 3): -1e16, (1, 3): 1e16, (2, 3): 0.5})
+    params = SamplerParams(num_runs=3, seed=0, sweeps=2, beta_schedule=BetaSchedule(1e3, 1e3))
+    expected = per_vertex_anneal(problem, params, left_to_right)
+    assert (expected == [-1, -1, -1, -1]).all()
+    for runset in samplers.simulated_anneal_many([(problem, params, None)] * 2):
+        assert np.array_equal(runset.spins, expected)
+
+
 def test_lone_gibbs_chain_is_python_chain():
     problem = IsingProblem(9, {a: 0.3 * a - 1.1 for a in range(9)},
                            {e: 0.7 - 0.13 * i for i, e in enumerate(complete_graph(9))})
@@ -785,3 +799,62 @@ def test_batched_anneal_matches_per_problem_anneal(problems, block, data):
         assert np.array_equal(runset.spins, expected)
         assert np.array_equal(simulated_anneal(problem, params).spins, expected)
         assert same_bits(runset.energies(), problem.evaluate_many(expected))
+
+
+def per_vertex_persistence_fix(problem, spins, threshold):
+    """persistence_fix as first written, kept as its specification: the
+    frozen spins, the free vertices, and the reduced problem's fields,
+    each summed h first and then over the frozen neighbours in ascending
+    order, and couplings, taken from J in sorted order."""
+    frac_plus = np.count_nonzero(spins == 1, axis=0) / len(spins)
+    assignments = {v: 1 for v in np.nonzero(frac_plus >= threshold)[0].tolist()}
+    assignments.update({v: -1 for v in np.nonzero(1.0 - frac_plus >= threshold)[0].tolist()})
+    free = tuple(v for v in range(problem.vertex_count) if v not in assignments)
+    index_of = {v: i for i, v in enumerate(free)}
+    h = {}
+    for i, v in enumerate(free):
+        hv = problem._h_vec[v]
+        for b, w in zip(problem._nbr[v].tolist(), problem._nbr_w[v].tolist()):
+            if b in assignments:
+                hv += w * assignments[b]
+        if hv != 0.0:
+            h[i] = float(hv)
+    J = {(index_of[a], index_of[b]): w for (a, b), w in sorted(problem.J.items())
+         if a in index_of and b in index_of}
+    return assignments, free, h, J
+
+
+@st.composite
+def persistence_cases(draw):
+    """A problem whose coefficients mix magnitudes, so a fold summed in any
+    other order shows in the bits, with 2 to 8 runs and a threshold."""
+    n = draw(st.integers(1, 10))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    values = st.one_of(coefficients, st.sampled_from([1e16, -1e16, 0.25, -0.5, 3e-3]))
+    problem = IsingProblem(n, {v: draw(values) for v in draw(st.sets(st.integers(0, n - 1)))},
+                           {e: draw(values) for e in edges})
+    spins = np.array(draw(st.lists(spin_rows(n), min_size=2, max_size=8)), dtype=np.int8)
+    return problem, spins, draw(st.sampled_from([0.51, 0.75, 1.0]))
+
+
+@derandomized
+@given(persistence_cases())
+def test_persistence_fix_matches_per_vertex_fold(case):
+    """The edge-array fold gives the frozen spins, free vertices, field
+    bits and couplings of the per-vertex fold, and an offset that, with
+    the reduced energy, is the full energy of every assembled run."""
+    problem, spins, threshold = case
+    fa = persistence_fix(problem, RunSet.from_matrix(
+        spins, problem.evaluate_many(spins), "x", Provenance("manual", {}, 0)), threshold)
+    assignments, free, h, J = per_vertex_persistence_fix(problem, spins, threshold)
+    assert fa.assignments == assignments and fa.free_vertices == free
+    reduced = fa.reduced_problem
+    assert reduced.vertex_count == len(free)
+    assert list(reduced.h) == list(h) and same_bits(list(reduced.h.values()), list(h.values()))
+    assert reduced.J == J
+    scale = 1.0 + sum(map(abs, problem.h.values())) + sum(map(abs, problem.J.values()))
+    for run in spins:
+        full = problem.evaluate(fa.assemble(run[list(free)]))
+        assert reduced.evaluate(run[list(free)]) + fa.offset == \
+            pytest.approx(full, abs=ENERGY_ATOL * scale)

@@ -26,7 +26,7 @@ from isingpp import (
 from isingpp import samplers
 from isingpp.errors import InputError, ParameterError, SizeError
 from isingpp.harness import ExperimentConfig, problem_for
-from isingpp.samplers import Provenance, _coefficients, _sweep_levels
+from isingpp.samplers import Provenance, _level_tables
 
 from conftest import make_chimera_problem, oracle_ground
 
@@ -180,7 +180,7 @@ class TestSweepLevels:
         inside a level; the level count is as stated. The levels' rows
         follow one another and hold their vertices in ascending order."""
         problem = IsingProblem(n, {}, {e: 1.0 for e in edges})
-        order, levels = _sweep_levels(problem, field_first=False)
+        order, levels = _level_tables([problem])
         assert len(levels) == count
         assert sorted(order.tolist()) == list(range(n))
         level = np.full(n, -1)
@@ -197,24 +197,24 @@ class TestSweepLevels:
             assert level[min(a, b)] < level[max(a, b)]
 
     def test_tables_hold_neighbours_in_order(self):
-        """Each column holds the field row, h against the constant spin of
-        row n, first or last, and the neighbours' rows in order, padded with
-        coefficient 0.0."""
-        problem = make_chimera_problem(seed=3, rows=2, cols=2)
-        n = problem.vertex_count
-        coefs = _coefficients(problem)
-        for field_first in (True, False):
-            order, levels = _sweep_levels(problem, field_first)
-            vertex_of_row = np.append(order, n)
-            for rows, P, Q in levels:
-                field = 0 if field_first else len(P) - 1
-                nbrs = slice(1, None) if field_first else slice(0, -1)
-                for j, v in enumerate(order[rows].tolist()):
-                    deg = len(problem._nbr[v])
-                    assert P[field, j] == n and coefs[Q[field, j]] == problem._h_vec[v]
-                    assert vertex_of_row[P[nbrs][:deg, j]].tolist() == problem._nbr[v].tolist()
-                    assert coefs[Q[nbrs][:deg, j]].tolist() == problem._nbr_w[v].tolist()
-                    assert (coefs[Q[nbrs][deg:, j]] == 0.0).all()
+        """Each column holds the field row first, h against the constant
+        spin of row n, then the neighbours' rows in order, padded with row n
+        and coefficient 0.0; ``W[..., k]`` holds problem k's coefficients."""
+        problems = [make_chimera_problem(seed=seed, rows=2, cols=2) for seed in (3, 4, 5)]
+        n = problems[0].vertex_count
+        order, levels = _level_tables(problems)
+        vertex_of_row = np.append(order, n)
+        for rows, P, W in levels:
+            assert W.shape == (*P.shape, len(problems))
+            for j, v in enumerate(order[rows].tolist()):
+                deg = len(problems[0]._nbr[v])
+                assert P[0, j] == n
+                assert vertex_of_row[P[1:1 + deg, j]].tolist() == problems[0]._nbr[v].tolist()
+                assert (P[1 + deg:, j] == n).all()
+                for k, problem in enumerate(problems):
+                    assert W[0, j, k] == problem._h_vec[v]
+                    assert W[1:1 + deg, j, k].tolist() == problem._nbr_w[v].tolist()
+                    assert (W[1 + deg:, j, k] == 0.0).all()
 
 
 class TestBatchedSampling:

@@ -17,7 +17,8 @@ from isingpp import (
     path_graph,
     random_problem,
 )
-from isingpp.errors import InputError, ParameterError
+from isingpp import topology
+from isingpp.errors import InputError, ParameterError, SizeError
 
 
 def edge_count_formula(m, n, s):
@@ -112,6 +113,43 @@ class TestSimpleGraphs:
         graph = build()
         assert graph == integral()
         assert all(type(v) is int for edge in graph for v in edge)
+
+    @pytest.mark.parametrize("build", [
+        lambda: complete_graph(1449),
+        lambda: complete_graph(10**8),
+        lambda: path_graph(topology.SIZE_LIMIT + 1),
+        lambda: path_graph(10**9),
+        lambda: grid_graph(1, topology.SIZE_LIMIT + 1),
+        lambda: grid_graph(725, 725),
+        lambda: grid_graph(10**5, 10**5),
+        lambda: chimera_graph(ChimeraSpec(1, 1, 1025)),
+        lambda: chimera_graph(ChimeraSpec(10**4, 10**4, 4)),
+    ])
+    def test_sizes_above_the_limit_fail_before_building(self, build):
+        """K_1449 has 1,049,076 edges and the 725 x 725 grid 1,049,800,
+        just above the limit of 2^20; the others pass it by far."""
+        with pytest.raises(SizeError, match="limit"):
+            build()
+
+    @pytest.mark.parametrize("build", [
+        lambda: complete_graph(5),
+        lambda: path_graph(7),
+        lambda: grid_graph(2, 3),
+        lambda: grid_graph(3, 3),
+        lambda: chimera_graph(ChimeraSpec(2, 3, 2)),
+        lambda: chimera_graph(ChimeraSpec(3, 1, 4)),
+    ])
+    def test_counts_are_the_built_sizes(self, build, monkeypatch):
+        """With the limit at the larger of a graph's vertex and edge
+        counts it builds; one below, it fails: the counts each builder
+        works out beforehand are those of the graph it builds."""
+        graph = build()
+        limit = max(len(graph), max(b for _, b in graph) + 1)
+        monkeypatch.setattr(topology, "SIZE_LIMIT", limit)
+        assert build() == graph
+        monkeypatch.setattr(topology, "SIZE_LIMIT", limit - 1)
+        with pytest.raises(SizeError):
+            build()
 
 
 class TestRandomProblem:
