@@ -17,13 +17,14 @@ import json
 import numbers
 import os
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from .altpp import (DEFAULT_PERSISTENCE_ROUNDS, DEFAULT_PERSISTENCE_THRESHOLD,
                     DEFAULT_WIDTH_CAP, builtin_opt_pp, sample_persistence)
 from .core import ENERGY_ATOL, IsingProblem
 from .errors import ConfigError, InputError, ParameterError
-from .hpe import DEFAULT_LEVELS, DEFAULT_SCALES, PrecisionModel, ScaleSet, hpe
+from .hpe import (DEFAULT_LEVELS, DEFAULT_SCALES, PrecisionModel, ScaleSet, emulate,
+                  hpe_from_runsets, hpe_jobs)
 from .mqc import PairingStrategy, mqc_reduce
 from .rng import derive_seed
 from .samplers import (
@@ -61,8 +62,9 @@ _MQC_STRATEGY = {
     "mqc_maxdiff": PairingStrategy.MAX_DIFFERENCE,
 }
 METHODS = (*_MQC_STRATEGY, "builtin_pp", "sample_persistence", "hpe")
-# Problems whose cells of one run count and mode are sampled in one call;
-# their run sets are held until the block's records are out.
+# Problems whose cells of one mode, every run count's input runs and every
+# hpe scale's runs, are sampled in one call; their run sets are held until
+# the block's records are out.
 _PROBLEM_BLOCK = 16
 # Time bench_reduce spends on each run count in each of its rounds.
 _BENCH_ROUND_SECONDS = 0.2
@@ -233,8 +235,9 @@ def problem_family(topology: dict, h_range, j_range):
     """The function from a seed to the random problem on ``topology``
     whose fields and couplings are uniform in ``h_range`` and ``j_range``."""
     graph, n = topology_graph(topology)
-    return lambda seed: random_problem(graph, ProblemGenSpec(h_range, j_range, seed),
-                                       vertex_count=n)
+    # Built once, so bad ranges fail before any problem is drawn.
+    spec = ProblemGenSpec(h_range, j_range, 0)
+    return lambda seed: random_problem(graph, replace(spec, seed=seed), vertex_count=n)
 
 
 def problem_for(config: ExperimentConfig, index: int) -> IsingProblem:
@@ -261,35 +264,51 @@ def sampler_params(config: ExperimentConfig, mode: str, num_runs: int, seed: int
     )
 
 
+def _input_job(config: ExperimentConfig, problem: IsingProblem, index: int,
+               mode: str, num_runs: int):
+    """The ``sample_many`` job of a (problem, mode, run count) cell's input runs."""
+    return (problem, sampler_params(config, mode, num_runs, derive_seed(
+        config.master_seed, "sample", mode, num_runs, index)), f"p{index:04d}")
+
+
 def mode_runset(config: ExperimentConfig, problem: IsingProblem, index: int,
                 mode: str, num_runs: int):
     """The run set a (problem, mode, run count) cell starts from."""
-    return mode_runsets(config, [problem], [index], mode, num_runs)[0]
-
-
-def mode_runsets(config: ExperimentConfig, problems, indices, mode: str, num_runs: int):
-    """``mode_runset`` of each problem and its index, sampled in one call."""
     if mode not in SAMPLERS:
         raise ConfigError(f"unknown mode {mode!r}")
-    return sample_many(SAMPLERS[mode], [
-        (problem, sampler_params(config, mode, num_runs, derive_seed(
-            config.master_seed, "sample", mode, num_runs, index)), f"p{index:04d}")
-        for problem, index in zip(problems, indices)])
+    return sample_many(SAMPLERS[mode], [_input_job(config, problem, index, mode, num_runs)])[0]
+
+
+def _emulated(config: ExperimentConfig, problem: IsingProblem):
+    """hpe's scaled-and-quantized copies of ``problem``, one per scale."""
+    model = PrecisionModel(h_clip=config.h_range, j_clip=config.j_range,
+                           levels=config.hpe_levels)
+    return emulate(problem, config.hpe_scales, model)
+
+
+def _hpe_jobs(config: ExperimentConfig, copies, mode: str, num_runs: int, index: int,
+              seed: int | None = None):
+    """The ``sample_many`` jobs of hpe's scales in a cell of ``num_runs``
+    runs, seeded with ``seed`` when given, else with a seed derived from
+    the master seed, the mode and the problem ``index``. Budget parity:
+    the cell's run count is split across the scales."""
+    per_scale = max(1, num_runs // len(copies))
+    s = derive_seed(config.master_seed, "hpe", mode, index) if seed is None else seed
+    return hpe_jobs(copies, per_scale, sampler_params(config, mode, per_scale, s))
 
 
 def apply_method(config: ExperimentConfig, problem: IsingProblem, runset,
-                 method: str, mode: str, index: int = 0, seed: int | None = None):
+                 method: str, mode: str, index: int = 0, seed: int | None = None,
+                 hpe_runsets=None):
     """Run one post-processor; returns (output spins, their energies,
     record fields), the spins one row per output run.
 
     sample_persistence and hpe re-sample with the sampler of ``mode``,
     seeded with ``seed`` when given, else with a seed derived from the
-    master seed, the method, the mode and the problem ``index``.
+    master seed, the method, the mode and the problem ``index``. hpe
+    merges ``hpe_runsets`` instead when given: the run sets of its
+    ``_hpe_jobs``, which a sweep samples with the rest of its block.
     """
-    def resampling(tag, num_runs):
-        s = derive_seed(config.master_seed, tag, mode, index) if seed is None else seed
-        return SAMPLERS[mode], sampler_params(config, mode, num_runs, s)
-
     def single(final, **fields):
         return final.spins[None], [final.energy], {"energy": final.energy, **fields}
 
@@ -300,24 +319,18 @@ def apply_method(config: ExperimentConfig, problem: IsingProblem, runset,
         out = builtin_opt_pp(problem, runset, config.width_cap)
         return out.spins, out.energies(), {"energy": float(out.energies().min())}
     if method == "sample_persistence":
-        sampler, params = resampling("persistence", len(runset))
+        s = derive_seed(config.master_seed, "persistence", mode, index) if seed is None else seed
         return single(sample_persistence(
-            problem, sampler, params,
+            problem, SAMPLERS[mode], sampler_params(config, mode, len(runset), s),
             threshold=config.persistence_threshold,
             rounds=config.persistence_rounds,
             initial_runs=runset,
         ))
     if method == "hpe":
-        # Budget parity: split the cell's run count across the scales.
-        per_scale = max(1, len(runset) // len(config.hpe_scales))
-        sampler, params = resampling("hpe", per_scale)
-        final, _ = hpe(
-            problem,
-            ScaleSet(config.hpe_scales, per_scale),
-            PrecisionModel(h_clip=config.h_range, j_clip=config.j_range,
-                           levels=config.hpe_levels),
-            params, sampler=sampler,
-        )
+        if hpe_runsets is None:
+            hpe_runsets = sample_many(SAMPLERS[mode], _hpe_jobs(
+                config, _emulated(config, problem), mode, len(runset), index, seed))
+        final, _ = hpe_from_runsets(problem, hpe_runsets, scales=config.hpe_scales)
         return single(final)
     raise ConfigError(f"unknown method {method!r}")
 
@@ -327,8 +340,9 @@ def _sweep(config: ExperimentConfig, methods):
     input energy and the method's record fields.
 
     Every listed mode's sampler settings are checked before the first cell.
-    The cells of up to ``_PROBLEM_BLOCK`` problems that share a run count
-    and mode are sampled in one call.
+    For each block of up to ``_PROBLEM_BLOCK`` problems and each mode, one
+    sampler call samples every run count's input runs and, when hpe is
+    listed, every cell's hpe scales, from copies emulated once per problem.
     """
     for mode in config.modes:
         try:
@@ -339,14 +353,29 @@ def _sweep(config: ExperimentConfig, methods):
     for lo in range(0, config.problem_count, _PROBLEM_BLOCK):
         indices = range(lo, min(lo + _PROBLEM_BLOCK, config.problem_count))
         problems = [problem_for(config, index) for index in indices]
-        runsets = [mode_runsets(config, problems, indices, mode, num_runs)
-                   for num_runs, mode in cells]
+        copies = [_emulated(config, problem) for problem in problems] if "hpe" in methods else []
+        # (run count, mode, k) -> the input run set of the block's problem k,
+        # and with hpe the run sets of its scales.
+        inputs, scales = {}, {}
+        for mode in config.modes:
+            keys = [(num_runs, mode, k) for num_runs in config.run_counts
+                    for k in range(len(problems))]
+            hpe_groups = [_hpe_jobs(config, copies[k], mode, num_runs, indices[k])
+                          for num_runs, _, k in keys] if copies else []
+            runsets = iter(sample_many(SAMPLERS[mode], [
+                *(job for jobs in hpe_groups for job in jobs),
+                *(_input_job(config, problems[k], indices[k], mode, num_runs)
+                  for num_runs, _, k in keys)]))
+            for key, jobs in zip(keys, hpe_groups):
+                scales[key] = list(itertools.islice(runsets, len(jobs)))
+            inputs.update(zip(keys, runsets))
         for k, (index, problem) in enumerate(zip(indices, problems)):
-            for (num_runs, mode), block in zip(cells, runsets):
-                runset = block[k]
+            for num_runs, mode in cells:
+                runset = inputs[num_runs, mode, k]
                 best_input = float(runset.energies().min())
                 for method in methods:
-                    *_, fields = apply_method(config, problem, runset, method, mode, index)
+                    *_, fields = apply_method(config, problem, runset, method, mode, index,
+                                              hpe_runsets=scales.get((num_runs, mode, k)))
                     yield {"problem": index, "problem_id": runset.problem_id,
                            "run_count": num_runs, "mode": mode, "method": method,
                            "best_input": best_input, **fields}

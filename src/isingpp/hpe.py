@@ -51,6 +51,9 @@ class PrecisionModel:
             raise ParameterError(
                 f"levels must be at least 2 to include both endpoints, got {self.levels}"
             )
+        # A grid index is a float; above 2^53 not every index is one.
+        if self.levels > 2**53:
+            raise ParameterError(f"levels must be at most 2^53, got {self.levels}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -151,22 +154,36 @@ def hpe_from_runsets(problem: IsingProblem, runsets,
     return final, report
 
 
+def emulate(problem: IsingProblem, scales, model: PrecisionModel) -> list:
+    """The scaled-and-quantized copy of ``problem`` at each of ``scales``.
+
+    The copies keep every edge, a coupling snapped to 0.0 too, so they
+    share the problem's graph and ``sample_many`` samples them in one call,
+    with each other and with the problem itself.
+    """
+    return [quantize_problem(scale_problem(problem, factor), model) for factor in scales]
+
+
+def hpe_jobs(copies, runs_per_scale: int, params: SamplerParams) -> list:
+    """The ``sample_many`` job ``(copy, params, None)`` of each emulated
+    copy: copy k takes ``runs_per_scale`` runs, seeded with a sub-seed
+    derived from (params.seed, "hpe_scale", k)."""
+    return [(copy, replace(params, num_runs=runs_per_scale,
+                           seed=derive_seed(params.seed, "hpe_scale", k)), None)
+            for k, copy in enumerate(copies)]
+
+
 def hpe(problem: IsingProblem, scaleset: ScaleSet, model: PrecisionModel,
         params: SamplerParams, sampler=simulated_anneal,
         strategy: PairingStrategy = PairingStrategy.SEQUENTIAL):
     """Sample every scaled-and-quantized copy, then merge at full precision.
 
-    Scale index k samples with a sub-seed derived from (params.seed,
-    "hpe_scale", k), so the whole procedure is reproducible from one
-    seed. The copies keep every edge, a coupling snapped to 0.0 too, so
-    they share the problem's graph and ``sample_many`` samples them in one
-    call. Returns (final configuration, HpeReport); the configuration's
-    energy is computed against the unscaled, unquantized problem.
+    ``hpe_jobs`` of the ``emulate`` copies, sampled in one ``sample_many``
+    call, then ``hpe_from_runsets``, so the whole procedure is
+    reproducible from one seed. Returns (final configuration, HpeReport);
+    the configuration's energy is computed against the unscaled,
+    unquantized problem.
     """
-    jobs = [(quantize_problem(scale_problem(problem, factor), model),
-             replace(params, num_runs=scaleset.runs_per_scale,
-                     seed=derive_seed(params.seed, "hpe_scale", k)),
-             None)
-            for k, factor in enumerate(scaleset.scales)]
+    jobs = hpe_jobs(emulate(problem, scaleset.scales, model), scaleset.runs_per_scale, params)
     return hpe_from_runsets(problem, sample_many(sampler, jobs), scales=scaleset.scales,
                             strategy=strategy)

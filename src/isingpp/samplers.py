@@ -52,6 +52,10 @@ class BetaSchedule:
             )
         if self.interpolation not in INTERPOLATIONS:
             raise ParameterError(f"unknown interpolation {self.interpolation!r}")
+        # numpy holds an int beyond 64 bits as an object, which the
+        # interpolations cannot take.
+        for name in ("start", "end"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     def betas(self, sweeps: int) -> np.ndarray:
         return INTERPOLATIONS[self.interpolation](self.start, self.end, sweeps)
@@ -256,9 +260,9 @@ def simulated_anneal(problem: IsingProblem, params: SamplerParams,
     flip is accepted with probability min(1, exp(-beta dE)), uniform a of
     the sweep deciding.
 
-    Up to ``_RUN_BLOCK`` runs advance together, one dependency level of
-    vertices at a time (see ``_level_tables``). Vertices of one level
-    share no edge, and each reads this sweep's spins of its lower-indexed
+    Blocks of up to ``_RUN_BLOCK`` runs advance together, one dependency
+    level of vertices at a time (see ``_level_tables``). Vertices of one
+    level share no edge, and each reads this sweep's spins of its lower-indexed
     neighbours and last sweep's spins of its higher-indexed ones, so
     updating a whole level at once gives exactly the index-order sweep.
     A level costs about a dozen numpy calls, whatever its size and width,
@@ -291,14 +295,18 @@ def simulated_anneal_many(jobs) -> list:
         column_job = np.repeat(ks, counts)
         pooled = np.empty((len(gens), n), dtype=SPIN_DTYPE)
         # Runs are independent chains; annealing them in blocks bounds the
-        # per-level temporaries to _RUN_BLOCK columns.
-        for lo in range(0, len(gens), _RUN_BLOCK):
-            cols = column_job[lo:lo + _RUN_BLOCK]
+        # per-level temporaries to _RUN_BLOCK columns. The blocks are of
+        # equal size, as a smaller block draws more sweeps of uniforms a
+        # generator call (see _sweep_uniforms).
+        blocks = -(-len(gens) // _RUN_BLOCK)
+        size = -(-len(gens) // blocks)
+        for lo in range(0, len(gens), size):
+            cols = column_job[lo:lo + size]
             # Each job's columns of the block; the last job's take the pad.
             bounds = [0, *(np.flatnonzero(np.diff(cols)) + 1), len(cols) + 1]
             segments = [(slice(a, b), cols[a]) for a, b in zip(bounds, bounds[1:])]
-            pooled[lo:lo + _RUN_BLOCK] = _anneal_block(
-                order, levels, segments, betas, gens[lo:lo + _RUN_BLOCK])
+            pooled[lo:lo + size] = _anneal_block(
+                order, levels, segments, betas, gens[lo:lo + size])
         for k, block in zip(ks, np.split(pooled, np.cumsum(counts)[:-1])):
             spins[k] = block
     return [_wrap_runs(problem, s, "simulated_anneal", params.to_dict(), params.seed, pid)
@@ -392,34 +400,32 @@ def gibbs_sample_many(jobs) -> list:
 def _gibbs_chain(problem, params):
     """(num_runs, n) states of one Gibbs chain, one site at a time."""
     n = problem.vertex_count
-    beta = params.fixed_beta
+    beta2 = 2.0 * params.fixed_beta
     rng = make_generator(params.seed)
     state = (rng.integers(0, 2, n) * 2 - 1).tolist()
-
-    h_list = problem._h_vec.tolist()
-    adj = [
-        list(zip(problem._nbr[a].tolist(), problem._nbr_w[a].tolist()))
-        for a in range(n)
-    ]
+    # Per site: the vertex, its h and its (neighbour, coupling) pairs.
+    sites = [(a, h, tuple(zip(nbr.tolist(), w.tolist())))
+             for a, (h, nbr, w) in enumerate(zip(problem._h_vec.tolist(), problem._nbr,
+                                                 problem._nbr_w))]
 
     samples = np.empty((params.num_runs, n), dtype=SPIN_DTYPE)
     collected = 0
     total_sweeps = params.burn_in + params.num_runs * params.thinning
     exp = math.exp
     for sweep in range(total_sweeps):
-        u = rng.random(n)
-        for a in range(n):
-            f = h_list[a]
-            for b, w in adj[a]:
+        # The field is summed term by term: sum() compensates float sums
+        # from Python 3.12 on, which would change the chain's bits.
+        for (a, f, nbrs), u in zip(sites, rng.random(n).tolist()):
+            for b, w in nbrs:
                 f += w * state[b]
-            x = 2.0 * beta * f
+            x = beta2 * f
+            # Above x = 700, p_up is 0.0; below x = -700 it is 1.0.
             if x > 700.0:
-                p_up = 0.0
+                state[a] = -1
             elif x < -700.0:
-                p_up = 1.0
+                state[a] = 1
             else:
-                p_up = 1.0 / (1.0 + exp(x))
-            state[a] = 1 if u[a] < p_up else -1
+                state[a] = 1 if u < 1.0 / (1.0 + exp(x)) else -1
         done = sweep + 1 - params.burn_in
         if done > 0 and done % params.thinning == 0:
             samples[collected] = state

@@ -36,6 +36,7 @@ from isingpp.harness import (
     topology_graph,
 )
 from isingpp.rng import derive_seed
+from isingpp.samplers import sample_many
 from isingpp.serialize import save_problem
 from isingpp.topology import ChimeraSpec, ProblemGenSpec, chimera_graph, random_problem
 
@@ -934,9 +935,41 @@ def test_cli_experiment_sensitivity_samples_each_cell_once(tmp_path, monkeypatch
     calls = count_sampler_calls(monkeypatch)
     assert main(["experiment", "--config", str(config_path), "--out", str(tmp_path / "exp"),
                  "--sensitivity"]) == 0
-    # One block of problems: each run count and mode samples all of them.
-    assert calls == [mode for _ in config.run_counts for mode in config.modes
+    # One block of problems: each mode samples every run count's cells of
+    # all of them.
+    assert calls == [mode for mode in config.modes for _ in config.run_counts
                      for _ in range(config.problem_count)]
+
+
+def test_sweep_samples_each_block_and_mode_in_one_call(monkeypatch):
+    config = tiny_config(problem_count=harness._PROBLEM_BLOCK + 1, run_counts=(3, 8),
+                         methods=("mqc_sequential", "hpe"))
+    calls = []
+
+    def counted(sampler, jobs):
+        jobs = list(jobs)
+        calls.append((sampler, len(jobs)))
+        return sample_many(sampler, jobs)
+
+    monkeypatch.setattr(harness, "sample_many", counted)
+    run_experiment(config)
+    # Each problem's cell of a run count: its input runs and one job per scale.
+    jobs_per_problem = len(config.run_counts) * (1 + len(config.hpe_scales))
+    assert calls == [(harness.SAMPLERS[mode], size * jobs_per_problem)
+                     for size in (harness._PROBLEM_BLOCK, 1) for mode in config.modes]
+
+
+def test_sweep_hpe_records_match_standalone_hpe():
+    # 17 problems span two blocks; 3 runs give hpe one run per scale.
+    config = tiny_config(problem_count=17, run_counts=(3, 8), methods=("hpe",))
+    records, _ = run_experiment(config)
+    assert len(records) == 17 * 2 * 2
+    for rec in records:
+        index, mode = rec["problem"], rec["mode"]
+        problem = problem_for(config, index)
+        runset = mode_runset(config, problem, index, mode, rec["run_count"])
+        *_, fields = harness.apply_method(config, problem, runset, "hpe", mode, index)
+        assert fields["energy"].hex() == rec["energy"].hex()
 
 
 @pytest.mark.parametrize("fields, mode", [
@@ -958,6 +991,41 @@ def test_cli_experiment_rejects_bad_sampler_settings_before_sampling(
     assert err.startswith("error:") and f"mode {mode!r}" in err
     assert err.count("\n") == 1
     assert calls == []
+    assert not out.exists()
+
+
+def write_raw_config(tmp_path, **fields):
+    """A one-problem tiny config with ``fields`` set as given, unchecked."""
+    path = tmp_path / "config.json"
+    doc = {**tiny_config(problem_count=1, run_counts=(4,)).to_dict(), **fields}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def test_cli_experiment_takes_a_beta_end_beyond_64_bits(tmp_path):
+    # numpy holds an int beyond 64 bits as an object, which the beta
+    # interpolations cannot take.
+    out = tmp_path / "exp"
+    assert main(["experiment", "--config", str(write_raw_config(tmp_path, sa_beta_end=2**64)),
+                 "--out", str(out)]) == 0
+    assert (out / "report.txt").exists()
+
+
+def test_cli_experiment_rejects_more_levels_than_floats_index(tmp_path, capsys):
+    config_path = write_raw_config(tmp_path, methods=["hpe"], hpe_levels=2**1100)
+    out = tmp_path / "exp"
+    assert main(["experiment", "--config", str(config_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "2^53" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--h-range", "--j-range"])
+def test_cli_gen_rejects_bad_ranges_before_writing(tmp_path, capsys, flag):
+    out = tmp_path / "problems"
+    assert main(["gen", "--count", "1", flag, "0", "inf", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -19,6 +19,7 @@ from isingpp import (
     simulated_anneal,
 )
 from isingpp.errors import InputError, ParameterError
+from isingpp.hpe import emulate, hpe_jobs
 from isingpp.mqc import reduce_configs
 from isingpp.rng import derive_seed
 
@@ -255,6 +256,28 @@ class TestHpe:
             runsets.append(simulated_anneal(emulated, sub))
         replayed, _ = hpe_from_runsets(problem, runsets, scales=scaleset.scales)
         assert replayed.same_spins(final)
+
+    def test_jobs_share_the_emulated_copies(self):
+        """``hpe_jobs`` of one set of ``emulate`` copies at two run counts:
+        each job holds its copy itself, on the problem's graph, with the
+        per-scale run count and scale k's documented sub-seed."""
+        from dataclasses import replace
+        problem = make_chimera_problem(seed=40, rows=1, cols=1)
+        model = PrecisionModel(levels=9)
+        copies = emulate(problem, (1.0, 4.0), model)
+        assert (copies[1].content_hash()
+                == quantize_problem(scale_problem(problem, 4.0), model).content_hash())
+        params = SamplerParams(num_runs=1, seed=55, sweeps=20)
+        for runs in (1, 6):
+            jobs = hpe_jobs(copies, runs, params)
+            assert all(job[0] is copy for job, copy in zip(jobs, copies, strict=True))
+            assert [job[1] for job in jobs] == [
+                replace(params, num_runs=runs, seed=derive_seed(55, "hpe_scale", k))
+                for k in range(2)]
+            assert all(job[2] is None for job in jobs)
+        for copy in copies:
+            assert np.array_equal(copy._edge_a, problem._edge_a)
+            assert np.array_equal(copy._edge_b, problem._edge_b)
 
     def test_beats_single_scale_on_fine_fields(self):
         """Fields of magnitude below half a 9-level grid step vanish at

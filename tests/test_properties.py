@@ -4,6 +4,8 @@ Runs are derandomized with a fixed example count, so the suite stays
 deterministic.
 """
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -47,7 +49,9 @@ from isingpp import (
 )
 from isingpp import samplers
 from isingpp.altpp import _eliminate, _min_degree, persistence_fix
+from isingpp.cli import main
 from isingpp.errors import ParseError
+from isingpp.harness import METHODS
 from isingpp.mqc import _merge_pairs, _pair_indices, reduce_configs
 from isingpp.rng import child_sequences, make_generator
 from isingpp.serialize import strings_to_spins
@@ -630,8 +634,8 @@ def test_level_anneal_matches_per_vertex_kernel(case):
 
 
 def test_anneal_blocks_match_per_vertex_kernel():
-    """More runs than one block: every block, the short last one too,
-    follows the specification."""
+    """More runs than one block: every block, of 171 runs each, follows the
+    specification."""
     problem = IsingProblem(9, {a: 0.3 * a - 1.1 for a in range(9)},
                            {e: 0.7 - 0.13 * i for i, e in enumerate(complete_graph(9))})
     params = SamplerParams(num_runs=2 * samplers._RUN_BLOCK + 1, seed=5, sweeps=3)
@@ -858,3 +862,105 @@ def test_persistence_fix_matches_per_vertex_fold(case):
         full = problem.evaluate(fa.assemble(run[list(free)]))
         assert reduced.evaluate(run[list(free)]) + fa.offset == \
             pytest.approx(full, abs=ENERGY_ATOL * scale)
+
+
+# -- the CLI on arbitrary values ------------------------------------------
+
+# A valid experiment config with all six methods, small enough to run in a
+# few hundredths of a second.
+CLI_CONFIG = {
+    "topology": {"kind": "path", "n": 5}, "problem_count": 2, "gen_seed": 3,
+    "run_counts": [4], "modes": ["raw", "sampling"], "methods": list(METHODS),
+    "master_seed": 5, "sa_sweeps": 4, "gibbs_burn_in": 4, "gibbs_thinning": 1,
+}
+# Config fields and flags whose integers count work. A huge integer there
+# asks for that much work, so the tests give them huge numbers as floats.
+WORK_COUNTS = {"problem_count", "run_counts", "sa_sweeps", "gibbs_burn_in", "gibbs_thinning",
+               "persistence_rounds", "--count", "--runs", "--sweeps", "--burn-in", "--thinning",
+               "--n", "--rows", "--cols", "--shore"}
+GEN_FLAGS = ("--topology", "--rows", "--cols", "--shore", "--n", "--count", "--seed",
+             "--h-range", "--j-range")
+SAMPLE_FLAGS = ("--mode", "--runs", "--seed", "--sweeps", "--beta-start", "--beta-end",
+                "--interpolation", "--beta", "--burn-in", "--thinning")
+
+json_numbers = st.one_of(
+    st.integers(-2**70, 2**70), st.floats(),
+    st.sampled_from([2**1100, -2**1100, 1e308, -1e308, 5e-324, -5e-324, 0, 1, -1]))
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.text(max_size=4), json_numbers),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=5)
+
+
+def tamed(name, value):
+    """``value``, with each integer above 8 made a float where ``name``
+    counts work, and one above the largest float the largest power of two."""
+    if name not in WORK_COUNTS:
+        return value
+    def tame(v):
+        if isinstance(v, int) and not isinstance(v, bool) and v > 8:
+            return float(min(v, 2**1023))
+        return v
+    return [tame(v) for v in value] if isinstance(value, list) else tame(value)
+
+
+def run_cli(argv, out):
+    """Exit code of ``isingpp argv``; fails on anything but success or
+    exit 2 with one ``error:`` line and nothing at ``out``."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse rejects a flag's value
+            code = e.code
+    if code != 0:
+        assert code == 2, err.getvalue()
+        assert sum("error:" in line for line in err.getvalue().splitlines()) == 1, err.getvalue()
+        assert not os.path.exists(out)
+    return code
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.sampled_from(sorted(CLI_CONFIG) + ["width_cap", "persistence_threshold",
+                                             "hpe_scales", "hpe_levels", "h_range",
+                                             "sa_beta_end", "gibbs_beta"]),
+       json_values)
+def test_cli_experiment_takes_any_value_of_a_field(name, value):
+    """One field of a valid config replaced with any JSON value: the
+    experiment runs, or it exits 2 with one error line and no output."""
+    value = tamed(name, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "config.json")
+        with open(config, "w", encoding="utf-8") as f:
+            json.dump({**CLI_CONFIG, name: value}, f)
+        out = os.path.join(tmp, "exp")
+        if run_cli(["experiment", "--config", config, "--out", out], out) == 0:
+            assert os.path.exists(os.path.join(out, "report.txt"))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.sampled_from(("gen", "sample")), st.data())
+def test_cli_gen_and_sample_take_any_flag_value(command, data):
+    """One ``gen`` or ``sample`` flag given any JSON value or a non-finite
+    number as its text: the command writes its output, or it exits 2 with
+    one error line and writes nothing."""
+    flag = data.draw(st.sampled_from(GEN_FLAGS if command == "gen" else SAMPLE_FLAGS))
+    value = tamed(flag, data.draw(json_values))
+    text = data.draw(st.sampled_from([json.dumps(value), "inf", "-inf", "nan", "1e400"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        if command == "gen":
+            argv = ["gen", "--topology", "path", "--n", "5", "--count", "2", "--out", out]
+        else:
+            problems = os.path.join(tmp, "problems")
+            assert run_cli(["gen", "--topology", "path", "--n", "5", "--count", "1",
+                            "--out", problems], problems) == 0
+            mode = data.draw(st.sampled_from(["raw", "sampling", "random"]))
+            argv = ["sample", "--problem", os.path.join(problems, "problem_0000.json"),
+                    "--mode", mode, "--runs", "3", "--sweeps", "4", "--burn-in", "4",
+                    "--out", out]
+        # --h-range and --j-range take two numbers; the value replaces the upper.
+        argv += [flag, "-1", text] if flag.endswith("-range") else [flag, text]
+        if run_cli(argv, out) == 0:
+            assert os.path.exists(out)

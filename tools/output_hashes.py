@@ -12,6 +12,10 @@ OUT_DIR must not exist yet. The script runs, in process, through
 * ``experiment --sensitivity`` on a small path-graph config that lists
   one pairing strategy only, so the sensitivity tables come from their
   own sweep, into ``OUT_DIR/experiment_one_strategy``;
+* ``experiment --sensitivity`` with all six methods, both modes and run
+  counts 3, 8 and 17 on 17 path-graph problems, which span two problem
+  blocks of the sweep and odd per-scale hpe run counts, into
+  ``OUT_DIR/experiment_two_blocks``;
 * ``gen`` of one default problem, ``sample`` of it in modes raw, sampling
   and random, and ``pp`` of each runs file with every method, into
   ``OUT_DIR/pipeline``;
@@ -47,6 +51,12 @@ ONE_STRATEGY = {
     "modes": ["raw", "sampling"], "methods": ["mqc_sequential", "builtin_pp"],
     "sa_sweeps": 15, "gibbs_burn_in": 30, "gibbs_thinning": 1,
 }
+# 17 problems: a full block of the sweep and one more.
+TWO_BLOCKS = {
+    "topology": {"kind": "path", "n": 8}, "problem_count": 17, "run_counts": [3, 8, 17],
+    "modes": ["raw", "sampling"], "methods": list(METHODS),
+    "sa_sweeps": 15, "gibbs_burn_in": 30, "gibbs_thinning": 1,
+}
 
 
 def _run(*argv):
@@ -65,6 +75,7 @@ def _experiment(out, name, config):
 def run_pipeline(out):
     _experiment(out, "experiment", ExperimentConfig(problem_count=2, methods=METHODS).to_dict())
     _experiment(out, "experiment_one_strategy", ONE_STRATEGY)
+    _experiment(out, "experiment_two_blocks", TWO_BLOCKS)
 
     pipeline = os.path.join(out, "pipeline")
     _run("gen", "--count", "1", "--out", pipeline)
