@@ -188,7 +188,8 @@ def _eliminate(problem: IsingProblem, spins, sub: Subgraph) -> np.ndarray:
     factors = []
     for v in sub.vertices:
         unary = np.full(m, problem._h_vec[v])
-        for b, w in zip(problem._nbr[v].tolist(), problem._nbr_w[v].tolist()):
+        lo, hi = problem._adj_start[v:v + 2]
+        for b, w in zip(problem._adj[lo:hi].tolist(), problem._adj_w[lo:hi].tolist()):
             if b not in inside:
                 unary += w * spins[:, b]
         # A zero field adds nothing, so the runs that have one are unaffected.
@@ -325,16 +326,14 @@ def persistence_fix(problem: IsingProblem, runset: RunSet,
     free = fixed == 0
     index = np.cumsum(free) - 1  # a free vertex's id in the reduced problem
 
-    a, b, w = problem._edge_a, problem._edge_b, problem._edge_w
-    # Each edge from both ends; those from a free end to a frozen one fold
-    # in, sorted by (free end, frozen end) as add.at adds them in order.
-    ends, to = np.concatenate([a, b]), np.concatenate([b, a])
-    fold = free[ends] & ~free[to]
-    ends, to, weights = ends[fold], to[fold], np.concatenate([w, w])[fold]
-    by_end = np.lexsort((to, ends))
+    # The adjacency entries from a free vertex to a frozen one fold in, in
+    # adjacency order, as add.at adds them.
+    ends = np.repeat(np.arange(problem.vertex_count), np.diff(problem._adj_start))
+    fold = free[ends] & ~free[problem._adj]
     h = problem._h_vec.copy()
-    np.add.at(h, ends[by_end], weights[by_end] * fixed[to[by_end]])
+    np.add.at(h, ends[fold], problem._adj_w[fold] * fixed[problem._adj[fold]])
     h_reduced = {i: x for i, x in enumerate(h[free].tolist()) if x != 0.0}
+    a, b, w = problem._edge_a, problem._edge_b, problem._edge_w
     inner = free[a] & free[b]
     j_reduced = dict(zip(zip(index[a[inner]].tolist(), index[b[inner]].tolist()),
                          w[inner].tolist()))

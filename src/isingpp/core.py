@@ -34,19 +34,31 @@ ENERGY_ATOL = 1e-9
 SIZE_LIMIT = 1 << 20
 
 
+def _finite(value, name, key) -> float:
+    """``value`` as a float, which must be finite, named ``name.format(key)`` in errors."""
+    try:
+        x = float(value)
+    except OverflowError:
+        raise ParameterError(f"{name.format(key)} must be finite, got an integer "
+                             f"beyond the float range") from None
+    if not math.isfinite(x):
+        raise ParameterError(f"{name.format(key)} must be finite, got {value!r}")
+    return x
+
+
 class IsingProblem:
     """Immutable problem instance over vertices ``0 .. vertex_count - 1``.
 
     h maps vertex -> coefficient, J maps an unordered vertex pair -> coupling.
     Self-couplings, duplicate pairs and non-finite coefficients are
     rejected. Construction normalizes
-    every pair to (a, b) with a < b and precomputes dense coefficient arrays
-    plus adjacency lists; instances must not be mutated afterwards.
+    every pair to (a, b) with a < b and precomputes a dense h array plus one
+    adjacency table; instances must not be mutated afterwards.
     """
 
     __slots__ = (
         "vertex_count", "h", "J",
-        "_h_vec", "_edge_a", "_edge_b", "_edge_w", "_nbr", "_nbr_w",
+        "_h_vec", "_adj", "_adj_w", "_adj_start", "_edge_a", "_edge_b", "_edge_w",
     )
 
     def __init__(self, vertex_count, h=None, J=None):
@@ -61,9 +73,7 @@ class IsingProblem:
         for a, v in h.items():
             if not (0 <= a < n):
                 raise IndexError(f"h vertex {a} out of range for {n} vertices")
-            h[a] = float(v)
-            if not math.isfinite(h[a]):
-                raise ParameterError(f"h[{a}] must be finite, got {v!r}")
+            h[a] = _finite(v, "h[{}]", a)
 
         normalized = {}
         for pair, w in dict(J or {}).items():
@@ -75,30 +85,25 @@ class IsingProblem:
             key = (a, b) if a < b else (b, a)
             if key in normalized:
                 raise IndexError(f"duplicate coupling for pair {key}")
-            normalized[key] = float(w)
-            if not math.isfinite(normalized[key]):
-                raise ParameterError(f"J{key} must be finite, got {w!r}")
+            normalized[key] = _finite(w, "J{}", key)
 
         self.h = h
         self.J = normalized
 
         self._h_vec = np.zeros(n, dtype=np.float64)
-        for a, v in h.items():
-            self._h_vec[a] = v
+        self._h_vec[list(h)] = list(h.values())
 
-        edges = sorted(normalized)
-        self._edge_a = np.array([e[0] for e in edges], dtype=np.intp)
-        self._edge_b = np.array([e[1] for e in edges], dtype=np.intp)
-        self._edge_w = np.array([normalized[e] for e in edges], dtype=np.float64)
-
-        nbr = [[] for _ in range(n)]
-        for (a, b), w in normalized.items():
-            nbr[a].append((b, w))
-            nbr[b].append((a, w))
-        for lst in nbr:
-            lst.sort()
-        self._nbr = [np.array([x[0] for x in lst], dtype=np.intp) for lst in nbr]
-        self._nbr_w = [np.array([x[1] for x in lst], dtype=np.float64) for lst in nbr]
+        # Each edge from both ends, sorted by (end, other end): vertex v's
+        # entries of _adj and _adj_w run from _adj_start[v] to _adj_start[v + 1],
+        # and those whose neighbour is above v are the sorted edges (a, b).
+        pairs = np.array(list(normalized), dtype=np.intp).reshape(-1, 2)
+        ends, others = pairs.T.ravel(), pairs[:, ::-1].T.ravel()
+        weights = np.tile(np.fromiter(normalized.values(), np.float64, len(normalized)), 2)
+        by_end = np.lexsort((others, ends))
+        ends, self._adj, self._adj_w = ends[by_end], others[by_end], weights[by_end]
+        self._adj_start = np.searchsorted(ends, np.arange(n + 1))
+        upper = self._adj > ends
+        self._edge_a, self._edge_b, self._edge_w = ends[upper], self._adj[upper], self._adj_w[upper]
 
     @property
     def edge_list(self):

@@ -89,22 +89,20 @@ def scale_problem(problem: IsingProblem, factor: float) -> IsingProblem:
     )
 
 
-def _snap(value, lo, hi, levels):
+def _snap(coefficients: dict, clip, levels) -> dict:
+    """``coefficients`` with each value clipped into ``clip`` and rounded
+    to the nearest of ``levels`` evenly spaced points, all in one array."""
+    lo, hi = clip
     step = (hi - lo) / (levels - 1)
-    clipped = min(max(value, lo), hi)
-    k = float(np.rint((clipped - lo) / step))
-    return lo + k * step
+    values = np.fromiter(coefficients.values(), np.float64, len(coefficients))
+    snapped = lo + np.rint((np.clip(values, lo, hi) - lo) / step) * step
+    return dict(zip(coefficients, snapped.tolist()))
 
 
 def quantize_problem(problem: IsingProblem, model: PrecisionModel) -> IsingProblem:
     """Clip each coefficient into its range, then round to the grid."""
-    h_lo, h_hi = model.h_clip
-    j_lo, j_hi = model.j_clip
-    return IsingProblem(
-        problem.vertex_count,
-        {a: _snap(v, h_lo, h_hi, model.levels) for a, v in problem.h.items()},
-        {e: _snap(w, j_lo, j_hi, model.levels) for e, w in problem.J.items()},
-    )
+    return IsingProblem(problem.vertex_count, _snap(problem.h, model.h_clip, model.levels),
+                        _snap(problem.J, model.j_clip, model.levels))
 
 
 @dataclass(frozen=True, slots=True)

@@ -186,7 +186,7 @@ def _level_tables(problems):
     Returns the vertex of each row, ``order`` (ascending within a level),
     and one ``(rows, P, W)`` per level. Column j of ``P`` holds the state
     rows that the local field of row ``rows.start + j`` sums: row n first,
-    for h, then the vertex's neighbours in ``_nbr`` order, padded with row
+    for h, then the vertex's neighbours in adjacency order, padded with row
     n. ``W[:, j, k]`` holds problem k's coefficients of those rows, 0.0 in
     the pads.
     """
@@ -200,15 +200,14 @@ def _level_tables(problems):
             raise InputError(f"jobs sampled in one call must share one graph, got "
                              f"{first!r} and {problem!r}")
     n = first.vertex_count
-    nbr = [a.tolist() for a in first._nbr]
-    # Row i of coefs holds each problem's h of vertex i, rows from start[v]
-    # the couplings of vertex v in _nbr order, and the last row the pad.
-    coefs = np.stack([np.concatenate([p._h_vec, *p._nbr_w, [0.0]]) for p in problems], axis=1)
-    start = n + np.cumsum([0] + [len(b) for b in nbr])
+    # Row i of coefs holds each problem's h of vertex i, row n + k entry k
+    # of the adjacency, and the last row the pad.
+    coefs = np.stack([np.concatenate([p._h_vec, p._adj_w, [0.0]]) for p in problems], axis=1)
+    adj, start = first._adj.tolist(), first._adj_start.tolist()
     groups = []
     level = []
     for a in range(n):
-        level.append(1 + max((level[b] for b in nbr[a] if b < a), default=-1))
+        level.append(1 + max((level[b] for b in adj[start[a]:start[a + 1]] if b < a), default=-1))
         if level[a] == len(groups):
             groups.append([])
         groups[level[a]].append(a)
@@ -217,13 +216,14 @@ def _level_tables(problems):
     row[order] = np.arange(n)
     levels = []
     for V in groups:
-        width = max(len(nbr[v]) for v in V)
+        width = max(start[v + 1] - start[v] for v in V)
         P = np.full((width + 1, len(V)), n, dtype=np.intp)
-        Q = np.full((width + 1, len(V)), start[-1], dtype=np.intp)
+        Q = np.full((width + 1, len(V)), n + start[-1], dtype=np.intp)
         Q[0] = V
         for j, v in enumerate(V):
-            P[1:1 + len(nbr[v]), j] = row[nbr[v]]
-            Q[1:1 + len(nbr[v]), j] = np.arange(start[v], start[v + 1])
+            lo, hi = start[v], start[v + 1]
+            P[1:1 + hi - lo, j] = row[adj[lo:hi]]
+            Q[1:1 + hi - lo, j] = np.arange(n + lo, n + hi)
         levels.append((slice(int(row[V[0]]), int(row[V[0]]) + len(V)), P, coefs[Q]))
     return order, levels
 
@@ -403,10 +403,11 @@ def _gibbs_chain(problem, params):
     beta2 = 2.0 * params.fixed_beta
     rng = make_generator(params.seed)
     state = (rng.integers(0, 2, n) * 2 - 1).tolist()
-    # Per site: the vertex, its h and its (neighbour, coupling) pairs.
-    sites = [(a, h, tuple(zip(nbr.tolist(), w.tolist())))
-             for a, (h, nbr, w) in enumerate(zip(problem._h_vec.tolist(), problem._nbr,
-                                                 problem._nbr_w))]
+    # Per site: the vertex, its h and its adjacency entries as (neighbour, coupling) pairs.
+    entries = list(zip(problem._adj.tolist(), problem._adj_w.tolist()))
+    start = problem._adj_start.tolist()
+    sites = [(a, h, tuple(entries[start[a]:start[a + 1]]))
+             for a, h in enumerate(problem._h_vec.tolist())]
 
     samples = np.empty((params.num_runs, n), dtype=SPIN_DTYPE)
     collected = 0

@@ -103,10 +103,10 @@ def is_finite_number(value) -> bool:
 
 
 def _coefficient_entry(entry, width) -> bool:
-    """Whether ``entry`` is a list of ``width`` numbers, all but the last integers."""
+    """Whether ``entry`` is a list of ``width - 1`` integers and a finite number."""
     return (isinstance(entry, list) and len(entry) == width
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
-            and all(isinstance(x, int) for x in entry[:-1]))
+            and all(isinstance(x, int) and not isinstance(x, bool) for x in entry[:-1])
+            and is_finite_number(entry[-1]))
 
 
 def save_problem(problem: IsingProblem, path):
@@ -123,9 +123,9 @@ def load_problem(path) -> IsingProblem:
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ParseError(f"{path}: field 'vertex_count' must be a non-negative integer")
     h, J = {}, {}
-    for name, coefficients, width, form in (("h", h, 2, "[vertex, value]"),
-                                            ("J", J, 3, "[a, b, value]")):
-        for i, entry in enumerate(_field(doc, name, path)):
+    for name, coefficients, width, form in (("h", h, 2, "[vertex, finite value]"),
+                                            ("J", J, 3, "[a, b, finite value]")):
+        for i, entry in enumerate(_typed_field(doc, name, path, list, "a list")):
             if not _coefficient_entry(entry, width):
                 raise ParseError(f"{path}: field {name!r} entry {i} must be {form}")
             key = entry[0] if width == 2 else tuple(entry[:2])

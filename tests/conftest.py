@@ -26,6 +26,18 @@ def oracle_energy(problem, spins) -> float:
     return total
 
 
+def oracle_neighbours(problem):
+    """Each vertex's neighbours, ascending, and their couplings, read from
+    ``problem.J`` in plain Python: two lists of per-vertex arrays."""
+    adj = [[] for _ in range(problem.vertex_count)]
+    for (a, b), w in problem.J.items():
+        adj[a].append((b, w))
+        adj[b].append((a, w))
+    nbr = [np.array([b for b, _ in sorted(row)], dtype=np.intp) for row in adj]
+    nbr_w = [np.array([w for _, w in sorted(row)], dtype=np.float64) for row in adj]
+    return nbr, nbr_w
+
+
 def oracle_ground(problem):
     """Exhaustive enumeration; first minimum in lexicographic order
     (-1 before +1). Keep vertex counts small."""

@@ -34,6 +34,7 @@ from conftest import (
     conditional_min_enum,
     make_chimera_problem,
     make_tree_problem,
+    oracle_neighbours,
     subset_states,
 )
 
@@ -382,8 +383,8 @@ class TestBuiltinOptPp:
                                {e: 1.0 if w > 0 else -1.0 for e, w in base.J.items()})
         runset = random_runs(problem, count=40, seed=6)
         spins = runset.spins_matrix()
-        fields = [sum(w * spins[:, b] for b, w in zip(problem._nbr[v].tolist(),
-                                                         problem._nbr_w[v].tolist())
+        nbr, nbr_w = oracle_neighbours(problem)
+        fields = [sum(w * spins[:, b] for b, w in zip(nbr[v].tolist(), nbr_w[v].tolist())
                       if b not in sub.vertices)
                   for sub in decompose_low_treewidth(problem, width_cap)
                   for v in sub.vertices]

@@ -11,9 +11,10 @@ from isingpp import (
 )
 from isingpp.core import SIZE_LIMIT
 from isingpp.errors import DimensionError, InputError, ParameterError, SizeError
+from isingpp.harness import ExperimentConfig, problem_for
 from isingpp.mqc import disagreement_tunnels
 
-from conftest import make_chimera_problem, oracle_energy
+from conftest import make_chimera_problem, oracle_energy, oracle_neighbours
 
 
 class TestIsingProblem:
@@ -101,6 +102,8 @@ class TestIsingProblem:
         ({1: float("inf")}, {}),
         ({}, {(0, 1): float("-inf")}),
         ({}, {(0, 1): float("nan")}),
+        ({0: 10**400}, {}),
+        ({}, {(1, 0): -10**400}),
     ])
     def test_non_finite_coefficients_rejected(self, h, J):
         with pytest.raises(ParameterError, match="finite"):
@@ -117,12 +120,35 @@ class TestIsingProblem:
         assert problem.edge_list == [(0, 2)]
 
     def test_adjacency_symmetric(self):
-        problem = IsingProblem(3, J={(0, 1): 1.0, (1, 2): -1.0})
-        adj = [list(zip(problem._nbr[a].tolist(), problem._nbr_w[a].tolist()))
-               for a in range(3)]
-        assert adj[0] == [(1, 1.0)]
-        assert adj[1] == [(0, 1.0), (2, -1.0)]
-        assert adj[2] == [(1, -1.0)]
+        """Each vertex's slice of the adjacency holds its neighbours,
+        ascending, and their couplings, and the edge arrays are the sorted
+        pairs of J, whatever the order and orientation of the input pairs."""
+        default = problem_for(ExperimentConfig(), 0)
+        shuffled = list(default.J.items())
+        np.random.default_rng(5).shuffle(shuffled)
+        problems = [
+            IsingProblem(3, J={(0, 1): 1.0, (1, 2): -1.0}),
+            IsingProblem(4, J={(1, 0): 0.5, (3, 1): -0.25, (2, 0): 1e-300, (3, 2): 0.1}),
+            IsingProblem(default.vertex_count, default.h, dict(shuffled)),
+            IsingProblem(7, {5: 1.0}, {(4, 1): 0.3, (1, 2): -0.7, (6, 2): 0.2}),
+            IsingProblem(0),
+            default,
+        ]
+        for problem in problems:
+            nbr, nbr_w = oracle_neighbours(problem)
+            start = problem._adj_start
+            assert start.tolist() == np.cumsum([0] + [len(b) for b in nbr]).tolist()
+            for v in range(problem.vertex_count):
+                assert problem._adj[start[v]:start[v + 1]].tolist() == nbr[v].tolist()
+                assert ([w.hex() for w in problem._adj_w[start[v]:start[v + 1]].tolist()]
+                        == [w.hex() for w in nbr_w[v].tolist()])
+            edges = sorted(problem.J.items())
+            assert problem._edge_a.tolist() == [a for (a, _), _ in edges]
+            assert problem._edge_b.tolist() == [b for (_, b), _ in edges]
+            assert [w.hex() for w in problem._edge_w.tolist()] == [w.hex() for _, w in edges]
+        nbr, nbr_w = oracle_neighbours(problems[0])
+        assert [list(zip(b.tolist(), w.tolist())) for b, w in zip(nbr, nbr_w)] == [
+            [(1, 1.0)], [(0, 1.0), (2, -1.0)], [(1, -1.0)]]
 
     def test_content_hash_stable_and_sensitive(self):
         a = IsingProblem(2, h={0: 1.0}, J={(0, 1): 0.5})

@@ -1077,6 +1077,11 @@ def test_cli_experiment_non_object_config_exits(tmp_path, capsys, text):
         '{"vertex_count": 2, "h": [], "J": [[0, 1, -Infinity]]}',
         '{"vertex_count": 2, "h": [[0, 1.0], [0, -5.0]], "J": []}',
         '{"vertex_count": 2, "h": [], "J": [[0, 1, 0.5], [0, 1, 9.0]]}',
+        '{"vertex_count": 2, "h": 5, "J": []}',
+        '{"vertex_count": 2, "h": [], "J": null}',
+        '{"vertex_count": 2, "h": {}, "J": []}',
+        '{"vertex_count": 2, "h": [[0, 1%s]], "J": []}' % ("0" * 400),
+        '{"vertex_count": 2, "h": [], "J": [[0, 1, -1%s]]}' % ("0" * 400),
     ],
 )
 def test_cli_sample_malformed_problem_exits_without_output(tmp_path, capsys, text):

@@ -56,7 +56,7 @@ from isingpp.mqc import _merge_pairs, _pair_indices, reduce_configs
 from isingpp.rng import child_sequences, make_generator
 from isingpp.serialize import strings_to_spins
 
-from conftest import conditional_min_enum
+from conftest import conditional_min_enum, oracle_neighbours
 
 derandomized = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -187,7 +187,7 @@ def label_components(problem, s1, s2):
     in_diff[diff] = True
     labels = np.full(n, -1, dtype=np.intp)
     count = 0
-    nbr = problem._nbr
+    nbr, _ = oracle_neighbours(problem)
     for start in diff.tolist():
         if labels[start] >= 0:
             continue
@@ -464,6 +464,7 @@ def scan_decompose_low_treewidth(problem, width_cap):
     """The region-growing cover as first written, over the scan above,
     kept as its specification."""
     edges = problem.edge_list
+    nbr, _ = oracle_neighbours(problem)
     unassigned = set(range(problem.vertex_count))
     subgraphs = []
     while unassigned:
@@ -471,7 +472,7 @@ def scan_decompose_low_treewidth(problem, width_cap):
         unassigned.discard(region[0])
         while True:
             candidates = sorted({
-                w for v in region for w in problem._nbr[v].tolist()
+                w for v in region for w in nbr[v].tolist()
                 if w in unassigned
             })
             for cand in candidates:
@@ -561,7 +562,7 @@ def per_vertex_anneal(problem, params, neighbour_sum):
     betas = params.beta_schedule.betas(params.sweeps)
     uniforms = np.empty((params.num_runs, n), dtype=np.float64)
     h_vec = problem._h_vec
-    nbr, nbr_w = problem._nbr, problem._nbr_w
+    nbr, nbr_w = oracle_neighbours(problem)
 
     for t in range(params.sweeps):
         beta = betas[t]
@@ -683,7 +684,8 @@ def python_gibbs_chain(problem, params):
     rng = make_generator(params.seed)
     state = (rng.integers(0, 2, n) * 2 - 1).tolist()
     h_list = problem._h_vec.tolist()
-    adj = [list(zip(problem._nbr[a].tolist(), problem._nbr_w[a].tolist())) for a in range(n)]
+    nbr, nbr_w = oracle_neighbours(problem)
+    adj = [list(zip(nbr[a].tolist(), nbr_w[a].tolist())) for a in range(n)]
     samples = np.empty((params.num_runs, n), dtype=np.int8)
     collected = 0
     for sweep in range(params.burn_in + params.num_runs * params.thinning):
@@ -815,10 +817,11 @@ def per_vertex_persistence_fix(problem, spins, threshold):
     assignments.update({v: -1 for v in np.nonzero(1.0 - frac_plus >= threshold)[0].tolist()})
     free = tuple(v for v in range(problem.vertex_count) if v not in assignments)
     index_of = {v: i for i, v in enumerate(free)}
+    nbr, nbr_w = oracle_neighbours(problem)
     h = {}
     for i, v in enumerate(free):
         hv = problem._h_vec[v]
-        for b, w in zip(problem._nbr[v].tolist(), problem._nbr_w[v].tolist()):
+        for b, w in zip(nbr[v].tolist(), nbr_w[v].tolist()):
             if b in assignments:
                 hv += w * assignments[b]
         if hv != 0.0:

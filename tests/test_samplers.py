@@ -28,7 +28,7 @@ from isingpp.errors import InputError, ParameterError, SizeError
 from isingpp.harness import ExperimentConfig, problem_for
 from isingpp.samplers import Provenance, _level_tables
 
-from conftest import make_chimera_problem, oracle_ground
+from conftest import make_chimera_problem, oracle_ground, oracle_neighbours
 
 
 class TestBetaSchedule:
@@ -123,13 +123,14 @@ class TestSimulatedAnneal:
         of the two full evaluations it stands in for."""
         rng = np.random.default_rng(31)
         problem = make_chimera_problem(seed=14, rows=2, cols=1)
+        nbr, nbr_w = oracle_neighbours(problem)
         for _ in range(100):
             spins = rng.choice([-1, 1], size=problem.vertex_count)
             a = int(rng.integers(problem.vertex_count))
             flipped = spins.copy()
             flipped[a] *= -1
             direct = problem.evaluate(flipped) - problem.evaluate(spins)
-            field = problem._h_vec[a] + np.sum(problem._nbr_w[a] * spins[problem._nbr[a]])
+            field = problem._h_vec[a] + np.sum(nbr_w[a] * spins[nbr[a]])
             assert -2.0 * spins[a] * field == pytest.approx(direct, abs=1e-9)
 
     def test_reaches_ground_state_on_small_problems(self):
@@ -190,8 +191,9 @@ class TestSweepLevels:
             assert V.tolist() == sorted(V.tolist())
             level[V] = k
         assert (level >= 0).all() and levels[-1][0].stop == n
+        nbr, _ = oracle_neighbours(problem)
         for a in range(n):
-            lower = [level[b] for b in problem._nbr[a].tolist() if b < a]
+            lower = [level[b] for b in nbr[a].tolist() if b < a]
             assert level[a] == 1 + max(lower, default=-1)
         for a, b in edges:
             assert level[min(a, b)] < level[max(a, b)]
@@ -204,16 +206,18 @@ class TestSweepLevels:
         n = problems[0].vertex_count
         order, levels = _level_tables(problems)
         vertex_of_row = np.append(order, n)
+        nbr = oracle_neighbours(problems[0])[0]
+        nbr_w = [oracle_neighbours(problem)[1] for problem in problems]
         for rows, P, W in levels:
             assert W.shape == (*P.shape, len(problems))
             for j, v in enumerate(order[rows].tolist()):
-                deg = len(problems[0]._nbr[v])
+                deg = len(nbr[v])
                 assert P[0, j] == n
-                assert vertex_of_row[P[1:1 + deg, j]].tolist() == problems[0]._nbr[v].tolist()
+                assert vertex_of_row[P[1:1 + deg, j]].tolist() == nbr[v].tolist()
                 assert (P[1 + deg:, j] == n).all()
                 for k, problem in enumerate(problems):
                     assert W[0, j, k] == problem._h_vec[v]
-                    assert W[1:1 + deg, j, k].tolist() == problem._nbr_w[v].tolist()
+                    assert W[1:1 + deg, j, k].tolist() == nbr_w[k][v].tolist()
                     assert (W[1 + deg:, j, k] == 0.0).all()
 
 

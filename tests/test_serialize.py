@@ -85,6 +85,11 @@ class TestProblemFiles:
         ("h", [[0, None]], "'h' entry 0"),
         ("J", [[0, None, 0.5]], "'J' entry 0"),
         ("J", [[0, 1, [0.5]]], "'J' entry 0"),
+        ("h", 5, "'h' must be a list"),
+        ("J", None, "'J' must be a list"),
+        ("h", {}, "'h' must be a list"),
+        ("h", [[0, 10**400]], "'h' entry 0"),
+        ("J", [[0, 1, -10**400]], "'J' entry 0"),
     ])
     def test_malformed_entry_named(self, tmp_path, field, entries, match):
         doc = {"vertex_count": 2, "h": [], "J": []}
@@ -97,6 +102,8 @@ class TestProblemFiles:
     @pytest.mark.parametrize("text", [
         '{"vertex_count": 2, "h": [[0, NaN]], "J": []}',
         '{"vertex_count": 2, "h": [], "J": [[0, 1, Infinity]]}',
+        '{"vertex_count": 2, "h": [[1, 1%s]], "J": []}' % ("0" * 400),
+        '{"vertex_count": 2, "h": [], "J": [[0, 1, -1%s]]}' % ("0" * 400),
     ])
     def test_non_finite_coefficient_rejected(self, tmp_path, text):
         path = tmp_path / "nan.json"

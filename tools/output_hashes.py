@@ -19,6 +19,10 @@ OUT_DIR must not exist yet. The script runs, in process, through
 * ``gen`` of one default problem, ``sample`` of it in modes raw, sampling
   and random, and ``pp`` of each runs file with every method, into
   ``OUT_DIR/pipeline``;
+* a hand-written problem with three uncoupled vertices and its ``J``
+  pairs listed in descending order, ``sample`` of it in modes raw and
+  sampling, and ``pp`` of each runs file with every method, into
+  ``OUT_DIR/irregular``;
 * ``gen`` of two problems of each topology kind at its default sizes,
   into ``OUT_DIR/gen/<kind>``;
 * the ``--help`` text of the program and of each subcommand, into
@@ -58,6 +62,16 @@ TWO_BLOCKS = {
     "sa_sweeps": 15, "gibbs_burn_in": 30, "gibbs_thinning": 1,
 }
 
+# Vertices 3, 7 and 11 have no coupling, so their adjacency rows are
+# empty; J lists its pairs in descending order, each larger end first.
+IRREGULAR = {
+    "vertex_count": 12,
+    "h": [[0, 0.5], [2, -1.25], [5, 0.75], [7, -0.5], [9, 1.0]],
+    "J": [[10, 9, -0.5], [10, 6, 0.75], [10, 2, -1.0], [9, 8, 1.0], [9, 5, -0.25],
+          [8, 4, 0.5], [6, 5, -0.75], [6, 2, 1.0], [5, 4, -1.0], [5, 1, 0.25],
+          [4, 0, -0.5], [2, 1, 0.5], [1, 0, -1.0]],
+}
+
 
 def _run(*argv):
     if main(list(argv)) != 0:
@@ -72,6 +86,18 @@ def _experiment(out, name, config):
          "--sensitivity")
 
 
+def _sample_and_pp(directory, name, modes, seed, pp_seed):
+    """``sample`` problem file ``name`` of ``directory`` in each of ``modes``,
+    then ``pp`` each runs file with every method."""
+    problem = os.path.join(directory, name)
+    for mode in modes:
+        runs = os.path.join(directory, f"runs_{mode}.json")
+        _run("sample", "--problem", problem, "--mode", mode, "--seed", seed, "--out", runs)
+        for method in METHODS:
+            _run("pp", "--problem", problem, "--runs-file", runs, "--method", method,
+                 "--seed", pp_seed, "--out", os.path.join(directory, f"pp_{mode}_{method}.json"))
+
+
 def run_pipeline(out):
     _experiment(out, "experiment", ExperimentConfig(problem_count=2, methods=METHODS).to_dict())
     _experiment(out, "experiment_one_strategy", ONE_STRATEGY)
@@ -79,13 +105,13 @@ def run_pipeline(out):
 
     pipeline = os.path.join(out, "pipeline")
     _run("gen", "--count", "1", "--out", pipeline)
-    problem = os.path.join(pipeline, "problem_0000.json")
-    for mode in MODES:
-        runs = os.path.join(pipeline, f"runs_{mode}.json")
-        _run("sample", "--problem", problem, "--mode", mode, "--seed", "7", "--out", runs)
-        for method in METHODS:
-            _run("pp", "--problem", problem, "--runs-file", runs, "--method", method,
-                 "--seed", "11", "--out", os.path.join(pipeline, f"pp_{mode}_{method}.json"))
+    _sample_and_pp(pipeline, "problem_0000.json", MODES, "7", "11")
+
+    irregular = os.path.join(out, "irregular")
+    os.makedirs(irregular)
+    with open(os.path.join(irregular, "problem.json"), "w", encoding="utf-8") as f:
+        json.dump(IRREGULAR, f)
+    _sample_and_pp(irregular, "problem.json", ("raw", "sampling"), "5", "13")
 
     for kind in TOPOLOGY_KINDS:
         _run("gen", "--topology", kind, "--count", "2", "--out", os.path.join(out, "gen", kind))
