@@ -35,6 +35,7 @@ from .samplers import (
     DEFAULT_SWEEPS,
     DEFAULT_THINNING,
     BetaSchedule,
+    RunSet,
     SamplerParams,
     gibbs_sample,
     random_runs,
@@ -290,11 +291,25 @@ def _hpe_jobs(config: ExperimentConfig, copies, mode: str, num_runs: int, index:
               seed: int | None = None):
     """The ``sample_many`` jobs of hpe's scales in a cell of ``num_runs``
     runs, seeded with ``seed`` when given, else with a seed derived from
-    the master seed, the mode and the problem ``index``. Budget parity:
-    the cell's run count is split across the scales."""
-    per_scale = max(1, num_runs // len(copies))
+    the master seed, the mode and the problem ``index``."""
+    per_scale = _runs_per_scale(config, num_runs)
     s = derive_seed(config.master_seed, "hpe", mode, index) if seed is None else seed
     return hpe_jobs(copies, per_scale, sampler_params(config, mode, per_scale, s))
+
+
+def _runs_per_scale(config: ExperimentConfig, num_runs: int) -> int:
+    """Budget parity: a cell's run count split across hpe's scales."""
+    return max(1, num_runs // len(config.hpe_scales))
+
+
+def _first_runs(runset, count: int):
+    """The first ``count`` runs of a sampler's ``runset``: the run set its
+    job gives with ``count`` runs, as each run's states do not depend on
+    the run count."""
+    provenance = replace(runset.provenance,
+                         params={**runset.provenance.params, "num_runs": count})
+    return RunSet.from_matrix(runset.spins[:count], runset.energies()[:count],
+                              runset.problem_id, provenance)
 
 
 def apply_method(config: ExperimentConfig, problem: IsingProblem, runset,
@@ -342,7 +357,10 @@ def _sweep(config: ExperimentConfig, methods):
     Every listed mode's sampler settings are checked before the first cell.
     For each block of up to ``_PROBLEM_BLOCK`` problems and each mode, one
     sampler call samples every run count's input runs and, when hpe is
-    listed, every cell's hpe scales, from copies emulated once per problem.
+    listed, each problem's hpe scales, from copies emulated once per
+    problem. hpe's seed does not depend on the run count, so a cell's
+    per-scale runs are the first runs of the largest cell's: the scales
+    are sampled once, at the largest run count, and sliced.
     """
     for mode in config.modes:
         try:
@@ -360,14 +378,17 @@ def _sweep(config: ExperimentConfig, methods):
         for mode in config.modes:
             keys = [(num_runs, mode, k) for num_runs in config.run_counts
                     for k in range(len(problems))]
-            hpe_groups = [_hpe_jobs(config, copies[k], mode, num_runs, indices[k])
-                          for num_runs, _, k in keys] if copies else []
+            hpe_groups = [_hpe_jobs(config, copies[k], mode, max(config.run_counts), indices[k])
+                          for k in range(len(copies))]
             runsets = iter(sample_many(SAMPLERS[mode], [
                 *(job for jobs in hpe_groups for job in jobs),
                 *(_input_job(config, problems[k], indices[k], mode, num_runs)
                   for num_runs, _, k in keys)]))
-            for key, jobs in zip(keys, hpe_groups):
-                scales[key] = list(itertools.islice(runsets, len(jobs)))
+            sampled = [list(itertools.islice(runsets, len(jobs))) for jobs in hpe_groups]
+            if copies:
+                for num_runs, _, k in keys:
+                    per_scale = _runs_per_scale(config, num_runs)
+                    scales[num_runs, mode, k] = [_first_runs(rs, per_scale) for rs in sampled[k]]
             inputs.update(zip(keys, runsets))
         for k, (index, problem) in enumerate(zip(indices, problems)):
             for num_runs, mode in cells:
@@ -585,17 +606,20 @@ def sensitivity_report(config: ExperimentConfig, out_dir=None,
 def bench_reduce(problem: IsingProblem, run_counts, seed: int,
                  strategy: PairingStrategy = PairingStrategy.SEQUENTIAL,
                  repeats: int = 3):
-    """Wall time of one mqc_reduce call per run count: the fastest call.
+    """CPU seconds of one mqc_reduce call per run count: the fastest call.
 
-    Run generation is excluded from the timed region. Each of ``repeats``
+    Each call is timed with ``time.process_time``, so time the process
+    spends descheduled, while other processes run, is not counted. Run
+    generation is excluded from the timed region. Each of ``repeats``
     rounds calls mqc_reduce on the run counts in turn, one call each,
-    until every run count has spent ``_BENCH_ROUND_SECONDS``, as
-    ``timeit.Timer.autorange`` runs a statement until a minimum time has
-    passed. So a drift in machine speed hits all run counts alike, and a
-    run count of a few milliseconds gets as many chances at an undisturbed
-    call as one of a tenth of a second. As in ``timeit``, the garbage
-    collector is off while timing: collections of the long-lived objects
-    of the calling process would land in some calls and not others.
+    until every run count has spent ``_BENCH_ROUND_SECONDS`` CPU seconds,
+    as ``timeit.Timer.autorange`` runs a statement until a minimum time
+    has passed. So a drift in machine speed hits all run counts alike, and
+    a run count of a few milliseconds gets as many chances at an
+    undisturbed call as one of a tenth of a second. As in ``timeit``, the
+    garbage collector is off while timing: collections of the long-lived
+    objects of the calling process would land in some calls and not
+    others.
     """
     if repeats < 1:
         raise ConfigError(f"repeats must be positive, got {repeats}")
@@ -609,9 +633,9 @@ def bench_reduce(problem: IsingProblem, run_counts, seed: int,
             while min(spent) < _BENCH_ROUND_SECONDS:
                 for k, runset in enumerate(runsets):
                     if spent[k] < _BENCH_ROUND_SECONDS:
-                        start = time.perf_counter()
+                        start = time.process_time()
                         mqc_reduce(problem, runset, strategy)
-                        seconds = time.perf_counter() - start
+                        seconds = time.process_time() - start
                         spent[k] += seconds
                         best[k] = min(best[k], seconds)
     finally:

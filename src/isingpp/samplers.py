@@ -26,6 +26,8 @@ _RUN_BLOCK = 256
 # Generator.random call, into a buffer of at most _UNIFORM_BUFFER doubles.
 _SWEEP_CHUNK = 16
 _UNIFORM_BUFFER = 1 << 16
+# A lone Gibbs chain tabulates p_up for sites of at most this many neighbours.
+_TABLE_DEGREE = 6
 
 DEFAULT_SWEEPS = 100
 DEFAULT_BETA_START = 0.1
@@ -366,7 +368,10 @@ def gibbs_sample(problem: IsingProblem, params: SamplerParams,
     sampled every ``thinning`` sweeps until ``num_runs`` states have been
     collected. Site a is redrawn from its exact conditional,
     P(s[a] = +1 | rest) = 1 / (1 + exp(2 beta f_a)) with
-    f_a = h[a] + sum_b J[a,b] s[b].
+    f_a = h[a] + sum_b J[a,b] s[b], summed h first, then b ascending.
+    Since f_a depends only on a's neighbours' spins, the chain looks
+    p_up up in a per-site table where a has few neighbours (see
+    ``_gibbs_chain``); the states are those of summing f_a at every visit.
     """
     return gibbs_sample_many([(problem, params, problem_id)])[0]
 
@@ -374,7 +379,8 @@ def gibbs_sample(problem: IsingProblem, params: SamplerParams,
 def gibbs_sample_many(jobs) -> list:
     """``gibbs_sample`` of each ``(problem, params, problem_id)`` job, the
     problems on one graph: one RunSet per job. A lone chain runs site by
-    site in Python; two or more run as the columns of one level kernel
+    site in Python, reading p_up from per-site tables (``_gibbs_chain``);
+    two or more run as the columns of one level kernel
     (``_gibbs_columns``), which one column does not repay. A column's
     ``np.exp`` can differ from ``math.exp`` in the last bit, so its spins
     can differ from the job's own call only where a uniform falls between
@@ -398,35 +404,79 @@ def gibbs_sample_many(jobs) -> list:
 
 
 def _gibbs_chain(problem, params):
-    """(num_runs, n) states of one Gibbs chain, one site at a time."""
+    """(num_runs, n) states of one Gibbs chain, one site at a time.
+
+    The generator draws n integers for the initial state, then n uniforms
+    a sweep. A site of at most ``_TABLE_DEGREE`` neighbours reads ``p_up``
+    from a table of at most 64 entries built once per chain, indexed by
+    its neighbours' spins: bit k of its index is set when its neighbour k,
+    in adjacency order, is +1, and a flip XORs the flipped site's bit into
+    each such neighbour's index. An entry is the value a visit that sums
+    the field would compute: h first, then ``w * (+-1)`` left to right,
+    and p_up from ``math.exp`` with the 700 guards, so the states are
+    that chain's bit for bit. Sites of more neighbours sum their field at
+    each visit.
+    """
     n = problem.vertex_count
     beta2 = 2.0 * params.fixed_beta
     rng = make_generator(params.seed)
     state = (rng.integers(0, 2, n) * 2 - 1).tolist()
-    # Per site: the vertex, its h and its adjacency entries as (neighbour, coupling) pairs.
-    entries = list(zip(problem._adj.tolist(), problem._adj_w.tolist()))
-    start = problem._adj_start.tolist()
-    sites = [(a, h, tuple(entries[start[a]:start[a + 1]]))
-             for a, h in enumerate(problem._h_vec.tolist())]
+    adj, start = problem._adj.tolist(), problem._adj_start.tolist()
+    degree = np.diff(problem._adj_start)
+    exp = math.exp
+    # idx[a] is site a's table index; watchers[b] holds the (site, bit) of
+    # each index that holds b's spin.
+    tables, idx, watchers = [None] * n, [0] * n, [[] for _ in range(n)]
+    for d in range(_TABLE_DEGREE + 1):
+        group = np.flatnonzero(degree == d)
+        if not group.size:
+            continue
+        # f[i, p] is the field of site group[i] under neighbour pattern p,
+        # summed as the visit sums it; adding and multiplying elementwise
+        # are the same IEEE operations.
+        w = problem._adj_w[problem._adj_start[group, None] + np.arange(d)]
+        signs = np.where(np.arange(1 << d)[:, None] >> np.arange(d) & 1, 1.0, -1.0)
+        f = np.repeat(problem._h_vec[group, None], 1 << d, axis=1)
+        # Python's float arithmetic overflows to inf, and gives nan for
+        # inf - inf, without a word; so does this.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(d):
+                f += w[:, k, None] * signs[:, k]
+            f *= beta2
+        for a, x in zip(group.tolist(), f):
+            # Above x = 700, p_up is 0.0; below x = -700 it is 1.0.
+            tables[a] = [0.0 if v > 700.0 else 1.0 if v < -700.0 else 1.0 / (1.0 + exp(v))
+                         for v in x.tolist()]
+            for k, b in enumerate(adj[start[a]:start[a + 1]]):
+                watchers[b].append((a, 1 << k))
+                if state[b] > 0:
+                    idx[a] |= 1 << k
+    # Per site: the vertex, its h, its table, or else its adjacency entries
+    # as (neighbour, coupling) pairs, and its watchers.
+    entries = list(zip(adj, problem._adj_w.tolist()))
+    sites = [(a, h, tuple(entries[start[a]:start[a + 1]]) if table is None else (), table,
+              tuple(watchers[a]))
+             for a, (h, table) in enumerate(zip(problem._h_vec.tolist(), tables))]
 
     samples = np.empty((params.num_runs, n), dtype=SPIN_DTYPE)
     collected = 0
     total_sweeps = params.burn_in + params.num_runs * params.thinning
-    exp = math.exp
     for sweep in range(total_sweeps):
-        # The field is summed term by term: sum() compensates float sums
-        # from Python 3.12 on, which would change the chain's bits.
-        for (a, f, nbrs), u in zip(sites, rng.random(n).tolist()):
-            for b, w in nbrs:
-                f += w * state[b]
-            x = beta2 * f
-            # Above x = 700, p_up is 0.0; below x = -700 it is 1.0.
-            if x > 700.0:
-                state[a] = -1
-            elif x < -700.0:
-                state[a] = 1
+        for (a, f, nbrs, table, flips), u in zip(sites, rng.random(n).tolist()):
+            if table is None:
+                # The field is summed term by term: sum() compensates float
+                # sums from Python 3.12 on, which would change the chain's bits.
+                for b, w in nbrs:
+                    f += w * state[b]
+                x = beta2 * f
+                p_up = 0.0 if x > 700.0 else 1.0 if x < -700.0 else 1.0 / (1.0 + exp(x))
             else:
-                state[a] = 1 if u < 1.0 / (1.0 + exp(x)) else -1
+                p_up = table[idx[a]]
+            s = 1 if u < p_up else -1
+            if s != state[a]:
+                state[a] = s
+                for b, bit in flips:
+                    idx[b] ^= bit
         done = sweep + 1 - params.burn_in
         if done > 0 and done % params.thinning == 0:
             samples[collected] = state

@@ -23,6 +23,7 @@ from isingpp import (
 from isingpp import harness
 from isingpp.cli import _config, build_parser, main
 from isingpp.errors import ConfigError, InputError
+from isingpp.hpe import hpe_jobs
 from isingpp.harness import (
     ComparisonRow,
     build_report,
@@ -946,17 +947,31 @@ def test_sweep_samples_each_block_and_mode_in_one_call(monkeypatch):
                          methods=("mqc_sequential", "hpe"))
     calls = []
 
+    def content(jobs):
+        return [(problem.content_hash(), params, pid) for problem, params, pid in jobs]
+
     def counted(sampler, jobs):
         jobs = list(jobs)
-        calls.append((sampler, len(jobs)))
+        calls.append((sampler, content(jobs)))
         return sample_many(sampler, jobs)
 
     monkeypatch.setattr(harness, "sample_many", counted)
     run_experiment(config)
-    # Each problem's cell of a run count: its input runs and one job per scale.
-    jobs_per_problem = len(config.run_counts) * (1 + len(config.hpe_scales))
-    assert calls == [(harness.SAMPLERS[mode], size * jobs_per_problem)
-                     for size in (harness._PROBLEM_BLOCK, 1) for mode in config.modes]
+    # Per block and mode: each problem's hpe scales once, at the largest
+    # run count, then each cell's input runs.
+    per_scale = max(config.run_counts) // len(config.hpe_scales)
+    expected = []
+    for block in (range(harness._PROBLEM_BLOCK), [harness._PROBLEM_BLOCK]):
+        problems = [problem_for(config, index) for index in block]
+        for mode in config.modes:
+            jobs = [job for index, problem in zip(block, problems) for job in hpe_jobs(
+                harness._emulated(config, problem), per_scale, sampler_params(
+                    config, mode, per_scale, derive_seed(config.master_seed, "hpe", mode, index)))]
+            jobs += [(problem, sampler_params(config, mode, num_runs, derive_seed(
+                config.master_seed, "sample", mode, num_runs, index)), f"p{index:04d}")
+                for num_runs in config.run_counts for index, problem in zip(block, problems)]
+            expected.append((harness.SAMPLERS[mode], content(jobs)))
+    assert calls == expected
 
 
 def test_sweep_hpe_records_match_standalone_hpe():

@@ -11,6 +11,7 @@ import math
 import os
 import struct
 import tempfile
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -764,6 +765,36 @@ def test_gibbs_columns_sum_h_first_then_left_to_right():
         assert np.array_equal(runset.spins, expected)
 
 
+@pytest.mark.parametrize("extra", [0, 4])
+def test_lone_gibbs_chain_sums_h_first_then_left_to_right(extra):
+    """The case above in the lone chain, with vertex 3 read from its table
+    and, given ``extra`` more neighbours held at -1 through 0.0 couplings,
+    with its field summed at each visit."""
+    n = 4 + extra
+    problem = IsingProblem(n, {0: 1e30, 1: 1e30, 2: 1e30, 3: 1.0,
+                               **{v: 1e30 for v in range(4, n)}},
+                           {(0, 3): -1e16, (1, 3): 1e16, (2, 3): 0.5,
+                            **{(3, v): 0.0 for v in range(4, n)}})
+    assert (problem._adj_start[4] - problem._adj_start[3] > samplers._TABLE_DEGREE) == bool(extra)
+    params = SamplerParams(num_runs=3, seed=0, fixed_beta=1e3, burn_in=1, thinning=1)
+    expected = python_gibbs_chain(problem, params)
+    assert (expected[:, :4] == [-1, -1, -1, 1]).all()
+    assert np.array_equal(samplers.gibbs_sample(problem, params).spins, expected)
+
+
+@pytest.mark.parametrize("beta", [1e-300, 1.0, 1e6])
+def test_lone_gibbs_chain_takes_fields_beyond_the_float_range(beta):
+    """Fields that overflow to inf, and inf - inf = nan, in the tables as
+    in the Python chain, and the chain warns of neither."""
+    problem = IsingProblem(4, {0: 1e308, 1: -1e308, 2: 1e308, 3: 5.0},
+                           {(0, 1): 1.7e308, (1, 2): -1.7e308, (2, 3): 1e308, (0, 3): 1e308})
+    params = SamplerParams(num_runs=20, seed=1, fixed_beta=beta, burn_in=3, thinning=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spins = samplers._gibbs_chain(problem, params)
+    assert np.array_equal(spins, python_gibbs_chain(problem, params))
+
+
 def test_anneal_adds_h_to_the_neighbour_sum():
     """The problem of the test above, annealed: vertex 3's field is h = 1.0
     plus the neighbour terms 1e16, -1e16, -0.5 summed left to right, which
@@ -784,6 +815,52 @@ def test_lone_gibbs_chain_is_python_chain():
     params = SamplerParams(num_runs=50, seed=3, fixed_beta=0.7, burn_in=10, thinning=2)
     assert np.array_equal(samplers.gibbs_sample(problem, params).spins,
                           python_gibbs_chain(problem, params))
+
+
+@st.composite
+def lone_chain_problems(draw):
+    """A problem with sites on both sides of the lone chain's table bound
+    of ``samplers._TABLE_DEGREE`` neighbours: a star, K8 to K10, a random
+    graph (often with isolated vertices) or a few Chimera cells (up to 6
+    neighbours a site), with many exact-zero coefficients."""
+    kind = draw(st.sampled_from(["star", "complete", "random", "chimera"]))
+    if kind == "star":
+        n = draw(st.integers(2, 30))
+        edges = [(0, b) for b in range(1, n)]
+    elif kind == "complete":
+        n = draw(st.integers(8, 10))
+        edges = complete_graph(n)
+    elif kind == "random":
+        n = draw(st.integers(1, 16))
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    else:
+        spec = ChimeraSpec(draw(st.integers(1, 2)), draw(st.integers(1, 2)),
+                           draw(st.integers(1, 4)))
+        n, edges = spec.vertex_count, chimera_graph(spec)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def values(size):
+        return np.where(rng.random(size) < 0.3, 0.0, rng.uniform(-2.0, 2.0, size))
+
+    return IsingProblem(n, dict(enumerate(values(n))), dict(zip(edges, values(len(edges)))))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(lone_chain_problems(), st.data())
+def test_lone_gibbs_chain_matches_python_chain(problem, data):
+    """The lone chain, which reads p_up from a table at sites of few
+    neighbours and sums the field at the others, gives the Python chain's
+    spins and energy bits; betas of 400 and 1e6 push x past both 700
+    guards."""
+    params = SamplerParams(
+        num_runs=data.draw(st.sampled_from([50, 200])), seed=data.draw(st.integers(0, 2**32)),
+        fixed_beta=data.draw(st.one_of(st.floats(0.05, 5.0), st.sampled_from([400.0, 1e6]))),
+        burn_in=data.draw(st.integers(0, 30)), thinning=data.draw(st.integers(1, 3)))
+    runset = samplers.gibbs_sample(problem, params)
+    expected = python_gibbs_chain(problem, params)
+    assert np.array_equal(runset.spins, expected)
+    assert same_bits(runset.energies(), problem.evaluate_many(expected))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)

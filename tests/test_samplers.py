@@ -262,6 +262,25 @@ class TestBatchedSampling:
         for runset in samplers.gibbs_sample_many([(problem, params, None)] * 2):
             assert runset.spins.tolist() == [[-1, 1], [-1, 1]]
 
+    def test_lone_gibbs_chain_keeps_the_700_guards(self, monkeypatch):
+        """The case above in the lone chain, at sites read from a table
+        (8 and 9, uncoupled) and at sites that sum their field (K8 of 0.0
+        couplings): every x is 705 or -705."""
+        real = samplers.make_generator
+
+        class ZeroUniforms:
+            def __init__(self, seed):
+                self.integers = real(seed).integers
+
+            def random(self, n):
+                return np.zeros(n)
+
+        monkeypatch.setattr(samplers, "make_generator", ZeroUniforms)
+        h = {v: (-1.0) ** v for v in range(10)}
+        problem = IsingProblem(10, h, {e: 0.0 for e in complete_graph(8)})
+        params = SamplerParams(num_runs=2, seed=0, fixed_beta=352.5, burn_in=0, thinning=1)
+        assert gibbs_sample(problem, params).spins.tolist() == [[-1, 1] * 5] * 2
+
 
 class TestGibbsSample:
     def test_requires_fixed_beta(self):

@@ -23,6 +23,10 @@ OUT_DIR must not exist yet. The script runs, in process, through
   pairs listed in descending order, ``sample`` of it in modes raw and
   sampling, and ``pp`` of each runs file with every method, into
   ``OUT_DIR/irregular``;
+* ``gen`` of one complete-graph problem on 16 vertices, whose every site
+  has more neighbours than a lone Gibbs chain tabulates, ``sample`` of it
+  in modes raw and sampling, and ``pp`` of each runs file with every
+  method, into ``OUT_DIR/complete``;
 * ``gen`` of two problems of each topology kind at its default sizes,
   into ``OUT_DIR/gen/<kind>``;
 * the ``--help`` text of the program and of each subcommand, into
@@ -112,6 +116,10 @@ def run_pipeline(out):
     with open(os.path.join(irregular, "problem.json"), "w", encoding="utf-8") as f:
         json.dump(IRREGULAR, f)
     _sample_and_pp(irregular, "problem.json", ("raw", "sampling"), "5", "13")
+
+    complete = os.path.join(out, "complete")
+    _run("gen", "--topology", "complete", "--n", "16", "--count", "1", "--out", complete)
+    _sample_and_pp(complete, "problem_0000.json", ("raw", "sampling"), "3", "17")
 
     for kind in TOPOLOGY_KINDS:
         _run("gen", "--topology", kind, "--count", "2", "--out", os.path.join(out, "gen", kind))
