@@ -181,6 +181,8 @@ def _eliminate(problem: IsingProblem, spins, sub: Subgraph) -> np.ndarray:
         if not (0 <= v < problem.vertex_count):
             raise IndexError(f"subgraph vertex {v} out of range")
     inside = set(sub.vertices)
+    in_sub = np.zeros(problem.vertex_count, dtype=bool)
+    in_sub[list(sub.vertices)] = True
     m = spins.shape[0]
 
     # Factors: scope is a sorted tuple of variables, table axis k + 1
@@ -195,10 +197,11 @@ def _eliminate(problem: IsingProblem, spins, sub: Subgraph) -> np.ndarray:
         # A zero field adds nothing, so the runs that have one are unaffected.
         if np.any(unary != 0.0):
             factors.append(((v,), np.stack([-unary, unary], axis=1)))
-    for (a, b), w in problem.J.items():
-        if a in inside and b in inside:
-            # s_a * s_b is +1 on the diagonal, -1 off it.
-            factors.append(((a, b), np.array([[[w, -w], [-w, w]]])))
+    both = in_sub[problem._edge_a] & in_sub[problem._edge_b]
+    for a, b, w in zip(problem._edge_a[both].tolist(), problem._edge_b[both].tolist(),
+                       problem._edge_w[both].tolist()):
+        # s_a * s_b is +1 on the diagonal, -1 off it.
+        factors.append(((a, b), np.array([[[w, -w], [-w, w]]])))
 
     eliminations = []
     for v in sub.elimination_order:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -34,31 +35,69 @@ ENERGY_ATOL = 1e-9
 SIZE_LIMIT = 1 << 20
 
 
-def _finite(value, name, key) -> float:
-    """``value`` as a float, which must be finite, named ``name.format(key)`` in errors."""
+# Vertex ids are Python or numpy integers, never bools or floats.
+_VERTEX_ID_TYPES = frozenset({int, *(np.dtype(c).type for c in np.typecodes["AllInteger"])})
+
+
+def _vertex_ids(keys, n):
+    """``keys`` as an intp array, and the mask of those that are vertex
+    ids: integers in ``range(n)``. The others read as -1."""
     try:
-        x = float(value)
+        if set(map(type, keys)) <= _VERTEX_ID_TYPES:
+            ids = np.fromiter(keys, np.intp, len(keys))
+            return ids, (ids >= 0) & (ids < n)
+    except OverflowError:  # an integer beyond intp
+        pass
+    typed = np.fromiter(map(_VERTEX_ID_TYPES.__contains__, map(type, keys)), bool, len(keys))
+    ids = np.where(typed, np.fromiter(keys, object, len(keys)), -1)
+    ok = (ids >= 0) & (ids < n)
+    return np.where(ok, ids, -1).astype(np.intp), ok
+
+
+def _float(value):
+    """``float(value)``, or an infinity for an integer beyond the float range."""
+    try:
+        return float(value)
     except OverflowError:
-        raise ParameterError(f"{name.format(key)} must be finite, got an integer "
-                             f"beyond the float range") from None
-    if not math.isfinite(x):
-        raise ParameterError(f"{name.format(key)} must be finite, got {value!r}")
-    return x
+        return math.inf if value > 0 else -math.inf
+
+
+def _coefficients(values):
+    """``values`` as a float64 array, by ``_float``."""
+    try:
+        return np.fromiter(values, np.float64, len(values))
+    except OverflowError:
+        return np.fromiter(map(_float, values), np.float64, len(values))
+
+
+def _not_finite(name, value):
+    got = "an integer beyond the float range" if isinstance(value, int) else repr(value)
+    return ParameterError(f"{name} must be finite, got {got}")
+
+
+def _reject_first(checks):
+    """Raise the error of the first entry that fails one of ``checks``:
+    (mask of the entries that pass, error of entry i) pairs, in the order
+    an entry is checked."""
+    passed = np.logical_and.reduce([ok for ok, _ in checks])
+    if not passed.all():
+        i = int(np.argmin(passed))
+        raise next(error(i) for ok, error in checks if not ok[i])
 
 
 class IsingProblem:
     """Immutable problem instance over vertices ``0 .. vertex_count - 1``.
 
-    h maps vertex -> coefficient, J maps an unordered vertex pair -> coupling.
-    Self-couplings, duplicate pairs and non-finite coefficients are
-    rejected. Construction normalizes
-    every pair to (a, b) with a < b and precomputes a dense h array plus one
-    adjacency table; instances must not be mutated afterwards.
+    h maps vertex -> coefficient, J maps an unordered vertex pair ->
+    coupling. The constructor checks them as arrays: integer vertex ids
+    in range, no self-coupling, no pair given twice in either order, and
+    finite values whose absolute sum is finite. It keeps arrays only;
+    ``h`` and ``J`` are dicts built from them in sorted order.
     """
 
     __slots__ = (
-        "vertex_count", "h", "J",
-        "_h_vec", "_adj", "_adj_w", "_adj_start", "_edge_a", "_edge_b", "_edge_w",
+        "vertex_count", "_h_vec", "_h_vertices",
+        "_adj", "_adj_w", "_adj_start", "_edge_a", "_edge_b", "_edge_w",
     )
 
     def __init__(self, vertex_count, h=None, J=None):
@@ -69,41 +108,61 @@ class IsingProblem:
             raise SizeError(f"vertex_count {n} is above the limit of {SIZE_LIMIT}")
         self.vertex_count = n
 
-        h = dict(h or {})
-        for a, v in h.items():
-            if not (0 <= a < n):
-                raise IndexError(f"h vertex {a} out of range for {n} vertices")
-            h[a] = _finite(v, "h[{}]", a)
+        h, J = dict(h or {}), dict(J or {})
+        vertices, h_values = list(h), list(h.values())
+        h_ids, h_ok = _vertex_ids(vertices, n)
+        h_w = _coefficients(h_values)
+        _reject_first([
+            (h_ok,
+             lambda i: IndexError(f"h vertex {vertices[i]!r} is not an integer in range({n})")),
+            (np.isfinite(h_w), lambda i: _not_finite(f"h[{vertices[i]}]", h_values[i])),
+        ])
 
-        normalized = {}
-        for pair, w in dict(J or {}).items():
-            a, b = pair
-            if a == b:
-                raise IndexError(f"self-coupling ({a}, {b}) is not allowed")
-            if not (0 <= a < n and 0 <= b < n):
-                raise IndexError(f"J pair ({a}, {b}) out of range for {n} vertices")
-            key = (a, b) if a < b else (b, a)
-            if key in normalized:
-                raise IndexError(f"duplicate coupling for pair {key}")
-            normalized[key] = _finite(w, "J{}", key)
-
-        self.h = h
-        self.J = normalized
+        pairs, j_values = list(J), list(J.values())
+        _reject_first([(np.fromiter(map(len, pairs), np.intp, len(pairs)) == 2,
+                        lambda i: IndexError(f"J key {pairs[i]!r} is not a vertex pair"))])
+        ends, ends_ok = _vertex_ids(list(chain.from_iterable(pairs)), n)
+        lo, hi = np.sort(ends.reshape(-1, 2), axis=1).T
+        j_w = _coefficients(j_values)
+        # Sorted by (lo, hi), stably, so a pair's later repeats follow it.
+        order = np.lexsort((hi, lo))
+        repeat = np.zeros(len(pairs), dtype=bool)
+        repeat[order[1:]] = (np.diff(lo[order]) == 0) & (np.diff(hi[order]) == 0)
+        _reject_first([
+            (ends_ok.reshape(-1, 2).all(axis=1),
+             lambda i: IndexError(f"J pair {pairs[i]!r} is not two integers in range({n})")),
+            (lo != hi, lambda i: IndexError(f"self-coupling {pairs[i]!r} is not allowed")),
+            (~repeat,
+             lambda i: IndexError(f"duplicate coupling for pair {(int(lo[i]), int(hi[i]))}")),
+            (np.isfinite(j_w), lambda i: _not_finite(f"J{(int(lo[i]), int(hi[i]))}", j_values[i])),
+        ])
+        # The sum bounds every energy, partial sum and local field.
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.abs(h_w).sum() + np.abs(j_w).sum()):
+                raise ParameterError("the absolute values of h and J must have a finite sum")
 
         self._h_vec = np.zeros(n, dtype=np.float64)
-        self._h_vec[list(h)] = list(h.values())
+        self._h_vec[h_ids] = h_w
+        self._h_vertices = np.sort(h_ids)
+        self._edge_a, self._edge_b, self._edge_w = lo[order], hi[order], j_w[order]
 
         # Each edge from both ends, sorted by (end, other end): vertex v's
-        # entries of _adj and _adj_w run from _adj_start[v] to _adj_start[v + 1],
-        # and those whose neighbour is above v are the sorted edges (a, b).
-        pairs = np.array(list(normalized), dtype=np.intp).reshape(-1, 2)
-        ends, others = pairs.T.ravel(), pairs[:, ::-1].T.ravel()
-        weights = np.tile(np.fromiter(normalized.values(), np.float64, len(normalized)), 2)
+        # entries of _adj and _adj_w run from _adj_start[v] to _adj_start[v + 1].
+        ends = np.concatenate([self._edge_a, self._edge_b])
+        others = np.concatenate([self._edge_b, self._edge_a])
         by_end = np.lexsort((others, ends))
-        ends, self._adj, self._adj_w = ends[by_end], others[by_end], weights[by_end]
-        self._adj_start = np.searchsorted(ends, np.arange(n + 1))
-        upper = self._adj > ends
-        self._edge_a, self._edge_b, self._edge_w = ends[upper], self._adj[upper], self._adj_w[upper]
+        self._adj, self._adj_w = others[by_end], np.tile(self._edge_w, 2)[by_end]
+        self._adj_start = np.searchsorted(ends[by_end], np.arange(n + 1))
+
+    @property
+    def h(self):
+        """The linear coefficients, vertex -> value, in vertex order."""
+        return dict(zip(self._h_vertices.tolist(), self._h_vec[self._h_vertices].tolist()))
+
+    @property
+    def J(self):
+        """The couplings, (a, b) with a < b -> value, in sorted order."""
+        return dict(zip(self.edge_list, self._edge_w.tolist()))
 
     @property
     def edge_list(self):
@@ -145,18 +204,17 @@ class IsingProblem:
     def content_hash(self) -> str:
         """Stable short identifier derived from the problem's contents."""
         parts = [str(self.vertex_count)]
-        parts.extend(f"h {a} {self._h_vec[a]!r}" for a in sorted(self.h))
-        parts.extend(
-            f"J {a} {b} {w!r}"
-            for (a, b), w in sorted(self.J.items())
-        )
+        parts.extend(f"h {a} {v!r}" for a, v in
+                     zip(self._h_vertices.tolist(), self._h_vec[self._h_vertices]))
+        parts.extend(f"J {a} {b} {w!r}" for a, b, w in
+                     zip(self._edge_a.tolist(), self._edge_b.tolist(), self._edge_w.tolist()))
         digest = hashlib.sha256("\n".join(parts).encode()).hexdigest()
         return digest[:12]
 
     def __repr__(self):
         return (
             f"IsingProblem(vertex_count={self.vertex_count}, "
-            f"|h|={len(self.h)}, |J|={len(self.J)})"
+            f"|h|={len(self._h_vertices)}, |J|={len(self._edge_w)})"
         )
 
 

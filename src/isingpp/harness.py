@@ -14,6 +14,7 @@ from __future__ import annotations
 import gc
 import itertools
 import json
+import math
 import numbers
 import os
 import time
@@ -238,6 +239,12 @@ def problem_family(topology: dict, h_range, j_range):
     graph, n = topology_graph(topology)
     # Built once, so bad ranges fail before any problem is drawn.
     spec = ProblemGenSpec(h_range, j_range, 0)
+    # IsingProblem needs a finite absolute sum of every draw's coefficients.
+    h_top, j_top = (max(map(abs, r)) for r in (spec.h_range, spec.j_range))
+    if not math.isfinite(n * h_top + len(graph) * j_top):
+        raise ParameterError(f"h_range {spec.h_range} and j_range {spec.j_range} on {n} vertices "
+                             f"and {len(graph)} edges can draw coefficients whose absolute sum "
+                             f"is not finite")
     return lambda seed: random_problem(graph, replace(spec, seed=seed), vertex_count=n)
 
 

@@ -78,15 +78,17 @@ class ScaleSet:
             )
 
 
-def scale_problem(problem: IsingProblem, factor: float) -> IsingProblem:
-    """Multiply every coefficient by ``factor`` (> 0)."""
+def _scaled(coefficients: dict, factor: float) -> dict:
+    """``coefficients`` with each value multiplied by ``factor`` (> 0)."""
     if factor <= 0:
         raise ParameterError(f"scale factor must be positive, got {factor}")
-    return IsingProblem(
-        problem.vertex_count,
-        {a: factor * v for a, v in problem.h.items()},
-        {e: factor * w for e, w in problem.J.items()},
-    )
+    return {k: factor * v for k, v in coefficients.items()}
+
+
+def scale_problem(problem: IsingProblem, factor: float) -> IsingProblem:
+    """Multiply every coefficient by ``factor`` (> 0)."""
+    return IsingProblem(problem.vertex_count, _scaled(problem.h, factor),
+                        _scaled(problem.J, factor))
 
 
 def _snap(coefficients: dict, clip, levels) -> dict:
@@ -157,9 +159,16 @@ def emulate(problem: IsingProblem, scales, model: PrecisionModel) -> list:
 
     The copies keep every edge, a coupling snapped to 0.0 too, so they
     share the problem's graph and ``sample_many`` samples them in one call,
-    with each other and with the problem itself.
+    with each other and with the problem itself. Copy k is
+    ``quantize_problem(scale_problem(problem, scales[k]), model)``, snapped
+    from the scaled coefficients with no scaled problem between: scaled
+    coefficients may overflow, or have no finite sum, before clipping.
     """
-    return [quantize_problem(scale_problem(problem, factor), model) for factor in scales]
+    h, J = problem.h, problem.J
+    return [IsingProblem(problem.vertex_count,
+                         _snap(_scaled(h, factor), model.h_clip, model.levels),
+                         _snap(_scaled(J, factor), model.j_clip, model.levels))
+            for factor in scales]
 
 
 def hpe_jobs(copies, runs_per_scale: int, params: SamplerParams) -> list:

@@ -437,9 +437,9 @@ def _gibbs_chain(problem, params):
         w = problem._adj_w[problem._adj_start[group, None] + np.arange(d)]
         signs = np.where(np.arange(1 << d)[:, None] >> np.arange(d) & 1, 1.0, -1.0)
         f = np.repeat(problem._h_vec[group, None], 1 << d, axis=1)
-        # Python's float arithmetic overflows to inf, and gives nan for
-        # inf - inf, without a word; so does this.
-        with np.errstate(over="ignore", invalid="ignore"):
+        # The sums are finite, as IsingProblem bounds them, but at a large
+        # beta, beta2 * f overflows to inf without a word, as in Python.
+        with np.errstate(over="ignore"):
             for k in range(d):
                 f += w[:, k, None] * signs[:, k]
             f *= beta2

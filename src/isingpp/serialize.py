@@ -112,8 +112,8 @@ def _coefficient_entry(entry, width) -> bool:
 def save_problem(problem: IsingProblem, path):
     write_json({
         "vertex_count": problem.vertex_count,
-        "h": [[a, problem.h[a]] for a in sorted(problem.h)],
-        "J": [[a, b, w] for (a, b), w in sorted(problem.J.items())],
+        "h": [[a, v] for a, v in problem.h.items()],
+        "J": [[a, b, w] for (a, b), w in problem.J.items()],
     }, path)
 
 

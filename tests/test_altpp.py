@@ -408,6 +408,34 @@ class TestBuiltinOptPp:
         assert out.problem_id == rs.problem_id
 
 
+# Mixed magnitudes, so a pair factor added in another order shows in the bits.
+MIXED_H = {0: 2e7, 1: -0.7000000000000001, 2: -0.006, 3: -4e12, 4: 60.0}
+MIXED_J = {(0, 1): -0.03, (0, 2): 1e9, (0, 3): -0.4, (1, 2): -2.0, (2, 3): 700.0,
+           (3, 4): 4e16, (1, 4): -0.005}
+
+
+class TestEqualContentEqualBits:
+    """A problem and its twin, the same content with J given in reverse
+    order, are post-processed to the same spins."""
+
+    def twins(self):
+        problem = IsingProblem(5, MIXED_H, MIXED_J)
+        twin = IsingProblem(5, MIXED_H, dict(reversed(MIXED_J.items())))
+        assert problem.content_hash() == twin.content_hash() == "30c745d20c86"
+        return problem, twin
+
+    def test_builtin_opt_pp(self):
+        problem, twin = self.twins()
+        runs, twin_runs = (builtin_opt_pp(p, random_runs(p, 32, 1)) for p in (problem, twin))
+        assert np.array_equal(runs.spins, twin_runs.spins)
+
+    def test_optimize_subgraph(self):
+        problem, twin = self.twins()
+        sub = Subgraph(tuple(range(5)), *min_degree_elimination(range(5), problem.edge_list))
+        configs = [optimize_subgraph(p, p.configuration(np.ones(5)), sub) for p in (problem, twin)]
+        assert np.array_equal(configs[0].spins, configs[1].spins)
+
+
 class TestPersistenceFix:
     def test_threshold_validation(self):
         problem = make_chimera_problem(seed=1, rows=1, cols=1)

@@ -93,6 +93,19 @@ class TestIsingProblem:
         with pytest.raises(IndexError):
             IsingProblem(2, J={(0, 5): 1.0})
 
+    @pytest.mark.parametrize("h,J", [
+        ({0.5: 1.0}, {}),
+        ({1.5: 1.0}, {}),
+        ({True: 1.0}, {}),
+        ({}, {(0.5, 2): 1.0}),
+        ({}, {(0, 1.5): 1.0}),
+        ({}, {(True, 2): 1.0}),
+        ({}, {(0, 2.0): 1.0}),
+    ])
+    def test_non_integer_vertex_ids_rejected(self, h, J):
+        with pytest.raises(IndexError):
+            IsingProblem(3, h=h, J=J)
+
     def test_duplicate_pair_rejected(self):
         with pytest.raises(IndexError):
             IsingProblem(2, J={(0, 1): 1.0, (1, 0): 2.0})
@@ -104,6 +117,9 @@ class TestIsingProblem:
         ({}, {(0, 1): float("nan")}),
         ({0: 10**400}, {}),
         ({}, {(1, 0): -10**400}),
+        # Each value is finite, but not the sum of their absolute values.
+        ({0: 1e308, 1: 1e308}, {}),
+        ({0: 1.7e308}, {(0, 1): -1.7e308}),
     ])
     def test_non_finite_coefficients_rejected(self, h, J):
         with pytest.raises(ParameterError, match="finite"):
@@ -119,22 +135,38 @@ class TestIsingProblem:
         assert problem.J == {(0, 2): 0.25}
         assert problem.edge_list == [(0, 2)]
 
+    def test_h_and_J_are_sorted_views_of_the_arrays(self):
+        problem = IsingProblem(6, {np.int64(4): -0.0, 1: 2, 3: 0.5},
+                               {(5, 2): 1.0, (0, 1): -3, (np.int32(4), 0): 0.125})
+        assert list(problem.J) == problem.edge_list == [(0, 1), (0, 4), (2, 5)]
+        assert problem.J == {(0, 1): -3.0, (0, 4): 0.125, (2, 5): 1.0}
+        assert list(problem.h) == [1, 3, 4]
+        assert [v.hex() for v in problem.h.values()] == [(2.0).hex(), (0.5).hex(), (-0.0).hex()]
+        problem.h[0], problem.J[(1, 2)] = 1.0, 1.0
+        assert 0 not in problem.h and (1, 2) not in problem.J
+        assert repr(problem) == "IsingProblem(vertex_count=6, |h|=3, |J|=3)"
+
     def test_adjacency_symmetric(self):
-        """Each vertex's slice of the adjacency holds its neighbours,
-        ascending, and their couplings, and the edge arrays are the sorted
+        """J holds the input pairs, normalized and sorted, with their bits;
+        each vertex's slice of the adjacency holds its neighbours,
+        ascending, and their couplings; and the edge arrays are the sorted
         pairs of J, whatever the order and orientation of the input pairs."""
         default = problem_for(ExperimentConfig(), 0)
         shuffled = list(default.J.items())
         np.random.default_rng(5).shuffle(shuffled)
-        problems = [
-            IsingProblem(3, J={(0, 1): 1.0, (1, 2): -1.0}),
-            IsingProblem(4, J={(1, 0): 0.5, (3, 1): -0.25, (2, 0): 1e-300, (3, 2): 0.1}),
-            IsingProblem(default.vertex_count, default.h, dict(shuffled)),
-            IsingProblem(7, {5: 1.0}, {(4, 1): 0.3, (1, 2): -0.7, (6, 2): 0.2}),
-            IsingProblem(0),
-            default,
+        inputs = [
+            (3, {}, {(0, 1): 1.0, (1, 2): -1.0}),
+            (4, {}, {(1, 0): 0.5, (3, 1): -0.25, (2, 0): 1e-300, (3, 2): 0.1}),
+            (default.vertex_count, default.h, dict(shuffled)),
+            (7, {5: 1.0}, {(4, 1): 0.3, (1, 2): -0.7, (6, 2): 0.2}),
+            (0, {}, {}),
         ]
-        for problem in problems:
+        problems = []
+        for n, h, J in inputs:
+            problem = IsingProblem(n, h, J)
+            problems.append(problem)
+            assert ([(e, w.hex()) for e, w in problem.J.items()]
+                    == sorted(((min(e), max(e)), w.hex()) for e, w in J.items()))
             nbr, nbr_w = oracle_neighbours(problem)
             start = problem._adj_start
             assert start.tolist() == np.cumsum([0] + [len(b) for b in nbr]).tolist()
@@ -142,7 +174,7 @@ class TestIsingProblem:
                 assert problem._adj[start[v]:start[v + 1]].tolist() == nbr[v].tolist()
                 assert ([w.hex() for w in problem._adj_w[start[v]:start[v + 1]].tolist()]
                         == [w.hex() for w in nbr_w[v].tolist()])
-            edges = sorted(problem.J.items())
+            edges = list(problem.J.items())
             assert problem._edge_a.tolist() == [a for (a, _), _ in edges]
             assert problem._edge_b.tolist() == [b for (_, b), _ in edges]
             assert [w.hex() for w in problem._edge_w.tolist()] == [w.hex() for _, w in edges]

@@ -644,6 +644,21 @@ def test_cli_gen_rejects_range_without_finite_width(tmp_path, capsys, h_range):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("ranges", [["--h-range", " -5e307", "5e307"],
+                                    ["--j-range", "0", "1e308"]])
+def test_cli_gen_rejects_ranges_whose_draws_could_overflow(tmp_path, capsys, ranges):
+    """Each range has a finite width, but 4 vertices' or 3 edges' worth of
+    its largest value has no finite sum, so no problem is written."""
+    out = tmp_path / "x"
+    code = main(["gen", "--topology", "path", "--n", "4", "--count", "1", *ranges,
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not finite" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("field", ["h_range", "j_range"])
 def test_config_rejects_range_without_finite_width(field):
     with pytest.raises(ConfigError, match=field):
@@ -729,6 +744,25 @@ def test_cli_sample_at_huge_beta_quenches_without_warnings(tmp_path):
         # Row a is the run with spin a flipped.
         flips = np.where(np.eye(n, dtype=bool), -run.spins, run.spins)
         assert (problem.evaluate_many(flips) - problem.evaluate(run.spins) >= -1e-9).all()
+
+
+@pytest.mark.parametrize("mode", ["raw", "sampling", "random"])
+def test_cli_sample_rejects_coefficients_whose_sum_overflows(tmp_path, capsys, mode):
+    """Each coefficient is finite, but their absolute sum is not, so an
+    energy could overflow to an infinity that no file may hold."""
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps({
+        "vertex_count": 4, "h": [[0, 1e308], [1, -1e308], [2, 1e308], [3, 5.0]],
+        "J": [[0, 1, 1.7e308], [1, 2, -1.7e308], [2, 3, 1e308], [0, 3, 1e308]]}))
+    out = tmp_path / "runs.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["sample", "--problem", str(problem), "--mode", mode, "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite sum" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_cli_sample_missing_problem_exits_with_diagnostic(tmp_path, capsys):

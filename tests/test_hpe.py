@@ -279,6 +279,19 @@ class TestHpe:
             assert np.array_equal(copy._edge_a, problem._edge_a)
             assert np.array_equal(copy._edge_b, problem._edge_b)
 
+    def test_emulate_clips_scaled_coefficients_beyond_the_float_range(self):
+        """At scale 8, h[0] overflows and the fields have no finite sum, so
+        no scaled problem exists; the clipped copy does."""
+        problem = IsingProblem(3, {0: 1e308, 1: 1e307, 2: -1e307}, {(0, 1): 0.5})
+        with pytest.raises(ParameterError):
+            scale_problem(problem, 8.0)
+        model = PrecisionModel(levels=9)
+        copies = emulate(problem, (1.0, 8.0), model)
+        assert copies[0].h == copies[1].h == {0: 2.0, 1: 2.0, 2: -2.0}
+        assert copies[1].J == {(0, 1): 1.0}
+        with pytest.raises(ParameterError, match="positive"):
+            emulate(problem, (0.0,), model)
+
     def test_beats_single_scale_on_fine_fields(self):
         """Fields of magnitude below half a 9-level grid step vanish at
         scale 1, so merging scaled copies usually wins. Calibrated: 49/50

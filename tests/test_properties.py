@@ -33,6 +33,7 @@ from isingpp import (
     SamplerParams,
     SpinConfiguration,
     Subgraph,
+    builtin_opt_pp,
     chimera_graph,
     complete_graph,
     decompose_low_treewidth,
@@ -44,6 +45,8 @@ from isingpp import (
     optimize_subgraph,
     path_graph,
     quantize_problem,
+    random_runs,
+    save_problem,
     save_runset,
     scale_problem,
     simulated_anneal,
@@ -51,7 +54,7 @@ from isingpp import (
 from isingpp import samplers
 from isingpp.altpp import _eliminate, _min_degree, persistence_fix
 from isingpp.cli import main
-from isingpp.errors import ParseError
+from isingpp.errors import ParameterError, ParseError
 from isingpp.harness import METHODS
 from isingpp.mqc import _merge_pairs, _pair_indices, reduce_configs
 from isingpp.rng import child_sequences, make_generator
@@ -84,6 +87,44 @@ def problems(draw):
 
 def same_bits(a, b):
     return np.asarray(a, dtype=np.float64).tobytes() == np.asarray(b, dtype=np.float64).tobytes()
+
+
+@st.composite
+def twin_problems(draw):
+    """A problem on a random graph, with magnitudes mixed so that terms
+    added in another order show in the bits, and its twin: the same
+    coefficients given in shuffled orders, some pairs reversed."""
+    n = draw(st.integers(1, 10))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    values = st.one_of(coefficients, st.sampled_from([1e16, -1e16, 0.25, -0.5, 3e-3]))
+    h = {v: draw(values) for v in draw(st.sets(st.integers(0, n - 1)))}
+    J = {e: draw(values) for e in edges}
+    flips = draw(st.lists(st.booleans(), min_size=len(J), max_size=len(J)))
+    twin_J = {(b, a) if flip else (a, b): w
+              for ((a, b), w), flip in zip(draw(st.permutations(list(J.items()))), flips)}
+    return (IsingProblem(n, h, J),
+            IsingProblem(n, dict(draw(st.permutations(list(h.items())))), twin_J))
+
+
+@derandomized
+@given(twin_problems())
+def test_equal_content_gives_equal_bits(twins):
+    """A problem's arrays, content hash, saved bytes and builtin_pp spins
+    depend on its content alone, not on the order it was given in."""
+    problem, twin = twins
+    for name in IsingProblem.__slots__[1:]:
+        ours, theirs = getattr(problem, name), getattr(twin, name)
+        assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
+    assert problem.content_hash() == twin.content_hash()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, f"{i}.json") for i in range(2)]
+        for p, path in zip((problem, twin), paths):
+            save_problem(p, path)
+        with open(paths[0], "rb") as first, open(paths[1], "rb") as second:
+            assert first.read() == second.read()
+    runs = random_runs(problem, 8, 1)
+    assert np.array_equal(builtin_opt_pp(problem, runs).spins, builtin_opt_pp(twin, runs).spins)
 
 
 @st.composite
@@ -782,16 +823,27 @@ def test_lone_gibbs_chain_sums_h_first_then_left_to_right(extra):
     assert np.array_equal(samplers.gibbs_sample(problem, params).spins, expected)
 
 
-@pytest.mark.parametrize("beta", [1e-300, 1.0, 1e6])
-def test_lone_gibbs_chain_takes_fields_beyond_the_float_range(beta):
-    """Fields that overflow to inf, and inf - inf = nan, in the tables as
-    in the Python chain, and the chain warns of neither."""
-    problem = IsingProblem(4, {0: 1e308, 1: -1e308, 2: 1e308, 3: 5.0},
-                           {(0, 1): 1.7e308, (1, 2): -1.7e308, (2, 3): 1e308, (0, 3): 1e308})
+def test_fields_beyond_the_float_range_are_rejected():
+    """Coefficients whose absolute sum overflows could give infinite
+    fields and energies, and inf - inf = nan, so no problem holds them."""
+    with pytest.raises(ParameterError, match="finite sum"):
+        IsingProblem(4, {0: 1e308, 1: -1e308, 2: 1e308, 3: 5.0},
+                     {(0, 1): 1.7e308, (1, 2): -1.7e308, (2, 3): 1e308, (0, 3): 1e308})
+
+
+@pytest.mark.parametrize("beta", [1e9, 1e300])
+def test_lone_gibbs_chain_takes_beta_fields_beyond_the_float_range(beta):
+    """Finite fields near the float limit times 2 beta overflow to inf, in
+    the tables as in the Python chain, and the chain warns of none. Hub 0
+    has more neighbours than a table holds, so it sums its field; vertex
+    10 has a field small enough to leave its spin to chance at beta 1e9."""
+    problem = IsingProblem(11, {0: 1e300, 1: -1e300, 2: 3e299, 3: -5.0, 10: 1e-9},
+                           {(0, v): (-1) ** v * 1e299 for v in range(1, 10)})
     params = SamplerParams(num_runs=20, seed=1, fixed_beta=beta, burn_in=3, thinning=1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         spins = samplers._gibbs_chain(problem, params)
+    assert problem._adj_start[1] > samplers._TABLE_DEGREE
     assert np.array_equal(spins, python_gibbs_chain(problem, params))
 
 

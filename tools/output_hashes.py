@@ -30,7 +30,10 @@ OUT_DIR must not exist yet. The script runs, in process, through
 * ``gen`` of two problems of each topology kind at its default sizes,
   into ``OUT_DIR/gen/<kind>``;
 * the ``--help`` text of the program and of each subcommand, into
-  ``OUT_DIR/help`` (formatted for 80 columns).
+  ``OUT_DIR/help`` (formatted for 80 columns);
+* ``content_hash()`` of every problem file of ``pipeline``, ``irregular``,
+  ``complete`` and ``gen/<kind>``, one ``hash  path`` line each, into
+  ``OUT_DIR/content_hashes.txt``. No other output carries these ids.
 
 It then prints one ``sha256  path`` line per file, sorted by path
 relative to OUT_DIR. Run it once with the ``src`` of each of two
@@ -41,6 +44,7 @@ output files changed bytes.
 from __future__ import annotations
 
 import contextlib
+import glob
 import hashlib
 import io
 import json
@@ -49,6 +53,7 @@ import sys
 
 from isingpp.cli import main
 from isingpp.harness import METHODS, ExperimentConfig
+from isingpp.serialize import load_problem
 
 MODES = ("raw", "sampling", "random")
 TOPOLOGY_KINDS = ("chimera", "complete", "path", "grid")
@@ -132,6 +137,12 @@ def run_pipeline(out):
         with open(os.path.join(out, "help", f"{command or 'isingpp'}.txt"), "w",
                   encoding="utf-8") as f:
             f.write(text.getvalue())
+
+    paths = sorted(glob.glob(os.path.join(out, "*", "problem*.json"))
+                   + glob.glob(os.path.join(out, "gen", "*", "problem*.json")))
+    with open(os.path.join(out, "content_hashes.txt"), "w", encoding="utf-8") as f:
+        f.writelines(f"{load_problem(path).content_hash()}  {os.path.relpath(path, out)}\n"
+                     for path in paths)
 
 
 def hash_lines(out):
