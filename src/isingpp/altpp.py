@@ -335,15 +335,16 @@ def persistence_fix(problem: IsingProblem, runset: RunSet,
     fold = free[ends] & ~free[problem._adj]
     h = problem._h_vec.copy()
     np.add.at(h, ends[fold], problem._adj_w[fold] * fixed[problem._adj[fold]])
-    h_reduced = {i: x for i, x in enumerate(h[free].tolist()) if x != 0.0}
+    folded = h[free]
+    fields = np.flatnonzero(folded)  # a field that folds to 0.0 takes no h entry
     a, b, w = problem._edge_a, problem._edge_b, problem._edge_w
     inner = free[a] & free[b]
-    j_reduced = dict(zip(zip(index[a[inner]].tolist(), index[b[inner]].tolist()),
-                         w[inner].tolist()))
 
     assignments = {v: int(fixed[v]) for v in np.flatnonzero(fixed).tolist()}
     free_vertices = tuple(np.flatnonzero(free).tolist())
-    reduced = IsingProblem(len(free_vertices), h_reduced, j_reduced)
+    reduced = IsingProblem.from_entries(
+        len(free_vertices), fields, folded[fields],
+        np.column_stack((index[a[inner]], index[b[inner]])), w[inner])
     return FixedAssignment(assignments, free_vertices, reduced, problem.evaluate(fixed))
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import chain
 
@@ -63,16 +64,36 @@ def _float(value):
 
 
 def _coefficients(values):
-    """``values`` as a float64 array, by ``_float``."""
+    """``values`` as a float64 array by ``_float``, and the mask of those
+    that are real numbers other than bools. The others read as 0.0."""
+    types = set(map(type, values))
+    real = {t for t in types if issubclass(t, numbers.Real) and not issubclass(t, bool)}
+    ok = np.ones(len(values), dtype=bool)
+    if real != types:
+        ok = np.fromiter(map(real.__contains__, map(type, values)), bool, len(values))
+        values = [v if good else 0.0 for v, good in zip(values, ok.tolist())]
     try:
-        return np.fromiter(values, np.float64, len(values))
+        return np.fromiter(values, np.float64, len(values)), ok
     except OverflowError:
-        return np.fromiter(map(_float, values), np.float64, len(values))
+        return np.fromiter(map(_float, values), np.float64, len(values)), ok
 
 
-def _not_finite(name, value):
-    got = "an integer beyond the float range" if isinstance(value, int) else repr(value)
-    return ParameterError(f"{name} must be finite, got {got}")
+def _pair_ends(pairs):
+    """The ends of ``pairs`` as one flat sequence, and the mask of the
+    pairs that are tuples or lists of two ends, or rows of a (k, 2) array.
+    Each other pair reads as two -1 ends."""
+    if isinstance(pairs, np.ndarray) and pairs.ndim == 2 and pairs.shape[1] == 2:
+        return pairs.reshape(-1), np.ones(len(pairs), dtype=bool)
+    paired = np.ones(len(pairs), dtype=bool)
+    if not (set(map(type, pairs)) <= {tuple, list} and set(map(len, pairs)) <= {2}):
+        paired[:] = [isinstance(p, (tuple, list)) and len(p) == 2 for p in pairs]
+        pairs = [p if ok else (-1, -1) for p, ok in zip(pairs, paired.tolist())]
+    return list(chain.from_iterable(pairs)), paired
+
+
+def _not_finite(entry, value):
+    got = "an integer beyond the float range" if isinstance(value, int) else repr(_float(value))
+    return ParameterError(f"{entry}: value must be finite, got {got}")
 
 
 def _reject_first(checks):
@@ -89,9 +110,12 @@ class IsingProblem:
     """Immutable problem instance over vertices ``0 .. vertex_count - 1``.
 
     h maps vertex -> coefficient, J maps an unordered vertex pair ->
-    coupling. The constructor checks them as arrays: integer vertex ids
-    in range, no self-coupling, no pair given twice in either order, and
-    finite values whose absolute sum is finite. It keeps arrays only;
+    coupling. ``from_entries`` is the one checked entry path; the
+    constructor passes it the mappings' keys and values. It checks them
+    as arrays: integer vertex ids in range, no h vertex or pair given
+    twice (a pair in either order), no self-coupling, and values that are
+    finite real numbers, not bools, whose absolute sum is finite. An
+    error names the field and the entry. The problem keeps arrays only;
     ``h`` and ``J`` are dicts built from them in sorted order.
     """
 
@@ -101,40 +125,65 @@ class IsingProblem:
     )
 
     def __init__(self, vertex_count, h=None, J=None):
-        if int(vertex_count) != vertex_count or vertex_count < 0:
-            raise DimensionError(f"vertex_count must be a non-negative integer, got {vertex_count!r}")
-        n = int(vertex_count)
+        h, J = dict(h or {}), dict(J or {})
+        self._set(vertex_count, list(h), list(h.values()), list(J), list(J.values()))
+
+    @classmethod
+    def from_entries(cls, vertex_count, vertices, h_values, pairs, couplings):
+        """The problem of h entries ``vertices[i]: h_values[i]`` and J entries
+        ``pairs[k]: couplings[k]``, the pairs as (a, b) or a (k, 2) array."""
+        problem = cls.__new__(cls)
+        problem._set(vertex_count, vertices, h_values, pairs, couplings)
+        return problem
+
+    def _set(self, vertex_count, vertices, h_values, pairs, couplings):
+        try:  # int() rejects None, strings, nan and infinities
+            whole = (not isinstance(vertex_count, (bool, np.bool_))
+                     and int(vertex_count) == vertex_count >= 0)
+        except (TypeError, ValueError, OverflowError):
+            whole = False
+        if not whole:
+            raise DimensionError(
+                f"vertex_count must be a non-negative integer, got {vertex_count!r}")
+        n = self.vertex_count = int(vertex_count)
         if n > SIZE_LIMIT:
             raise SizeError(f"vertex_count {n} is above the limit of {SIZE_LIMIT}")
-        self.vertex_count = n
+        if len(vertices) != len(h_values) or len(pairs) != len(couplings):
+            raise DimensionError("every h vertex and J pair needs one value")
 
-        h, J = dict(h or {}), dict(J or {})
-        vertices, h_values = list(h), list(h.values())
         h_ids, h_ok = _vertex_ids(vertices, n)
-        h_w = _coefficients(h_values)
+        h_w, h_real = _coefficients(h_values)
+        by_vertex = np.argsort(h_ids, kind="stable")
+        h_repeat = np.zeros(len(h_ids), dtype=bool)
+        h_repeat[by_vertex[1:]] = np.diff(h_ids[by_vertex]) == 0
         _reject_first([
-            (h_ok,
-             lambda i: IndexError(f"h vertex {vertices[i]!r} is not an integer in range({n})")),
-            (np.isfinite(h_w), lambda i: _not_finite(f"h[{vertices[i]}]", h_values[i])),
+            (h_ok, lambda i: IndexError(
+                f"'h' entry {i}: vertex {vertices[i]!r} is not an integer in range({n})")),
+            (~h_repeat, lambda i: IndexError(f"'h' entry {i} repeats vertex {int(h_ids[i])}")),
+            (h_real, lambda i: ParameterError(
+                f"'h' entry {i}: value {h_values[i]!r} is not a real number")),
+            (np.isfinite(h_w), lambda i: _not_finite(f"'h' entry {i}", h_values[i])),
         ])
 
-        pairs, j_values = list(J), list(J.values())
-        _reject_first([(np.fromiter(map(len, pairs), np.intp, len(pairs)) == 2,
-                        lambda i: IndexError(f"J key {pairs[i]!r} is not a vertex pair"))])
-        ends, ends_ok = _vertex_ids(list(chain.from_iterable(pairs)), n)
+        flat, paired = _pair_ends(pairs)
+        ends, ends_ok = _vertex_ids(flat, n)
         lo, hi = np.sort(ends.reshape(-1, 2), axis=1).T
-        j_w = _coefficients(j_values)
+        j_w, j_real = _coefficients(couplings)
         # Sorted by (lo, hi), stably, so a pair's later repeats follow it.
         order = np.lexsort((hi, lo))
-        repeat = np.zeros(len(pairs), dtype=bool)
+        repeat = np.zeros(len(lo), dtype=bool)
         repeat[order[1:]] = (np.diff(lo[order]) == 0) & (np.diff(hi[order]) == 0)
         _reject_first([
-            (ends_ok.reshape(-1, 2).all(axis=1),
-             lambda i: IndexError(f"J pair {pairs[i]!r} is not two integers in range({n})")),
-            (lo != hi, lambda i: IndexError(f"self-coupling {pairs[i]!r} is not allowed")),
-            (~repeat,
-             lambda i: IndexError(f"duplicate coupling for pair {(int(lo[i]), int(hi[i]))}")),
-            (np.isfinite(j_w), lambda i: _not_finite(f"J{(int(lo[i]), int(hi[i]))}", j_values[i])),
+            (paired, lambda i: IndexError(f"'J' entry {i}: {pairs[i]!r} is not a vertex pair")),
+            (ends_ok.reshape(-1, 2).all(axis=1), lambda i: IndexError(
+                f"'J' entry {i}: pair {pairs[i]!r} is not two integers in range({n})")),
+            (lo != hi, lambda i: IndexError(
+                f"'J' entry {i}: self-coupling {pairs[i]!r} is not allowed")),
+            (~repeat, lambda i: IndexError(
+                f"'J' entry {i} repeats pair {(int(lo[i]), int(hi[i]))}")),
+            (j_real, lambda i: ParameterError(
+                f"'J' entry {i}: value {couplings[i]!r} is not a real number")),
+            (np.isfinite(j_w), lambda i: _not_finite(f"'J' entry {i}", couplings[i])),
         ])
         # The sum bounds every energy, partial sum and local field.
         with np.errstate(over="ignore"):
@@ -143,7 +192,7 @@ class IsingProblem:
 
         self._h_vec = np.zeros(n, dtype=np.float64)
         self._h_vec[h_ids] = h_w
-        self._h_vertices = np.sort(h_ids)
+        self._h_vertices = h_ids[by_vertex]
         self._edge_a, self._edge_b, self._edge_w = lo[order], hi[order], j_w[order]
 
         # Each edge from both ends, sorted by (end, other end): vertex v's

@@ -78,33 +78,36 @@ class ScaleSet:
             )
 
 
-def _scaled(coefficients: dict, factor: float) -> dict:
-    """``coefficients`` with each value multiplied by ``factor`` (> 0)."""
+def _snap(values, clip, levels):
+    """``values`` clipped into ``clip`` and rounded to its ``levels``-point grid."""
+    lo, hi = clip
+    step = (hi - lo) / (levels - 1)
+    return lo + np.rint((np.clip(values, lo, hi) - lo) / step) * step
+
+
+def _copy(problem: IsingProblem, factor: float, model: PrecisionModel | None = None):
+    """``problem`` with every coefficient times ``factor`` (> 0), then, if
+    ``model`` is given, snapped to its grid, keeping every h entry and edge.
+    Only the snapped values need to be finite."""
     if factor <= 0:
         raise ParameterError(f"scale factor must be positive, got {factor}")
-    return {k: factor * v for k, v in coefficients.items()}
+    vertices = problem._h_vertices
+    with np.errstate(over="ignore"):
+        h, w = factor * problem._h_vec[vertices], factor * problem._edge_w
+    if model is not None:
+        h, w = _snap(h, model.h_clip, model.levels), _snap(w, model.j_clip, model.levels)
+    return IsingProblem.from_entries(problem.vertex_count, vertices, h,
+                                     np.column_stack((problem._edge_a, problem._edge_b)), w)
 
 
 def scale_problem(problem: IsingProblem, factor: float) -> IsingProblem:
     """Multiply every coefficient by ``factor`` (> 0)."""
-    return IsingProblem(problem.vertex_count, _scaled(problem.h, factor),
-                        _scaled(problem.J, factor))
-
-
-def _snap(coefficients: dict, clip, levels) -> dict:
-    """``coefficients`` with each value clipped into ``clip`` and rounded
-    to the nearest of ``levels`` evenly spaced points, all in one array."""
-    lo, hi = clip
-    step = (hi - lo) / (levels - 1)
-    values = np.fromiter(coefficients.values(), np.float64, len(coefficients))
-    snapped = lo + np.rint((np.clip(values, lo, hi) - lo) / step) * step
-    return dict(zip(coefficients, snapped.tolist()))
+    return _copy(problem, factor)
 
 
 def quantize_problem(problem: IsingProblem, model: PrecisionModel) -> IsingProblem:
     """Clip each coefficient into its range, then round to the grid."""
-    return IsingProblem(problem.vertex_count, _snap(problem.h, model.h_clip, model.levels),
-                        _snap(problem.J, model.j_clip, model.levels))
+    return _copy(problem, 1.0, model)
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,11 +130,14 @@ def hpe_from_runsets(problem: IsingProblem, runsets,
     are reduced to the final configuration. All energies and tunnel
     decisions use the full-precision coefficients of ``problem``; every
     run is re-evaluated by ``problem.evaluate_many``. Each group ends as
-    its own ``reduce_configs`` call would end it.
+    its own ``reduce_configs`` call would end it. ``scales``, if given,
+    names the run sets' scales, one each.
     """
     runsets = list(runsets)
     if not runsets:
         raise InputError("no run sets to merge")
+    if scales is not None and len(scales) != len(runsets):
+        raise InputError(f"{len(scales)} scales given for {len(runsets)} run sets")
     counts = {len(rs) for rs in runsets}
     if len(counts) != 1:
         raise InputError(
@@ -155,20 +161,12 @@ def hpe_from_runsets(problem: IsingProblem, runsets,
 
 
 def emulate(problem: IsingProblem, scales, model: PrecisionModel) -> list:
-    """The scaled-and-quantized copy of ``problem`` at each of ``scales``.
-
-    The copies keep every edge, a coupling snapped to 0.0 too, so they
-    share the problem's graph and ``sample_many`` samples them in one call,
-    with each other and with the problem itself. Copy k is
-    ``quantize_problem(scale_problem(problem, scales[k]), model)``, snapped
-    from the scaled coefficients with no scaled problem between: scaled
-    coefficients may overflow, or have no finite sum, before clipping.
+    """The scaled-and-quantized copy of ``problem`` at each of ``scales``:
+    ``quantize_problem(scale_problem(problem, s), model)`` made in one step,
+    so a coefficient may overflow when scaled and still be clipped. The
+    copies keep every edge, so ``sample_many`` samples them in one call.
     """
-    h, J = problem.h, problem.J
-    return [IsingProblem(problem.vertex_count,
-                         _snap(_scaled(h, factor), model.h_clip, model.levels),
-                         _snap(_scaled(J, factor), model.j_clip, model.levels))
-            for factor in scales]
+    return [_copy(problem, factor, model) for factor in scales]
 
 
 def hpe_jobs(copies, runs_per_scale: int, params: SamplerParams) -> list:

@@ -6,6 +6,16 @@ Problem files are JSON documents:
      "h": [[0, 1.0], [1, -1.0]],
      "J": [[0, 1, 0.5]]}
 
+``vertex_count`` is a non-negative integer, not a bool. ``h`` and ``J``
+are lists of entries, each a list of 2 items ([vertex, value]) or 3
+([a, b, value]). The reader checks only this shape and passes the
+entries, as columns, to ``IsingProblem.from_entries``, which checks
+everything else: vertices are integers in range, no h vertex or pair
+(in either order) repeats, no pair couples a vertex to itself, and
+values are finite real numbers, not bools, with a finite absolute sum.
+An error names the file, the field and the entry. Entries may come in
+any order; the writer emits them sorted, each value as a float.
+
 Runs files carry the sampler provenance and one record per run, spins as
 a string over '+'/'-' with vertex 0 first:
 
@@ -102,19 +112,24 @@ def is_finite_number(value) -> bool:
         return False
 
 
-def _coefficient_entry(entry, width) -> bool:
-    """Whether ``entry`` is a list of ``width - 1`` integers and a finite number."""
-    return (isinstance(entry, list) and len(entry) == width
-            and all(isinstance(x, int) and not isinstance(x, bool) for x in entry[:-1])
-            and is_finite_number(entry[-1]))
-
-
 def save_problem(problem: IsingProblem, path):
+    vertices = problem._h_vertices
     write_json({
         "vertex_count": problem.vertex_count,
-        "h": [[a, v] for a, v in problem.h.items()],
-        "J": [[a, b, w] for (a, b), w in problem.J.items()],
+        "h": list(zip(vertices.tolist(), problem._h_vec[vertices].tolist())),
+        "J": list(zip(problem._edge_a.tolist(), problem._edge_b.tolist(),
+                      problem._edge_w.tolist())),
     }, path)
+
+
+def _columns(doc, name, path, width):
+    """Field ``name`` of ``doc``, a list of lists of ``width`` items, as
+    ``width`` columns."""
+    entries = _typed_field(doc, name, path, list, "a list")
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, list) or len(entry) != width:
+            raise ParseError(f"{path}: field {name!r} entry {i} must be a list of {width} items")
+    return list(zip(*entries)) if entries else [()] * width
 
 
 def load_problem(path) -> IsingProblem:
@@ -122,18 +137,10 @@ def load_problem(path) -> IsingProblem:
     n = _field(doc, "vertex_count", path)
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ParseError(f"{path}: field 'vertex_count' must be a non-negative integer")
-    h, J = {}, {}
-    for name, coefficients, width, form in (("h", h, 2, "[vertex, finite value]"),
-                                            ("J", J, 3, "[a, b, finite value]")):
-        for i, entry in enumerate(_typed_field(doc, name, path, list, "a list")):
-            if not _coefficient_entry(entry, width):
-                raise ParseError(f"{path}: field {name!r} entry {i} must be {form}")
-            key = entry[0] if width == 2 else tuple(entry[:2])
-            if key in coefficients:
-                raise ParseError(f"{path}: field {name!r} entry {i} repeats an earlier entry")
-            coefficients[key] = float(entry[-1])
+    vertices, h_values = _columns(doc, "h", path, 2)
+    a, b, couplings = _columns(doc, "J", path, 3)
     try:
-        return IsingProblem(n, h, J)
+        return IsingProblem.from_entries(n, vertices, h_values, list(zip(a, b)), couplings)
     except (IndexError, ValueError) as e:
         raise ParseError(f"{path}: {e}") from e
 

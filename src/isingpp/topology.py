@@ -153,7 +153,7 @@ def random_problem(graph, spec: ProblemGenSpec, vertex_count=None) -> IsingProbl
 
     h_lo, h_hi = spec.h_range
     j_lo, j_hi = spec.j_range
-    h = {a: float(x) for a, x in enumerate(h_rng.uniform(h_lo, h_hi, vertex_count))}
-    J = {e: float(x) for e, x in zip(edges, j_rng.uniform(j_lo, j_hi, len(edges)))}
-    return IsingProblem(vertex_count, h, J)
+    return IsingProblem.from_entries(
+        vertex_count, range(vertex_count), h_rng.uniform(h_lo, h_hi, vertex_count),
+        edges, j_rng.uniform(j_lo, j_hi, len(edges)))
 

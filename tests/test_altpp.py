@@ -478,6 +478,24 @@ class TestPersistenceFix:
         assert fa.reduced_problem.h == {0: pytest.approx(0.2)}
         assert fa.reduced_problem.J == {}
 
+    def test_reduced_problem_from_folded_fields_and_inner_edges(self):
+        """Freezing vertex 1 at -1 folds its couplings into the fields of
+        0 and 2 and 3, renumbered 0, 1 and 2; a field that folds to 0.0
+        takes no h entry, and only the couplings among free vertices stay."""
+        problem = IsingProblem(4, h={3: 1.0, 0: 0.5},
+                               J={(1, 0): 0.5, (1, 2): -1.0, (3, 2): 0.25, (0, 3): 0.75,
+                                  (1, 3): 0.5})
+        spins = np.array([[1, -1, 1, -1], [-1, -1, -1, 1]] * 5, dtype=np.int8)
+        from isingpp.samplers import Provenance, RunSet
+        rs = RunSet.from_matrix(spins, problem.evaluate_many(spins), "x",
+                                Provenance("manual", {}, 0))
+        fa = persistence_fix(problem, rs, threshold=0.9)
+        assert fa.assignments == {1: -1} and fa.free_vertices == (0, 2, 3)
+        fields = {0: 0.5 + 0.5 * -1, 1: 0.0 + -1.0 * -1, 2: 1.0 + 0.5 * -1}
+        assert fa.reduced_problem.h == {i: x for i, x in fields.items() if x != 0.0}
+        # The inner edges (0, 3) and (2, 3), renumbered.
+        assert fa.reduced_problem.J == {(0, 2): 0.75, (1, 2): 0.25}
+
     def test_threshold_is_inclusive(self):
         problem = IsingProblem(1, h={0: 1.0})
         plus = problem.configuration([1])

@@ -86,6 +86,10 @@ class TestIsingProblem:
     def test_invalid_construction(self):
         with pytest.raises(DimensionError):
             IsingProblem(-1)
+        for count in (True, False, np.True_, 2.5, float("inf"), float("-inf"), float("nan"),
+                      None, "3"):
+            with pytest.raises(DimensionError, match="vertex_count"):
+                IsingProblem(count)
         with pytest.raises(IndexError):
             IsingProblem(2, h={3: 1.0})
         with pytest.raises(IndexError):
@@ -107,8 +111,44 @@ class TestIsingProblem:
             IsingProblem(3, h=h, J=J)
 
     def test_duplicate_pair_rejected(self):
-        with pytest.raises(IndexError):
+        with pytest.raises(IndexError, match="'J' entry 1 repeats pair"):
             IsingProblem(2, J={(0, 1): 1.0, (1, 0): 2.0})
+
+    def test_repeated_h_vertex_rejected(self):
+        with pytest.raises(IndexError, match="'h' entry 2 repeats vertex 0"):
+            IsingProblem.from_entries(3, [0, 1, 0], [1.0, 2.0, 3.0], [], [])
+        with pytest.raises(IndexError, match="'h' entry 1 repeats vertex 2"):
+            IsingProblem.from_entries(3, np.array([2, 2]), np.array([1.0, 1.0]),
+                                      np.empty((0, 2), dtype=np.intp), np.empty(0))
+
+    @pytest.mark.parametrize("h,J,error,match", [
+        ({0: "1.5"}, {}, ParameterError, "'h' entry 0: value '1.5' is not a real number"),
+        ({0: 1.0, 1: b"2"}, {}, ParameterError, "'h' entry 1: value b'2' is not"),
+        ({0: True}, {}, ParameterError, "'h' entry 0: value True is not"),
+        ({0: np.True_}, {}, ParameterError, r"'h' entry 0: value np\.True_ is not"),
+        ({0: [1.0]}, {}, ParameterError, r"'h' entry 0: value \[1.0\] is not"),
+        ({0: 1j}, {}, ParameterError, "'h' entry 0: value 1j is not"),
+        ({0: None}, {}, ParameterError, "'h' entry 0: value None is not"),
+        ({}, {(0, 1): "0.5"}, ParameterError, "'J' entry 0: value '0.5' is not"),
+        ({}, {(0, 1): 1.0, (1, 2): False}, ParameterError, "'J' entry 1: value False is not"),
+        ({}, {(0, 1): {}}, ParameterError, "'J' entry 0: value {} is not"),
+        ({}, {(0, 1): np.array([0.5])}, ParameterError, "'J' entry 0: value"),
+        ({}, {5: 1.0}, IndexError, "'J' entry 0: 5 is not a vertex pair"),
+        ({}, {(0, 1): 1.0, (0, 1, 2): 1.0}, IndexError, "'J' entry 1: .* is not a vertex pair"),
+        ({}, {"ab": 1.0}, IndexError, "'J' entry 0: 'ab' is not a vertex pair"),
+        ({"0": 1.0}, {}, IndexError, "'h' entry 0: vertex '0' is not an integer"),
+    ])
+    def test_malformed_coefficients_rejected(self, h, J, error, match):
+        with pytest.raises(error, match=match):
+            IsingProblem(3, h=h, J=J)
+
+    def test_real_number_values_accepted(self):
+        """Python and numpy ints and floats are values; each reads as a float."""
+        problem = IsingProblem(3, {0: 2, 1: np.float32(0.5), 2: np.int8(-3)},
+                               {(0, 1): np.int64(4), (1, 2): 10**20})
+        assert problem.h == {0: 2.0, 1: 0.5, 2: -3.0}
+        assert problem.J == {(0, 1): 4.0, (1, 2): 1e20}
+        assert all(type(v) is float for v in [*problem.h.values(), *problem.J.values()])
 
     @pytest.mark.parametrize("h,J", [
         ({0: float("nan")}, {}),

@@ -1146,6 +1146,39 @@ def test_cli_sample_malformed_problem_exits_without_output(tmp_path, capsys, tex
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["sample", "pp"])
+@pytest.mark.parametrize("field, entries, named", [
+    ("h", [[0, 1.0], [1, "1.5"]], "'h' entry 1"),
+    ("h", [[0, True]], "'h' entry 0"),
+    ("J", [[0, 1, {"w": 1.0}]], "'J' entry 0"),
+    ("J", [[0, 1, 0.5], [1, 2, [0.5]]], "'J' entry 1"),
+    ("h", [[0, 1.0], 2], "'h' entry 1"),
+    ("h", [[2, 1.0], [3, 0.5], [2, -1.0]], "'h' entry 2 repeats"),
+])
+def test_cli_malformed_coefficient_names_field_and_entry(tmp_path, capsys, command, field,
+                                                         entries, named):
+    """A bad value or entry in a problem file ends ``sample`` and ``pp``
+    with one error: line naming the field and entry, and no warning."""
+    runs_path = sample_runs(tmp_path, gen_problems(tmp_path) / "problem_0000.json", "runs.json")
+    doc = {"vertex_count": 6, "h": [], "J": []}
+    doc[field] = entries
+    problem_path = tmp_path / "problem.json"
+    problem_path.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    out = tmp_path / "out.json"
+    argv = {"sample": ["sample", "--problem", str(problem_path), "--runs", "4"],
+            "pp": ["pp", "--problem", str(problem_path), "--runs-file", str(runs_path),
+                   "--method", "mqc_rank"]}[command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([*argv, "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_cli_out_env_var_overrides_destination(tmp_path, monkeypatch):
     redirect = tmp_path / "redirected"
     monkeypatch.setenv("ISINGPP_OUT", str(redirect))

@@ -19,7 +19,7 @@ from isingpp import (
     simulated_anneal,
 )
 from isingpp.errors import InputError, ParameterError
-from isingpp.hpe import emulate, hpe_jobs
+from isingpp.hpe import DEFAULT_SCALES, emulate, hpe_jobs
 from isingpp.mqc import reduce_configs
 from isingpp.rng import derive_seed
 
@@ -208,6 +208,12 @@ class TestHpeFromRunsets:
         with pytest.raises(InputError):
             hpe_from_runsets(problem, [])
 
+    def test_scale_count_mismatch_rejected(self):
+        problem = make_chimera_problem(seed=36, rows=1, cols=2)
+        runsets = [random_runs(problem, count=4, seed=s) for s in range(3)]
+        with pytest.raises(InputError, match="2 scales given for 3 run sets"):
+            hpe_from_runsets(problem, runsets, scales=(1.0, 2.0))
+
     def test_report_energies_are_consistent(self):
         problem = make_chimera_problem(seed=37, rows=1, cols=2)
         runsets = [random_runs(problem, count=10, seed=s) for s in range(4)]
@@ -265,8 +271,6 @@ class TestHpe:
         problem = make_chimera_problem(seed=40, rows=1, cols=1)
         model = PrecisionModel(levels=9)
         copies = emulate(problem, (1.0, 4.0), model)
-        assert (copies[1].content_hash()
-                == quantize_problem(scale_problem(problem, 4.0), model).content_hash())
         params = SamplerParams(num_runs=1, seed=55, sweeps=20)
         for runs in (1, 6):
             jobs = hpe_jobs(copies, runs, params)
@@ -278,6 +282,18 @@ class TestHpe:
         for copy in copies:
             assert np.array_equal(copy._edge_a, problem._edge_a)
             assert np.array_equal(copy._edge_b, problem._edge_b)
+
+    @pytest.mark.parametrize("model", [PrecisionModel(), PrecisionModel(levels=9)])
+    def test_emulate_copies_equal_quantized_scaled_problems(self, model):
+        """At every default scale, the copy is the problem scaled, then
+        quantized, in every array and in its content hash."""
+        problem = make_chimera_problem(seed=41, rows=1, cols=2)
+        for factor, copy in zip(DEFAULT_SCALES, emulate(problem, DEFAULT_SCALES, model),
+                                strict=True):
+            expected = quantize_problem(scale_problem(problem, factor), model)
+            assert copy.content_hash() == expected.content_hash()
+            for name in IsingProblem.__slots__[1:]:
+                assert np.array_equal(getattr(copy, name), getattr(expected, name))
 
     def test_emulate_clips_scaled_coefficients_beyond_the_float_range(self):
         """At scale 8, h[0] overflows and the fields have no finite sum, so

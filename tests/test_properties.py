@@ -107,24 +107,66 @@ def twin_problems(draw):
             IsingProblem(n, dict(draw(st.permutations(list(h.items())))), twin_J))
 
 
+def same_problem(problem, other):
+    """Whether two problems agree in every array, content hash and saved bytes."""
+    for name in IsingProblem.__slots__[1:]:
+        ours, theirs = getattr(problem, name), getattr(other, name)
+        if ours.dtype != theirs.dtype or ours.tobytes() != theirs.tobytes():
+            return False
+    with tempfile.TemporaryDirectory() as tmp:
+        saved = []
+        for i, p in enumerate((problem, other)):
+            path = os.path.join(tmp, f"{i}.json")
+            save_problem(p, path)
+            with open(path, "rb") as f:
+                saved.append(f.read())
+    return (problem.vertex_count == other.vertex_count
+            and problem.content_hash() == other.content_hash() and saved[0] == saved[1])
+
+
 @derandomized
 @given(twin_problems())
 def test_equal_content_gives_equal_bits(twins):
     """A problem's arrays, content hash, saved bytes and builtin_pp spins
     depend on its content alone, not on the order it was given in."""
     problem, twin = twins
-    for name in IsingProblem.__slots__[1:]:
-        ours, theirs = getattr(problem, name), getattr(twin, name)
-        assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
-    assert problem.content_hash() == twin.content_hash()
-    with tempfile.TemporaryDirectory() as tmp:
-        paths = [os.path.join(tmp, f"{i}.json") for i in range(2)]
-        for p, path in zip((problem, twin), paths):
-            save_problem(p, path)
-        with open(paths[0], "rb") as first, open(paths[1], "rb") as second:
-            assert first.read() == second.read()
+    assert same_problem(problem, twin)
     runs = random_runs(problem, 8, 1)
     assert np.array_equal(builtin_opt_pp(problem, runs).spins, builtin_opt_pp(twin, runs).spins)
+
+
+@st.composite
+def entry_mappings(draw):
+    """h over a random subset of vertices, some of them explicit zeros,
+    and J over a random graph, its pairs shuffled and some reversed."""
+    n = draw(st.integers(0, 10))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.permutations(draw(st.lists(st.sampled_from(pairs), unique=True)))) \
+        if pairs else []
+    values = st.one_of(coefficients, st.just(0.0), st.integers(-3, 3))
+    vertices = draw(st.permutations(sorted(draw(st.sets(st.integers(0, n - 1)))))) if n else []
+    h = {v: draw(values) for v in vertices}
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    J = {(b, a) if flip else (a, b): draw(values) for (a, b), flip in zip(edges, flips)}
+    return n, h, J
+
+
+@derandomized
+@given(entry_mappings())
+def test_from_entries_equals_the_mapping_constructor(case):
+    """``from_entries`` on a mapping's items, as lists or as arrays, makes
+    the problem the constructor makes of the mapping: every h entry kept,
+    a zero too, and every pair sorted, each value as a float."""
+    n, h, J = case
+    problem = IsingProblem(n, h, J)
+    assert problem.h == {v: float(h[v]) for v in sorted(h)}
+    assert problem.J == dict(sorted(((min(e), max(e)), float(w)) for e, w in J.items()))
+    assert same_problem(problem, IsingProblem.from_entries(
+        n, list(h), list(h.values()), list(J), list(J.values())))
+    assert same_problem(problem, IsingProblem.from_entries(
+        n, np.array(list(h), dtype=np.intp), np.array(list(h.values()), dtype=np.float64),
+        np.array(list(J), dtype=np.intp).reshape(-1, 2),
+        np.array(list(J.values()), dtype=np.float64)))
 
 
 @st.composite

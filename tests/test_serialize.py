@@ -41,6 +41,22 @@ class TestSpinStrings:
 
 
 class TestProblemFiles:
+    def test_entries_read_in_any_order_and_written_sorted(self, tmp_path):
+        """Entries out of order, an explicit 0.0 and an integer value load
+        as the mapping constructor builds them; the writer sorts them and
+        writes each value as a float."""
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({"vertex_count": 3, "h": [[2, 2], [0, 0.0]],
+                                    "J": [[2, 1, -1], [1, 0, 0.5]]}))
+        loaded = load_problem(path)
+        built = IsingProblem(3, {2: 2, 0: 0.0}, {(2, 1): -1, (1, 0): 0.5})
+        assert loaded.content_hash() == built.content_hash()
+        save_problem(loaded, path)
+        doc = json.loads(path.read_text())
+        assert doc == {"vertex_count": 3, "h": [[0, 0.0], [2, 2.0]],
+                       "J": [[0, 1, 0.5], [1, 2, -1.0]]}
+        assert all(type(entry[-1]) is float for entry in doc["h"] + doc["J"])
+
     def test_round_trip_preserves_floats(self, tmp_path):
         problem = make_chimera_problem(seed=316)
         path = tmp_path / "problem.json"
@@ -90,6 +106,11 @@ class TestProblemFiles:
         ("h", {}, "'h' must be a list"),
         ("h", [[0, 10**400]], "'h' entry 0"),
         ("J", [[0, 1, -10**400]], "'J' entry 0"),
+        ("h", [[0, False]], "'h' entry 0"),
+        ("h", [[0, {}]], "'h' entry 0"),
+        ("J", [[0, 1, 0.5], [1, 0, "0.5"]], "'J' entry 1"),
+        ("J", [[0, 1, 0.5], "x"], "'J' entry 1"),
+        ("h", [[0, 1.0, 2.0]], "'h' entry 0"),
     ])
     def test_malformed_entry_named(self, tmp_path, field, entries, match):
         doc = {"vertex_count": 2, "h": [], "J": []}
@@ -114,6 +135,7 @@ class TestProblemFiles:
     @pytest.mark.parametrize("field,entries,match", [
         ("h", [[0, 1.0], [0, -5.0]], "'h' entry 1 repeats"),
         ("J", [[0, 1, 0.5], [1, 2, 0.1], [0, 1, 9.0]], "'J' entry 2 repeats"),
+        ("J", [[0, 1, 0.5], [2, 1, 0.1], [1, 0, 9.0]], "'J' entry 2 repeats"),
     ])
     def test_duplicate_entry_named(self, tmp_path, field, entries, match):
         doc = {"vertex_count": 3, "h": [], "J": []}

@@ -19,8 +19,9 @@ OUT_DIR must not exist yet. The script runs, in process, through
 * ``gen`` of one default problem, ``sample`` of it in modes raw, sampling
   and random, and ``pp`` of each runs file with every method, into
   ``OUT_DIR/pipeline``;
-* a hand-written problem with three uncoupled vertices and its ``J``
-  pairs listed in descending order, ``sample`` of it in modes raw and
+* a hand-written problem with three uncoupled vertices, its ``J``
+  pairs listed in descending order and ``h`` entries out of order, one
+  an explicit 0.0 and one an integer, ``sample`` of it in modes raw and
   sampling, and ``pp`` of each runs file with every method, into
   ``OUT_DIR/irregular``;
 * ``gen`` of one complete-graph problem on 16 vertices, whose every site
@@ -73,9 +74,12 @@ TWO_BLOCKS = {
 
 # Vertices 3, 7 and 11 have no coupling, so their adjacency rows are
 # empty; J lists its pairs in descending order, each larger end first.
+# h ends with entries out of vertex order, one an explicit 0.0 and one
+# an integer (JSON 2); content_hashes.txt pins how they are read.
 IRREGULAR = {
     "vertex_count": 12,
-    "h": [[0, 0.5], [2, -1.25], [5, 0.75], [7, -0.5], [9, 1.0]],
+    "h": [[0, 0.5], [2, -1.25], [5, 0.75], [7, -0.5], [9, 1.0], [3, -0.75], [11, 0.0],
+          [6, 2]],
     "J": [[10, 9, -0.5], [10, 6, 0.75], [10, 2, -1.0], [9, 8, 1.0], [9, 5, -0.25],
           [8, 4, 0.5], [6, 5, -0.75], [6, 2, 1.0], [5, 4, -1.0], [5, 1, 0.25],
           [4, 0, -0.5], [2, 1, 0.5], [1, 0, -1.0]],
