@@ -33,14 +33,21 @@ size bounds the (P, E) masks and products, so the memory of a merge
 does not grow with the run count. Each sum runs in the order of a one-pair merge, so no
 contribution, tie or energy bit depends on the block size.
 
+The trace is stored as columns: each level keeps its (k, 2) pair index,
+the tunnel count of each pair and the size and run-1 contribution of
+each tunnel, concatenated over its blocks. The PairMerge records are
+built from those columns only when ``ReductionLevel.pairs`` is read.
+
 Sequential pairing is O(m) and rank order O(m log m) for m runs.
 Max-difference pairing fills one m x m int16 table of Hamming
 distances (2 m^2 bytes: 8 MiB at 2,048 runs) with blocked float32
 matrix products, O(m^2 n) for n vertices, and then runs the greedy over
-a per-row cache of each run's farthest free partner. A step costs O(m)
-plus O(m) for each run whose cached partner it took; on sampled runs
-that is a few runs a step, so the greedy is O(m^2). Runs that all share
-one farthest partner step after step can raise it to O(m^3).
+a per-row cache of each run's farthest free partner. The table is not
+written after it is filled; taken runs are masked out of the rows a
+step rescans. A step costs O(m) plus O(m) for each run whose cached
+partner it took; on 2,048 sampled runs that is 13-18 runs a step on
+average, so the greedy is O(m^2). Runs that all share one farthest
+partner step after step can raise it to O(m^3).
 """
 
 from __future__ import annotations
@@ -194,11 +201,49 @@ class PairMerge:
     adopted: tuple
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class ReductionLevel:
+    """One level of a reduction, stored as columns.
+
+    ``pair_index`` is the (k, 2) array of the level's index pairs,
+    ``tunnel_counts`` the tunnel count of each pair, and ``tunnel_sizes``
+    and ``contrib1`` the size and run-1 contribution of each tunnel, in
+    pair order. ``leftover`` is the odd run out, or None. ``pairs``
+    builds the PairMerge records from these columns on each access; two
+    levels are equal when their sizes, leftovers and records are.
+    """
+
     size: int
-    pairs: tuple
     leftover: int | None
+    pair_index: np.ndarray
+    tunnel_counts: np.ndarray
+    tunnel_sizes: np.ndarray
+    contrib1: np.ndarray
+
+    @property
+    def pairs(self) -> tuple:
+        """A PairMerge per pair: run 2's side of a tunnel is minus run
+        1's, and run 2's side is adopted where run 1's is > 0."""
+        sizes, side1 = self.tunnel_sizes.tolist(), self.contrib1.tolist()
+        side2 = (-self.contrib1).tolist()
+        adopted = np.where(self.contrib1 > 0.0, 2, 1).tolist()
+        records, start = [], 0
+        for (i, j), end in zip(self.pair_index.tolist(), np.cumsum(self.tunnel_counts).tolist()):
+            records.append(PairMerge(
+                i, j, tuple(sizes[start:end]),
+                tuple(zip(side1[start:end], side2[start:end])),
+                tuple(adopted[start:end])))
+            start = end
+        return tuple(records)
+
+    def __eq__(self, other):
+        if not isinstance(other, ReductionLevel):
+            return NotImplemented
+        return ((self.size, self.pairs, self.leftover)
+                == (other.size, other.pairs, other.leftover))
+
+    def __hash__(self):
+        return hash((self.size, self.pairs, self.leftover))
 
 
 @dataclass(frozen=True, slots=True)
@@ -209,7 +254,13 @@ class ReductionTrace:
     levels: tuple
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "strategy": self.strategy,
+            "levels": tuple({"size": level.size,
+                             "pairs": tuple(asdict(p) for p in level.pairs),
+                             "leftover": level.leftover}
+                            for level in self.levels),
+        }
 
 
 def _pair_indices(spins, energies, strategy):
@@ -271,29 +322,34 @@ def _max_difference_pairs(spins):
     i ascending, j ascending) order. ``best_j[i]`` caches row i's first
     farthest live partner j > i and ``best_v[i]`` that distance, so the
     step's pair is (i, best_j[i]) for the first i of largest ``best_v``.
-    Taking a pair kills its two columns, which only lowers entries, so
-    a row is rescanned only when its cached partner was one of them.
+    The table itself is never written after it is filled: ``dead`` holds
+    -1 for each taken run and 0 for a free one, and a rescanned row is
+    OR-ed with it, which (distances being >= 0, in two's complement)
+    turns the taken columns to -1 and leaves the rest as they are. Taking
+    a pair only lowers entries, so a row is rescanned only when its
+    cached partner was one of the two runs taken. A step costs one O(m)
+    argmax and one O(m) search for stale rows, four scalar writes, and
+    O(m) for each rescanned row.
     """
     m = spins.shape[0]
     dist = _distance_table(spins)
     best_j = dist.argmax(axis=1)
     best_v = dist[np.arange(m), best_j]
+    dead = np.zeros(m, dtype=dist.dtype)
     pairs = []
     for _ in range(m // 2):
         i = int(best_v.argmax())
         j = int(best_j[i])
         pairs.append((i, j))
-        # A best_j of -1 marks a taken row: no step picks or rescans it,
-        # so only the taken columns are cleared (entries on and below the
-        # diagonal are -1 already).
-        best_v[[i, j]] = -1
-        best_j[[i, j]] = -1
-        dist[:i, i] = -1
-        dist[:j, j] = -1
+        # A best_j of -1 marks a taken row: no step picks or rescans it.
+        best_v[i] = best_v[j] = -1
+        best_j[i] = best_j[j] = -1
+        dead[i] = dead[j] = -1
         stale = np.flatnonzero((best_j == i) | (best_j == j))
         for lo in range(0, stale.size, _ROW_BLOCK):
             rows = stale[lo:lo + _ROW_BLOCK]
             table = dist[rows]
+            table |= dead
             best_j[rows] = table.argmax(axis=1)
             best_v[rows] = table[np.arange(rows.size), best_j[rows]]
     leftover = int(np.flatnonzero(best_j >= 0)[0]) if m % 2 else None
@@ -308,30 +364,25 @@ def pair_runs(runset: RunSet, strategy: PairingStrategy):
 def _merge_pairs(problem, spins, pairs):
     """Merge each index pair (i, j) of the rows of ``spins``, row i as run 1.
 
-    Returns the merged rows, their energies and a PairMerge per pair. The
-    pairs go through ``_merge_rows`` in blocks of ``_ROW_BLOCK``, so the
-    memory a call adds besides its output is bounded.
+    Returns the merged rows, their energies and the level's columns: the
+    (k, 2) pair index, the tunnel count of each pair, and the size and
+    run-1 contribution of each tunnel, in pair order. The pairs go
+    through ``_merge_rows`` in blocks of ``_ROW_BLOCK``, so the memory a
+    call adds besides its output is bounded.
     """
     index = np.array(pairs, dtype=np.intp).reshape(-1, 2)
     merged = np.empty((len(index), spins.shape[1]), dtype=spins.dtype)
     energies = np.empty(len(index))
-    records = []
+    counts = np.empty(len(index), dtype=np.intp)
+    sizes, contribs = [], []
     for lo in range(0, len(index), _ROW_BLOCK):
         block = index[lo:lo + _ROW_BLOCK]
         hi = lo + len(block)
-        merged[lo:hi], energies[lo:hi], _, labels, counts, contrib1 = _merge_rows(
+        merged[lo:hi], energies[lo:hi], _, labels, counts[lo:hi], contrib1 = _merge_rows(
             problem, spins[block[:, 0]], spins[block[:, 1]])
-        sizes = np.bincount(labels, minlength=contrib1.size).tolist()
-        side1, side2 = contrib1.tolist(), (-contrib1).tolist()
-        adopted = np.where(contrib1 > 0.0, 2, 1).tolist()
-        start = 0
-        for (i, j), end in zip(pairs[lo:hi], np.cumsum(counts).tolist()):
-            records.append(PairMerge(
-                i, j, tuple(sizes[start:end]),
-                tuple(zip(side1[start:end], side2[start:end])),
-                tuple(adopted[start:end])))
-            start = end
-    return merged, energies, records
+        sizes.append(np.bincount(labels, minlength=contrib1.size))
+        contribs.append(contrib1)
+    return merged, energies, index, counts, np.concatenate(sizes), np.concatenate(contribs)
 
 
 def _reduce_levels(problem, spins, energies, strategy):
@@ -352,9 +403,12 @@ def _reduce_levels(problem, spins, energies, strategy):
             flat_pairs += [(g * size + i, g * size + j) for i, j in pairs]
             if leftover is not None:
                 left.append(g * size + leftover)
-        merged, merged_energies, records = _merge_pairs(problem, flat, flat_pairs)
+        merged, merged_energies, index, counts, sizes, contrib1 = _merge_pairs(
+            problem, flat, flat_pairs)
         half = size // 2
-        levels.append(ReductionLevel(size, tuple(records[:half]), left[0] if left else None))
+        tunnels = int(counts[:half].sum())
+        levels.append(ReductionLevel(size, left[0] if left else None, index[:half],
+                                     counts[:half], sizes[:tunnels], contrib1[:tunnels]))
         spins = merged.reshape(groups, half, n)
         energies = merged_energies.reshape(groups, half)
         if left:

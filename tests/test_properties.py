@@ -56,7 +56,15 @@ from isingpp.altpp import _eliminate, _min_degree, persistence_fix
 from isingpp.cli import main
 from isingpp.errors import ParameterError, ParseError
 from isingpp.harness import METHODS
-from isingpp.mqc import _merge_pairs, _pair_indices, reduce_configs
+from isingpp.mqc import (
+    ReductionLevel,
+    ReductionTrace,
+    _merge_pairs,
+    _pair_indices,
+    _reduce_levels,
+    mqc_reduce,
+    reduce_configs,
+)
 from isingpp.rng import child_sequences, make_generator
 from isingpp.serialize import strings_to_spins
 
@@ -335,8 +343,9 @@ def test_batched_merge_matches_pairwise(case):
     spins, energy bits and tunnel decisions of the one-pair merge."""
     problem, configs = case
     pairs = [(k, k + 1) for k in range(0, len(configs), 2)]
-    merged, energies, records = _merge_pairs(
+    merged, energies, *columns = _merge_pairs(
         problem, np.stack([c.spins for c in configs]), pairs)
+    records = ReductionLevel(len(configs), None, *columns).pairs
     for (i, j), spins, energy, record in zip(pairs, merged, energies.tolist(), records,
                                              strict=True):
         ref, sizes, contributions, adopted = merge_pair(problem, configs[i], configs[j])
@@ -347,6 +356,75 @@ def test_batched_merge_matches_pairwise(case):
         assert [struct.pack("<dd", *c) for c in record.contributions] == \
             [struct.pack("<dd", *c) for c in contributions]
         assert record.adopted == adopted
+
+
+def packed_contributions(trace):
+    """A trace dict with each contribution pair as its bytes, so that ==
+    compares contribution bits."""
+    return {**trace, "levels": tuple(
+        {**level, "pairs": tuple(
+            {**pair, "contributions": tuple(struct.pack("<dd", *c) for c in pair["contributions"])}
+            for pair in level["pairs"])}
+        for level in trace["levels"])}
+
+
+def pairwise_reduction(problem, configs, strategy):
+    """The reduction merged one pair at a time with ``merge_pair``, each
+    level paired by ``_pair_indices``; returns the final configuration and
+    the trace dict."""
+    levels = []
+    while len(configs) > 1:
+        pairs, leftover = _pair_indices(np.stack([c.spins for c in configs]),
+                                        np.array([c.energy for c in configs]), strategy)
+        merged, records = [], []
+        for i, j in pairs:
+            ref, sizes, contributions, adopted = merge_pair(problem, configs[i], configs[j])
+            merged.append(ref)
+            records.append({"first": i, "second": j, "tunnel_sizes": sizes,
+                            "contributions": contributions, "adopted": adopted})
+        levels.append({"size": len(configs), "pairs": tuple(records), "leftover": leftover})
+        configs = merged + ([configs[leftover]] if leftover is not None else [])
+    return configs[0], {"strategy": strategy.value, "levels": tuple(levels)}
+
+
+@st.composite
+def reduction_cases(draw):
+    """A problem, a pairing strategy and 1 to 3 groups of 1 to 40 of its
+    runs each, with some runs repeated so that their pair has no tunnel."""
+    problem = draw(problems())
+    strategy = draw(st.sampled_from(list(PairingStrategy)))
+    groups, count = draw(st.integers(1, 3)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    runs = rng.choice(np.array([-1, 1], dtype=np.int8),
+                      size=(groups, count, problem.vertex_count))
+    twins = 2 * np.flatnonzero(rng.random(count // 2) < 0.2)
+    runs[:, twins + 1] = runs[:, twins]
+    return problem, strategy, runs
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(reduction_cases())
+def test_reduction_trace_matches_pairwise_levels(case):
+    """``mqc_reduce``'s trace, built from level columns, has the pairs,
+    leftovers, tunnel sizes, contribution bits and adopted sides of a
+    reduction merged one pair at a time; and group 0 of a (G, k, n)
+    stack, reduced as hpe reduces its groups, has the levels of its lone
+    reduction."""
+    problem, strategy, runs = case
+    groups = [[problem.configuration(row) for row in group] for group in runs]
+    final, trace = mqc_reduce(problem, RunSet(groups[0], None, None), strategy)
+    ref, ref_trace = pairwise_reduction(problem, groups[0], strategy)
+    assert np.array_equal(final.spins, ref.spins)
+    assert struct.pack("<d", final.energy) == struct.pack("<d", ref.energy)
+    assert packed_contributions(trace.to_dict()) == packed_contributions(ref_trace)
+
+    energies = np.array([[c.energy for c in group] for group in groups])
+    spins, winners, levels = _reduce_levels(problem, runs, energies, strategy)
+    assert np.array_equal(spins[0], final.spins)
+    assert struct.pack("<d", winners[0]) == struct.pack("<d", final.energy)
+    assert tuple(levels) == trace.levels and hash(tuple(levels)) == hash(trace.levels)
+    assert packed_contributions(ReductionTrace(strategy.value, tuple(levels)).to_dict()) \
+        == packed_contributions(trace.to_dict())
 
 
 @st.composite

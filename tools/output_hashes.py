@@ -34,7 +34,11 @@ OUT_DIR must not exist yet. The script runs, in process, through
   ``OUT_DIR/help`` (formatted for 80 columns);
 * ``content_hash()`` of every problem file of ``pipeline``, ``irregular``,
   ``complete`` and ``gen/<kind>``, one ``hash  path`` line each, into
-  ``OUT_DIR/content_hashes.txt``. No other output carries these ids.
+  ``OUT_DIR/content_hashes.txt``. No other output carries these ids;
+* the sha256 of ``json.dumps(trace.to_dict(), sort_keys=True)`` for the
+  ``mqc_reduce`` trace of every ``pipeline`` runs file under each pairing
+  strategy, one ``sha256  path strategy`` line each, into
+  ``OUT_DIR/traces.txt``. No command writes a trace.
 
 It then prints one ``sha256  path`` line per file, sorted by path
 relative to OUT_DIR. Run it once with the ``src`` of each of two
@@ -54,7 +58,8 @@ import sys
 
 from isingpp.cli import main
 from isingpp.harness import METHODS, ExperimentConfig
-from isingpp.serialize import load_problem
+from isingpp.mqc import PairingStrategy, mqc_reduce
+from isingpp.serialize import load_problem, load_runset
 
 MODES = ("raw", "sampling", "random")
 TOPOLOGY_KINDS = ("chimera", "complete", "path", "grid")
@@ -147,6 +152,17 @@ def run_pipeline(out):
     with open(os.path.join(out, "content_hashes.txt"), "w", encoding="utf-8") as f:
         f.writelines(f"{load_problem(path).content_hash()}  {os.path.relpath(path, out)}\n"
                      for path in paths)
+
+    problem = load_problem(os.path.join(pipeline, "problem_0000.json"))
+    with open(os.path.join(out, "traces.txt"), "w", encoding="utf-8") as f:
+        for mode in MODES:
+            path = os.path.join(pipeline, f"runs_{mode}.json")
+            runset = load_runset(path, problem)
+            for strategy in PairingStrategy:
+                trace = json.dumps(mqc_reduce(problem, runset, strategy)[1].to_dict(),
+                                   sort_keys=True)
+                digest = hashlib.sha256(trace.encode()).hexdigest()
+                f.write(f"{digest}  {os.path.relpath(path, out)} {strategy.value}\n")
 
 
 def hash_lines(out):
