@@ -41,13 +41,17 @@ built from those columns only when ``ReductionLevel.pairs`` is read.
 Sequential pairing is O(m) and rank order O(m log m) for m runs.
 Max-difference pairing fills one m x m int16 table of Hamming
 distances (2 m^2 bytes: 8 MiB at 2,048 runs) with blocked float32
-matrix products, O(m^2 n) for n vertices, and then runs the greedy over
-a per-row cache of each run's farthest free partner. The table is not
+matrix products, O(m^2 n) for n vertices, and then runs the greedy in
+rounds over a per-row cache of each run's farthest free partner. A
+round matches, all at once, every pair of runs that are each other's
+cached partner; these are pairs the one-pair-a-step greedy takes
+whatever else it takes, so the pairs are the same. The table is not
 written after it is filled; taken runs are masked out of the rows a
-step rescans. A step costs O(m) plus O(m) for each run whose cached
-partner it took; on 2,048 sampled runs that is 13-18 runs a step on
-average, so the greedy is O(m^2). Runs that all share one farthest
-partner step after step can raise it to O(m^3).
+round rescans. A round costs O(m) plus O(m) for each run whose cached
+partner it took. Level 0 of 2,048 sampled runs took 33-42 rounds and
+about 5 rescans per run, so the greedy is O(m^2) there. Distances like
+|i - j| force one pair a round, m/2 rounds that rescan every row, so
+the worst case is O(m^3).
 """
 
 from __future__ import annotations
@@ -66,6 +70,16 @@ class PairingStrategy(str, enum.Enum):
     SEQUENTIAL = "sequential"
     RANK_ORDER = "rank_order"
     MAX_DIFFERENCE = "max_difference"
+
+
+def _strategy(value):
+    """``value`` as a PairingStrategy, or InputError naming the three."""
+    try:
+        return PairingStrategy(value)
+    except ValueError:
+        names = ", ".join(s.value for s in PairingStrategy)
+        raise InputError(f"unknown pairing strategy {value!r}; "
+                         f"expected one of {names}") from None
 
 
 def _check_runs(problem, configs):
@@ -267,11 +281,12 @@ def _pair_indices(spins, energies, strategy):
     """Index pairs plus the leftover index (or None) for one level: the
     rows of ``spins``, with cached ``energies``.
 
-    A pair (i, j) means row i plays run 1 and row j run 2 in the merge,
-    so ties inside a tunnel go to row i. Max-difference pairs have i < j
-    and come out in (distance descending, i, j) order; they cost one
-    m x m int16 distance table and, on sampled runs, O(m^2) time (see
-    the module docstring).
+    ``strategy`` is a PairingStrategy, checked by the caller. A pair
+    (i, j) means row i plays run 1 and row j run 2 in the merge, so ties
+    inside a tunnel go to row i. Max-difference pairs have i < j and come
+    out in (distance descending, i, j) order; they cost one m x m int16
+    distance table and a few dozen numpy rounds on sampled runs (see the
+    module docstring).
     """
     m = len(spins)
     if strategy == PairingStrategy.SEQUENTIAL:
@@ -285,10 +300,7 @@ def _pair_indices(spins, energies, strategy):
         leftover = order[-1] if m % 2 else None
         return pairs, leftover
 
-    if strategy == PairingStrategy.MAX_DIFFERENCE:
-        return _max_difference_pairs(spins)
-
-    raise InputError(f"unknown pairing strategy {strategy!r}")
+    return _max_difference_pairs(spins)
 
 
 # Rows of the distance table filled or rescanned, and pairs merged, per
@@ -297,68 +309,76 @@ _ROW_BLOCK = 256
 
 
 def _distance_table(spins):
-    """Hamming distances between the rows of ``spins``, upper triangle only.
+    """Hamming distances between the rows of ``spins``, -1 on the diagonal.
 
-    Entry (i, j) is the distance for j > i and -1 for j <= i. The table
-    is int16 (int32 beyond 32,766 vertices) and is filled in blocks of
-    rows as (n - S_blk @ S^T) / 2. Each dot product sums n terms of +-1,
-    which float32 holds exactly below 2^24 vertices.
+    Entry (i, j) = (j, i) is the distance of rows i and j for i != j. The
+    table is int16 (int32 beyond 32,766 vertices) and is filled in blocks
+    of rows as (n - S_blk @ S^T) / 2. Each dot product sums n terms of
+    +-1, which float32 holds exactly below 2^24 vertices.
     """
     m, n = spins.shape
     s = spins.astype(np.float32 if n < 1 << 24 else np.float64)
     dist = np.empty((m, m), dtype=np.int16 if n <= 32766 else np.int32)
-    cols = np.arange(m)
     for lo in range(0, m, _ROW_BLOCK):
         block = dist[lo:lo + _ROW_BLOCK]
         block[...] = (n - s[lo:lo + _ROW_BLOCK] @ s.T) / 2
-        block[cols <= np.arange(lo, lo + len(block))[:, None]] = -1
+    np.fill_diagonal(dist, -1)
     return dist
 
 
 def _max_difference_pairs(spins):
     """Greedy max-Hamming-distance pairing of the rows of ``spins``.
 
-    Each step takes the live pair that is first in (distance descending,
-    i ascending, j ascending) order. ``best_j[i]`` caches row i's first
-    farthest live partner j > i and ``best_v[i]`` that distance, so the
-    step's pair is (i, best_j[i]) for the first i of largest ``best_v``.
-    The table itself is never written after it is filled: ``dead`` holds
-    -1 for each taken run and 0 for a free one, and a rescanned row is
-    OR-ed with it, which (distances being >= 0, in two's complement)
-    turns the taken columns to -1 and leaves the rest as they are. Taking
-    a pair only lowers entries, so a row is rescanned only when its
-    cached partner was one of the two runs taken. A step costs one O(m)
-    argmax and one O(m) search for stale rows, four scalar writes, and
-    O(m) for each rescanned row.
+    The greedy takes, step by step, the live pair first in (distance
+    descending, i ascending, j ascending) order. A pair that is first
+    among all live pairs at both its runs ("locally dominant") is one the
+    greedy takes whatever else it takes before, so matching all of them
+    at once, round after round, gives the same pairs (Preis, STACS 1999).
+    ``best[i]`` caches row i's first argmax over its live columns: its
+    largest distance, then smallest index, which is row i's first pair in
+    that order. A round matches every i < j with ``best[i] == j`` and
+    ``best[j] == i``. The table is never written after it is filled:
+    ``dead`` holds -1 for each taken run and 0 for a free one, and a
+    rescanned row is OR-ed with it, which (distances being >= 0, in two's
+    complement) turns the taken columns to -1 and leaves the rest as they
+    are. Taking runs only lowers entries, so a row is rescanned only when
+    its cached partner was taken.
+
+    A round costs O(m) plus O(m) for each rescanned row, and the first
+    live pair is always matched, so there are at most m/2 rounds: O(m^3)
+    at worst, when every round matches one pair and rescans every row.
+    Sampled runs need a few dozen rounds. The greedy takes its pairs in
+    (distance descending, i, j) order, so one ``lexsort`` of the
+    matching, kept in ``mate``, gives its list.
     """
     m = spins.shape[0]
     dist = _distance_table(spins)
-    best_j = dist.argmax(axis=1)
-    best_v = dist[np.arange(m), best_j]
+    best = dist.argmax(axis=1)
     dead = np.zeros(m, dtype=dist.dtype)
-    pairs = []
-    for _ in range(m // 2):
-        i = int(best_v.argmax())
-        j = int(best_j[i])
-        pairs.append((i, j))
-        # A best_j of -1 marks a taken row: no step picks or rescans it.
-        best_v[i] = best_v[j] = -1
-        best_j[i] = best_j[j] = -1
-        dead[i] = dead[j] = -1
-        stale = np.flatnonzero((best_j == i) | (best_j == j))
+    live = np.arange(m)
+    mate = np.full(m, -1)
+    while live.size > 1:
+        partner = best[live]
+        mutual = live[(best[partner] == live) & (live < partner)]
+        mate[mutual] = best[mutual]
+        dead[mutual] = dead[mate[mutual]] = -1
+        live = live[dead[live] == 0]
+        stale = live[dead[best[live]] != 0]
         for lo in range(0, stale.size, _ROW_BLOCK):
             rows = stale[lo:lo + _ROW_BLOCK]
             table = dist[rows]
             table |= dead
-            best_j[rows] = table.argmax(axis=1)
-            best_v[rows] = table[np.arange(rows.size), best_j[rows]]
-    leftover = int(np.flatnonzero(best_j >= 0)[0]) if m % 2 else None
-    return pairs, leftover
+            best[rows] = table.argmax(axis=1)
+    i = np.flatnonzero(mate > np.arange(m))
+    j = mate[i]
+    order = np.lexsort((j, i, -dist[i, j]))
+    pairs = list(zip(i[order].tolist(), j[order].tolist()))
+    return pairs, int(live[0]) if m % 2 else None
 
 
 def pair_runs(runset: RunSet, strategy: PairingStrategy):
     """Pair up a RunSet's runs; returns (index pairs, leftover index)."""
-    return _pair_indices(runset.spins, runset.energies(), PairingStrategy(strategy))
+    return _pair_indices(runset.spins, runset.energies(), _strategy(strategy))
 
 
 def _merge_pairs(problem, spins, pairs):
@@ -432,7 +452,7 @@ def mqc_reduce(problem: IsingProblem, runset: RunSet,
     """Reduce a whole RunSet to a single configuration by levels of
     pairwise merges, the strategy re-applied at every level. Returns it
     and a ReductionTrace of each level's pairs and tunnel decisions."""
-    strategy = PairingStrategy(strategy)
+    strategy = _strategy(strategy)
     spins, energies, levels = _reduce_levels(
         problem, runset.spins[None], runset.energies()[None], strategy)
     return SpinConfiguration(spins[0], energies[0]), ReductionTrace(strategy.value, tuple(levels))

@@ -60,27 +60,29 @@ def fragment_graph():
 
 class TestHammingDistance:
     """``mqc._distance_table``, the Hamming distances of max-difference
-    pairing: entry (i, j) for i < j, -1 on and below the diagonal."""
+    pairing: entry (i, j) = (j, i) for i != j, -1 on the diagonal."""
 
     def test_examples(self):
         a, b, c = [1, -1, 1], [1, 1, 1], [-1, 1, -1]
         table = mqc._distance_table(np.array([a, a, b, c], dtype=np.int8))
         assert table.tolist() == [[-1, 0, 1, 3],
-                                  [-1, -1, 1, 3],
-                                  [-1, -1, -1, 2],
-                                  [-1, -1, -1, -1]]
+                                  [0, -1, 1, 3],
+                                  [1, 1, -1, 2],
+                                  [3, 3, 2, -1]]
 
     def test_symmetric(self):
-        """Each unordered pair is held once, at (min, max), and equals the
+        """Each unordered pair is held at (i, j) and (j, i), and equals the
         disagreement count from either run's side."""
         p = make_chimera_problem(seed=1, rows=1, cols=1)
         rs = random_runs(p, count=6, seed=2)
         table = mqc._distance_table(rs.spins_matrix())
+        assert np.array_equal(table, table.T)
         for i in range(6):
+            assert table[i, i] == -1
             for j in range(6):
                 if i != j:
                     count = int(np.count_nonzero(rs[j].spins != rs[i].spins))
-                    assert table[min(i, j), max(i, j)] == count
+                    assert table[i, j] == count
 
 
 class TestDisagreementTunnels:
@@ -286,6 +288,17 @@ class TestPairRuns:
             seen.append(leftover)
         assert sorted(seen) == list(range(count))
         assert (leftover is None) == (count % 2 == 0)
+
+    @pytest.mark.parametrize("strategy", ["bogus", "MAX_DIFFERENCE", None])
+    def test_unknown_strategy_names_the_three(self, strategy):
+        problem = make_chimera_problem(seed=3, rows=1, cols=1)
+        rs = random_runs(problem, count=4, seed=4)
+        for call in (lambda: pair_runs(rs, strategy),
+                     lambda: mqc_reduce(problem, rs, strategy),
+                     lambda: reduce_configs(problem, list(rs), strategy)):
+            with pytest.raises(InputError, match=f"unknown pairing strategy {strategy!r}; "
+                               "expected one of sequential, rank_order, max_difference"):
+                call()
 
     def test_max_difference_memory_is_one_small_table(self):
         """2,048 runs of 128 vertices: the int16 distance table is 8 MiB;

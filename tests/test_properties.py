@@ -25,6 +25,7 @@ from isingpp import (
     ENERGY_ATOL,
     BetaSchedule,
     ChimeraSpec,
+    ExperimentConfig,
     IsingProblem,
     PairingStrategy,
     PrecisionModel,
@@ -55,7 +56,7 @@ from isingpp import samplers
 from isingpp.altpp import _eliminate, _min_degree, persistence_fix
 from isingpp.cli import main
 from isingpp.errors import ParameterError, ParseError
-from isingpp.harness import METHODS
+from isingpp.harness import METHODS, problem_for
 from isingpp.mqc import (
     ReductionLevel,
     ReductionTrace,
@@ -598,6 +599,54 @@ def test_max_difference_pairing_matches_lexsort_greedy(spins):
     energies = np.array([problem.configuration(row).energy for row in spins])
     assert _pair_indices(spins, energies, PairingStrategy.MAX_DIFFERENCE) == \
         lexsort_max_difference(spins)
+
+
+def assert_levels_pair_as_spec(problem, runset):
+    """Every level of a max-difference ``mqc_reduce`` pairs its runs as
+    ``lexsort_max_difference`` pairs them, the merged runs of one level
+    (leftover last) being the next level's runs."""
+    _, trace = mqc_reduce(problem, runset, PairingStrategy.MAX_DIFFERENCE)
+    spins = runset.spins
+    for level in trace.levels:
+        pairs, leftover = lexsort_max_difference(spins)
+        assert level.pair_index.tolist() == [list(p) for p in pairs]
+        assert level.leftover == leftover
+        merged = _merge_pairs(problem, spins, pairs)[0]
+        spins = merged if leftover is None else np.concatenate([merged, spins[[leftover]]])
+    assert len(spins) == 1
+
+
+@pytest.mark.parametrize("kind", ["gibbs", "anneal_2_sweeps", "anneal_100_sweeps"])
+def test_max_difference_pairing_matches_spec_on_sampled_runs(kind):
+    """Sampled runs of the default problem at realistic sizes, which take
+    the greedy through many rounds and rescans of rows whose farthest run
+    many others share: 512 Gibbs runs (beta 1, burn-in 1000, thinning 1),
+    512 anneals of 2 sweeps, and 200 anneals of 100 sweeps, a tie-heavy
+    set where runs repeat."""
+    problem = problem_for(ExperimentConfig(problem_count=1), 0)
+    if kind == "gibbs":
+        runset = samplers.gibbs_sample(problem, SamplerParams(
+            num_runs=512, seed=31, fixed_beta=1.0, burn_in=1000, thinning=1))
+    elif kind == "anneal_2_sweeps":
+        runset = simulated_anneal(problem, SamplerParams(
+            num_runs=512, seed=32, sweeps=2, beta_schedule=BetaSchedule(0.1, 5.0)))
+    else:
+        runset = simulated_anneal(problem, SamplerParams(num_runs=200, seed=33))
+    assert_levels_pair_as_spec(problem, runset)
+
+
+@pytest.mark.parametrize("m", [64, 65])
+def test_max_difference_pairing_matches_spec_at_worst_case(m):
+    """Run k has its first k spins flipped, so distance(i, j) = |i - j|.
+    Every run but the two ends has an end as its farthest run, so each
+    round of the greedy matches one pair, (0, m-1), then (1, m-2) and so
+    on, and rescans every live row. That is the bound: at most m/2
+    rounds, each O(m) plus O(m) per rescanned row, so O(m^3) at worst.
+    At odd m the middle run is left over."""
+    spins = np.where(np.arange(m) < np.arange(m)[:, None], -1, 1).astype(np.int8)
+    expected = ([(k, m - 1 - k) for k in range(m // 2)], m // 2 if m % 2 else None)
+    assert lexsort_max_difference(spins) == expected
+    assert _pair_indices(spins, np.zeros(m), PairingStrategy.MAX_DIFFERENCE) == expected
 
 
 def scan_min_degree_elimination(vertices, edges):
