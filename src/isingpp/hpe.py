@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import IsingProblem
 from .errors import InputError, ParameterError
-from .mqc import PairingStrategy, _reduce_levels, mqc_reduce
+from .mqc import PairingStrategy, _reduce_levels, _strategy, mqc_reduce
 from .rng import derive_seed
 from .samplers import RunSet, SamplerParams, sample_many, simulated_anneal
 
@@ -131,8 +131,10 @@ def hpe_from_runsets(problem: IsingProblem, runsets,
     decisions use the full-precision coefficients of ``problem``; every
     run is re-evaluated by ``problem.evaluate_many``. Each group ends as
     its own ``reduce_configs`` call would end it. ``scales``, if given,
-    names the run sets' scales, one each.
+    names the run sets' scales, one each. An unknown ``strategy`` raises
+    InputError.
     """
+    strategy = _strategy(strategy)
     runsets = list(runsets)
     if not runsets:
         raise InputError("no run sets to merge")
@@ -147,7 +149,7 @@ def hpe_from_runsets(problem: IsingProblem, runsets,
     # (scales, runs, n) -> groups of one run per scale: (runs, scales, n).
     spins = np.stack([rs.spins for rs in runsets])
     group_spins, group_energies, _ = _reduce_levels(
-        problem, spins.transpose(1, 0, 2), energies.T, PairingStrategy(strategy))
+        problem, spins.transpose(1, 0, 2), energies.T, strategy)
     final, _ = mqc_reduce(problem, RunSet.from_matrix(group_spins, group_energies, None, None),
                           strategy)
 
@@ -187,8 +189,10 @@ def hpe(problem: IsingProblem, scaleset: ScaleSet, model: PrecisionModel,
     call, then ``hpe_from_runsets``, so the whole procedure is
     reproducible from one seed. Returns (final configuration, HpeReport);
     the configuration's energy is computed against the unscaled,
-    unquantized problem.
+    unquantized problem. An unknown ``strategy`` raises InputError
+    before anything is sampled.
     """
+    strategy = _strategy(strategy)
     jobs = hpe_jobs(emulate(problem, scaleset.scales, model), scaleset.runs_per_scale, params)
     return hpe_from_runsets(problem, sample_many(sampler, jobs), scales=scaleset.scales,
                             strategy=strategy)

@@ -23,11 +23,17 @@ from .rng import child_sequences, make_generator
 EXACT_VERTEX_CAP = 25
 _RUN_BLOCK = 256
 # A chain draws the uniforms of up to _SWEEP_CHUNK sweeps per
-# Generator.random call, into a buffer of at most _UNIFORM_BUFFER doubles.
+# Generator.random call, into a buffer of at most _UNIFORM_BUFFER doubles
+# (1 MB: a full 256-run block of 128 vertices draws 3 sweeps a call).
 _SWEEP_CHUNK = 16
-_UNIFORM_BUFFER = 1 << 16
-# A lone Gibbs chain tabulates p_up for sites of at most this many neighbours.
+_UNIFORM_BUFFER = 1 << 17
+# The samplers read local values from per-site tables, indexed by the
+# neighbours' spin pattern, for sites of at most this many neighbours: a
+# lone Gibbs chain site by site, the level kernels level by level.
 _TABLE_DEGREE = 6
+# The spin of each state bit of the level kernels, as a float and as a spin.
+_SIGNS = np.array([-1.0, 1.0])
+_SPINS = np.array([-1, 1], dtype=SPIN_DTYPE)
 
 DEFAULT_SWEEPS = 100
 DEFAULT_BETA_START = 0.1
@@ -267,8 +273,12 @@ def simulated_anneal(problem: IsingProblem, params: SamplerParams,
     level share no edge, and each reads this sweep's spins of its lower-indexed
     neighbours and last sweep's spins of its higher-indexed ones, so
     updating a whole level at once gives exactly the index-order sweep.
-    A level costs about a dozen numpy calls, whatever its size and width,
-    so paths and complete graphs, one vertex a level, pay that per vertex.
+    A level whose sites have at most ``_TABLE_DEGREE`` neighbours reads
+    each spin's max(dE, 0) from a per-site table, indexed by the spins of
+    its neighbours and its own (lookup-table Monte Carlo); a wider level
+    sums its fields (see ``_anneal_level``). Either costs about ten numpy
+    calls a level, whatever its size, so paths and complete graphs, one
+    vertex a level, pay that per vertex.
     """
     return simulated_anneal_many([(problem, params, problem_id)])[0]
 
@@ -318,45 +328,101 @@ def simulated_anneal_many(jobs) -> list:
 def _anneal_block(order, levels, segments, betas, gens):
     """(runs, n) spins of one simulated_anneal chain per generator; each
     ``(cols, k)`` of ``segments`` gives the runs ``cols`` problem k's
-    coefficients of the level tables."""
+    coefficients of the level tables. A level step takes each spin's
+    max(dE, 0) from ``_anneal_level``, multiplies it by -beta, takes exp
+    and flips the spins whose uniform falls below."""
     runs, n = len(gens), len(order)
-    tables = [(rows, order[rows], P, [(cols, W[:, :, k, None]) for cols, k in segments])
-              for rows, P, W in levels]
-    # Row r of state is vertex order[r], column i run i; row n is the
-    # constant spin of the field rows. The last column holds zero spins,
-    # which no flip changes; it keeps every row of a level's terms at two
-    # or more entries, and add.reduce over axis 0 sums such rows one after
-    # another, in the order of the sweep's neighbour sum, to which h is
-    # then added.
-    bits = np.empty((runs, n), dtype=SPIN_DTYPE)
+    # Row r of state is vertex order[r], column i run i, as bits: 1 for
+    # spin +1. Row n holds the constant +1 of the field and pad rows. The
+    # last column, which no generator draws for, keeps every row of a
+    # summed level's terms at two or more entries (see _anneal_level).
+    state = np.ones((n + 1, runs + 1), dtype=np.uint8)
     for i, g in enumerate(gens):
-        bits[i] = g.integers(0, 2, n)
-    state = np.zeros((n + 1, runs + 1), dtype=SPIN_DTYPE)
-    state[n] = 1
-    state[:n, :runs] = bits[:, order].T * 2 - 1
+        state[:n, i] = g.integers(0, 2, n)[order]
+    steps = [(rows, _anneal_level(state, rows, P, W, segments)) for rows, P, W in levels]
     uniforms = _sweep_uniforms(gens, [len(betas)] * runs, n, runs + 1)
     # At a huge beta, beta * dE may overflow to inf; exp(-inf) = 0 is then
     # the right acceptance, so the overflow is not reported.
     with np.errstate(over="ignore"):
         for beta, u in zip(betas, uniforms):
-            for rows, V, P, weights in tables:
-                # terms[k, j] holds coefficient k of the vertex of row j
-                # times its spin. In place, x becomes the field, dE,
-                # -beta * max(dE, 0) and then the acceptance probability.
-                terms = state[P].astype(np.float64)
-                for cols, W in weights:
-                    terms[:, :, cols] *= W
-                x = np.add.reduce(terms[1:], axis=0)
-                x += terms[0]
-                s = state[rows]
-                x *= -2.0 * s
-                np.maximum(x, 0.0, out=x)
+            u = u.take(order, axis=0)
+            for rows, energy in steps:
+                # In place, max(dE, 0) becomes the acceptance probability.
+                x = energy()
                 x *= -beta
-                accept = u[V] < np.exp(x, out=x)
-                np.negative(s, out=s, where=accept)  # flip where accepted
+                accept = u[rows] < np.exp(x, out=x)
+                s = state[rows]
+                s ^= accept  # flip where accepted
     spins = np.empty((runs, n), dtype=SPIN_DTYPE)
-    spins[:, order] = state[:n, :runs].T
+    spins[:, order] = _SPINS[state[:n, :runs].T]
     return spins
+
+
+def _anneal_level(state, rows, P, W, segments):
+    """A function that gives max(dE, 0) of flipping each spin of level
+    ``rows`` in each column of ``state``, as a (level size, columns) array.
+
+    dE = -2 s f: the field f sums the neighbours' terms left to right,
+    pads included, and then adds h. A level of at most ``_TABLE_DEGREE``
+    neighbours reads dE from a table of each segment's job, built once per
+    block: the index's bit k is the spin of neighbour row k (pads are +1),
+    its top bit the site's own spin. A wider level sums its terms at each
+    step, with add.reduce over axis 0, which adds rows of two or more
+    entries one after another.
+    """
+    width, size = P.shape[0] - 1, P.shape[1]
+    if width > _TABLE_DEGREE:
+        weights = [(cols, W[:, :, k, None]) for cols, k in segments]
+
+        def summed():
+            terms = _SIGNS.take(state.take(P, axis=0))
+            for cols, w in weights:
+                terms[:, :, cols] *= w
+            x = np.add.reduce(terms[1:], axis=0)
+            x += terms[0]
+            x *= np.where(state[rows], -2.0, 2.0)
+            return np.maximum(x, 0.0, out=x)
+        return summed
+    # The terms in summation order, the field of a width-0 level being
+    # 0.0 + h, as add.reduce of no rows is 0.0.
+    W = W[:, :, [k for _, k in segments]]
+    terms = np.concatenate([W[1:] if width else np.zeros_like(W[:1]), W[:1]])
+    patterns = 2 << width
+    f = _pattern_fields(terms, [*range(width), None] if width else [None, None], patterns)
+    f *= np.where(np.arange(patterns) >> width & 1, -2.0, 2.0)
+    table = np.maximum(f, 0.0, out=f).ravel()
+    slot = np.repeat(np.arange(len(segments)), [cols.stop - cols.start for cols, _ in segments])
+    return _table_reader(state, np.vstack([P[1:], np.arange(rows.start, rows.stop)]),
+                         table, (np.arange(size)[:, None] * len(segments) + slot) * patterns)
+
+
+def _table_reader(state, P, table, base):
+    """A function that reads, for each (site j, column c), entry
+    ``base[j, c] + i`` of ``table``, i the pattern of the state bits of
+    rows ``P[:, j]`` in column c, row ``P[k, j]`` as bit k."""
+    weights = (1 << np.arange(len(P), dtype=np.uint8))[:, None, None]
+
+    def read():
+        index = np.add.reduce(state.take(P, axis=0) * weights, axis=0, dtype=np.uint8)
+        return table.take(base + index)
+    return read
+
+
+def _pattern_fields(terms, bits, patterns):
+    """f[..., p]: the local field of each site under each spin pattern p,
+    the one table builder of the three kernels. ``terms[r]`` holds the
+    coefficients of term r, in summation order; its spin is +1 where bit
+    ``bits[r]`` of p is set, -1 where not, and +1 where ``bits[r]`` is
+    None. The terms are added left to right, elementwise, with the same
+    IEEE operations as a step that sums them, so every entry has that
+    sum's bits."""
+    index = np.arange(patterns)
+    f = None
+    for w, bit in zip(terms, bits):
+        spin = np.ones(patterns) if bit is None else np.where(index >> bit & 1, 1.0, -1.0)
+        t = w[..., None] * spin
+        f = t if f is None else f + t
+    return f
 
 
 def gibbs_sample(problem: IsingProblem, params: SamplerParams,
@@ -412,10 +478,10 @@ def _gibbs_chain(problem, params):
     its neighbours' spins: bit k of its index is set when its neighbour k,
     in adjacency order, is +1, and a flip XORs the flipped site's bit into
     each such neighbour's index. An entry is the value a visit that sums
-    the field would compute: h first, then ``w * (+-1)`` left to right,
-    and p_up from ``math.exp`` with the 700 guards, so the states are
-    that chain's bit for bit. Sites of more neighbours sum their field at
-    each visit.
+    the field would compute: h first, then ``w * (+-1)`` left to right
+    (``_pattern_fields``, the level kernels' table builder), and p_up from
+    ``math.exp`` with the 700 guards, so the states are that chain's bit
+    for bit. Sites of more neighbours sum their field at each visit.
     """
     n = problem.vertex_count
     beta2 = 2.0 * params.fixed_beta
@@ -432,16 +498,13 @@ def _gibbs_chain(problem, params):
         if not group.size:
             continue
         # f[i, p] is the field of site group[i] under neighbour pattern p,
-        # summed as the visit sums it; adding and multiplying elementwise
-        # are the same IEEE operations.
-        w = problem._adj_w[problem._adj_start[group, None] + np.arange(d)]
-        signs = np.where(np.arange(1 << d)[:, None] >> np.arange(d) & 1, 1.0, -1.0)
-        f = np.repeat(problem._h_vec[group, None], 1 << d, axis=1)
+        # summed as the visit sums it: h first, then the neighbours.
+        terms = np.vstack([problem._h_vec[group],
+                           problem._adj_w[problem._adj_start[group] + np.arange(d)[:, None]]])
         # The sums are finite, as IsingProblem bounds them, but at a large
         # beta, beta2 * f overflows to inf without a word, as in Python.
         with np.errstate(over="ignore"):
-            for k in range(d):
-                f += w[:, k, None] * signs[:, k]
+            f = _pattern_fields(terms, [None, *range(d)], 1 << d)
             f *= beta2
         for a, x in zip(group.tolist(), f):
             # Above x = 700, p_up is 0.0; below x = -700 it is 1.0.
@@ -489,24 +552,26 @@ def _gibbs_columns(problems, params):
     two or more chains on one graph, as columns of one level kernel.
 
     Column c is chain c, with its own coefficients, beta, burn-in,
-    thinning and generator, drawn as in ``_gibbs_chain``. Each field is
-    summed h first, then the neighbours left to right, as add.reduce over
-    the rows of ``_level_tables`` sums them, so the chain is
-    ``_gibbs_chain``'s up to ``np.exp`` against ``math.exp`` (see
-    ``gibbs_sample_many``). A chain that has collected all its states
-    stops drawing; its column runs on unread.
+    thinning and generator, drawn as in ``_gibbs_chain``. A level step
+    takes each site's p_up from ``_gibbs_level``, read from a per-site
+    table of each chain where the level is narrow, and sets the spins
+    whose uniform falls below. Each field is summed h first, then the
+    neighbours left to right, so the chain is ``_gibbs_chain``'s up to
+    ``np.exp`` against ``math.exp`` (see ``gibbs_sample_many``). A chain
+    that has collected all its states stops drawing; its column runs on
+    unread.
     """
     order, levels = _level_tables(problems)
     n = len(order)
     beta2 = np.array([2.0 * q.fixed_beta for q in params])
     totals = [q.burn_in + q.num_runs * q.thinning for q in params]
     gens = [make_generator(q.seed) for q in params]
-    # Row r of state is vertex order[r], column c chain c; row n is the
-    # constant spin of the field rows. Two or more columns keep add.reduce
-    # adding whole rows one after another.
-    state = np.ones((n + 1, len(gens)), dtype=np.float64)
+    # Row r of state is vertex order[r], column c chain c, as bits: 1 for
+    # spin +1. Row n holds the constant +1 of h and of the pad rows.
+    state = np.ones((n + 1, len(gens)), dtype=np.uint8)
     for c, g in enumerate(gens):
-        state[:n, c] = (g.integers(0, 2, n) * 2 - 1)[order]
+        state[:n, c] = g.integers(0, 2, n)[order]
+    steps = [(rows, _gibbs_level(state, P, W, beta2)) for rows, P, W in levels]
     samples = [np.empty((q.num_runs, n), dtype=SPIN_DTYPE) for q in params]
     collect = {}  # sweep count -> (chain, sample index) pairs collected then
     for c, q in enumerate(params):
@@ -515,24 +580,57 @@ def _gibbs_columns(problems, params):
     # exp overflows to inf where x > 709, where the x > 700 guard decides.
     with np.errstate(over="ignore"):
         for sweep, u in enumerate(_sweep_uniforms(gens, totals, n, len(gens))):
-            u = u[order]
-            for rows, P, W in levels:
-                terms = state[P]
-                terms *= W
-                x = np.add.reduce(terms, axis=0)
-                x *= beta2
-                p_up = np.exp(x)
-                p_up += 1.0
-                np.divide(1.0, p_up, out=p_up)
-                # The guards: above x = 700 p_up is 0, so no uniform sets
-                # the spin; below x = -700, 1 + exp(x) rounds to 1.0, so
-                # p_up is already 1.0 and every uniform sets it.
-                up = u[rows] < p_up
-                up &= x <= 700.0
-                state[rows] = np.where(up, 1.0, -1.0)
+            u = u.take(order, axis=0)
+            for rows, p_up in steps:
+                state[rows] = u[rows] < p_up()
             for c, k in collect.pop(sweep + 1, ()):
-                samples[c][k, order] = state[:n, c]
+                samples[c][k, order] = _SPINS[state[:n, c]]
     return samples
+
+
+def _gibbs_level(state, P, W, beta2):
+    """A function that gives p_up of each site of a level in each column
+    of ``state``, as a (level size, columns) array.
+
+    The field sums h first, then the neighbours left to right, pads
+    included; x = 2 beta f, and p_up = 1 / (1 + exp(x)) with the 700
+    guards of ``_heat_bath``. A level of at most ``_TABLE_DEGREE``
+    neighbours reads p_up from a table of each chain, built once per
+    call, whose index's bit k is the spin of neighbour row k. A wider
+    level sums its terms at each step, with add.reduce over axis 0, which
+    adds rows of two or more entries, as two or more chains give, one
+    after another.
+    """
+    width, size = P.shape[0] - 1, P.shape[1]
+    if width > _TABLE_DEGREE:
+        def summed():
+            terms = _SIGNS.take(state.take(P, axis=0))
+            terms *= W
+            x = np.add.reduce(terms, axis=0)
+            x *= beta2
+            return _heat_bath(x)
+        return summed
+    patterns = 1 << width
+    # The sums are finite, as IsingProblem bounds them, but at a large
+    # beta, 2 beta f overflows to inf, where the x > 700 guard decides.
+    with np.errstate(over="ignore"):
+        x = _pattern_fields(W, [None, *range(width)], patterns)
+        x *= beta2[:, None]
+        table = _heat_bath(x).ravel()
+    chains = len(beta2)
+    return _table_reader(state, P[1:], table,
+                         (np.arange(size)[:, None] * chains + np.arange(chains)) * patterns)
+
+
+def _heat_bath(x):
+    """p_up = 1 / (1 + exp(x)) of each x = 2 beta f. Above x = 700 p_up is
+    0.0, so no uniform sets the spin; below x = -700, 1 + exp(x) rounds to
+    1.0, so p_up is already 1.0 and every uniform sets it."""
+    p_up = np.exp(x)
+    p_up += 1.0
+    np.divide(1.0, p_up, out=p_up)
+    p_up[x > 700.0] = 0.0
+    return p_up
 
 
 _BATCHED = {simulated_anneal: simulated_anneal_many, gibbs_sample: gibbs_sample_many}

@@ -214,6 +214,12 @@ class TestHpeFromRunsets:
         with pytest.raises(InputError, match="2 scales given for 3 run sets"):
             hpe_from_runsets(problem, runsets, scales=(1.0, 2.0))
 
+    def test_unknown_strategy_rejected(self):
+        problem = make_chimera_problem(seed=36, rows=1, cols=2)
+        runsets = [random_runs(problem, count=4, seed=s) for s in range(2)]
+        with pytest.raises(InputError, match="unknown pairing strategy 'bogus'"):
+            hpe_from_runsets(problem, runsets, strategy="bogus")
+
     def test_report_energies_are_consistent(self):
         problem = make_chimera_problem(seed=37, rows=1, cols=2)
         runsets = [random_runs(problem, count=10, seed=s) for s in range(4)]
@@ -234,6 +240,19 @@ class TestHpe:
         a, _ = hpe(problem, scaleset, PrecisionModel(), params)
         b, _ = hpe(problem, scaleset, PrecisionModel(), params)
         assert a.same_spins(b)
+
+    def test_unknown_strategy_rejected_before_sampling(self):
+        calls = []
+
+        def sampler(problem, params, problem_id=None):
+            calls.append(problem_id)
+            return random_runs(problem, params.num_runs, params.seed, problem_id=problem_id)
+
+        problem = make_chimera_problem(seed=38, rows=1, cols=2)
+        with pytest.raises(InputError, match="unknown pairing strategy 'bogus'"):
+            hpe(problem, ScaleSet((1.0, 2.0), runs_per_scale=3), PrecisionModel(),
+                SamplerParams(num_runs=3, seed=13), sampler=sampler, strategy="bogus")
+        assert calls == []
 
     def test_monotone_vs_all_inputs(self):
         """Final full-precision energy never exceeds the best input run,

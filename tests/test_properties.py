@@ -759,6 +759,20 @@ def test_decomposition_matches_scan(graph):
             [(s.vertices, s.elimination_order, s.width) for s in expected]
 
 
+def same_runsets(a, b):
+    """Whether two lists of run sets hold the same spins and energy bits."""
+    return len(a) == len(b) and all(
+        np.array_equal(x.spins, y.spins) and same_bits(x.energies(), y.energies())
+        for x, y in zip(a, b))
+
+
+def summed(sample, jobs):
+    """``sample(jobs)`` with every level kernel summing its fields at
+    each step instead of reading them from tables."""
+    with mock.patch.object(samplers, "_TABLE_DEGREE", -1):
+        return sample(jobs)
+
+
 def per_vertex_anneal(problem, params, neighbour_sum):
     """The Metropolis kernel as first written, kept as its specification:
     all runs advance together one vertex at a time, in index order.
@@ -834,10 +848,14 @@ def test_level_anneal_matches_per_vertex_kernel(case):
     """Updating a dependency level at once is the index-order sweep: the
     same spins and energy bits as the per-vertex kernel, and, where every
     sum is exact, as the kernel with its BLAS product. Runs are annealed
-    in blocks of a drawn size, down to one run a block."""
+    in blocks of a drawn size, down to one run a block. The tabled levels
+    give the bits of summing every field, edgeless graphs' width-0 levels
+    included."""
     problem, params, integral, block = case
     with mock.patch.object(samplers, "_RUN_BLOCK", block):
         runset = simulated_anneal(problem, params)
+        assert same_runsets([runset], summed(samplers.simulated_anneal_many,
+                                             [(problem, params, None)]))
     expected = per_vertex_anneal(problem, params, left_to_right)
     assert np.array_equal(runset.spins, expected)
     assert same_bits(runset.energies(), problem.evaluate_many(expected))
@@ -948,14 +966,17 @@ def shared_graph_problems(draw):
 def test_gibbs_columns_match_python_chain(problems, data):
     """Gibbs chains of problems on one graph, sampled in one call as the
     columns of the level kernel, give each chain's spins and energy bits
-    as the Python chain does. The chains differ in length, beta, burn-in
-    and thinning; betas up to 1e6 push x past both 700 guards."""
+    as the Python chain does, and as the kernel does when it sums every
+    field instead of reading tables. The chains differ in length, beta,
+    burn-in and thinning; betas up to 1e6 push x past both 700 guards."""
     jobs = [(problem, SamplerParams(
         num_runs=data.draw(st.sampled_from([200, 400])), seed=data.draw(st.integers(0, 2**32)),
         fixed_beta=data.draw(st.one_of(st.floats(0.05, 5.0), st.sampled_from([400.0, 1e6]))),
         burn_in=data.draw(st.integers(0, 30)), thinning=data.draw(st.integers(1, 2))), None)
         for problem in problems]
-    for (problem, params, _), runset in zip(jobs, samplers.gibbs_sample_many(jobs)):
+    runsets = samplers.gibbs_sample_many(jobs)
+    assert same_runsets(runsets, summed(samplers.gibbs_sample_many, jobs))
+    for (problem, params, _), runset in zip(jobs, runsets):
         expected = python_gibbs_chain(problem, params)
         assert np.array_equal(runset.spins, expected)
         assert same_bits(runset.energies(), problem.evaluate_many(expected))
@@ -1103,6 +1124,58 @@ def test_batched_anneal_matches_per_problem_anneal(problems, block, data):
         assert np.array_equal(runset.spins, expected)
         assert np.array_equal(simulated_anneal(problem, params).spins, expected)
         assert same_bits(runset.energies(), problem.evaluate_many(expected))
+
+
+def star_and_chimera_cell():
+    """A 9-leaf star whose hub, vertex 0, is joined to vertex 10 of a
+    Chimera cell on vertices 10 to 17. The hub's level, with three cell
+    vertices, is wider than a table; the other levels are tabled."""
+    cell = [(a + 10, b + 10) for a, b in chimera_graph(ChimeraSpec(1, 1, 4))]
+    return 18, [(0, b) for b in range(1, 10)] + [(0, 10)] + cell
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_mixed_width_levels_match_summed_and_specification(block):
+    """On a graph with tabled and summed levels, annealing pooled jobs in
+    blocks that split them, and their Gibbs columns, give the spins and
+    energy bits of summing every field and of the specifications."""
+    n, edges = star_and_chimera_cell()
+    rng = np.random.default_rng(block)
+    problems = [IsingProblem(n, dict(enumerate(rng.uniform(-2.0, 2.0, n))),
+                             dict(zip(edges, rng.uniform(-1.0, 1.0, len(edges)))))
+                for _ in range(3)]
+    widths = [len(P) - 1 for _, P, _ in samplers._level_tables(problems)[1]]
+    assert min(widths) <= samplers._TABLE_DEGREE < max(widths)
+    anneal = [(problem, SamplerParams(num_runs=runs, seed=seed, sweeps=4), None)
+              for problem, runs, seed in zip(problems, (4, 5, 2), (1, 2, 3))]
+    with mock.patch.object(samplers, "_RUN_BLOCK", block):
+        runsets = samplers.simulated_anneal_many(anneal)
+        assert same_runsets(runsets, summed(samplers.simulated_anneal_many, anneal))
+    for (problem, params, _), runset in zip(anneal, runsets):
+        assert np.array_equal(runset.spins, per_vertex_anneal(problem, params, left_to_right))
+    gibbs = [(problem, SamplerParams(num_runs=40, seed=seed, fixed_beta=beta, burn_in=5,
+                                     thinning=2), None)
+             for problem, seed, beta in zip(problems, (4, 5, 6), (0.5, 2.0, 400.0))]
+    runsets = samplers.gibbs_sample_many(gibbs)
+    assert same_runsets(runsets, summed(samplers.gibbs_sample_many, gibbs))
+    for (problem, params, _), runset in zip(gibbs, runsets):
+        assert np.array_equal(runset.spins, python_gibbs_chain(problem, params))
+
+
+def test_default_chimera_levels_are_all_tabled(monkeypatch):
+    """Every level of the default 4x4x4 Chimera graph reads its fields
+    from a table, in the annealer and in the Gibbs columns, so neither
+    falls back to summing them."""
+    problem = problem_for(ExperimentConfig(), 0)
+    levels = len(samplers._level_tables([problem])[1])
+    tabled = []
+    real = samplers._table_reader
+    monkeypatch.setattr(samplers, "_table_reader", lambda *args: tabled.append(1) or real(*args))
+    simulated_anneal(problem, SamplerParams(num_runs=2, seed=0, sweeps=1))
+    assert len(tabled) == levels
+    samplers.gibbs_sample_many([(problem, SamplerParams(
+        num_runs=1, seed=seed, fixed_beta=1.0, burn_in=0, thinning=1), None) for seed in (1, 2)])
+    assert len(tabled) == 2 * levels
 
 
 def per_vertex_persistence_fix(problem, spins, threshold):

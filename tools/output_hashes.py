@@ -28,12 +28,18 @@ OUT_DIR must not exist yet. The script runs, in process, through
   has more neighbours than a lone Gibbs chain tabulates, ``sample`` of it
   in modes raw and sampling, and ``pp`` of each runs file with every
   method, into ``OUT_DIR/complete``;
+* a hand-written problem on a 9-leaf star whose hub is joined to a
+  Chimera cell, so the level kernels both read fields from tables and
+  sum them, ``sample`` of it in modes raw and sampling, and ``pp`` of
+  each runs file with every method (``hpe`` in sampling mode runs its 4
+  scales as Gibbs columns), into ``OUT_DIR/mixed_width``;
 * ``gen`` of two problems of each topology kind at its default sizes,
   into ``OUT_DIR/gen/<kind>``;
 * the ``--help`` text of the program and of each subcommand, into
   ``OUT_DIR/help`` (formatted for 80 columns);
 * ``content_hash()`` of every problem file of ``pipeline``, ``irregular``,
-  ``complete`` and ``gen/<kind>``, one ``hash  path`` line each, into
+  ``complete``, ``mixed_width`` and ``gen/<kind>``, one ``hash  path``
+  line each, into
   ``OUT_DIR/content_hashes.txt``. No other output carries these ids;
 * the sha256 of ``json.dumps(trace.to_dict(), sort_keys=True)`` for the
   ``mqc_reduce`` trace of every ``pipeline`` runs file under each pairing
@@ -90,6 +96,17 @@ IRREGULAR = {
           [4, 0, -0.5], [2, 1, 0.5], [1, 0, -1.0]],
 }
 
+# A 9-leaf star on vertices 0 to 9 whose hub is joined to vertex 10 of a
+# Chimera cell on vertices 10 to 17. The hub has 10 neighbours, more than
+# a level kernel tabulates, so its level sums its fields at each step; the
+# other levels read theirs from tables.
+MIXED_WIDTH = {
+    "vertex_count": 18,
+    "h": [[v, 0.25 * (v % 9) - 1.0] for v in range(18)],
+    "J": [[0, b, 0.75 if b % 2 else -0.5] for b in range(1, 11)]
+    + [[10 + a, 14 + b, (-1) ** (a + b) * (0.25 + 0.125 * a)] for a in range(4) for b in range(4)],
+}
+
 
 def _run(*argv):
     if main(list(argv)) != 0:
@@ -130,6 +147,12 @@ def run_pipeline(out):
     with open(os.path.join(irregular, "problem.json"), "w", encoding="utf-8") as f:
         json.dump(IRREGULAR, f)
     _sample_and_pp(irregular, "problem.json", ("raw", "sampling"), "5", "13")
+
+    mixed = os.path.join(out, "mixed_width")
+    os.makedirs(mixed)
+    with open(os.path.join(mixed, "problem.json"), "w", encoding="utf-8") as f:
+        json.dump(MIXED_WIDTH, f)
+    _sample_and_pp(mixed, "problem.json", ("raw", "sampling"), "9", "19")
 
     complete = os.path.join(out, "complete")
     _run("gen", "--topology", "complete", "--n", "16", "--count", "1", "--out", complete)
