@@ -18,11 +18,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import IsingProblem
+from .core import IsingProblem, SpinConfiguration
 from .errors import InputError, ParameterError
-from .mqc import PairingStrategy, _reduce_levels, _strategy, mqc_reduce
+from .mqc import PairingStrategy, _reduce_levels, _strategy
 from .rng import derive_seed
-from .samplers import RunSet, SamplerParams, sample_many, simulated_anneal
+from .samplers import SamplerParams, sample_many, simulated_anneal
 
 DEFAULT_SCALES = (1.0, 2.0, 4.0, 8.0)
 DEFAULT_LEVELS = 17
@@ -150,8 +150,9 @@ def hpe_from_runsets(problem: IsingProblem, runsets,
     spins = np.stack([rs.spins for rs in runsets])
     group_spins, group_energies, _ = _reduce_levels(
         problem, spins.transpose(1, 0, 2), energies.T, strategy)
-    final, _ = mqc_reduce(problem, RunSet.from_matrix(group_spins, group_energies, None, None),
-                          strategy)
+    final_spins, final_energies, _ = _reduce_levels(
+        problem, group_spins[None], group_energies[None], strategy)
+    final = SpinConfiguration(final_spins[0], final_energies[0])
 
     report = HpeReport(
         scales=tuple(scales) if scales is not None else tuple(range(len(runsets))),

@@ -416,7 +416,7 @@ def _reduce_levels(problem, spins, energies, strategy):
     groups, size, n = spins.shape
     levels = []
     while size > 1:
-        flat, flat_energies = spins.reshape(-1, n), energies.reshape(-1)
+        flat, flat_energies = spins.reshape(groups * size, n), energies.reshape(-1)
         flat_pairs, left = [], []
         for g in range(groups):
             pairs, leftover = _pair_indices(spins[g], energies[g], strategy)

@@ -21,10 +21,12 @@ from .errors import InputError, ParameterError, SizeError
 from .rng import child_sequences, make_generator
 
 EXACT_VERTEX_CAP = 25
+# exact_ground_state evaluates up to 2 ** _EXACT_CHUNK_BITS states a call.
+_EXACT_CHUNK_BITS = 14
 _RUN_BLOCK = 256
 # A chain draws the uniforms of up to _SWEEP_CHUNK sweeps per
 # Generator.random call, into a buffer of at most _UNIFORM_BUFFER doubles
-# (1 MB: a full 256-run block of 128 vertices draws 3 sweeps a call).
+# (1 MB: a full 256-run block of 128 vertices draws 4 sweeps a call).
 _SWEEP_CHUNK = 16
 _UNIFORM_BUFFER = 1 << 17
 # The samplers read local values from per-site tables, indexed by the
@@ -236,16 +238,27 @@ def _level_tables(problems):
     return order, levels
 
 
-def _sweep_uniforms(gens, sweeps, n, columns):
-    """Each sweep's uniforms as an (n, columns) array, row a for vertex a,
-    column i drawn from ``gens[i]`` for its first ``sweeps[i]`` sweeps.
-    Columns without a generator hold 1.0; those of a generator past its
-    sweeps hold stale values. A generator draws several sweeps a call;
-    PCG64 gives k sweeps at once exactly as k draws of one sweep.
-    """
-    total = max(sweeps)
-    chunk = max(1, min(_SWEEP_CHUNK, total, _UNIFORM_BUFFER // (columns * n)))
-    drawn = np.ones((columns, chunk, n), dtype=np.float64)
+def _initial_state(gens, order):
+    """The level kernels' state: row r is vertex ``order[r]``, column i
+    the chain of ``gens[i]``, as bits (1 for spin +1) drawn as n integers;
+    row n holds the constant +1 of h and of the pad rows."""
+    n = len(order)
+    state = np.ones((n + 1, len(gens)), dtype=np.uint8)
+    for i, g in enumerate(gens):
+        state[:n, i] = g.integers(0, 2, n)[order]
+    return state
+
+
+def _sweep_uniforms(gens, sweeps, order):
+    """Each sweep's uniforms in level order, in one (n, columns) array that
+    every sweep overwrites: row r for vertex ``order[r]``, column i drawn
+    from ``gens[i]`` for its first ``sweeps[i]`` sweeps, stale after. A
+    generator draws several sweeps a call; PCG64 gives k sweeps at once
+    exactly as k draws of one sweep."""
+    total, n = max(sweeps), len(order)
+    chunk = max(1, min(_SWEEP_CHUNK, total, _UNIFORM_BUFFER // (len(gens) * n)))
+    drawn = np.zeros((len(gens), chunk, n), dtype=np.float64)
+    u = np.empty((n, len(gens)), dtype=np.float64)
     for lo in range(0, total, chunk):
         for g, count, out in zip(gens, sweeps, drawn):
             if count >= lo + chunk:
@@ -253,7 +266,8 @@ def _sweep_uniforms(gens, sweeps, n, columns):
             elif count > lo:
                 g.random(out=out[:count - lo])
         for t in range(min(chunk, total - lo)):
-            yield drawn[:, t].T
+            # order is a permutation, so "clip" only spares take a temporary.
+            yield drawn[:, t].T.take(order, axis=0, out=u, mode="clip")
 
 
 def simulated_anneal(problem: IsingProblem, params: SamplerParams,
@@ -294,7 +308,6 @@ def simulated_anneal_many(jobs) -> list:
     if not jobs:
         return []
     order, levels = _level_tables([problem for problem, _, _ in jobs])
-    n = len(order)
     pools = {}
     for k, (_, params, _) in enumerate(jobs):
         pools.setdefault((params.sweeps, params.beta_schedule), []).append(k)
@@ -305,47 +318,35 @@ def simulated_anneal_many(jobs) -> list:
         gens = [make_generator(s) for k in ks
                 for s in child_sequences(jobs[k][1].seed, jobs[k][1].num_runs)]
         column_job = np.repeat(ks, counts)
-        pooled = np.empty((len(gens), n), dtype=SPIN_DTYPE)
         # Runs are independent chains; annealing them in blocks bounds the
         # per-level temporaries to _RUN_BLOCK columns. The blocks are of
         # equal size, as a smaller block draws more sweeps of uniforms a
         # generator call (see _sweep_uniforms).
         blocks = -(-len(gens) // _RUN_BLOCK)
         size = -(-len(gens) // blocks)
+        pooled = np.empty((len(gens), len(order)), dtype=SPIN_DTYPE)
         for lo in range(0, len(gens), size):
-            cols = column_job[lo:lo + size]
-            # Each job's columns of the block; the last job's take the pad.
-            bounds = [0, *(np.flatnonzero(np.diff(cols)) + 1), len(cols) + 1]
-            segments = [(slice(a, b), cols[a]) for a, b in zip(bounds, bounds[1:])]
             pooled[lo:lo + size] = _anneal_block(
-                order, levels, segments, betas, gens[lo:lo + size])
+                order, levels, column_job[lo:lo + size], betas, gens[lo:lo + size])
         for k, block in zip(ks, np.split(pooled, np.cumsum(counts)[:-1])):
             spins[k] = block
     return [_wrap_runs(problem, s, "simulated_anneal", params.to_dict(), params.seed, pid)
             for (problem, params, pid), s in zip(jobs, spins)]
 
 
-def _anneal_block(order, levels, segments, betas, gens):
-    """(runs, n) spins of one simulated_anneal chain per generator; each
-    ``(cols, k)`` of ``segments`` gives the runs ``cols`` problem k's
-    coefficients of the level tables. A level step takes each spin's
-    max(dE, 0) from ``_anneal_level``, multiplies it by -beta, takes exp
-    and flips the spins whose uniform falls below."""
-    runs, n = len(gens), len(order)
-    # Row r of state is vertex order[r], column i run i, as bits: 1 for
-    # spin +1. Row n holds the constant +1 of the field and pad rows. The
-    # last column, which no generator draws for, keeps every row of a
-    # summed level's terms at two or more entries (see _anneal_level).
-    state = np.ones((n + 1, runs + 1), dtype=np.uint8)
-    for i, g in enumerate(gens):
-        state[:n, i] = g.integers(0, 2, n)[order]
-    steps = [(rows, _anneal_level(state, rows, P, W, segments)) for rows, P, W in levels]
-    uniforms = _sweep_uniforms(gens, [len(betas)] * runs, n, runs + 1)
+def _anneal_block(order, levels, column_job, betas, gens):
+    """(runs, n) spins of one simulated_anneal chain per generator, run i
+    with problem ``column_job[i]``'s coefficients of the level tables. A
+    level step takes each spin's max(dE, 0) from ``_anneal_level``,
+    multiplies it by -beta, takes exp and flips the spins whose uniform
+    falls below."""
+    state = _initial_state(gens, order)
+    steps = [(rows, _anneal_level(state, rows, P, W, column_job)) for rows, P, W in levels]
+    uniforms = _sweep_uniforms(gens, [len(betas)] * len(gens), order)
     # At a huge beta, beta * dE may overflow to inf; exp(-inf) = 0 is then
     # the right acceptance, so the overflow is not reported.
     with np.errstate(over="ignore"):
         for beta, u in zip(betas, uniforms):
-            u = u.take(order, axis=0)
             for rows, energy in steps:
                 # In place, max(dE, 0) becomes the acceptance probability.
                 x = energy()
@@ -353,53 +354,62 @@ def _anneal_block(order, levels, segments, betas, gens):
                 accept = u[rows] < np.exp(x, out=x)
                 s = state[rows]
                 s ^= accept  # flip where accepted
-    spins = np.empty((runs, n), dtype=SPIN_DTYPE)
-    spins[:, order] = _SPINS[state[:n, :runs].T]
+    spins = np.empty((len(gens), len(order)), dtype=SPIN_DTYPE)
+    spins[:, order] = _SPINS[state[:-1].T]
     return spins
 
 
-def _anneal_level(state, rows, P, W, segments):
+def _ordered_sum(terms):
+    """terms[0] + terms[1] + ... elementwise, whole rows strictly one after
+    another, or 0.0 for no rows, at any number of columns: add.reduce over
+    axis 0 would sum rows of one entry pairwise."""
+    return np.add.accumulate(terms, axis=0)[-1] if len(terms) else 0.0
+
+
+def _anneal_level(state, rows, P, W, column_job):
     """A function that gives max(dE, 0) of flipping each spin of level
-    ``rows`` in each column of ``state``, as a (level size, columns) array.
+    ``rows`` in each column of ``state``, column c with problem
+    ``column_job[c]``'s coefficients, as a (level size, columns) array.
 
     dE = -2 s f: the field f sums the neighbours' terms left to right,
-    pads included, and then adds h. A level of at most ``_TABLE_DEGREE``
-    neighbours reads dE from a table of each segment's job, built once per
-    block: the index's bit k is the spin of neighbour row k (pads are +1),
-    its top bit the site's own spin. A wider level sums its terms at each
-    step, with add.reduce over axis 0, which adds rows of two or more
-    entries one after another.
+    pads included, with ``_ordered_sum``, and then adds h. A level of at
+    most ``_TABLE_DEGREE`` neighbours reads dE from a table of each of
+    the block's problems, built once per block: the index's bit k is the
+    spin of neighbour row k (pads are +1), its top bit the site's own
+    spin. A wider level sums its terms at each step.
     """
-    width, size = P.shape[0] - 1, P.shape[1]
+    width = P.shape[0] - 1
     if width > _TABLE_DEGREE:
-        weights = [(cols, W[:, :, k, None]) for cols, k in segments]
+        weights = W[:, :, column_job]
 
         def summed():
             terms = _SIGNS.take(state.take(P, axis=0))
-            for cols, w in weights:
-                terms[:, :, cols] *= w
-            x = np.add.reduce(terms[1:], axis=0)
+            terms *= weights
+            x = _ordered_sum(terms[1:])
             x += terms[0]
             x *= np.where(state[rows], -2.0, 2.0)
             return np.maximum(x, 0.0, out=x)
         return summed
+    jobs, slot = np.unique(column_job, return_inverse=True)
+    W = W[:, :, jobs]
     # The terms in summation order, the field of a width-0 level being
-    # 0.0 + h, as add.reduce of no rows is 0.0.
-    W = W[:, :, [k for _, k in segments]]
+    # 0.0 + h, as _ordered_sum of no rows is 0.0.
     terms = np.concatenate([W[1:] if width else np.zeros_like(W[:1]), W[:1]])
     patterns = 2 << width
     f = _pattern_fields(terms, [*range(width), None] if width else [None, None], patterns)
     f *= np.where(np.arange(patterns) >> width & 1, -2.0, 2.0)
-    table = np.maximum(f, 0.0, out=f).ravel()
-    slot = np.repeat(np.arange(len(segments)), [cols.stop - cols.start for cols, _ in segments])
     return _table_reader(state, np.vstack([P[1:], np.arange(rows.start, rows.stop)]),
-                         table, (np.arange(size)[:, None] * len(segments) + slot) * patterns)
+                         np.maximum(f, 0.0, out=f), slot)
 
 
-def _table_reader(state, P, table, base):
+def _table_reader(state, P, table, slot):
     """A function that reads, for each (site j, column c), entry
-    ``base[j, c] + i`` of ``table``, i the pattern of the state bits of
-    rows ``P[:, j]`` in column c, row ``P[k, j]`` as bit k."""
+    ``table[j, slot[c], i]`` of the (sites, jobs, patterns) ``table``, i
+    the pattern of the state bits of rows ``P[:, j]`` in column c, row
+    ``P[k, j]`` as bit k."""
+    sites, jobs, patterns = table.shape
+    base = (np.arange(sites)[:, None] * jobs + slot) * patterns
+    table = table.ravel()
     weights = (1 << np.arange(len(P), dtype=np.uint8))[:, None, None]
 
     def read():
@@ -444,22 +454,20 @@ def gibbs_sample(problem: IsingProblem, params: SamplerParams,
 
 def gibbs_sample_many(jobs) -> list:
     """``gibbs_sample`` of each ``(problem, params, problem_id)`` job, the
-    problems on one graph: one RunSet per job. A lone chain runs site by
-    site in Python, reading p_up from per-site tables (``_gibbs_chain``);
-    two or more run as the columns of one level kernel
-    (``_gibbs_columns``), which one column does not repay. A column's
-    ``np.exp`` can differ from ``math.exp`` in the last bit, so its spins
-    can differ from the job's own call only where a uniform falls between
-    the two ``p_up`` values, a few ulps apart.
+    problems on one graph: one RunSet per job. Chains run as the columns
+    of one level kernel (``_gibbs_columns``), except a lone chain, which
+    runs faster site by site in Python (``_gibbs_chain``). Both sum every
+    field in one order, but a column's ``np.exp`` can differ from
+    ``math.exp`` in the last bit, so its spins can differ from the lone
+    chain's only where a uniform falls between the two ``p_up`` values, a
+    few ulps apart.
     """
     jobs = list(jobs)
     if not jobs:
         return []
-    for _, params, _ in jobs:
-        if params.fixed_beta is None:
-            raise ParameterError("gibbs_sample requires fixed_beta")
-    problems = [problem for problem, _, _ in jobs]
-    params = [params for _, params, _ in jobs]
+    problems, params, _ = zip(*jobs)
+    if any(q.fixed_beta is None for q in params):
+        raise ParameterError("gibbs_sample requires fixed_beta")
     # A lone empty problem goes on to _level_tables, which rejects it.
     if len(jobs) == 1 and problems[0].vertex_count:
         spins = [_gibbs_chain(problems[0], params[0])]
@@ -549,28 +557,24 @@ def _gibbs_chain(problem, params):
 
 def _gibbs_columns(problems, params):
     """(num_runs, n) states of the Gibbs chain of each (problem, params),
-    two or more chains on one graph, as columns of one level kernel.
+    the problems on one graph, as columns of one level kernel.
 
     Column c is chain c, with its own coefficients, beta, burn-in,
     thinning and generator, drawn as in ``_gibbs_chain``. A level step
     takes each site's p_up from ``_gibbs_level``, read from a per-site
     table of each chain where the level is narrow, and sets the spins
     whose uniform falls below. Each field is summed h first, then the
-    neighbours left to right, so the chain is ``_gibbs_chain``'s up to
-    ``np.exp`` against ``math.exp`` (see ``gibbs_sample_many``). A chain
-    that has collected all its states stops drawing; its column runs on
-    unread.
+    neighbours left to right, at any number of columns, one included, so
+    the chain is ``_gibbs_chain``'s up to ``np.exp`` against ``math.exp``
+    (see ``gibbs_sample_many``). A chain that has collected all its
+    states stops drawing; its column runs on unread.
     """
     order, levels = _level_tables(problems)
     n = len(order)
     beta2 = np.array([2.0 * q.fixed_beta for q in params])
     totals = [q.burn_in + q.num_runs * q.thinning for q in params]
     gens = [make_generator(q.seed) for q in params]
-    # Row r of state is vertex order[r], column c chain c, as bits: 1 for
-    # spin +1. Row n holds the constant +1 of h and of the pad rows.
-    state = np.ones((n + 1, len(gens)), dtype=np.uint8)
-    for c, g in enumerate(gens):
-        state[:n, c] = g.integers(0, 2, n)[order]
+    state = _initial_state(gens, order)
     steps = [(rows, _gibbs_level(state, P, W, beta2)) for rows, P, W in levels]
     samples = [np.empty((q.num_runs, n), dtype=SPIN_DTYPE) for q in params]
     collect = {}  # sweep count -> (chain, sample index) pairs collected then
@@ -579,8 +583,7 @@ def _gibbs_columns(problems, params):
             collect.setdefault(q.burn_in + (k + 1) * q.thinning, []).append((c, k))
     # exp overflows to inf where x > 709, where the x > 700 guard decides.
     with np.errstate(over="ignore"):
-        for sweep, u in enumerate(_sweep_uniforms(gens, totals, n, len(gens))):
-            u = u.take(order, axis=0)
+        for sweep, u in enumerate(_sweep_uniforms(gens, totals, order)):
             for rows, p_up in steps:
                 state[rows] = u[rows] < p_up()
             for c, k in collect.pop(sweep + 1, ()):
@@ -593,33 +596,28 @@ def _gibbs_level(state, P, W, beta2):
     of ``state``, as a (level size, columns) array.
 
     The field sums h first, then the neighbours left to right, pads
-    included; x = 2 beta f, and p_up = 1 / (1 + exp(x)) with the 700
-    guards of ``_heat_bath``. A level of at most ``_TABLE_DEGREE``
-    neighbours reads p_up from a table of each chain, built once per
-    call, whose index's bit k is the spin of neighbour row k. A wider
-    level sums its terms at each step, with add.reduce over axis 0, which
-    adds rows of two or more entries, as two or more chains give, one
-    after another.
+    included, with ``_ordered_sum``; x = 2 beta f, and p_up = 1 / (1 +
+    exp(x)) with the 700 guards of ``_heat_bath``. A level of at most
+    ``_TABLE_DEGREE`` neighbours reads p_up from a table of each chain,
+    built once per call, whose index's bit k is the spin of neighbour
+    row k. A wider level sums its terms at each step.
     """
-    width, size = P.shape[0] - 1, P.shape[1]
+    width = P.shape[0] - 1
     if width > _TABLE_DEGREE:
         def summed():
             terms = _SIGNS.take(state.take(P, axis=0))
             terms *= W
-            x = np.add.reduce(terms, axis=0)
+            x = _ordered_sum(terms)
             x *= beta2
             return _heat_bath(x)
         return summed
-    patterns = 1 << width
     # The sums are finite, as IsingProblem bounds them, but at a large
     # beta, 2 beta f overflows to inf, where the x > 700 guard decides.
     with np.errstate(over="ignore"):
-        x = _pattern_fields(W, [None, *range(width)], patterns)
+        x = _pattern_fields(W, [None, *range(width)], 1 << width)
         x *= beta2[:, None]
-        table = _heat_bath(x).ravel()
-    chains = len(beta2)
-    return _table_reader(state, P[1:], table,
-                         (np.arange(size)[:, None] * chains + np.arange(chains)) * patterns)
+        table = _heat_bath(x)
+    return _table_reader(state, P[1:], table, np.arange(len(beta2)))
 
 
 def _heat_bath(x):
@@ -663,7 +661,7 @@ def random_runs(problem: IsingProblem, count: int, seed: int,
                       {"count": count, "seed": seed}, seed, problem_id)
 
 
-def exact_ground_state(problem: IsingProblem, chunk_bits: int = 14) -> SpinConfiguration:
+def exact_ground_state(problem: IsingProblem) -> SpinConfiguration:
     """Minimum-energy configuration by full enumeration.
 
     Refuses more than EXACT_VERTEX_CAP vertices. States are visited in
@@ -682,7 +680,7 @@ def exact_ground_state(problem: IsingProblem, chunk_bits: int = 14) -> SpinConfi
     shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
     best_energy = math.inf
     best_spins = None
-    chunk = 1 << min(chunk_bits, n)
+    chunk = 1 << min(_EXACT_CHUNK_BITS, n)
     for start in range(0, 1 << n, chunk):
         codes = np.arange(start, min(start + chunk, 1 << n), dtype=np.uint64)
         bits = (codes[:, None] >> shifts[None, :]) & np.uint64(1)

@@ -37,8 +37,8 @@ from isingpp.harness import (
     topology_graph,
 )
 from isingpp.rng import derive_seed
-from isingpp.samplers import sample_many
-from isingpp.serialize import save_problem
+from isingpp.samplers import Provenance, RunSet, sample_many
+from isingpp.serialize import save_problem, save_runset
 from isingpp.topology import ChimeraSpec, ProblemGenSpec, chimera_graph, random_problem
 
 from conftest import oracle_energy
@@ -821,6 +821,24 @@ def test_cli_pp_single_run_passes_through(tmp_path):
     reduced = load_runset(out, problem)
     assert len(reduced) == 1
     assert reduced[0].same_spins(original[0])
+
+
+@pytest.mark.parametrize("method", [
+    "mqc_sequential", "mqc_rank", "mqc_maxdiff", "builtin_pp", "sample_persistence"])
+def test_cli_pp_problem_without_vertices(tmp_path, method):
+    """Every method that needs no new samples takes the runs of a problem
+    with no vertices, and keeps energy 0.0."""
+    problem_path = tmp_path / "empty.json"
+    problem_path.write_text(json.dumps({"vertex_count": 0, "h": [], "J": []}))
+    problem = load_problem(problem_path)
+    runs_path = tmp_path / "runs.json"
+    save_runset(RunSet([problem.configuration([])] * 3, problem.content_hash(),
+                       Provenance("hand", {}, 0)), runs_path)
+    out = tmp_path / "pp.json"
+    assert main(["pp", "--problem", str(problem_path), "--runs-file", str(runs_path),
+                 "--method", method, "--out", str(out)]) == 0
+    result = load_runset(out, problem)
+    assert result.spins.shape[1] == 0 and not result.energies().any()
 
 
 def test_cli_pp_checks_only_the_chosen_method(tmp_path, capsys):

@@ -8,6 +8,7 @@ from isingpp import (
     PairingStrategy,
     PrecisionModel,
     ProblemGenSpec,
+    RunSet,
     SamplerParams,
     ScaleSet,
     exact_ground_state,
@@ -176,6 +177,15 @@ class TestHpeFromRunsets:
             energy_bits([want.energy, want.energy])
         assert energy_bits(report.per_scale_best) == energy_bits(per_scale_best)
         assert energy_bits(report.group_energies) == energy_bits([w.energy for w in winners])
+
+    @pytest.mark.parametrize("strategy", list(PairingStrategy))
+    @pytest.mark.parametrize("runs", [1, 2, 3])
+    def test_no_vertices(self, strategy, runs):
+        problem = IsingProblem(0)
+        runsets = [RunSet([problem.configuration([])] * runs, None, None)] * 3
+        final, report = hpe_from_runsets(problem, runsets, strategy=strategy)
+        assert final.spins.shape == (0,) and final.energy == report.final_energy == 0.0
+        assert report.group_energies == (0.0,) * runs
 
     def test_single_scale_equals_plain_reduction(self):
         problem = make_chimera_problem(seed=36, rows=1, cols=2)

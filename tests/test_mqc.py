@@ -346,6 +346,20 @@ class TestMqcReduce:
         assert final.same_spins(rs[0])
         assert trace.levels == ()
 
+    @pytest.mark.parametrize("strategy", list(PairingStrategy))
+    @pytest.mark.parametrize("count", [1, 2, 5])
+    def test_no_vertices(self, strategy, count):
+        """Runs of a problem with no vertices reduce to the empty run of
+        energy 0.0, level by level, as any other runs do."""
+        problem = IsingProblem(0)
+        runs = [problem.configuration([])] * count
+        final, trace = mqc_reduce(problem, isingpp.RunSet(runs, None, None), strategy)
+        assert final.spins.shape == (0,) and final.energy == 0.0
+        assert [level.size for level in trace.levels] == {1: [], 2: [2], 5: [5, 3, 2]}[count]
+        assert all(not level.tunnel_counts.any() for level in trace.levels)
+        final, other = reduce_configs(problem, runs, strategy)
+        assert final.spins.shape == (0,) and final.energy == 0.0 and other == trace
+
     def test_keeps_ground_state_when_present(self):
         from isingpp import exact_ground_state
         problem = make_chimera_problem(seed=44, rows=2, cols=1)

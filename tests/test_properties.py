@@ -888,19 +888,35 @@ def test_one_run_sums_left_to_right(sweeps):
     assert np.array_equal(simulated_anneal(problem, params).spins, expected)
 
 
-@pytest.mark.parametrize("width", [3, 9, 40])
-@pytest.mark.parametrize("shape", [(1, 2), (2, 1), (3, 5)])
-def test_reduce_adds_rows_left_to_right(width, shape):
-    """simulated_anneal sums a level's neighbour terms with add.reduce
-    over axis 0 and relies on it adding whole rows one after another
-    whenever a row has two or more entries; terms of mixed magnitude make
-    any other order show in the bits."""
+def mixed_magnitude_rows(width, shape):
+    """``width`` rows of terms of mixed magnitude, which make any order of
+    summation but their own show in the bits, and their sum row by row."""
     rng = np.random.default_rng(width)
     terms = rng.standard_normal((width, *shape)) * 10.0 ** rng.integers(-8, 9, (width, *shape))
     expected = terms[0]
     for row in terms[1:]:
         expected = expected + row
+    return terms, expected
+
+
+@pytest.mark.parametrize("width", [3, 9, 40])
+@pytest.mark.parametrize("shape", [(1, 2), (2, 1), (3, 5)])
+def test_reduce_adds_rows_left_to_right(width, shape):
+    """add.reduce over axis 0 adds whole rows one after another whenever a
+    row has two or more entries; with one entry a row it sums pairwise,
+    so the level kernels sum with ``_ordered_sum`` instead."""
+    terms, expected = mixed_magnitude_rows(width, shape)
     assert same_bits(np.add.reduce(terms, axis=0), expected)
+
+
+@pytest.mark.parametrize("width", [1, 3, 9, 40])
+@pytest.mark.parametrize("shape", [(1, 1), (1,), (1, 2), (2, 1), (3, 5)])
+def test_ordered_sum_adds_rows_left_to_right(width, shape):
+    """The level kernels' one summation order: whole rows one after
+    another, one entry a row included, and 0.0 for no rows."""
+    terms, expected = mixed_magnitude_rows(width, shape)
+    assert same_bits(samplers._ordered_sum(terms), expected)
+    assert samplers._ordered_sum(terms[:0]) == 0.0
 
 
 def python_gibbs_chain(problem, params):
@@ -1160,6 +1176,77 @@ def test_mixed_width_levels_match_summed_and_specification(block):
     assert same_runsets(runsets, summed(samplers.gibbs_sample_many, gibbs))
     for (problem, params, _), runset in zip(gibbs, runsets):
         assert np.array_equal(runset.spins, python_gibbs_chain(problem, params))
+
+
+def cancelling_star():
+    """Hub 8 of a 9-vertex star, its leaves held at -1 by h = 1e30, so its
+    neighbour terms are -1, 1, 1, -0.5, 1e16, 1, -1e16, -1, and h = 0.5.
+    Left to right its field is -1.0 with h first, as Gibbs sums it, and
+    -0.5 with h last, as the annealer does; summed pairwise, the two give
+    0.5 and 1.0, of the other sign."""
+    weights = [1.0, -1.0, -1.0, 0.5, -1e16, -1.0, 1e16, 1.0]
+    return IsingProblem(9, {**{a: 1e30 for a in range(8)}, 8: 0.5},
+                        {(a, 8): w for a, w in enumerate(weights)})
+
+
+def wide_level_problems():
+    """Problems with levels of more than ``samplers._TABLE_DEGREE``
+    neighbours, and a beta for each: K16, K9 and the star joined to a
+    Chimera cell with drawn coefficients, and the cancelling star."""
+    rng = np.random.default_rng(16)
+    graphs = [(16, complete_graph(16)), (9, complete_graph(9)), star_and_chimera_cell()]
+    return [pytest.param(IsingProblem(n, dict(enumerate(rng.uniform(-2.0, 2.0, n))),
+                                      dict(zip(edges, rng.uniform(-2.0, 2.0, len(edges))))),
+                         0.8, id=name)
+            for name, (n, edges) in zip(["K16", "K9", "star_cell"], graphs)
+            ] + [pytest.param(cancelling_star(), 1e3, id="cancelling_star")]
+
+
+@pytest.mark.parametrize("problem, beta", wide_level_problems())
+@pytest.mark.parametrize("seed", range(4))
+def test_one_column_wide_levels_sum_in_specified_order(problem, beta, seed):
+    """With one column, each wide level's Gibbs p_up is, bit for bit, the
+    Python sum of h first and then the neighbour terms left to right,
+    through ``_heat_bath``; its annealing max(dE, 0) is the per-vertex
+    specification's, the neighbour terms left to right and then h."""
+    n = problem.vertex_count
+    rng = np.random.default_rng(seed)
+    order, levels = samplers._level_tables([problem])
+    state = np.ones((n + 1, 1), dtype=np.uint8)
+    state[:n, 0] = rng.integers(0, 2, n)
+    spins = np.empty(n)
+    spins[order] = np.where(state[:n, 0], 1.0, -1.0)
+    nbr, nbr_w = oracle_neighbours(problem)
+    beta2 = np.array([2.0 * beta * rng.uniform(0.1, 1.0)])
+    wide = [(rows, P, W) for rows, P, W in levels if len(P) - 1 > samplers._TABLE_DEGREE]
+    assert wide
+    for rows, P, W in wide:
+        with np.errstate(over="ignore"):
+            p_up = samplers._gibbs_level(state, P, W, beta2)()
+        delta = samplers._anneal_level(state, rows, P, W, np.zeros(1, dtype=np.intp))()
+        assert p_up.shape == delta.shape == (rows.stop - rows.start, 1)
+        for j, a in enumerate(order[rows].tolist()):
+            h = problem._h_vec[a].item()
+            terms = (nbr_w[a] * spins[nbr[a]]).tolist()
+            f = h
+            for t in terms:
+                f += t
+            with np.errstate(over="ignore"):
+                assert same_bits(p_up[j], samplers._heat_bath(np.array([beta2[0] * f])))
+            total = terms[0]
+            for t in terms[1:]:
+                total += t
+            assert same_bits(delta[j], np.maximum([-2.0 * spins[a] * (h + total)], 0.0))
+
+
+@pytest.mark.parametrize("problem, beta", wide_level_problems())
+def test_one_gibbs_column_is_python_chain(problem, beta):
+    """One chain run as the one column of the level kernel gives the
+    Python chain's states; on the cancelling star, a pairwise sum would
+    hold the hub at -1 where the chain holds it at +1."""
+    params = SamplerParams(num_runs=30, seed=7, fixed_beta=beta, burn_in=5, thinning=2)
+    expected = python_gibbs_chain(problem, params)
+    assert np.array_equal(samplers._gibbs_columns([problem], [params])[0], expected)
 
 
 def test_default_chimera_levels_are_all_tabled(monkeypatch):

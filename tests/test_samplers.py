@@ -255,8 +255,8 @@ class TestBatchedSampling:
         """Above x = 700 p_up is 0, so even a uniform of exactly 0.0 leaves
         a spin at -1, where 1 / (1 + exp(705)) would still be above 0.
         Below x = -700 p_up is 1."""
-        monkeypatch.setattr(samplers, "_sweep_uniforms", lambda gens, sweeps, n, columns: (
-            np.zeros((n, columns)) for _ in range(max(sweeps))))
+        monkeypatch.setattr(samplers, "_sweep_uniforms", lambda gens, sweeps, order: (
+            np.zeros((len(order), len(gens))) for _ in range(max(sweeps))))
         problem = IsingProblem(2, {0: 1.0, 1: -1.0})
         params = SamplerParams(num_runs=2, seed=0, fixed_beta=352.5, burn_in=0, thinning=1)
         for runset in samplers.gibbs_sample_many([(problem, params, None)] * 2):
@@ -404,7 +404,10 @@ class TestExactGroundState:
         with pytest.raises(SizeError):
             exact_ground_state(problem)
 
-    def test_chunking_consistent(self):
+    def test_chunking_consistent(self, monkeypatch):
         problem = make_chimera_problem(seed=3, rows=2, cols=1)
-        assert exact_ground_state(problem, chunk_bits=6).energy == \
-            exact_ground_state(problem, chunk_bits=20).energy
+        energies = []
+        for bits in (6, 20):
+            monkeypatch.setattr(samplers, "_EXACT_CHUNK_BITS", bits)
+            energies.append(exact_ground_state(problem).energy)
+        assert energies[0] == energies[1]

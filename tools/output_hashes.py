@@ -27,7 +27,8 @@ OUT_DIR must not exist yet. The script runs, in process, through
 * ``gen`` of one complete-graph problem on 16 vertices, whose every site
   has more neighbours than a lone Gibbs chain tabulates, ``sample`` of it
   in modes raw and sampling, and ``pp`` of each runs file with every
-  method, into ``OUT_DIR/complete``;
+  method, then ``sample`` of one raw run, an annealing block of one
+  column, into ``OUT_DIR/complete``;
 * a hand-written problem on a 9-leaf star whose hub is joined to a
   Chimera cell, so the level kernels both read fields from tables and
   sum them, ``sample`` of it in modes raw and sampling, and ``pp`` of
@@ -157,6 +158,8 @@ def run_pipeline(out):
     complete = os.path.join(out, "complete")
     _run("gen", "--topology", "complete", "--n", "16", "--count", "1", "--out", complete)
     _sample_and_pp(complete, "problem_0000.json", ("raw", "sampling"), "3", "17")
+    _run("sample", "--problem", os.path.join(complete, "problem_0000.json"), "--mode", "raw",
+         "--runs", "1", "--seed", "3", "--out", os.path.join(complete, "runs_raw_one.json"))
 
     for kind in TOPOLOGY_KINDS:
         _run("gen", "--topology", kind, "--count", "2", "--out", os.path.join(out, "gen", kind))
