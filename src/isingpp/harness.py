@@ -25,7 +25,7 @@ from .altpp import (DEFAULT_PERSISTENCE_ROUNDS, DEFAULT_PERSISTENCE_THRESHOLD,
 from .core import ENERGY_ATOL, IsingProblem
 from .errors import ConfigError, InputError, ParameterError
 from .hpe import (DEFAULT_LEVELS, DEFAULT_SCALES, PrecisionModel, ScaleSet, emulate,
-                  hpe_from_runsets, hpe_jobs)
+                  hpe_from_runsets, hpe_jobs, sample_scales)
 from .mqc import PairingStrategy, mqc_reduce
 from .rng import derive_seed
 from .samplers import (
@@ -329,7 +329,9 @@ def apply_method(config: ExperimentConfig, problem: IsingProblem, runset,
     seeded with ``seed`` when given, else with a seed derived from the
     master seed, the method, the mode and the problem ``index``. hpe
     merges ``hpe_runsets`` instead when given: the run sets of its
-    ``_hpe_jobs``, which a sweep samples with the rest of its block.
+    ``_hpe_jobs``, which a sweep samples with the rest of its block. On
+    a problem with no vertices neither samples: both return the empty
+    run at energy 0.0.
     """
     def single(final, **fields):
         return final.spins[None], [final.energy], {"energy": final.energy, **fields}
@@ -350,7 +352,7 @@ def apply_method(config: ExperimentConfig, problem: IsingProblem, runset,
         ))
     if method == "hpe":
         if hpe_runsets is None:
-            hpe_runsets = sample_many(SAMPLERS[mode], _hpe_jobs(
+            hpe_runsets = sample_scales(SAMPLERS[mode], _hpe_jobs(
                 config, _emulated(config, problem), mode, len(runset), index, seed))
         final, _ = hpe_from_runsets(problem, hpe_runsets, scales=config.hpe_scales)
         return single(final)

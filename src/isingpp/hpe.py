@@ -22,7 +22,7 @@ from .core import IsingProblem, SpinConfiguration
 from .errors import InputError, ParameterError
 from .mqc import PairingStrategy, _reduce_levels, _strategy
 from .rng import derive_seed
-from .samplers import SamplerParams, sample_many, simulated_anneal
+from .samplers import RunSet, SamplerParams, sample_many, simulated_anneal
 
 DEFAULT_SCALES = (1.0, 2.0, 4.0, 8.0)
 DEFAULT_LEVELS = 17
@@ -181,19 +181,29 @@ def hpe_jobs(copies, runs_per_scale: int, params: SamplerParams) -> list:
             for k, copy in enumerate(copies)]
 
 
+def sample_scales(sampler, jobs) -> list:
+    """``sample_many(sampler, jobs)`` of ``hpe_jobs``, except on a problem
+    with no vertices: there each job's runs are the empty run at energy
+    0.0, taken without sampling."""
+    if jobs and not jobs[0][0].vertex_count:
+        return [RunSet.from_matrix(np.zeros((q.num_runs, 0)), np.zeros(q.num_runs), pid, None)
+                for _, q, pid in jobs]
+    return sample_many(sampler, jobs)
+
+
 def hpe(problem: IsingProblem, scaleset: ScaleSet, model: PrecisionModel,
         params: SamplerParams, sampler=simulated_anneal,
         strategy: PairingStrategy = PairingStrategy.SEQUENTIAL):
     """Sample every scaled-and-quantized copy, then merge at full precision.
 
-    ``hpe_jobs`` of the ``emulate`` copies, sampled in one ``sample_many``
-    call, then ``hpe_from_runsets``, so the whole procedure is
-    reproducible from one seed. Returns (final configuration, HpeReport);
+    ``hpe_jobs`` of the ``emulate`` copies, sampled in one
+    ``sample_scales`` call, then ``hpe_from_runsets``, so the whole
+    procedure is reproducible from one seed. Returns (final configuration, HpeReport);
     the configuration's energy is computed against the unscaled,
     unquantized problem. An unknown ``strategy`` raises InputError
     before anything is sampled.
     """
     strategy = _strategy(strategy)
     jobs = hpe_jobs(emulate(problem, scaleset.scales, model), scaleset.runs_per_scale, params)
-    return hpe_from_runsets(problem, sample_many(sampler, jobs), scales=scaleset.scales,
+    return hpe_from_runsets(problem, sample_scales(sampler, jobs), scales=scaleset.scales,
                             strategy=strategy)

@@ -65,9 +65,9 @@ def strings_to_spins(texts, where="") -> np.ndarray:
     # Every non-ASCII character becomes one '?', so positions hold.
     codes = np.frombuffer("".join(texts).encode("ascii", "replace"), dtype=np.uint8)
     spins = _BYTE_SPINS[codes].reshape(len(texts), n)
-    bad = np.argwhere(spins == 0)
+    bad = np.flatnonzero(spins == 0)
     if bad.size:
-        i, pos = bad[0].tolist()
+        i, pos = divmod(int(bad[0]), n)
         raise ParseError(f"{where}run {i} spin character {texts[i][pos]!r} at position "
                          f"{pos} (need '+' or '-')")
     return spins

@@ -823,11 +823,13 @@ def test_cli_pp_single_run_passes_through(tmp_path):
     assert reduced[0].same_spins(original[0])
 
 
-@pytest.mark.parametrize("method", [
-    "mqc_sequential", "mqc_rank", "mqc_maxdiff", "builtin_pp", "sample_persistence"])
-def test_cli_pp_problem_without_vertices(tmp_path, method):
-    """Every method that needs no new samples takes the runs of a problem
-    with no vertices, and keeps energy 0.0."""
+@pytest.mark.parametrize("method, mode", [
+    *(pytest.param(m, "raw", id=m) for m in (
+        "mqc_sequential", "mqc_rank", "mqc_maxdiff", "builtin_pp", "sample_persistence")),
+    *(pytest.param("hpe", mode, id=f"hpe-{mode}") for mode in ("raw", "sampling"))])
+def test_cli_pp_problem_without_vertices(tmp_path, method, mode):
+    """Every method takes the runs of a problem with no vertices and keeps
+    energy 0.0; the ones that re-sample take the empty run unsampled."""
     problem_path = tmp_path / "empty.json"
     problem_path.write_text(json.dumps({"vertex_count": 0, "h": [], "J": []}))
     problem = load_problem(problem_path)
@@ -836,9 +838,10 @@ def test_cli_pp_problem_without_vertices(tmp_path, method):
                        Provenance("hand", {}, 0)), runs_path)
     out = tmp_path / "pp.json"
     assert main(["pp", "--problem", str(problem_path), "--runs-file", str(runs_path),
-                 "--method", method, "--out", str(out)]) == 0
+                 "--method", method, "--resample-mode", mode, "--out", str(out)]) == 0
     result = load_runset(out, problem)
-    assert result.spins.shape[1] == 0 and not result.energies().any()
+    assert result.spins.shape == ((3, 0) if method == "builtin_pp" else (1, 0))
+    assert not result.energies().any()
 
 
 def test_cli_pp_checks_only_the_chosen_method(tmp_path, capsys):

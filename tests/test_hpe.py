@@ -12,6 +12,7 @@ from isingpp import (
     SamplerParams,
     ScaleSet,
     exact_ground_state,
+    gibbs_sample,
     hpe,
     hpe_from_runsets,
     quantize_problem,
@@ -262,6 +263,26 @@ class TestHpe:
         with pytest.raises(InputError, match="unknown pairing strategy 'bogus'"):
             hpe(problem, ScaleSet((1.0, 2.0), runs_per_scale=3), PrecisionModel(),
                 SamplerParams(num_runs=3, seed=13), sampler=sampler, strategy="bogus")
+        assert calls == []
+
+    @pytest.mark.parametrize("fixed_beta", [None, 1.0])
+    def test_no_vertices(self, fixed_beta):
+        """A problem with no vertices gives the empty run at energy 0.0,
+        with no sampler call, for the annealer and Gibbs alike."""
+        calls = []
+
+        def sampler(problem, params, problem_id=None):
+            calls.append(problem_id)
+            return random_runs(problem, params.num_runs, params.seed, problem_id=problem_id)
+
+        problem = IsingProblem(0)
+        params = SamplerParams(num_runs=5, seed=13, fixed_beta=fixed_beta)
+        scaleset = ScaleSet((1.0, 2.0, 4.0), runs_per_scale=5)
+        for fn in (sampler, simulated_anneal if fixed_beta is None else gibbs_sample):
+            final, report = hpe(problem, scaleset, PrecisionModel(), params, sampler=fn)
+            assert final.spins.shape == (0,) and final.energy == report.final_energy == 0.0
+            assert report.per_scale_best == (0.0,) * 3
+            assert report.group_energies == (0.0,) * 5
         assert calls == []
 
     def test_monotone_vs_all_inputs(self):

@@ -343,20 +343,50 @@ def test_batched_merge_matches_pairwise(case):
     """Merging all pairs of a level together gives, pair by pair, the
     spins, energy bits and tunnel decisions of the one-pair merge."""
     problem, configs = case
+    assert_level_matches_merge_pair(problem, configs)
+
+
+def assert_level_matches_merge_pair(problem, configs, step=1):
+    """One ``_merge_pairs`` call on the pairs (0, 1), (2, 3), ... of
+    ``configs``; every ``step``-th pair has the spins, energy bits and
+    tunnel decisions of ``merge_pair``."""
     pairs = [(k, k + 1) for k in range(0, len(configs), 2)]
     merged, energies, *columns = _merge_pairs(
         problem, np.stack([c.spins for c in configs]), pairs)
     records = ReductionLevel(len(configs), None, *columns).pairs
-    for (i, j), spins, energy, record in zip(pairs, merged, energies.tolist(), records,
-                                             strict=True):
+    assert len(merged) == len(energies) == len(records) == len(pairs)
+    for k in range(0, len(pairs), step):
+        (i, j), record = pairs[k], records[k]
         ref, sizes, contributions, adopted = merge_pair(problem, configs[i], configs[j])
-        assert np.array_equal(spins, ref.spins)
-        assert struct.pack("<d", energy) == struct.pack("<d", ref.energy)
+        assert np.array_equal(merged[k], ref.spins)
+        assert struct.pack("<d", energies[k]) == struct.pack("<d", ref.energy)
         assert (record.first, record.second) == (i, j)
         assert record.tunnel_sizes == sizes
         assert [struct.pack("<dd", *c) for c in record.contributions] == \
             [struct.pack("<dd", *c) for c in contributions]
         assert record.adopted == adopted
+
+
+def test_full_size_merge_matches_pairwise():
+    """2,048 2-sweep anneals of the default problem (128 vertices, 352
+    edges), merged in one call: 1,024 pairs in four 256-pair blocks, each
+    block with more rows than the problem has vertices and fewer than it
+    has edges. Every 16th pair matches the one-pair merge."""
+    problem = problem_for(ExperimentConfig(), 0)
+    assert (problem.vertex_count, problem._edge_a.size) == (128, 352)
+    runs = simulated_anneal(problem, SamplerParams(num_runs=2048, seed=23, sweeps=2))
+    assert_level_matches_merge_pair(problem, list(runs), step=16)
+
+
+def test_edgeless_merge_spans_two_blocks():
+    """600 random runs of a 20-vertex problem with no couplings, merged in
+    one call: 300 pairs in blocks of 256 and 44, with E = 0. Every pair
+    matches the one-pair merge."""
+    rng = np.random.default_rng(29)
+    problem = IsingProblem(20, {v: float(c) for v, c in enumerate(rng.normal(size=20))})
+    runs = rng.choice(np.array([-1, 1], dtype=np.int8), size=(600, 20))
+    runs[1:60:2] = runs[0:60:2]
+    assert_level_matches_merge_pair(problem, [problem.configuration(r) for r in runs])
 
 
 def packed_contributions(trace):

@@ -17,7 +17,9 @@ OUT_DIR must not exist yet. The script runs, in process, through
   blocks of the sweep and odd per-scale hpe run counts, into
   ``OUT_DIR/experiment_two_blocks``;
 * ``gen`` of one default problem, ``sample`` of it in modes raw, sampling
-  and random, and ``pp`` of each runs file with every method, into
+  and random, and ``pp`` of each runs file with every method, then
+  ``sample`` of 2,048 2-sweep raw runs, whose merge levels span several
+  256-pair blocks, and ``pp`` of them with the three MQC methods, into
   ``OUT_DIR/pipeline``;
 * a hand-written problem with three uncoupled vertices, its ``J``
   pairs listed in descending order and ``h`` entries out of order, one
@@ -43,9 +45,9 @@ OUT_DIR must not exist yet. The script runs, in process, through
   line each, into
   ``OUT_DIR/content_hashes.txt``. No other output carries these ids;
 * the sha256 of ``json.dumps(trace.to_dict(), sort_keys=True)`` for the
-  ``mqc_reduce`` trace of every ``pipeline`` runs file under each pairing
-  strategy, one ``sha256  path strategy`` line each, into
-  ``OUT_DIR/traces.txt``. No command writes a trace.
+  ``mqc_reduce`` trace of every ``pipeline`` runs file, the 2,048-run
+  one last, under each pairing strategy, one ``sha256  path strategy``
+  line each, into ``OUT_DIR/traces.txt``. No command writes a trace.
 
 It then prints one ``sha256  path`` line per file, sorted by path
 relative to OUT_DIR. Run it once with the ``src`` of each of two
@@ -69,6 +71,7 @@ from isingpp.mqc import PairingStrategy, mqc_reduce
 from isingpp.serialize import load_problem, load_runset
 
 MODES = ("raw", "sampling", "random")
+MQC_METHODS = ("mqc_sequential", "mqc_rank", "mqc_maxdiff")
 TOPOLOGY_KINDS = ("chimera", "complete", "path", "grid")
 COMMANDS = ("gen", "sample", "pp", "compare", "bench", "experiment")
 # Criterion 10's config: mqc_sequential is its only pairing strategy.
@@ -142,6 +145,13 @@ def run_pipeline(out):
     pipeline = os.path.join(out, "pipeline")
     _run("gen", "--count", "1", "--out", pipeline)
     _sample_and_pp(pipeline, "problem_0000.json", MODES, "7", "11")
+    problem_path = os.path.join(pipeline, "problem_0000.json")
+    large = os.path.join(pipeline, "runs_raw_2048.json")
+    _run("sample", "--problem", problem_path, "--mode", "raw", "--runs", "2048",
+         "--sweeps", "2", "--seed", "7", "--out", large)
+    for method in MQC_METHODS:
+        _run("pp", "--problem", problem_path, "--runs-file", large, "--method", method,
+             "--seed", "11", "--out", os.path.join(pipeline, f"pp_raw_2048_{method}.json"))
 
     irregular = os.path.join(out, "irregular")
     os.makedirs(irregular)
@@ -179,10 +189,9 @@ def run_pipeline(out):
         f.writelines(f"{load_problem(path).content_hash()}  {os.path.relpath(path, out)}\n"
                      for path in paths)
 
-    problem = load_problem(os.path.join(pipeline, "problem_0000.json"))
+    problem = load_problem(problem_path)
     with open(os.path.join(out, "traces.txt"), "w", encoding="utf-8") as f:
-        for mode in MODES:
-            path = os.path.join(pipeline, f"runs_{mode}.json")
+        for path in [os.path.join(pipeline, f"runs_{mode}.json") for mode in MODES] + [large]:
             runset = load_runset(path, problem)
             for strategy in PairingStrategy:
                 trace = json.dumps(mqc_reduce(problem, runset, strategy)[1].to_dict(),
