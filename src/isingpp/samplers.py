@@ -185,20 +185,33 @@ def _wrap_runs(problem, spins_matrix, name, params_dict, seed, problem_id=None):
     )
 
 
-def _level_tables(problems):
-    """Dependency levels of an index-order sweep over the one nonempty
-    graph that ``problems`` share, with their neighbour tables.
+def _level_tables(problems, columns=0):
+    """The steps of an index-order sweep over the one nonempty graph that
+    ``problems`` share, with their neighbour tables.
 
-    A vertex's level is 1 + the largest level among its lower-indexed
-    neighbours, or 0 if it has none, so no edge joins two vertices of one
-    level. The kernels keep one state row per vertex, in level order, so a
-    level's rows are one slice, plus row n, which holds a constant +1 spin.
-    Returns the vertex of each row, ``order`` (ascending within a level),
-    and one ``(rows, P, W)`` per level. Column j of ``P`` holds the state
-    rows that the local field of row ``rows.start + j`` sums: row n first,
-    for h, then the vertex's neighbours in adjacency order, padded with row
-    n. ``W[:, j, k]`` holds problem k's coefficients of those rows, 0.0 in
-    the pads.
+    Vertex a does sweep t in step phi(a) mod D of super-sweep t + lag(a),
+    lag(a) = phi(a) // D, where 1 <= phi(b) - phi(a) <= D - 1 on every edge
+    a < b (Lamport's hyperplane method): a then reads sweep t of its
+    lower-indexed neighbours and sweep t - 1 of its higher-indexed ones,
+    as the sweep does, and no edge joins two vertices of one step. Where
+    a phi exists that climbs by exactly 1 along every edge, it is taken,
+    0 at each connected component's minimum, with D = 2 (1 without
+    edges). Else, as on a triangle, phi is the level, 1 + the largest
+    level among the lower-indexed neighbours or 0 if there are none, and
+    D the largest level gap of an edge + 1. D then grows until max lag +
+    1 sweeps of uniforms of ``columns`` chains fit ``_UNIFORM_BUFFER``
+    (see ``_sweep_uniforms``). At D = the level count, and always at
+    ``columns=0``, the annealer's case, phi is the level and every lag 0:
+    the steps are the levels, so no graph takes more steps than levels.
+
+    The kernels keep one state row per vertex, sorted by (step, lag,
+    vertex), so a step's rows are one slice, plus row n, which holds a
+    constant +1 spin. Returns the vertex of each row, ``order``, one
+    ``(rows, P, W)`` per nonempty step, in step order, and the lag of
+    each row. Column j of ``P`` holds the state rows that the local field
+    of row ``rows.start + j`` sums: row n first, for h, then the vertex's
+    neighbours in adjacency order, padded with row n. ``W[:, j, k]``
+    holds problem k's coefficients of those rows, 0.0 in the pads.
     """
     first = problems[0]
     if first.vertex_count == 0:
@@ -214,18 +227,36 @@ def _level_tables(problems):
     # of the adjacency, and the last row the pad.
     coefs = np.stack([np.concatenate([p._h_vec, p._adj_w, [0.0]]) for p in problems], axis=1)
     adj, start = first._adj.tolist(), first._adj_start.tolist()
-    groups = []
-    level = []
+    level, phi = [], [None] * n if columns else []
     for a in range(n):
         level.append(1 + max((level[b] for b in adj[start[a]:start[a + 1]] if b < a), default=-1))
-        if level[a] == len(groups):
-            groups.append([])
-        groups[level[a]].append(a)
-    order = np.array([v for V in groups for v in V], dtype=np.intp)
+        if columns and phi[a] is None:
+            # Breadth first over a's component; the edges check phi below.
+            phi[a], component = 0, [a]
+            for v in component:
+                for b in adj[start[v]:start[v + 1]]:
+                    if phi[b] is None:
+                        phi[b] = phi[v] + (1 if b > v else -1)
+                        component.append(b)
+            low = min(phi[v] for v in component)
+            for v in component:
+                phi[v] -= low
+    level, phi = np.array(level), np.array(phi)
+    ea, eb = first._edge_a, first._edge_b
+    if columns and (phi[eb] - phi[ea] == 1).all():
+        D = 2 if len(ea) else 1
+    else:
+        phi, D = level, int((level[eb] - level[ea]).max(initial=0)) + 1
+    max_lag = max(0, _UNIFORM_BUFFER // (n * columns) - 1) if columns else 0
+    D = max(D, int(phi.max()) // (max_lag + 1) + 1)
+    if D > level.max():
+        phi, D = level, int(level.max()) + 1
+    order = np.lexsort((phi // D, phi % D))
     row = np.empty(n, dtype=np.intp)
     row[order] = np.arange(n)
     levels = []
-    for V in groups:
+    for V in np.split(order, np.flatnonzero(np.diff(phi[order] % D)) + 1):
+        V = V.tolist()
         width = max(start[v + 1] - start[v] for v in V)
         P = np.full((width + 1, len(V)), n, dtype=np.intp)
         Q = np.full((width + 1, len(V)), n + start[-1], dtype=np.intp)
@@ -235,7 +266,7 @@ def _level_tables(problems):
             P[1:1 + hi - lo, j] = row[adj[lo:hi]]
             Q[1:1 + hi - lo, j] = np.arange(n + lo, n + hi)
         levels.append((slice(int(row[V[0]]), int(row[V[0]]) + len(V)), P, coefs[Q]))
-    return order, levels
+    return order, levels, (phi // D)[order]
 
 
 def _initial_state(gens, order):
@@ -249,25 +280,40 @@ def _initial_state(gens, order):
     return state
 
 
-def _sweep_uniforms(gens, sweeps, order):
-    """Each sweep's uniforms in level order, in one (n, columns) array that
-    every sweep overwrites: row r for vertex ``order[r]``, column i drawn
-    from ``gens[i]`` for its first ``sweeps[i]`` sweeps, stale after. A
-    generator draws several sweeps a call; PCG64 gives k sweeps at once
-    exactly as k draws of one sweep."""
-    total, n = max(sweeps), len(order)
-    chunk = max(1, min(_SWEEP_CHUNK, total, _UNIFORM_BUFFER // (len(gens) * n)))
+def _sweep_uniforms(gens, sweeps, order, lag):
+    """Each super-sweep's uniforms, in one (n, columns) array that every
+    super-sweep overwrites: row r for vertex ``order[r]`` holds the uniform
+    of its sweep T - ``lag[r]`` in super-sweep T, column i drawn from
+    ``gens[i]`` for its first ``sweeps[i]`` sweeps, stale outside them. A
+    generator draws ``chunk`` sweeps a call; PCG64 gives k sweeps at once
+    exactly as k draws of one sweep. With lags, the uniforms of the last
+    max lag + chunk sweeps wait in a ring, as (sweep, vertex, column)."""
+    total, n, top = max(sweeps), len(order), int(lag.max())
+    chunk = max(1, min(_SWEEP_CHUNK, total, _UNIFORM_BUFFER // (len(gens) * n) - top))
+    span = top + chunk
     drawn = np.zeros((len(gens), chunk, n), dtype=np.float64)
+    if top:
+        # Row t * n + v of ring holds vertex v's uniforms of sweep t mod span.
+        ring = np.zeros((span * n, len(gens)), dtype=np.float64)
+        index = [(t - lag) % span * n + order for t in range(span)]
     u = np.empty((n, len(gens)), dtype=np.float64)
-    for lo in range(0, total, chunk):
-        for g, count, out in zip(gens, sweeps, drawn):
-            if count >= lo + chunk:
-                g.random(out=out)
-            elif count > lo:
-                g.random(out=out[:count - lo])
-        for t in range(min(chunk, total - lo)):
-            # order is a permutation, so "clip" only spares take a temporary.
-            yield drawn[:, t].T.take(order, axis=0, out=u, mode="clip")
+    for T in range(total + top):
+        if T % chunk == 0 and T < total:
+            for g, count, out in zip(gens, sweeps, drawn):
+                if count >= T + chunk:
+                    g.random(out=out)
+                elif count > T:
+                    g.random(out=out[:count - T])
+            if top:
+                ring.reshape(span, n, -1)[np.arange(T, T + chunk) % span] = (
+                    drawn.transpose(1, 2, 0))
+        # take first copies a source that is not C-contiguous, so without
+        # lags it reads one sweep's (n, columns) view of drawn, not a ring.
+        # Every index is in range, so "clip" only spares take a temporary.
+        if top:
+            yield ring.take(index[T % span], axis=0, out=u, mode="clip")
+        else:
+            yield drawn[:, T % chunk].T.take(order, axis=0, out=u, mode="clip")
 
 
 def simulated_anneal(problem: IsingProblem, params: SamplerParams,
@@ -307,7 +353,7 @@ def simulated_anneal_many(jobs) -> list:
     jobs = list(jobs)
     if not jobs:
         return []
-    order, levels = _level_tables([problem for problem, _, _ in jobs])
+    order, levels, lag = _level_tables([problem for problem, _, _ in jobs])
     pools = {}
     for k, (_, params, _) in enumerate(jobs):
         pools.setdefault((params.sweeps, params.beta_schedule), []).append(k)
@@ -327,14 +373,14 @@ def simulated_anneal_many(jobs) -> list:
         pooled = np.empty((len(gens), len(order)), dtype=SPIN_DTYPE)
         for lo in range(0, len(gens), size):
             pooled[lo:lo + size] = _anneal_block(
-                order, levels, column_job[lo:lo + size], betas, gens[lo:lo + size])
+                order, levels, lag, column_job[lo:lo + size], betas, gens[lo:lo + size])
         for k, block in zip(ks, np.split(pooled, np.cumsum(counts)[:-1])):
             spins[k] = block
     return [_wrap_runs(problem, s, "simulated_anneal", params.to_dict(), params.seed, pid)
             for (problem, params, pid), s in zip(jobs, spins)]
 
 
-def _anneal_block(order, levels, column_job, betas, gens):
+def _anneal_block(order, levels, lag, column_job, betas, gens):
     """(runs, n) spins of one simulated_anneal chain per generator, run i
     with problem ``column_job[i]``'s coefficients of the level tables. A
     level step takes each spin's max(dE, 0) from ``_anneal_level``,
@@ -342,7 +388,7 @@ def _anneal_block(order, levels, column_job, betas, gens):
     falls below."""
     state = _initial_state(gens, order)
     steps = [(rows, _anneal_level(state, rows, P, W, column_job)) for rows, P, W in levels]
-    uniforms = _sweep_uniforms(gens, [len(betas)] * len(gens), order)
+    uniforms = _sweep_uniforms(gens, [len(betas)] * len(gens), order, lag)
     # At a huge beta, beta * dE may overflow to inf; exp(-inf) = 0 is then
     # the right acceptance, so the overflow is not reported.
     with np.errstate(over="ignore"):
@@ -455,9 +501,10 @@ def gibbs_sample(problem: IsingProblem, params: SamplerParams,
 def gibbs_sample_many(jobs) -> list:
     """``gibbs_sample`` of each ``(problem, params, problem_id)`` job, the
     problems on one graph: one RunSet per job. Chains run as the columns
-    of one level kernel (``_gibbs_columns``), except a lone chain, which
-    runs faster site by site in Python (``_gibbs_chain``). Both sum every
-    field in one order, but a column's ``np.exp`` can differ from
+    of one kernel (``_gibbs_columns``), which pipelines the sweeps in
+    lagged steps (2 a sweep on the default Chimera graph), except a lone
+    chain, which runs site by site in Python (``_gibbs_chain``). Both sum
+    every field in one order, but a column's ``np.exp`` can differ from
     ``math.exp`` in the last bit, so its spins can differ from the lone
     chain's only where a uniform falls between the two ``p_up`` values, a
     few ulps apart.
@@ -557,38 +604,56 @@ def _gibbs_chain(problem, params):
 
 def _gibbs_columns(problems, params):
     """(num_runs, n) states of the Gibbs chain of each (problem, params),
-    the problems on one graph, as columns of one level kernel.
+    the problems on one graph, as columns of one kernel.
 
     Column c is chain c, with its own coefficients, beta, burn-in,
-    thinning and generator, drawn as in ``_gibbs_chain``. A level step
-    takes each site's p_up from ``_gibbs_level``, read from a per-site
-    table of each chain where the level is narrow, and sets the spins
-    whose uniform falls below. Each field is summed h first, then the
-    neighbours left to right, at any number of columns, one included, so
-    the chain is ``_gibbs_chain``'s up to ``np.exp`` against ``math.exp``
-    (see ``gibbs_sample_many``). A chain that has collected all its
-    states stops drawing; its column runs on unread.
+    thinning and generator, drawn as in ``_gibbs_chain``. A super-sweep
+    runs the steps of ``_level_tables``; a step takes each site's p_up
+    from ``_gibbs_level``, read from a per-site table of each chain where
+    the step is narrow, and sets the spins whose uniform falls below.
+    Each field is summed h first, then the neighbours left to right, at
+    any number of columns, one included, so the chain is ``_gibbs_chain``'s
+    up to ``np.exp`` against ``math.exp`` (see ``gibbs_sample_many``). A
+    step's rows are sorted by lag, so in super-sweep T < max lag those
+    that have begun, lag <= T, are the head of its slice. A chain's state
+    after sweep s is collected one lag class at a time, class l after
+    super-sweep s - 1 + l. A row runs on past its chain's last sweep, and
+    a chain that has drawn all its sweeps stops drawing: no sweep reads
+    the spins of a later one, so the collected states are the chain's.
     """
-    order, levels = _level_tables(problems)
-    n = len(order)
+    order, levels, lag = _level_tables(problems, len(problems))
+    n, top = len(order), int(lag.max())
     beta2 = np.array([2.0 * q.fixed_beta for q in params])
     totals = [q.burn_in + q.num_runs * q.thinning for q in params]
     gens = [make_generator(q.seed) for q in params]
     state = _initial_state(gens, order)
-    steps = [(rows, _gibbs_level(state, P, W, beta2)) for rows, P, W in levels]
-    samples = [np.empty((q.num_runs, n), dtype=SPIN_DTYPE) for q in params]
-    collect = {}  # sweep count -> (chain, sample index) pairs collected then
+    # ends[l]: the number of a step's rows of lag at most l.
+    steps = [(rows, _gibbs_level(state, P, W, beta2),
+              np.searchsorted(lag[rows], np.arange(top + 1), side="right").tolist())
+             for rows, P, W in levels]
+    # The state rows of each lag class, and their vertices.
+    classes = [(rows[:, None], order[rows])
+               for rows in map(np.flatnonzero, lag == np.arange(top + 1)[:, None])]
+    # Chain c's states are rows first[c]: of samples; due maps a sweep
+    # count to the (sample rows, chains) whose states are those after it.
+    first = np.cumsum([0] + [q.num_runs for q in params])
+    due = {}
     for c, q in enumerate(params):
         for k in range(q.num_runs):
-            collect.setdefault(q.burn_in + (k + 1) * q.thinning, []).append((c, k))
+            due.setdefault(q.burn_in + (k + 1) * q.thinning, []).append((first[c] + k, c))
+    due = {s: (np.array(got)[:, :1], np.array(got)[:, 1]) for s, got in due.items()}
+    samples = np.empty((first[-1], n), dtype=SPIN_DTYPE)
     # exp overflows to inf where x > 709, where the x > 700 guard decides.
     with np.errstate(over="ignore"):
-        for sweep, u in enumerate(_sweep_uniforms(gens, totals, order)):
-            for rows, p_up in steps:
-                state[rows] = u[rows] < p_up()
-            for c, k in collect.pop(sweep + 1, ()):
-                samples[c][k, order] = _SPINS[state[:n, c]]
-    return samples
+        for T, u in enumerate(_sweep_uniforms(gens, totals, order, lag)):
+            for rows, p_up, ends in steps:
+                begun = slice(ends[min(T, top)])
+                state[rows][begun] = (u[rows] < p_up())[begun]
+            for lagged, (rows, vertices) in enumerate(classes):
+                if T + 1 - lagged in due:
+                    ids, chains = due[T + 1 - lagged]
+                    samples[ids, vertices] = _SPINS[state[rows, chains].T]
+    return np.split(samples, first[1:-1])
 
 
 def _gibbs_level(state, P, W, beta2):

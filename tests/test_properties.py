@@ -1241,7 +1241,7 @@ def test_one_column_wide_levels_sum_in_specified_order(problem, beta, seed):
     specification's, the neighbour terms left to right and then h."""
     n = problem.vertex_count
     rng = np.random.default_rng(seed)
-    order, levels = samplers._level_tables([problem])
+    order, levels, _ = samplers._level_tables([problem])
     state = np.ones((n + 1, 1), dtype=np.uint8)
     state[:n, 0] = rng.integers(0, 2, n)
     spins = np.empty(n)
@@ -1280,11 +1280,13 @@ def test_one_gibbs_column_is_python_chain(problem, beta):
 
 
 def test_default_chimera_levels_are_all_tabled(monkeypatch):
-    """Every level of the default 4x4x4 Chimera graph reads its fields
-    from a table, in the annealer and in the Gibbs columns, so neither
-    falls back to summing them."""
+    """Every level of the default 4x4x4 Chimera graph, and every step of
+    its two-chain Gibbs columns, reads its fields from a table, in the
+    annealer and in the Gibbs columns, so neither falls back to summing
+    them."""
     problem = problem_for(ExperimentConfig(), 0)
     levels = len(samplers._level_tables([problem])[1])
+    steps = len(samplers._level_tables([problem] * 2, 2)[1])
     tabled = []
     real = samplers._table_reader
     monkeypatch.setattr(samplers, "_table_reader", lambda *args: tabled.append(1) or real(*args))
@@ -1292,7 +1294,143 @@ def test_default_chimera_levels_are_all_tabled(monkeypatch):
     assert len(tabled) == levels
     samplers.gibbs_sample_many([(problem, SamplerParams(
         num_runs=1, seed=seed, fixed_beta=1.0, burn_in=0, thinning=1), None) for seed in (1, 2)])
-    assert len(tabled) == 2 * levels
+    assert len(tabled) == levels + steps
+
+
+@derandomized
+@given(graphs(), st.integers(1, 2048))
+def test_lagged_schedule_keeps_the_sweep_order(graph, columns):
+    """Step k of super-sweep T runs sweep T - lag of its vertices. So on
+    every edge a < b, with t = lag * steps + k, t[a] < t[b] < t[a] +
+    steps: b reads a's spin of this sweep and a reads b's of the last
+    one. No step holds an edge; a step's rows are sorted by lag, then
+    vertex; max lag + 1 sweeps of uniforms fit the buffer unless every
+    lag is 0, and every lag is 0 only on the levels."""
+    n, edges = graph
+    problem = IsingProblem(n, {}, {e: 1.0 for e in edges})
+    order, steps, lag = samplers._level_tables([problem], columns)
+    step, lag_of = np.empty(n, dtype=int), np.empty(n, dtype=int)
+    for k, (rows, _, _) in enumerate(steps):
+        step[order[rows]] = k
+        assert [(lag[r], order[r]) for r in range(rows.start, rows.stop)] == sorted(
+            (lag[r], order[r]) for r in range(rows.start, rows.stop))
+    assert steps[-1][0].stop == n
+    lag_of[order] = lag
+    t = lag_of * len(steps) + step
+    for a, b in edges:
+        a, b = min(a, b), max(a, b)
+        assert t[a] < t[b] < t[a] + len(steps)
+        assert step[a] != step[b]
+    if lag.any():
+        assert (lag.max() + 1) * n * columns <= samplers._UNIFORM_BUFFER
+    else:
+        _, levels, _ = samplers._level_tables([problem])
+        assert [rows for rows, _, _ in steps] == [rows for rows, _, _ in levels]
+
+
+def lagged_and_level_runsets(jobs):
+    """``gibbs_sample_many(jobs)`` on the lagged schedule, and with no room
+    for uniforms of lagged sweeps, where every lag is 0 and the steps are
+    the levels."""
+    lagged = samplers.gibbs_sample_many(jobs)
+    with mock.patch.object(samplers, "_UNIFORM_BUFFER", 0):
+        assert not samplers._level_tables([p for p, _, _ in jobs], len(jobs))[2].any()
+        return lagged, samplers.gibbs_sample_many(jobs)
+
+
+def gibbs_jobs(problems, runs, seed=0, burn_in=0, thinning=1, beta=1.0):
+    return [(problem, SamplerParams(num_runs=r, seed=seed + c, fixed_beta=beta, burn_in=burn_in,
+                                    thinning=thinning), None)
+            for c, (problem, r) in enumerate(zip(problems, runs))]
+
+
+def drawn_problems(n, edges, count, seed=0):
+    rng = np.random.default_rng(seed)
+    return [IsingProblem(n, dict(enumerate(rng.uniform(-2.0, 2.0, n))),
+                         dict(zip(edges, rng.uniform(-1.0, 1.0, len(edges)))))
+            for _ in range(count)]
+
+
+def test_lagged_gibbs_columns_of_the_sweep_call():
+    """The call that samples a block of two default problems: 10 chains,
+    2 of 200 runs and 8 of 50, burn-in 1,000, thinning 10. The lagged
+    schedule gives every chain's spins and energy bits of the levels."""
+    problems = [problem_for(ExperimentConfig(), k) for k in range(2)]
+    jobs = gibbs_jobs(problems * 5, [200, 200] + [50] * 8, burn_in=1000, thinning=10)
+    assert samplers._level_tables(problems * 5, 10)[2].max() == 3
+    assert same_runsets(*lagged_and_level_runsets(jobs))
+
+
+def disconnected_graph():
+    """Two Chimera cells, a path and two isolated vertices."""
+    cell = chimera_graph(ChimeraSpec(1, 1, 4))
+    return 24, cell + [(a + 8, b + 8) for a, b in cell] + [(v, v + 1) for v in range(16, 21)]
+
+
+@pytest.mark.parametrize("graph, top", [
+    pytest.param((16, path_graph(16)), 7, id="path16"),
+    pytest.param((128, chimera_graph(ChimeraSpec(4, 4, 4))), 3, id="chimera"),
+    pytest.param(disconnected_graph(), 2, id="disconnected"),
+    pytest.param((5, []), 0, id="edgeless"),
+    pytest.param((3, complete_graph(3)), 0, id="triangle"),
+    pytest.param((5, complete_graph(5)), 0, id="K5"),
+    pytest.param(star_and_chimera_cell(), 1, id="star_cell"),
+])
+@pytest.mark.parametrize("runs", [(1,), (3, 1, 2)])
+def test_short_lagged_chains_are_the_level_chains(graph, top, runs):
+    """Chains of 1 to 3 sweeps (burn-in 0, thinning 1), shorter than
+    their lag range, run only in the ramp-up and drain of the lagged
+    schedule and give the spins and energy bits of the levels, with
+    tables and with every field summed. Triangles and K5 have no
+    lagged schedule, and fall back to the levels."""
+    n, edges = graph
+    problems = drawn_problems(n, edges, len(runs), seed=len(runs))
+    assert samplers._level_tables(problems, len(problems))[2].max() == top
+    jobs = gibbs_jobs(problems, runs, seed=11)
+    if len(jobs) == 1:
+        (problem, params, _), = jobs
+        lagged = samplers._gibbs_columns([problem], [params])
+        with mock.patch.object(samplers, "_UNIFORM_BUFFER", 0):
+            assert all(map(np.array_equal, lagged, samplers._gibbs_columns([problem], [params])))
+        return
+    lagged, levels = lagged_and_level_runsets(jobs)
+    assert same_runsets(lagged, levels)
+    assert same_runsets(lagged, summed(samplers.gibbs_sample_many, jobs))
+
+
+def test_lagged_chains_of_mixed_lengths_draw_their_own_sweeps(monkeypatch):
+    """Chains of 2 to 50 sweeps in one call each draw n integers and then
+    n uniforms for each of their own sweeps, no more, and give the spins
+    and energy bits of the levels."""
+    n, edges = disconnected_graph()
+    problems = drawn_problems(n, edges, 4, seed=3)
+    jobs = [(problem, SamplerParams(num_runs=r, seed=20 + c, fixed_beta=0.7, burn_in=b,
+                                    thinning=t), None)
+            for c, (problem, r, b, t) in enumerate(zip(problems, (3, 4, 10, 1), (5, 0, 20, 1),
+                                                       (1, 2, 3, 1)))]
+    generators = []
+    real = samplers.make_generator
+    monkeypatch.setattr(samplers, "make_generator",
+                        lambda seed: generators.append(real(seed)) or generators[-1])
+    lagged, levels = lagged_and_level_runsets(jobs)
+    assert same_runsets(lagged, levels)
+    for g, (_, q, _) in zip(generators, jobs):
+        fresh = real(q.seed)
+        fresh.integers(0, 2, n)
+        fresh.random((q.burn_in + q.num_runs * q.thinning) * n)
+        assert g.bit_generator.state == fresh.bit_generator.state
+
+
+def test_capped_lags_keep_the_level_chains():
+    """32 chains on a 512-vertex path: a lag range of 0 to 255 would not
+    fit the buffer, so the steps grow to 64 a sweep, lags 0 to 7, and the
+    chains still give the spins and energy bits of the levels."""
+    n = 512
+    problems = drawn_problems(n, path_graph(n), 32, seed=5)
+    _, steps, lag = samplers._level_tables(problems, 32)
+    assert (len(steps), lag.max()) == (64, 7)
+    assert same_runsets(*lagged_and_level_runsets(gibbs_jobs(problems, [3] * 32, burn_in=2,
+                                                             thinning=2)))
 
 
 def per_vertex_persistence_fix(problem, spins, threshold):

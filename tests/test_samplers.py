@@ -179,10 +179,11 @@ class TestSweepLevels:
         """Each level is 1 + the largest among lower-indexed neighbours, so
         every edge climbs from its lower to its higher end and none stays
         inside a level; the level count is as stated. The levels' rows
-        follow one another and hold their vertices in ascending order."""
+        follow one another and hold their vertices in ascending order.
+        Without columns to lag, these levels are the steps, every lag 0."""
         problem = IsingProblem(n, {}, {e: 1.0 for e in edges})
-        order, levels = _level_tables([problem])
-        assert len(levels) == count
+        order, levels, lag = _level_tables([problem])
+        assert len(levels) == count and not lag.any()
         assert sorted(order.tolist()) == list(range(n))
         level = np.full(n, -1)
         for k, (rows, _, _) in enumerate(levels):
@@ -204,7 +205,7 @@ class TestSweepLevels:
         and coefficient 0.0; ``W[..., k]`` holds problem k's coefficients."""
         problems = [make_chimera_problem(seed=seed, rows=2, cols=2) for seed in (3, 4, 5)]
         n = problems[0].vertex_count
-        order, levels = _level_tables(problems)
+        order, levels, _ = _level_tables(problems, len(problems))
         vertex_of_row = np.append(order, n)
         nbr = oracle_neighbours(problems[0])[0]
         nbr_w = [oracle_neighbours(problem)[1] for problem in problems]
@@ -219,6 +220,54 @@ class TestSweepLevels:
                     assert W[0, j, k] == problem._h_vec[v]
                     assert W[1:1 + deg, j, k].tolist() == nbr_w[k][v].tolist()
                     assert (W[1 + deg:, j, k] == 0.0).all()
+
+    @pytest.mark.parametrize("n, edges, columns, steps, top", [
+        (128, chimera_graph(ChimeraSpec(4, 4, 4)), 10, 2, 3),
+        (16, complete_graph(16), 2, 16, 0),
+        (16, complete_graph(16), 10, 16, 0),
+        (4096, path_graph(4096), 2, 256, 15),
+    ])
+    def test_lagged_steps(self, n, edges, columns, steps, top):
+        """The default Chimera graph runs in 2 steps a sweep, not 8
+        levels; K16 has no lagged schedule, so its lags are 0; a 4,096-
+        vertex path of 2 chains has its lags capped where the ring of
+        max lag + 1 sweeps fills the buffer, in 256 steps of 4,096."""
+        problem = IsingProblem(n, {}, {e: 1.0 for e in edges})
+        _, levels, lag = _level_tables([problem] * columns, columns)
+        assert (len(levels), lag.max()) == (steps, top)
+        assert (top + 1) * n * columns <= samplers._UNIFORM_BUFFER
+
+    def test_uniforms_of_each_row_are_its_lagged_sweeps(self, monkeypatch):
+        """In super-sweep T, row r holds column c's uniform of sweep
+        T - lag[r] of vertex order[r], for every sweep the chain draws;
+        the chains draw in chunks that wrap round a ring of max lag +
+        chunk sweeps (7 + 5 here), which never holds more than the
+        buffer."""
+        n, sweeps = 16, [5, 23, 40]
+        monkeypatch.setattr(samplers, "_UNIFORM_BUFFER", 12 * n * len(sweeps))
+        problem = IsingProblem(n, {}, {e: 1.0 for e in path_graph(n)})
+        order, _, lag = _level_tables([problem] * 3, 3)
+        drawn = []
+
+        class Recorder:
+            def __init__(self, seed):
+                self.real = np.random.default_rng(seed)
+
+            def random(self, out):
+                drawn.append(len(out))
+                return self.real.random(out=out)
+
+        expected = [np.random.default_rng(c).random((count, n)) for c, count in enumerate(sweeps)]
+        yielded = samplers._sweep_uniforms([Recorder(c) for c in range(3)], sweeps, order, lag)
+        T = -1
+        for T, u in enumerate(yielded):
+            for c, count in enumerate(sweeps):
+                t = T - lag
+                mine = (t >= 0) & (t < count)
+                assert (u[mine, c] == expected[c][t[mine], order[mine]]).all()
+        assert T + 1 == max(sweeps) + lag.max() == 47
+        assert (lag.max() + max(drawn)) * n * 3 <= samplers._UNIFORM_BUFFER
+        assert max(drawn) == 5 and 12 % 5
 
 
 class TestBatchedSampling:
@@ -255,8 +304,8 @@ class TestBatchedSampling:
         """Above x = 700 p_up is 0, so even a uniform of exactly 0.0 leaves
         a spin at -1, where 1 / (1 + exp(705)) would still be above 0.
         Below x = -700 p_up is 1."""
-        monkeypatch.setattr(samplers, "_sweep_uniforms", lambda gens, sweeps, order: (
-            np.zeros((len(order), len(gens))) for _ in range(max(sweeps))))
+        monkeypatch.setattr(samplers, "_sweep_uniforms", lambda gens, sweeps, order, lag: (
+            np.zeros((len(order), len(gens))) for _ in range(max(sweeps) + lag.max())))
         problem = IsingProblem(2, {0: 1.0, 1: -1.0})
         params = SamplerParams(num_runs=2, seed=0, fixed_beta=352.5, burn_in=0, thinning=1)
         for runset in samplers.gibbs_sample_many([(problem, params, None)] * 2):

@@ -16,6 +16,11 @@ OUT_DIR must not exist yet. The script runs, in process, through
   counts 3, 8 and 17 on 17 path-graph problems, which span two problem
   blocks of the sweep and odd per-scale hpe run counts, into
   ``OUT_DIR/experiment_two_blocks``;
+* ``experiment --sensitivity`` in sampling mode only, with all six
+  methods and run counts 2 and 5 on 2 problems of a 16-vertex path,
+  burn-in 0 and thinning 1, so every Gibbs chain of the sweep is shorter
+  than its columns' lag range and runs only in their ramp-up and drain,
+  into ``OUT_DIR/experiment_short_chains``;
 * ``gen`` of one default problem, ``sample`` of it in modes raw, sampling
   and random, and ``pp`` of each runs file with every method, then
   ``sample`` of 2,048 2-sweep raw runs, whose merge levels span several
@@ -86,6 +91,13 @@ TWO_BLOCKS = {
     "modes": ["raw", "sampling"], "methods": list(METHODS),
     "sa_sweeps": 15, "gibbs_burn_in": 30, "gibbs_thinning": 1,
 }
+# On a 16-vertex path the Gibbs columns' lags span 0 to 7, so chains of 2
+# and 5 sweeps end before their last lag class starts.
+SHORT_CHAINS = {
+    "topology": {"kind": "path", "n": 16}, "problem_count": 2, "run_counts": [2, 5],
+    "modes": ["sampling"], "methods": list(METHODS),
+    "gibbs_burn_in": 0, "gibbs_thinning": 1,
+}
 
 # Vertices 3, 7 and 11 have no coupling, so their adjacency rows are
 # empty; J lists its pairs in descending order, each larger end first.
@@ -141,6 +153,7 @@ def run_pipeline(out):
     _experiment(out, "experiment", ExperimentConfig(problem_count=2, methods=METHODS).to_dict())
     _experiment(out, "experiment_one_strategy", ONE_STRATEGY)
     _experiment(out, "experiment_two_blocks", TWO_BLOCKS)
+    _experiment(out, "experiment_short_chains", SHORT_CHAINS)
 
     pipeline = os.path.join(out, "pipeline")
     _run("gen", "--count", "1", "--out", pipeline)
