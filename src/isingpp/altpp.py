@@ -33,6 +33,9 @@ from .rng import derive_seed
 from .samplers import Provenance, RunSet, SamplerParams
 
 DEFAULT_WIDTH_CAP = 4
+# The widest subgraph elimination accepts: a step of width w holds a table
+# of 2^(w+1) float64 entries per run, so 64 MB per run at this bound.
+MAX_WIDTH = 22
 DEFAULT_PERSISTENCE_THRESHOLD = 0.9
 DEFAULT_PERSISTENCE_ROUNDS = 3
 
@@ -145,17 +148,19 @@ def _decompose(vertex_count, edges, width_cap):
     while unassigned:
         region = {min(unassigned)}
         unassigned -= region
+        # The certificate of the region is its last accepted trial's.
+        order, width = list(region), 0
         while True:
             candidates = sorted({w for v in region for w in nbrs[v] if w in unassigned})
             for cand in candidates:
-                _, trial_width = _min_degree(induced(region | {cand}), width_cap)
+                trial_order, trial_width = _min_degree(induced(region | {cand}), width_cap)
                 if trial_width <= width_cap:
                     region.add(cand)
                     unassigned.discard(cand)
+                    order, width = trial_order, trial_width
                     break
             else:
                 break
-        order, width = _min_degree(induced(region))
         subgraphs.append(Subgraph(tuple(region), tuple(order), width))
     return tuple(subgraphs)
 
@@ -171,7 +176,8 @@ def _eliminate(problem: IsingProblem, spins, sub: Subgraph) -> np.ndarray:
 
     Min-sum variable elimination along ``sub.elimination_order``; every
     table carries a leading runs axis, of length 1 on the coupling tables
-    that all runs share.
+    that all runs share. A step wider than ``MAX_WIDTH``, whatever
+    ``sub.width`` declares, raises WidthError before its table is built.
     """
     if spins.shape[1] != problem.vertex_count:
         raise InputError(
@@ -208,6 +214,9 @@ def _eliminate(problem: IsingProblem, spins, sub: Subgraph) -> np.ndarray:
         touching = [f for f in factors if v in f[0]]
         factors = [f for f in factors if v not in f[0]]
         union = tuple(sorted(set().union(*(f[0] for f in touching)) if touching else {v}))
+        if len(union) > MAX_WIDTH + 1:
+            raise WidthError(f"eliminating vertex {v} takes width {len(union) - 1}, "
+                             f"above the largest allowed, {MAX_WIDTH}")
         joint = np.zeros((m,) + (2,) * len(union))
         for scope, table in touching:
             shape = [len(table)] + [2 if u in scope else 1 for u in union]
@@ -322,10 +331,11 @@ def persistence_fix(problem: IsingProblem, runset: RunSet,
     spins = runset.spins
     if spins.shape[1] != problem.vertex_count:
         raise InputError("runs do not fit the problem")
-    frac_plus = np.count_nonzero(spins == 1, axis=0) / spins.shape[0]
+    # Each spin's own fraction of the runs, so both spins round alike.
+    plus = np.count_nonzero(spins == 1, axis=0)
     fixed = np.zeros(problem.vertex_count, dtype=SPIN_DTYPE)
-    fixed[frac_plus >= threshold] = 1
-    fixed[(1.0 - frac_plus) >= threshold] = -1
+    fixed[plus / len(spins) >= threshold] = 1
+    fixed[(len(spins) - plus) / len(spins) >= threshold] = -1
     free = fixed == 0
     index = np.cumsum(free) - 1  # a free vertex's id in the reduced problem
 

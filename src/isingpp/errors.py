@@ -24,7 +24,8 @@ class InputError(ValueError):
 
 
 class WidthError(ValueError):
-    """A subgraph's certified elimination width exceeds the configured cap."""
+    """A subgraph's elimination width exceeds the configured cap or
+    ``altpp.MAX_WIDTH``."""
 
 
 class ParseError(ValueError):

@@ -21,7 +21,7 @@ import time
 from dataclasses import asdict, dataclass, field, fields, replace
 
 from .altpp import (DEFAULT_PERSISTENCE_ROUNDS, DEFAULT_PERSISTENCE_THRESHOLD,
-                    DEFAULT_WIDTH_CAP, builtin_opt_pp, sample_persistence)
+                    DEFAULT_WIDTH_CAP, MAX_WIDTH, builtin_opt_pp, sample_persistence)
 from .core import ENERGY_ATOL, IsingProblem
 from .errors import ConfigError, InputError, ParameterError
 from .hpe import (DEFAULT_LEVELS, DEFAULT_SCALES, PrecisionModel, ScaleSet, emulate,
@@ -168,8 +168,8 @@ class ExperimentConfig:
         if len(set(self.methods)) != len(self.methods):
             raise ConfigError(f"duplicate methods in {self.methods}")
         # Parameters of the listed methods only, so unused ones stay free.
-        if "builtin_pp" in self.methods and self.width_cap < 1:
-            raise ConfigError(f"width_cap must be at least 1, got {self.width_cap}")
+        if "builtin_pp" in self.methods and not 1 <= self.width_cap <= MAX_WIDTH:
+            raise ConfigError(f"width_cap must lie in 1..{MAX_WIDTH}, got {self.width_cap}")
         if "sample_persistence" in self.methods:
             if not (0.5 < self.persistence_threshold <= 1.0):
                 raise ConfigError(f"persistence_threshold must lie in (0.5, 1], "
@@ -309,16 +309,6 @@ def _runs_per_scale(config: ExperimentConfig, num_runs: int) -> int:
     return max(1, num_runs // len(config.hpe_scales))
 
 
-def _first_runs(runset, count: int):
-    """The first ``count`` runs of a sampler's ``runset``: the run set its
-    job gives with ``count`` runs, as each run's states do not depend on
-    the run count."""
-    provenance = replace(runset.provenance,
-                         params={**runset.provenance.params, "num_runs": count})
-    return RunSet.from_matrix(runset.spins[:count], runset.energies()[:count],
-                              runset.problem_id, provenance)
-
-
 def apply_method(config: ExperimentConfig, problem: IsingProblem, runset,
                  method: str, mode: str, index: int = 0, seed: int | None = None,
                  hpe_runsets=None):
@@ -329,9 +319,11 @@ def apply_method(config: ExperimentConfig, problem: IsingProblem, runset,
     seeded with ``seed`` when given, else with a seed derived from the
     master seed, the method, the mode and the problem ``index``. hpe
     merges ``hpe_runsets`` instead when given: the run sets of its
-    ``_hpe_jobs``, which a sweep samples with the rest of its block. On
-    a problem with no vertices neither samples: both return the empty
-    run at energy 0.0.
+    ``_hpe_jobs`` at this or a larger run count, which a sweep samples
+    with the rest of its block. Either way hpe merges each scale's first
+    ``_runs_per_scale`` runs, the cell's budget: a run's states do not
+    depend on the run count. On a problem with no vertices neither
+    samples: both return the empty run at energy 0.0.
     """
     def single(final, **fields):
         return final.spins[None], [final.energy], {"energy": final.energy, **fields}
@@ -354,7 +346,10 @@ def apply_method(config: ExperimentConfig, problem: IsingProblem, runset,
         if hpe_runsets is None:
             hpe_runsets = sample_scales(SAMPLERS[mode], _hpe_jobs(
                 config, _emulated(config, problem), mode, len(runset), index, seed))
-        final, _ = hpe_from_runsets(problem, hpe_runsets, scales=config.hpe_scales)
+        per_scale = _runs_per_scale(config, len(runset))
+        final, _ = hpe_from_runsets(problem, [
+            RunSet.from_matrix(rs.spins[:per_scale], rs.energies()[:per_scale], rs.problem_id,
+                               rs.provenance) for rs in hpe_runsets], scales=config.hpe_scales)
         return single(final)
     raise ConfigError(f"unknown method {method!r}")
 
@@ -367,9 +362,8 @@ def _sweep(config: ExperimentConfig, methods):
     For each block of up to ``_PROBLEM_BLOCK`` problems and each mode, one
     sampler call samples every run count's input runs and, when hpe is
     listed, each problem's hpe scales, from copies emulated once per
-    problem. hpe's seed does not depend on the run count, so a cell's
-    per-scale runs are the first runs of the largest cell's: the scales
-    are sampled once, at the largest run count, and sliced.
+    problem. The scales are sampled once, at the largest run count, and
+    every cell passes them to ``apply_method``, which takes its budget.
     """
     for mode in config.modes:
         try:
@@ -381,8 +375,8 @@ def _sweep(config: ExperimentConfig, methods):
         indices = range(lo, min(lo + _PROBLEM_BLOCK, config.problem_count))
         problems = [problem_for(config, index) for index in indices]
         copies = [_emulated(config, problem) for problem in problems] if "hpe" in methods else []
-        # (run count, mode, k) -> the input run set of the block's problem k,
-        # and with hpe the run sets of its scales.
+        # (run count, mode, k) -> the input run set of the block's problem k;
+        # (mode, k) -> with hpe the run sets of its scales.
         inputs, scales = {}, {}
         for mode in config.modes:
             keys = [(num_runs, mode, k) for num_runs in config.run_counts
@@ -393,11 +387,8 @@ def _sweep(config: ExperimentConfig, methods):
                 *(job for jobs in hpe_groups for job in jobs),
                 *(_input_job(config, problems[k], indices[k], mode, num_runs)
                   for num_runs, _, k in keys)]))
-            sampled = [list(itertools.islice(runsets, len(jobs))) for jobs in hpe_groups]
-            if copies:
-                for num_runs, _, k in keys:
-                    per_scale = _runs_per_scale(config, num_runs)
-                    scales[num_runs, mode, k] = [_first_runs(rs, per_scale) for rs in sampled[k]]
+            for k, jobs in enumerate(hpe_groups):
+                scales[mode, k] = list(itertools.islice(runsets, len(jobs)))
             inputs.update(zip(keys, runsets))
         for k, (index, problem) in enumerate(zip(indices, problems)):
             for num_runs, mode in cells:
@@ -405,7 +396,7 @@ def _sweep(config: ExperimentConfig, methods):
                 best_input = float(runset.energies().min())
                 for method in methods:
                     *_, fields = apply_method(config, problem, runset, method, mode, index,
-                                              hpe_runsets=scales.get((num_runs, mode, k)))
+                                              hpe_runsets=scales.get((mode, k)))
                     yield {"problem": index, "problem_id": runset.problem_id,
                            "run_count": num_runs, "mode": mode, "method": method,
                            "best_input": best_input, **fields}

@@ -329,10 +329,11 @@ def _distance_table(spins):
     Entry (i, j) = (j, i) is the distance of rows i and j for i != j. The
     table is int16 (int32 beyond 32,766 vertices) and is filled in blocks
     of rows as (n - S_blk @ S^T) / 2. Each dot product sums n terms of
-    +-1, which float32 holds exactly below 2^24 vertices.
+    +-1, which float32 holds exactly below 2^24 vertices, and
+    ``IsingProblem`` refuses more than ``core.SIZE_LIMIT`` = 2^20.
     """
     m, n = spins.shape
-    s = spins.astype(np.float32 if n < 1 << 24 else np.float64)
+    s = spins.astype(np.float32)
     dist = np.empty((m, m), dtype=np.int16 if n <= 32766 else np.int32)
     for lo in range(0, m, _ROW_BLOCK):
         block = dist[lo:lo + _ROW_BLOCK]

@@ -527,24 +527,29 @@ def gibbs_sample_many(jobs) -> list:
 def _gibbs_chain(problem, params):
     """(num_runs, n) states of one Gibbs chain, one site at a time.
 
-    The generator draws n integers for the initial state, then n uniforms
-    a sweep. A site of at most ``_TABLE_DEGREE`` neighbours reads ``p_up``
-    from a table of at most 64 entries built once per chain, indexed by
-    its neighbours' spins: bit k of its index is set when its neighbour k,
-    in adjacency order, is +1, and a flip XORs the flipped site's bit into
-    each such neighbour's index. An entry is the value a visit that sums
-    the field would compute: h first, then ``w * (+-1)`` left to right
-    (``_pattern_fields``, the level kernels' table builder), and p_up from
-    ``math.exp`` with the 700 guards, so the states are that chain's bit
-    for bit. Sites of more neighbours sum their field at each visit.
+    The generator draws the initial state, as in ``_initial_state``, then
+    n uniforms a sweep. A site of at most ``_TABLE_DEGREE`` neighbours
+    reads ``p_up`` from a table of at most 64 entries built once per
+    chain, indexed by its neighbours' spins: bit k of its index is set
+    when its neighbour k, in adjacency order, is +1, and a flip XORs the
+    flipped site's bit into each such neighbour's index. An entry is the
+    value a visit that sums the field would compute: h first, then
+    ``w * (+-1)`` left to right (``_pattern_fields``, the level kernels'
+    table builder), and p_up from the chain's one ``heat_bath``, so the
+    states are that chain's bit for bit. Sites of more neighbours sum
+    their field at each visit.
     """
     n = problem.vertex_count
     beta2 = 2.0 * params.fixed_beta
     rng = make_generator(params.seed)
-    state = (rng.integers(0, 2, n) * 2 - 1).tolist()
+    state = _SPINS[_initial_state([rng], np.arange(n))[:n, 0]].tolist()
     adj, start = problem._adj.tolist(), problem._adj_start.tolist()
     degree = np.diff(problem._adj_start)
-    exp = math.exp
+
+    def heat_bath(x):
+        # Above x = 700, p_up is 0.0; below x = -700 it is 1.0.
+        return 0.0 if x > 700.0 else 1.0 if x < -700.0 else 1.0 / (1.0 + math.exp(x))
+
     # idx[a] is site a's table index; watchers[b] holds the (site, bit) of
     # each index that holds b's spin.
     tables, idx, watchers = [None] * n, [0] * n, [[] for _ in range(n)]
@@ -562,9 +567,7 @@ def _gibbs_chain(problem, params):
             f = _pattern_fields(terms, [None, *range(d)], 1 << d)
             f *= beta2
         for a, x in zip(group.tolist(), f):
-            # Above x = 700, p_up is 0.0; below x = -700 it is 1.0.
-            tables[a] = [0.0 if v > 700.0 else 1.0 if v < -700.0 else 1.0 / (1.0 + exp(v))
-                         for v in x.tolist()]
+            tables[a] = list(map(heat_bath, x.tolist()))
             for k, b in enumerate(adj[start[a]:start[a + 1]]):
                 watchers[b].append((a, 1 << k))
                 if state[b] > 0:
@@ -586,8 +589,7 @@ def _gibbs_chain(problem, params):
                 # sums from Python 3.12 on, which would change the chain's bits.
                 for b, w in nbrs:
                     f += w * state[b]
-                x = beta2 * f
-                p_up = 0.0 if x > 700.0 else 1.0 if x < -700.0 else 1.0 / (1.0 + exp(x))
+                p_up = heat_bath(beta2 * f)
             else:
                 p_up = table[idx[a]]
             s = 1 if u < p_up else -1
@@ -712,16 +714,15 @@ def sample_many(sampler, jobs) -> list:
 
 def random_runs(problem: IsingProblem, count: int, seed: int,
                 problem_id=None) -> RunSet:
-    """Uniformly random spin vectors; run i uses child stream i."""
+    """Uniformly random spin vectors: run i is the initial state that
+    ``simulated_anneal`` draws from child stream i of ``seed``."""
     if count < 1:
         raise ParameterError(f"count must be positive, got {count}")
     n = problem.vertex_count
     if n == 0:
         raise InputError("cannot sample a problem with no vertices")
-    spins = np.empty((count, n), dtype=SPIN_DTYPE)
-    for i, s in enumerate(child_sequences(seed, count)):
-        g = make_generator(s)
-        spins[i] = g.integers(0, 2, n).astype(SPIN_DTYPE) * 2 - 1
+    gens = [make_generator(s) for s in child_sequences(seed, count)]
+    spins = np.ascontiguousarray(_SPINS[_initial_state(gens, np.arange(n))[:n].T])
     return _wrap_runs(problem, spins, "random_runs",
                       {"count": count, "seed": seed}, seed, problem_id)
 

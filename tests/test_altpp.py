@@ -318,6 +318,25 @@ class TestOptimizeSubgraph:
         with pytest.raises(WidthError):
             optimize_subgraph(problem, config, sub, width_cap=2)
 
+    def test_no_table_above_the_largest_width(self, monkeypatch):
+        """A step wider than MAX_WIDTH raises WidthError before its table is
+        built, whatever width the subgraph declares; one at it runs."""
+        problem = random_problem(
+            complete_graph(24), ProblemGenSpec((-1, 1), (-1, 1), seed=1))
+        config = problem.configuration(np.ones(24, dtype=np.int8))
+        with pytest.raises(WidthError, match="width 23"):
+            optimize_subgraph(problem, config, Subgraph(tuple(range(24)), tuple(range(24)), 3))
+        monkeypatch.setattr(altpp, "MAX_WIDTH", 3)
+        for n in (4, 5):
+            problem = random_problem(complete_graph(n), ProblemGenSpec((-1, 1), (-1, 1), seed=n))
+            config = problem.configuration(np.ones(n, dtype=np.int8))
+            sub = Subgraph(tuple(range(n)), tuple(range(n)), 1)
+            if n == 4:
+                assert optimize_subgraph(problem, config, sub).energy <= config.energy
+            else:
+                with pytest.raises(WidthError, match="width 4"):
+                    optimize_subgraph(problem, config, sub)
+
     def test_config_length_checked(self):
         problem = IsingProblem(3, h={0: 1.0})
         config = IsingProblem(2).configuration([1, 1])
@@ -512,6 +531,17 @@ class TestPersistenceFix:
         fa = persistence_fix(problem, seventeen, threshold=0.9)
         assert fa.assignments == {}
         assert fa.free_vertices == (0,)
+
+    def test_both_spins_freeze_at_the_same_fraction(self):
+        """93 of 100 runs at +1 on vertex 0 and at -1 on vertex 1: both
+        reach threshold 0.93, though 1 - 7/100 rounds below 0.93."""
+        problem = IsingProblem(2)
+        spins = np.array([[1, -1]] * 93 + [[-1, 1]] * 7, dtype=np.int8)
+        from isingpp.samplers import Provenance, RunSet
+        rs = RunSet.from_matrix(spins, problem.evaluate_many(spins), "x",
+                                Provenance("manual", {}, 0))
+        fa = persistence_fix(problem, rs, threshold=0.93)
+        assert fa.assignments == {0: 1, 1: -1} and fa.free_vertices == ()
 
     def test_fold_in_energy_identity(self):
         """reduced energy + offset reproduces the full energy for every

@@ -20,7 +20,7 @@ from isingpp import (
     run_experiment,
     sensitivity_report,
 )
-from isingpp import harness
+from isingpp import altpp, harness
 from isingpp.cli import _config, build_parser, main
 from isingpp.errors import ConfigError, InputError
 from isingpp.hpe import hpe_jobs
@@ -164,6 +164,7 @@ def test_config_rejects_wrong_types(doc):
     "method, overrides, field",
     [
         ("builtin_pp", {"width_cap": 0}, "width_cap"),
+        ("builtin_pp", {"width_cap": 23}, "width_cap"),
         ("sample_persistence", {"persistence_threshold": 0.5}, "persistence_threshold"),
         ("sample_persistence", {"persistence_threshold": 1.01}, "persistence_threshold"),
         ("sample_persistence", {"persistence_rounds": 0}, "persistence_rounds"),
@@ -862,6 +863,29 @@ def test_cli_pp_checks_only_the_chosen_method(tmp_path, capsys):
     assert not (tmp_path / "builtin.json").exists()
 
 
+def test_cli_pp_refuses_a_width_cap_above_the_largest_table(tmp_path, capsys, monkeypatch):
+    """On K32, cap 31 makes the whole graph one subgraph, whose elimination
+    would build a table of 2^32 entries a run: pp exits 2 with one error
+    line before any elimination starts."""
+    problems = tmp_path / "problems"
+    assert main(["gen", "--topology", "complete", "--n", "32", "--count", "1",
+                 "--out", str(problems)]) == 0
+    problem_path = problems / "problem_0000.json"
+    runs_path = sample_runs(tmp_path, problem_path, "runs.json", mode="random")
+    eliminations = []
+    monkeypatch.setattr(altpp, "_eliminate",
+                        lambda problem, spins, sub: eliminations.append(sub.width) or spins)
+    capsys.readouterr()
+    assert main(["pp", "--problem", str(problem_path), "--runs-file", str(runs_path),
+                 "--method", "builtin_pp", "--width-cap", "31",
+                 "--out", str(tmp_path / "builtin.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "width_cap" in err
+    assert err.count("\n") == 1
+    assert eliminations == []
+    assert not (tmp_path / "builtin.json").exists()
+
+
 def test_cli_pp_rejects_runs_for_a_different_problem(tmp_path, capsys):
     problems = gen_problems(tmp_path)
     runs_path = sample_runs(tmp_path, problems / "problem_0000.json", "runs.json")
@@ -1038,8 +1062,14 @@ def test_sweep_hpe_records_match_standalone_hpe():
         index, mode = rec["problem"], rec["mode"]
         problem = problem_for(config, index)
         runset = mode_runset(config, problem, index, mode, rec["run_count"])
-        *_, fields = harness.apply_method(config, problem, runset, "hpe", mode, index)
-        assert fields["energy"].hex() == rec["energy"].hex()
+        # apply_method samples the cell's scales itself, or merges the cell's
+        # budget of the largest cell's scales.
+        largest = sample_many(harness.SAMPLERS[mode], harness._hpe_jobs(
+            config, harness._emulated(config, problem), mode, max(config.run_counts), index))
+        for hpe_runsets in (None, largest):
+            *_, fields = harness.apply_method(config, problem, runset, "hpe", mode, index,
+                                              hpe_runsets=hpe_runsets)
+            assert fields["energy"].hex() == rec["energy"].hex()
 
 
 @pytest.mark.parametrize("fields, mode", [

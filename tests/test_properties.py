@@ -1437,10 +1437,13 @@ def per_vertex_persistence_fix(problem, spins, threshold):
     """persistence_fix as first written, kept as its specification: the
     frozen spins, the free vertices, and the reduced problem's fields,
     each summed h first and then over the frozen neighbours in ascending
-    order, and couplings, taken from J in sorted order."""
-    frac_plus = np.count_nonzero(spins == 1, axis=0) / len(spins)
-    assignments = {v: 1 for v in np.nonzero(frac_plus >= threshold)[0].tolist()}
-    assignments.update({v: -1 for v in np.nonzero(1.0 - frac_plus >= threshold)[0].tolist()})
+    order, and couplings, taken from J in sorted order. A vertex freezes at
+    a spin when that spin's own fraction of the runs reaches ``threshold``,
+    one rule for both spins."""
+    assignments = {}
+    for spin in (1, -1):
+        agree = np.count_nonzero(spins == spin, axis=0) / len(spins)
+        assignments.update({v: spin for v in np.nonzero(agree >= threshold)[0].tolist()})
     free = tuple(v for v in range(problem.vertex_count) if v not in assignments)
     index_of = {v: i for i, v in enumerate(free)}
     nbr, nbr_w = oracle_neighbours(problem)

@@ -26,6 +26,7 @@ from isingpp import (
 from isingpp import samplers
 from isingpp.errors import InputError, ParameterError, SizeError
 from isingpp.harness import ExperimentConfig, problem_for
+from isingpp.rng import child_sequences, make_generator
 from isingpp.samplers import Provenance, _level_tables
 
 from conftest import make_chimera_problem, oracle_ground, oracle_neighbours
@@ -384,6 +385,13 @@ class TestRandomRuns:
         a = random_runs(problem, count=20, seed=8)
         b = random_runs(problem, count=20, seed=8)
         assert np.array_equal(a.spins_matrix(), b.spins_matrix())
+
+    def test_runs_are_the_annealers_initial_states(self):
+        problem = make_chimera_problem(seed=2, rows=2, cols=2)
+        rs = random_runs(problem, count=7, seed=8)
+        gens = [make_generator(s) for s in child_sequences(8, 7)]
+        state = samplers._initial_state(gens, np.arange(problem.vertex_count))
+        assert np.array_equal(rs.spins, np.where(state[:-1].T, 1, -1))
 
     def test_runs_differ_from_each_other(self):
         problem = make_chimera_problem(seed=2, rows=2, cols=2)
