@@ -164,7 +164,6 @@ def test_config_rejects_wrong_types(doc):
     "method, overrides, field",
     [
         ("builtin_pp", {"width_cap": 0}, "width_cap"),
-        ("builtin_pp", {"width_cap": 23}, "width_cap"),
         ("sample_persistence", {"persistence_threshold": 0.5}, "persistence_threshold"),
         ("sample_persistence", {"persistence_threshold": 1.01}, "persistence_threshold"),
         ("sample_persistence", {"persistence_rounds": 0}, "persistence_rounds"),
@@ -175,6 +174,7 @@ def test_config_rejects_wrong_types(doc):
         ("hpe", {"j_range": (1.0, -1.0)}, "j_range"),
         ("hpe", {"hpe_levels": 1}, "hpe_levels"),
         ("sample_persistence", {"run_counts": (4, 1)}, "run_counts"),
+        ("builtin_pp", {"width_cap": 23}, "width_cap"),
     ],
 )
 def test_config_checks_parameters_of_listed_methods(method, overrides, field):
