@@ -35,6 +35,10 @@ ENERGY_ATOL = 1e-9
 # have. Sizes are checked before anything of that size is allocated.
 SIZE_LIMIT = 1 << 20
 
+# evaluate_many sums this many rows at a time, so its temporaries do not
+# grow with the number of runs.
+_EVAL_ROWS = 256
+
 
 # Vertex ids are Python or numpy integers, never bools or floats.
 _VERTEX_ID_TYPES = frozenset({int, *(np.dtype(c).type for c in np.typecodes["AllInteger"])})
@@ -238,11 +242,15 @@ class IsingProblem:
         if s.dtype != SPIN_DTYPE:
             s = s.astype(np.float64, copy=False)
         self._check_length(s)
-        energies = np.sum(self._h_vec * s, axis=1)
-        if self._edge_w.size:
-            energies += np.sum(
-                self._edge_w * (s.take(self._edge_a, axis=1) * s.take(self._edge_b, axis=1)),
-                axis=1)
+        energies = np.empty(len(s), dtype=np.float64)
+        # A row's sums do not depend on the other rows, so blocks of rows
+        # give every row the bits of the whole matrix's sums.
+        for lo in range(0, len(s), _EVAL_ROWS):
+            rows, out = s[lo:lo + _EVAL_ROWS], energies[lo:lo + _EVAL_ROWS]
+            np.sum(self._h_vec * rows, axis=1, out=out)
+            if self._edge_w.size:
+                out += np.sum(self._edge_w * (rows.take(self._edge_a, axis=1)
+                                              * rows.take(self._edge_b, axis=1)), axis=1)
         return energies
 
     def configuration(self, spins) -> "SpinConfiguration":

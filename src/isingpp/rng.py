@@ -52,3 +52,13 @@ def child_sequences(seed, count: int):
     after it, so per-run streams do not depend on execution order.
     """
     return np.random.SeedSequence(int(seed) & _MASK64).spawn(count)
+
+
+def child_generators(seed, count: int):
+    """Generators of the ``child_sequences(seed, count)`` streams, each
+    made only when iteration reaches it. ``spawn`` numbers a sequence's
+    children on from its last call, so spawning one at a time gives the
+    same children."""
+    master = np.random.SeedSequence(int(seed) & _MASK64)
+    for _ in range(count):
+        yield make_generator(master.spawn(1)[0])

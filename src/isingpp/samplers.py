@@ -5,7 +5,7 @@ provenance records the sampler name, its parameters, and the seed, so a
 runs file can be regenerated exactly. Energies come from one call of
 ``IsingProblem.evaluate_many``, the package's one energy kernel.
 Per-run randomness comes from per-run child streams of the master seed
-(see rng.child_sequences), which makes the output independent of how runs
+(see rng.child_generators), which makes the output independent of how runs
 are scheduled.
 """
 
@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from itertools import chain, islice
 
 import numpy as np
 
 from .core import SPIN_DTYPE, IsingProblem, SpinConfiguration
 from .errors import InputError, ParameterError, SizeError
-from .rng import child_sequences, make_generator
+from .rng import child_generators, make_generator
 
 EXACT_VERTEX_CAP = 25
 # exact_ground_state evaluates up to 2 ** _EXACT_CHUNK_BITS states a call.
@@ -361,19 +362,20 @@ def simulated_anneal_many(jobs) -> list:
     for (sweeps, schedule), ks in pools.items():
         betas = schedule.betas(sweeps)
         counts = [jobs[k][1].num_runs for k in ks]
-        gens = [make_generator(s) for k in ks
-                for s in child_sequences(jobs[k][1].seed, jobs[k][1].num_runs)]
+        total = sum(counts)
+        gens = chain.from_iterable(child_generators(jobs[k][1].seed, jobs[k][1].num_runs)
+                                   for k in ks)
         column_job = np.repeat(ks, counts)
         # Runs are independent chains; annealing them in blocks bounds the
-        # per-level temporaries to _RUN_BLOCK columns. The blocks are of
-        # equal size, as a smaller block draws more sweeps of uniforms a
-        # generator call (see _sweep_uniforms).
-        blocks = -(-len(gens) // _RUN_BLOCK)
-        size = -(-len(gens) // blocks)
-        pooled = np.empty((len(gens), len(order)), dtype=SPIN_DTYPE)
-        for lo in range(0, len(gens), size):
+        # per-level temporaries, and the generators alive, to _RUN_BLOCK
+        # columns. The blocks are of equal size, as a smaller block draws
+        # more sweeps of uniforms a generator call (see _sweep_uniforms).
+        blocks = -(-total // _RUN_BLOCK)
+        size = -(-total // blocks)
+        pooled = np.empty((total, len(order)), dtype=SPIN_DTYPE)
+        for lo in range(0, total, size):
             pooled[lo:lo + size] = _anneal_block(
-                order, levels, lag, column_job[lo:lo + size], betas, gens[lo:lo + size])
+                order, levels, lag, column_job[lo:lo + size], betas, list(islice(gens, size)))
         for k, block in zip(ks, np.split(pooled, np.cumsum(counts)[:-1])):
             spins[k] = block
     return [_wrap_runs(problem, s, "simulated_anneal", params.to_dict(), params.seed, pid)
@@ -721,8 +723,12 @@ def random_runs(problem: IsingProblem, count: int, seed: int,
     n = problem.vertex_count
     if n == 0:
         raise InputError("cannot sample a problem with no vertices")
-    gens = [make_generator(s) for s in child_sequences(seed, count)]
-    spins = np.ascontiguousarray(_SPINS[_initial_state(gens, np.arange(n))[:n].T])
+    gens = child_generators(seed, count)
+    spins = np.empty((count, n), dtype=SPIN_DTYPE)
+    # Block by block, so only one block's generators are alive at once.
+    for lo in range(0, count, _RUN_BLOCK):
+        state = _initial_state(list(islice(gens, _RUN_BLOCK)), np.arange(n))
+        spins[lo:lo + _RUN_BLOCK] = _SPINS[state[:n].T]
     return _wrap_runs(problem, spins, "random_runs",
                       {"count": count, "seed": seed}, seed, problem_id)
 

@@ -23,8 +23,16 @@ a string over '+'/'-' with vertex 0 first:
      "provenance": {"sampler": "...", "params": {...}, "seed": 1},
      "runs": [{"spins": "+-+", "energy": -2.5}, ...]}
 
-Writers emit keys in sorted order with a trailing newline, so identical
-data produces identical bytes.
+Writers emit keys in sorted order, indented by 2, with a trailing
+newline, so identical data produces identical bytes. The runs-file
+writer follows a json-encoded head with one record template per run,
+filled with the energy's ``float.__repr__`` (json's form of a finite
+float) and the spins text, which needs no escaping: its bytes are
+``json.dump``'s. The reader checks each rule on the runs' fields in one
+pass over all runs, and names the first run that breaks any rule with
+the first rule it breaks. No writer emits a non-finite number, and each
+encodes its whole text before it opens the path, so a refused payload
+leaves no file.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ import json
 import math
 import numbers
 from dataclasses import asdict
+from itertools import chain
 
 import numpy as np
 
@@ -41,17 +50,17 @@ from .errors import InputError, ParseError
 from .samplers import Provenance, RunSet
 
 
-# Spin + 1 -> byte, and byte -> spin (0 for every byte but '+' and '-').
-_SPIN_BYTES = np.frombuffer(b"-?+", dtype=np.uint8)
+# Byte -> spin (0 for every byte but '+' and '-').
 _BYTE_SPINS = np.zeros(256, dtype=SPIN_DTYPE)
 _BYTE_SPINS[[ord("-"), ord("+")]] = [-1, 1]
 
 
 def spins_to_strings(spins) -> list:
     """'+'/'-' strings of the rows of the (m, n) +-1 matrix ``spins``,
-    cut from one byte table."""
+    cut from one text: byte 44 - s is '+' (43) for s = 1, '-' (45) for
+    s = -1."""
     m, n = spins.shape
-    text = _SPIN_BYTES[spins + 1].tobytes().decode("ascii")
+    text = (44 - spins).astype(np.uint8).tobytes().decode("ascii")
     return [text[k * n:(k + 1) * n] for k in range(m)]
 
 
@@ -73,11 +82,21 @@ def strings_to_spins(texts, where="") -> np.ndarray:
     return spins
 
 
-def write_json(payload, path):
-    """Write ``payload`` as indented JSON with sorted keys and a final newline."""
+def _json_text(payload) -> str:
+    """``payload`` as indented JSON with sorted keys; ValueError for a
+    non-finite number."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+
+
+def _write_text(text, path):
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(text)
+
+
+def write_json(payload, path):
+    """Write ``payload`` as indented JSON with sorted keys and a final
+    newline, encoded whole before the path is opened."""
+    _write_text(_json_text(payload) + "\n", path)
 
 
 def _load_json(path):
@@ -145,13 +164,48 @@ def load_problem(path) -> IsingProblem:
         raise ParseError(f"{path}: {e}") from e
 
 
+# One run's record in a runs file, laid out as json.dump(indent=2) lays it.
+_RUN_RECORD = '    {\n      "energy": %r,\n      "spins": "%s"\n    }'
+
+
 def save_runset(runset: RunSet, path):
-    write_json({
-        "problem_id": runset.problem_id,
-        "provenance": asdict(runset.provenance),
-        "runs": [{"spins": text, "energy": energy} for text, energy in
-                 zip(spins_to_strings(runset.spins), runset.energies().tolist())],
-    }, path)
+    energies = runset.energies()
+    bad = np.flatnonzero(~np.isfinite(energies))
+    if bad.size:
+        i = int(bad[0])
+        raise InputError(f"{path}: run {i} has energy {energies[i]}, not a finite number")
+    head = _json_text({"problem_id": runset.problem_id,
+                       "provenance": asdict(runset.provenance)})
+    texts = spins_to_strings(runset.spins)
+    # One % over every run's template, fed (energy, spins) run by run.
+    records = ",\n".join([_RUN_RECORD] * len(texts)) % tuple(
+        chain.from_iterable(zip(energies.tolist(), texts)))
+    # The head ends in "\n}"; the runs list is its last key.
+    _write_text(f'{head[:-2]},\n  "runs": [\n{records}\n  ]\n}}\n', path)
+
+
+def _run_fields(records, path):
+    """The spins and the energy of every run record. Each rule below is
+    checked for all runs in one pass; an error names the first run that
+    breaks any rule, with the first rule, in this order, that it breaks."""
+    records = [rec if isinstance(rec, dict) else {} for rec in records]
+    # ... (Ellipsis) marks a missing field; json never gives it.
+    texts = [rec.get("spins", ...) for rec in records]
+    energies = [rec.get("energy", ...) for rec in records]
+    rules = [
+        ([text is not ... for text in texts], ": missing field 'spins'"),
+        ([isinstance(text, str) for text in texts], ": field 'spins' must be a string"),
+        ([energy is not ... for energy in energies], ": missing field 'energy'"),
+        # A float's own test first: is_finite_number gives the same answer.
+        ([math.isfinite(energy) if type(energy) is float else is_finite_number(energy)
+          for energy in energies], " field 'energy' must be a finite number"),
+    ]
+    firsts = [passed.index(False) if False in passed else len(records)
+              for passed, _ in rules]
+    i = min(firsts)
+    if i < len(records):
+        raise ParseError(f"{path}: run {i}{rules[firsts.index(i)][1]}")
+    return texts, energies
 
 
 def load_runset(path, problem: IsingProblem | None = None) -> RunSet:
@@ -175,14 +229,7 @@ def load_runset(path, problem: IsingProblem | None = None) -> RunSet:
         raise ParseError(f"{path}: field 'runs' must be a list")
     if not records:
         raise ParseError(f"{path}: field 'runs' is empty")
-    texts, energies = [], []
-    for i, rec in enumerate(records):
-        run = f"{path}: run {i}"
-        texts.append(_typed_field(rec, "spins", run, str, "a string"))
-        energy = _field(rec, "energy", run)
-        if not is_finite_number(energy):
-            raise ParseError(f"{run} field 'energy' must be a finite number")
-        energies.append(float(energy))
+    texts, energies = _run_fields(records, path)
     runset = RunSet.from_matrix(strings_to_spins(texts, f"{path}: "), energies,
                                 _typed_field(doc, "problem_id", path, (str, type(None)),
                                              "a string or null"), provenance)
@@ -191,10 +238,11 @@ def load_runset(path, problem: IsingProblem | None = None) -> RunSet:
         if n != problem.vertex_count:
             raise InputError(f"{path}: run 0 has {n} spins, problem has "
                              f"{problem.vertex_count} vertices")
+        stored = runset.energies()
         fresh = problem.evaluate_many(runset.spins)
-        wrong = np.flatnonzero(np.abs(fresh - runset.energies()) > ENERGY_ATOL)
+        wrong = np.flatnonzero(np.abs(fresh - stored) > ENERGY_ATOL)
         if wrong.size:
             i = wrong[0]
-            raise InputError(f"{path}: run {i} stores energy {energies[i]}, "
+            raise InputError(f"{path}: run {i} stores energy {float(stored[i])}, "
                              f"evaluates to {fresh[i]}")
     return runset

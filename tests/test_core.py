@@ -1,5 +1,7 @@
 """Energy arithmetic, spin configurations, and tunnel contributions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,27 @@ class TestIsingProblem:
         batch = problem.evaluate_many(matrix)
         for row, e in zip(matrix, batch):
             assert e == problem.evaluate(row)
+
+    def test_evaluate_many_memory_is_bounded_and_bits_are_whole_matrix_sums(self):
+        """8,192 rows of default problem 0 are summed in blocks: the peak
+        stays far below the 23 MB (rows, edges) float64 temporary of one
+        whole-matrix sum, and every energy has that sum's bits."""
+        problem = problem_for(ExperimentConfig(), 0)
+        rng = np.random.default_rng(29)
+        s = rng.choice(np.array([-1, 1], dtype=np.int8), size=(8192, problem.vertex_count))
+        tracemalloc.start()
+        try:
+            energies = problem.evaluate_many(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        whole = np.sum(problem._h_vec * s, axis=1)
+        whole += np.sum(problem._edge_w * (s.take(problem._edge_a, axis=1)
+                                           * s.take(problem._edge_b, axis=1)), axis=1)
+        assert energies.tobytes() == whole.tobytes()
+        # A float matrix, and so every dtype, goes the same way.
+        assert problem.evaluate_many(s.astype(np.float64)).tobytes() == whole.tobytes()
 
     def test_length_mismatch_rejected(self):
         problem = IsingProblem(3, h={0: 1.0})

@@ -8,6 +8,7 @@ import contextlib
 import io
 import json
 import math
+import numbers
 import os
 import struct
 import tempfile
@@ -67,7 +68,7 @@ from isingpp.mqc import (
     reduce_configs,
 )
 from isingpp.rng import child_sequences, make_generator
-from isingpp.serialize import strings_to_spins
+from isingpp.serialize import _run_fields, strings_to_spins
 
 from conftest import conditional_min_enum, oracle_neighbours
 
@@ -458,16 +459,31 @@ def test_reduction_trace_matches_pairwise_levels(case):
         == packed_contributions(trace.to_dict())
 
 
+# Finite floats, with the ones whose repr takes another form drawn often.
+stored_energies = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -2.225073858507201e-308, 1e16, -1e16, 1.5e300])
+
+# JSON values that round-trip: nested lists and objects of finite numbers,
+# strings (quotes, backslashes, non-ASCII), bools and null.
+provenance_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8)
+
+
 @st.composite
 def runs_files(draw):
     """A problem and a run set of it whose stored energies are any finite
-    floats."""
+    floats, under any problem id and nested provenance params."""
     problem = draw(problems())
     runs = [SpinConfiguration(np.array(draw(spin_rows(problem.vertex_count)), dtype=np.int8),
-                              draw(st.floats(allow_nan=False, allow_infinity=False)))
+                              draw(stored_energies))
             for _ in range(draw(st.integers(1, 6)))]
     seed = draw(st.integers(-2**63, 2**63 - 1))
-    return problem, RunSet(runs, "p", Provenance("manual", {"sweeps": 3}, seed))
+    params = draw(st.dictionaries(st.text(), provenance_values, max_size=4))
+    return problem, RunSet(runs, draw(st.none() | st.text()),
+                           Provenance("manual", params, seed))
 
 
 def save_runset_per_run(runset, path):
@@ -504,7 +520,7 @@ def test_runs_file_round_trip(case):
         with open(path, "rb") as saved, open(spec, "rb") as expected:
             assert saved.read() == expected.read()
         loaded = load_runset(path)
-        fresh = RunSet([problem.configuration(r.spins) for r in runset], "p",
+        fresh = RunSet([problem.configuration(r.spins) for r in runset], runset.problem_id,
                        runset.provenance)
         save_runset(fresh, path)
         checked = load_runset(path, problem)
@@ -513,6 +529,61 @@ def test_runs_file_round_trip(case):
         assert [struct.pack("<d", r.energy) for r in after] == \
             [struct.pack("<d", r.energy) for r in before]
         assert after.provenance == before.provenance
+        assert after.problem_id == before.problem_id
+
+
+def run_fields_per_run(records, path):
+    """The runs-file reader's field checks as first written, one run at a
+    time, kept as the specification of ``_run_fields``."""
+    texts, energies = [], []
+    for i, rec in enumerate(records):
+        run = f"{path}: run {i}"
+        if not isinstance(rec, dict) or "spins" not in rec:
+            raise ParseError(f"{run}: missing field 'spins'")
+        if not isinstance(rec["spins"], str):
+            raise ParseError(f"{run}: field 'spins' must be a string")
+        if "energy" not in rec:
+            raise ParseError(f"{run}: missing field 'energy'")
+        energy = rec["energy"]
+        try:
+            finite = (not isinstance(energy, bool) and isinstance(energy, numbers.Real)
+                      and math.isfinite(energy))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ParseError(f"{run} field 'energy' must be a finite number")
+        texts.append(rec["spins"])
+        energies.append(float(energy))
+    return texts, energies
+
+
+# What json.load may give for a field, finite or not.
+field_values = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 2), st.floats(), st.text(max_size=2),
+    st.sampled_from([10**400, -10**400, "+-", []]))
+good_records = st.fixed_dictionaries({
+    "spins": st.sampled_from(["+", "-+"]),
+    "energy": st.floats(allow_nan=False, allow_infinity=False) | st.integers()})
+any_records = good_records | field_values | st.dictionaries(
+    st.sampled_from(["spins", "energy", "x"]), field_values, max_size=3)
+
+
+@derandomized
+@given(st.lists(good_records, max_size=4), st.lists(any_records, min_size=1, max_size=4))
+def test_run_fields_match_the_per_run_checks(good, rest):
+    """Whole-list checks of run records give the per-run checks' fields,
+    or their message for the first failing run and its first failing
+    check."""
+    records = good + rest
+
+    def outcome(check):
+        try:
+            texts, energies = check(records, "runs.json")
+        except ParseError as e:
+            return str(e)
+        return texts, [struct.pack("<d", float(e)) for e in energies]
+
+    assert outcome(_run_fields) == outcome(run_fields_per_run)
 
 
 @derandomized

@@ -1,6 +1,7 @@
 """Sampler determinism, chain correctness, and the enumeration oracle."""
 
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -23,13 +24,38 @@ from isingpp import (
     random_runs,
     simulated_anneal,
 )
-from isingpp import samplers
+from isingpp import rng, samplers
 from isingpp.errors import InputError, ParameterError, SizeError
 from isingpp.harness import ExperimentConfig, problem_for
 from isingpp.rng import child_sequences, make_generator
 from isingpp.samplers import Provenance, _level_tables
 
 from conftest import make_chimera_problem, oracle_ground, oracle_neighbours
+
+
+class TrackedGenerator(np.random.Generator):
+    """A Generator that can be weakly referenced."""
+
+
+@pytest.fixture
+def generator_count(monkeypatch):
+    """Counts of the generators rng.make_generator has made: those alive
+    now, and the most alive at once."""
+    count = {"alive": 0, "peak": 0}
+
+    def release():
+        count["alive"] -= 1
+
+    def tracked(seed):
+        g = TrackedGenerator(make_generator(seed).bit_generator)
+        count["alive"] += 1
+        count["peak"] = max(count["peak"], count["alive"])
+        weakref.finalize(g, release)
+        return g
+
+    for module in (rng, samplers):
+        monkeypatch.setattr(module, "make_generator", tracked)
+    return count
 
 
 class TestBetaSchedule:
@@ -283,6 +309,19 @@ class TestBatchedSampling:
             with pytest.raises(InputError, match="one graph"):
                 batched([(path, params, None), (other, params, None)])
 
+    def test_annealer_makes_one_block_of_generators_at_a_time(self, generator_count):
+        """Two jobs' 550 runs pool into three blocks of 184: no more
+        generators than one block's are alive at once, and each job gets
+        the runs of its own call."""
+        problem = make_chimera_problem(seed=3, rows=1, cols=1)
+        jobs = [(problem, SamplerParams(num_runs=300, seed=5, sweeps=2), None),
+                (problem, SamplerParams(num_runs=250, seed=6, sweeps=2), None)]
+        pooled = samplers.simulated_anneal_many(jobs)
+        assert 0 < generator_count["peak"] <= 184
+        assert generator_count["alive"] == 0
+        for rs, (_, params, _) in zip(pooled, jobs):
+            assert np.array_equal(rs.spins, simulated_anneal(problem, params).spins)
+
     def test_zero_coupling_keeps_the_graph(self):
         params = SamplerParams(num_runs=2, seed=0, fixed_beta=1.0)
         one = IsingProblem(3, {}, {(0, 1): 1.0, (1, 2): -1.0})
@@ -390,6 +429,17 @@ class TestRandomRuns:
         problem = make_chimera_problem(seed=2, rows=2, cols=2)
         rs = random_runs(problem, count=7, seed=8)
         gens = [make_generator(s) for s in child_sequences(8, 7)]
+        state = samplers._initial_state(gens, np.arange(problem.vertex_count))
+        assert np.array_equal(rs.spins, np.where(state[:-1].T, 1, -1))
+
+    def test_one_block_of_generators_at_a_time(self, generator_count):
+        """The child streams are made block by block and give the runs
+        every stream made up front gives."""
+        problem = make_chimera_problem(seed=2, rows=1, cols=1)
+        rs = random_runs(problem, count=600, seed=8)
+        assert 0 < generator_count["peak"] <= samplers._RUN_BLOCK
+        assert generator_count["alive"] == 0
+        gens = [make_generator(s) for s in child_sequences(8, 600)]
         state = samplers._initial_state(gens, np.arange(problem.vertex_count))
         assert np.array_equal(rs.spins, np.where(state[:-1].T, 1, -1))
 

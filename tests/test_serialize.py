@@ -17,7 +17,7 @@ from isingpp import (
     simulated_anneal,
 )
 from isingpp.errors import InputError, ParseError
-from isingpp.serialize import spins_to_strings, strings_to_spins
+from isingpp.serialize import spins_to_strings, strings_to_spins, write_json
 
 from conftest import make_chimera_problem
 
@@ -307,3 +307,83 @@ class TestRunsFiles:
         }))
         with pytest.raises(ParseError, match="'runs' must be a list"):
             load_runset(path)
+
+
+RUNS_HEAD = ('{"problem_id": "x", "provenance": {"sampler": "manual", "params": {}, '
+             '"seed": 0}, "runs": [{"spins": "+", "energy": 0.0}, %s]}')
+
+
+class TestRunEnergyField:
+    @pytest.mark.parametrize("record,message", [
+        ('{"spins": "-"}', ": missing field 'energy'"),
+        ('{"spins": "-", "energy": true}', " field 'energy' must be a finite number"),
+        ('{"spins": "-", "energy": "1"}', " field 'energy' must be a finite number"),
+        ('{"spins": "-", "energy": null}', " field 'energy' must be a finite number"),
+        ('{"spins": "-", "energy": [1.0]}', " field 'energy' must be a finite number"),
+        ('{"spins": "-", "energy": 1%s}' % ("0" * 399),
+         " field 'energy' must be a finite number"),
+        ('{"spins": "-", "energy": -1%s}' % ("0" * 399),
+         " field 'energy' must be a finite number"),
+        ('{"spins": "-", "energy": 1e400}', " field 'energy' must be a finite number"),
+        ('{"spins": "-", "energy": NaN}', " field 'energy' must be a finite number"),
+        ('{"spins": "-", "energy": Infinity}', " field 'energy' must be a finite number"),
+        ('{"spins": "-", "energy": -Infinity}', " field 'energy' must be a finite number"),
+    ])
+    def test_bad_energy_names_file_and_run(self, tmp_path, record, message):
+        path = tmp_path / "energy.json"
+        path.write_text(RUNS_HEAD % record)
+        with pytest.raises(ParseError) as err:
+            load_runset(path)
+        assert str(err.value) == f"{path}: run 1{message}"
+
+    def test_integer_energy_loads_as_a_float(self, tmp_path):
+        path = tmp_path / "energy.json"
+        path.write_text(RUNS_HEAD % '{"spins": "-", "energy": -3}')
+        assert load_runset(path).energies().tolist() == [0.0, -3.0]
+
+    @pytest.mark.parametrize("records,message", [
+        # Run 1's bad energy comes before run 2's bad spins.
+        ('{"spins": "-", "energy": "1"}, {"spins": 5, "energy": 0.0}',
+         "run 1 field 'energy' must be a finite number"),
+        ('{"spins": "-"}, 7', "run 1: missing field 'energy'"),
+        # Within a run, spins are checked before the energy.
+        ('{"spins": 5}, {"energy": 0.0}', "run 1: field 'spins' must be a string"),
+        ('{"energy": NaN}, {"spins": "-"}', "run 1: missing field 'spins'"),
+        ('{"spins": "-", "energy": 0.0}, [], {"spins": null}',
+         "run 2: missing field 'spins'"),
+        ('{"spins": "-", "energy": 0.0}, {"spins": "-", "energy": false}, {"spins": null}',
+         "run 2 field 'energy' must be a finite number"),
+    ])
+    def test_first_failing_run_wins(self, tmp_path, records, message):
+        path = tmp_path / "order.json"
+        path.write_text(RUNS_HEAD % records)
+        with pytest.raises(ParseError) as err:
+            load_runset(path)
+        assert str(err.value) == f"{path}: {message}"
+
+
+class TestNonFiniteNotWritten:
+    @pytest.mark.parametrize("energies,run", [([float("nan"), 1.0], 0),
+                                              ([1.0, float("inf")], 1),
+                                              ([-float("inf"), float("nan")], 0)])
+    def test_save_runset_refuses_and_writes_nothing(self, tmp_path, energies, run):
+        rs = RunSet.from_matrix(np.array([[1, -1], [-1, 1]]), energies, "x",
+                                Provenance("manual", {}, 0))
+        path = tmp_path / "runs.json"
+        with pytest.raises(InputError, match=f"run {run} has energy"):
+            save_runset(rs, path)
+        assert not path.exists()
+
+    def test_save_runset_refuses_a_non_finite_parameter(self, tmp_path):
+        rs = RunSet.from_matrix(np.array([[1, -1]]), [1.0], "x",
+                                Provenance("manual", {"beta": float("inf")}, 0))
+        path = tmp_path / "runs.json"
+        with pytest.raises(ValueError):
+            save_runset(rs, path)
+        assert not path.exists()
+
+    def test_write_json_refuses_and_writes_nothing(self, tmp_path):
+        path = tmp_path / "points.json"
+        with pytest.raises(ValueError):
+            write_json([{"x": 1.0}, {"x": [2.0, float("nan")]}], path)
+        assert not path.exists()
