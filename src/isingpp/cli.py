@@ -1,7 +1,8 @@
 """Command-line pipeline: gen, sample, pp, compare, bench, experiment.
 
 Each stage is deterministic given its flags, exits 0 on success, and
-prints a one-line diagnostic to stderr (exit 2) on any expected failure.
+prints a one-line diagnostic to stderr (exit 2) on any expected failure,
+running out of memory included.
 The ISINGPP_OUT environment variable, when set, overrides every output
 directory argument; nothing else is read from the environment.
 """
@@ -236,8 +237,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as e:
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 2
 
 

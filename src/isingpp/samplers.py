@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import SPIN_DTYPE, IsingProblem, SpinConfiguration
 from .errors import InputError, ParameterError, SizeError
-from .rng import child_generators, make_generator
+from .rng import check_child_count, child_generators, make_generator
 
 EXACT_VERTEX_CAP = 25
 # exact_ground_state evaluates up to 2 ** _EXACT_CHUNK_BITS states a call.
@@ -92,6 +92,7 @@ class SamplerParams:
     def __post_init__(self):
         if self.num_runs < 1:
             raise ParameterError(f"num_runs must be positive, got {self.num_runs}")
+        check_child_count(self.num_runs)
         if self.sweeps < 1:
             raise ParameterError(f"sweeps must be positive, got {self.sweeps}")
         if self.fixed_beta is not None and self.fixed_beta <= 0:
@@ -272,12 +273,20 @@ def _level_tables(problems, columns=0):
 
 def _initial_state(gens, order):
     """The level kernels' state: row r is vertex ``order[r]``, column i
-    the chain of ``gens[i]``, as bits (1 for spin +1) drawn as n integers;
-    row n holds the constant +1 of h and of the pad rows."""
+    the chain of ``gens[i]``, as bits (1 for spin +1); row n holds the
+    constant +1 of h and of the pad rows.
+
+    A chain's n bits are read from ceil(n / 2) raw outputs, bit 31 and
+    then bit 63 of each: exactly ``Generator.integers(0, 2, n)``, which at
+    range 2 takes the top bit of each 32-bit draw (Lemire's method), and
+    PCG64 serves 32-bit draws low half first. The doubles drawn after
+    them are the same too, as a double takes a whole output."""
     n = len(order)
+    raw = np.array([g.bit_generator.random_raw((n + 1) // 2) for g in gens], dtype="<u8")
+    # Bits 31 and 63 are the top bits of bytes 3 and 7 of a little-endian output.
+    bits = raw.view(np.uint8)[:, 3::4] >> 7
     state = np.ones((n + 1, len(gens)), dtype=np.uint8)
-    for i, g in enumerate(gens):
-        state[:n, i] = g.integers(0, 2, n)[order]
+    state[:n] = bits[:, order].T
     return state
 
 
@@ -321,13 +330,14 @@ def simulated_anneal(problem: IsingProblem, params: SamplerParams,
                      problem_id=None) -> RunSet:
     """Metropolis single-spin-flip annealing.
 
-    Run i draws from child stream i of the seed: first n integers for the
-    initial state, then n uniforms per sweep. Within a sweep vertices are
-    visited in index order; flipping spin a changes the energy by
-    dE = -2 s[a] (h[a] + sum_b J[a,b] s[b]) at O(degree) cost, the sum
-    taken left to right over a's neighbours in ascending order, and the
-    flip is accepted with probability min(1, exp(-beta dE)), uniform a of
-    the sweep deciding.
+    Run i draws from child stream i of the seed: first n bits for the
+    initial state, read from raw outputs as ``Generator.integers(0, 2,
+    n)`` draws them (see ``_initial_state``), then n uniforms per sweep.
+    Within a sweep vertices are visited in index order; flipping spin a
+    changes the energy by dE = -2 s[a] (h[a] + sum_b J[a,b] s[b]) at
+    O(degree) cost, the sum taken left to right over a's neighbours in
+    ascending order, and the flip is accepted with probability min(1,
+    exp(-beta dE)), uniform a of the sweep deciding.
 
     Blocks of up to ``_RUN_BLOCK`` runs advance together, one dependency
     level of vertices at a time (see ``_level_tables``). Vertices of one
@@ -373,23 +383,33 @@ def simulated_anneal_many(jobs) -> list:
         blocks = -(-total // _RUN_BLOCK)
         size = -(-total // blocks)
         pooled = np.empty((total, len(order)), dtype=SPIN_DTYPE)
+        block_jobs = tables = None
         for lo in range(0, total, size):
+            here, slot = np.unique(column_job[lo:lo + size], return_inverse=True)
+            # A block of the previous block's jobs reuses its tables. The
+            # old tables go before new ones are built, so only one block's
+            # are held at once.
+            if tables is None or not np.array_equal(here, block_jobs):
+                tables = None
+                tables, block_jobs = [_anneal_table(P, W, here) for _, P, W in levels], here
             pooled[lo:lo + size] = _anneal_block(
-                order, levels, lag, column_job[lo:lo + size], betas, list(islice(gens, size)))
+                order, levels, tables, lag, column_job[lo:lo + size], slot, betas,
+                list(islice(gens, size)))
         for k, block in zip(ks, np.split(pooled, np.cumsum(counts)[:-1])):
             spins[k] = block
     return [_wrap_runs(problem, s, "simulated_anneal", params.to_dict(), params.seed, pid)
             for (problem, params, pid), s in zip(jobs, spins)]
 
 
-def _anneal_block(order, levels, lag, column_job, betas, gens):
+def _anneal_block(order, levels, tables, lag, column_job, slot, betas, gens):
     """(runs, n) spins of one simulated_anneal chain per generator, run i
-    with problem ``column_job[i]``'s coefficients of the level tables. A
-    level step takes each spin's max(dE, 0) from ``_anneal_level``,
-    multiplies it by -beta, takes exp and flips the spins whose uniform
-    falls below."""
+    with problem ``column_job[i]``'s coefficients of the level tables, at
+    slot ``slot[i]`` of each level's ``_anneal_table``. A level step takes
+    each spin's max(dE, 0) from ``_anneal_level``, multiplies it by
+    -beta, takes exp and flips the spins whose uniform falls below."""
     state = _initial_state(gens, order)
-    steps = [(rows, _anneal_level(state, rows, P, W, column_job)) for rows, P, W in levels]
+    steps = [(rows, _anneal_level(state, rows, P, W, column_job, table, slot))
+             for (rows, P, W), table in zip(levels, tables)]
     uniforms = _sweep_uniforms(gens, [len(betas)] * len(gens), order, lag)
     # At a huge beta, beta * dE may overflow to inf; exp(-inf) = 0 is then
     # the right acceptance, so the overflow is not reported.
@@ -414,20 +434,18 @@ def _ordered_sum(terms):
     return np.add.accumulate(terms, axis=0)[-1] if len(terms) else 0.0
 
 
-def _anneal_level(state, rows, P, W, column_job):
+def _anneal_level(state, rows, P, W, column_job, table=None, slot=None):
     """A function that gives max(dE, 0) of flipping each spin of level
     ``rows`` in each column of ``state``, column c with problem
     ``column_job[c]``'s coefficients, as a (level size, columns) array.
 
     dE = -2 s f: the field f sums the neighbours' terms left to right,
     pads included, with ``_ordered_sum``, and then adds h. A level of at
-    most ``_TABLE_DEGREE`` neighbours reads dE from a table of each of
-    the block's problems, built once per block: the index's bit k is the
-    spin of neighbour row k (pads are +1), its top bit the site's own
-    spin. A wider level sums its terms at each step.
+    most ``_TABLE_DEGREE`` neighbours reads dE from its ``_anneal_table``,
+    column c at slot ``slot[c]``. A wider level, given no table, sums its
+    terms at each step.
     """
-    width = P.shape[0] - 1
-    if width > _TABLE_DEGREE:
+    if table is None:
         weights = W[:, :, column_job]
 
         def summed():
@@ -438,7 +456,18 @@ def _anneal_level(state, rows, P, W, column_job):
             x *= np.where(state[rows], -2.0, 2.0)
             return np.maximum(x, 0.0, out=x)
         return summed
-    jobs, slot = np.unique(column_job, return_inverse=True)
+    return _table_reader(state, np.vstack([P[1:], np.arange(rows.start, rows.stop)]),
+                         table, slot)
+
+
+def _anneal_table(P, W, jobs):
+    """The (sites, jobs, patterns) max(dE, 0) table of a level of
+    ``_level_tables`` under each of problems ``jobs``, or None for a level
+    wider than ``_TABLE_DEGREE``. An index's bit k is the spin of
+    neighbour row k (pads are +1), its top bit the site's own spin."""
+    width = P.shape[0] - 1
+    if width > _TABLE_DEGREE:
+        return None
     W = W[:, :, jobs]
     # The terms in summation order, the field of a width-0 level being
     # 0.0 + h, as _ordered_sum of no rows is 0.0.
@@ -446,8 +475,7 @@ def _anneal_level(state, rows, P, W, column_job):
     patterns = 2 << width
     f = _pattern_fields(terms, [*range(width), None] if width else [None, None], patterns)
     f *= np.where(np.arange(patterns) >> width & 1, -2.0, 2.0)
-    return _table_reader(state, np.vstack([P[1:], np.arange(rows.start, rows.stop)]),
-                         np.maximum(f, 0.0, out=f), slot)
+    return np.maximum(f, 0.0, out=f)
 
 
 def _table_reader(state, P, table, slot):
@@ -530,11 +558,12 @@ def _gibbs_chain(problem, params):
     """(num_runs, n) states of one Gibbs chain, one site at a time.
 
     The generator draws the initial state, as in ``_initial_state``, then
-    n uniforms a sweep. A site of at most ``_TABLE_DEGREE`` neighbours
-    reads ``p_up`` from a table of at most 64 entries built once per
-    chain, indexed by its neighbours' spins: bit k of its index is set
-    when its neighbour k, in adjacency order, is +1, and a flip XORs the
-    flipped site's bit into each such neighbour's index. An entry is the
+    n uniforms a sweep, ``_SWEEP_CHUNK`` sweeps a call. A site of at most
+    ``_TABLE_DEGREE`` neighbours reads ``p_up`` from a table of at most 64
+    entries built once per chain, indexed by its neighbours' spins: bit k
+    of its index is set when its neighbour k, in adjacency order, is +1,
+    and a flip XORs the flipped site's bit into each such neighbour's
+    index. An entry is the
     value a visit that sums the field would compute: h first, then
     ``w * (+-1)`` left to right (``_pattern_fields``, the level kernels'
     table builder), and p_up from the chain's one ``heat_bath``, so the
@@ -584,8 +613,12 @@ def _gibbs_chain(problem, params):
     samples = np.empty((params.num_runs, n), dtype=SPIN_DTYPE)
     collected = 0
     total_sweeps = params.burn_in + params.num_runs * params.thinning
+    drawn = np.empty((min(_SWEEP_CHUNK, total_sweeps), n), dtype=np.float64)
     for sweep in range(total_sweeps):
-        for (a, f, nbrs, table, flips), u in zip(sites, rng.random(n).tolist()):
+        # PCG64 gives k sweeps at once exactly as k draws of one sweep.
+        if sweep % len(drawn) == 0:
+            uniforms = rng.random(out=drawn[:total_sweeps - sweep]).tolist()
+        for (a, f, nbrs, table, flips), u in zip(sites, uniforms[sweep % len(drawn)]):
             if table is None:
                 # The field is summed term by term: sum() compensates float
                 # sums from Python 3.12 on, which would change the chain's bits.

@@ -775,6 +775,35 @@ def test_cli_sample_missing_problem_exits_with_diagnostic(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("mode", ["raw", "sampling", "random"])
+def test_cli_sample_refuses_more_runs_than_a_seed_has_streams(tmp_path, capsys, mode):
+    """10^12 runs exceed the 2**32 child streams of a seed: one line and
+    exit 2, before any array of the runs is allocated."""
+    problems = gen_problems(tmp_path)
+    out = tmp_path / "runs.json"
+    code = main(["sample", "--problem", str(problems / "problem_0000.json"), "--mode", mode,
+                 "--runs", "1000000000000", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "2**32" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_reports_running_out_of_memory_in_one_line(tmp_path, capsys, monkeypatch):
+    def exhausted(problem, params, problem_id=None):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setitem(harness.SAMPLERS, "raw", exhausted)
+    problems = gen_problems(tmp_path)
+    out = tmp_path / "runs.json"
+    code = main(["sample", "--problem", str(problems / "problem_0000.json"),
+                 "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: Unable to allocate 7.28 TiB for an array\n"
+    assert not out.exists()
+
+
 def test_cli_pp_reduce_lowers_energy_and_records_source(tmp_path):
     problems = gen_problems(tmp_path)
     problem = load_problem(problems / "problem_0000.json")

@@ -58,6 +58,47 @@ def generator_count(monkeypatch):
     return count
 
 
+def oracle_words(seed, count):
+    """numpy's own children of the seed, as ``child_generators`` masks it."""
+    master = np.random.SeedSequence(seed & (2**64 - 1))
+    return np.array([c.generate_state(4, np.uint64) for c in master.spawn(count)])
+
+
+class TestChildStreams:
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, -1, 10**23])
+    def test_bulk_words_are_numpys_children(self, seed):
+        """Indices 0, 255, 256, 257 and 2,047 span the word blocks."""
+        oracle = oracle_words(seed, 2048)
+        assert np.array_equal(rng.child_words(seed, 0, 2048), oracle)
+        for i in (0, 255, 256, 257, 2047):
+            assert np.array_equal(rng.child_words(seed, i, i + 1)[0], oracle[i])
+
+    @pytest.mark.parametrize("seed", [0, 2**32, 10**23])
+    def test_generators_draw_the_children_streams(self, seed):
+        gens = list(rng.child_generators(seed, 600))
+        assert len(gens) == 600
+        for i, child in enumerate(child_sequences(seed, 600)):
+            assert np.array_equal(gens[i].random(5), make_generator(child).random(5))
+
+    def test_child_count_is_bounded_before_any_stream_is_made(self):
+        with pytest.raises(ParameterError, match="2\\*\\*32"):
+            rng.child_generators(0, 2**32 + 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 127, 128, 129])
+    def test_initial_bits_are_the_integers_draws(self, n):
+        """Raw bits 31 and 63 give ``integers(0, 2, n)``, and the double
+        drawn next is the one drawn after it."""
+        for seed in range(10):
+            gens = [make_generator(c) for c in child_sequences(seed, 3)]
+            oracles = [make_generator(c) for c in child_sequences(seed, 3)]
+            order = np.random.default_rng(seed).permutation(n)
+            state = samplers._initial_state(gens, order)
+            assert state.shape == (n + 1, 3) and (state[n] == 1).all()
+            for column, g, oracle in zip(state.T, gens, oracles):
+                assert np.array_equal(column[:n], oracle.integers(0, 2, n)[order])
+                assert g.random() == oracle.random()
+
+
 class TestBetaSchedule:
     def test_geometric_endpoints(self):
         betas = BetaSchedule(0.1, 5.0, "geometric").betas(10)
@@ -89,6 +130,11 @@ class TestSamplerParams:
             SamplerParams(num_runs=1, seed=1, fixed_beta=-1.0)
         with pytest.raises(ParameterError):
             SamplerParams(num_runs=1, seed=1, thinning=0)
+
+    def test_run_count_is_bounded_by_the_child_streams(self):
+        assert SamplerParams(num_runs=2**32, seed=1).num_runs == 2**32
+        with pytest.raises(ParameterError, match="2\\*\\*32"):
+            SamplerParams(num_runs=2**32 + 1, seed=1)
 
     def test_to_dict_round_trips_schedule(self):
         params = SamplerParams(num_runs=4, seed=9, beta_schedule=BetaSchedule(0.2, 2.0))
@@ -354,15 +400,17 @@ class TestBatchedSampling:
     def test_lone_gibbs_chain_keeps_the_700_guards(self, monkeypatch):
         """The case above in the lone chain, at sites read from a table
         (8 and 9, uncoupled) and at sites that sum their field (K8 of 0.0
-        couplings): every x is 705 or -705."""
+        couplings): every x is 705 or -705. The initial state is read
+        from the real stream's raw bits."""
         real = samplers.make_generator
 
         class ZeroUniforms:
             def __init__(self, seed):
-                self.integers = real(seed).integers
+                self.bit_generator = real(seed).bit_generator
 
-            def random(self, n):
-                return np.zeros(n)
+            def random(self, out):
+                out[...] = 0.0
+                return out
 
         monkeypatch.setattr(samplers, "make_generator", ZeroUniforms)
         h = {v: (-1.0) ** v for v in range(10)}
@@ -418,6 +466,11 @@ class TestRandomRuns:
         problem = IsingProblem(2, h={0: 1.0})
         with pytest.raises(ParameterError):
             random_runs(problem, count=0, seed=1)
+
+    def test_count_is_bounded_by_the_child_streams(self):
+        problem = IsingProblem(2, h={0: 1.0})
+        with pytest.raises(ParameterError, match="2\\*\\*32"):
+            random_runs(problem, count=2**32 + 1, seed=1)
 
     def test_deterministic(self):
         problem = make_chimera_problem(seed=2, rows=1, cols=1)
