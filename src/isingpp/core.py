@@ -275,6 +275,13 @@ class IsingProblem:
         )
 
 
+def check_spins(spins):
+    """Raise ValueError unless every entry of the array ``spins`` is -1 or +1."""
+    bad = spins[(spins != 1) & (spins != -1)]
+    if bad.size:
+        raise ValueError(f"spins must be -1 or +1, found {np.unique(bad).tolist()}")
+
+
 @dataclass(frozen=True, eq=False, slots=True)
 class SpinConfiguration:
     """One optimizer run: a spin vector plus its cached energy.
@@ -288,9 +295,7 @@ class SpinConfiguration:
 
     def __post_init__(self):
         arr = np.asarray(self.spins, dtype=SPIN_DTYPE)
-        bad = arr[(arr != 1) & (arr != -1)]
-        if bad.size:
-            raise ValueError(f"spins must be -1 or +1, found {np.unique(bad).tolist()}")
+        check_spins(arr)
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "spins", arr)

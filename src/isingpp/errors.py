@@ -29,8 +29,8 @@ class WidthError(ValueError):
 
 
 class ParseError(ValueError):
-    """A problem, runs, or config file is malformed. Message names the
-    offending line or field."""
+    """A problem or runs file is malformed; a bad config file raises
+    ConfigError, a results file InputError. Message names the line or field."""
 
 
 class ConfigError(ValueError):

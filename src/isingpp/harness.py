@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import gc
 import itertools
-import json
 import math
-import numbers
 import os
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -43,7 +41,8 @@ from .samplers import (
     sample_many,
     simulated_anneal,
 )
-from .serialize import is_finite_number, write_json
+# load_records is imported from here too, by the CLI and the benchmark.
+from .serialize import is_type, load_records, read_json, write_json, write_records, write_text
 from .topology import (
     ChimeraSpec,
     ProblemGenSpec,
@@ -98,17 +97,6 @@ def default_topology() -> dict:
     return {"kind": "chimera", "rows": 4, "cols": 4, "shore": 4}
 
 
-def _is_type(value, kind: str) -> bool:
-    """Whether ``value`` is an int, a finite float (ints count), a str or a dict."""
-    if isinstance(value, bool):
-        return False
-    if kind == "int":
-        return isinstance(value, numbers.Integral)
-    if kind == "float":
-        return is_finite_number(value)
-    return isinstance(value, {"str": str, "dict": dict}[kind])
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a run of the harness depends on."""
@@ -141,9 +129,9 @@ class ExperimentConfig:
             if f.name in _SEQUENCE_ITEMS:
                 kind = _SEQUENCE_ITEMS[f.name]
                 if not isinstance(value, (list, tuple)) or not all(
-                        _is_type(v, kind) for v in value):
+                        is_type(v, kind) for v in value):
                     raise ConfigError(f"{f.name} must be a list of {kind}, got {value!r}")
-            elif not _is_type(value, f.type):
+            elif not is_type(value, f.type):
                 raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
         for name, kind in _SEQUENCE_ITEMS.items():
             convert = {"int": int, "float": float, "str": str}[kind]
@@ -211,12 +199,7 @@ class ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{path}: line {e.lineno}: {e.msg}") from e
-    return ExperimentConfig.from_dict(doc)
+    return ExperimentConfig.from_dict(read_json(path, ConfigError))
 
 
 def topology_graph(topology: dict):
@@ -226,7 +209,7 @@ def topology_graph(topology: dict):
         raise ConfigError(f"unknown topology kind {kind!r}")
     keys, build = TOPOLOGIES[kind]
     for key in keys:
-        if not _is_type(topology.get(key), "int"):
+        if not is_type(topology.get(key), "int"):
             raise ConfigError(
                 f"topology {kind!r} needs an integer {key!r}, got {topology.get(key)!r}"
             )
@@ -511,52 +494,14 @@ def write_report(rows, out_dir):
     """Write report.json and report.txt for ``rows`` into ``out_dir``."""
     os.makedirs(out_dir, exist_ok=True)
     write_json([r.to_dict() for r in rows], os.path.join(out_dir, "report.json"))
-    with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as f:
-        f.write(render_report(rows))
+    write_text(render_report(rows), os.path.join(out_dir, "report.txt"))
 
 
 def write_outputs(config: ExperimentConfig, records, rows, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     write_json(config.to_dict(), os.path.join(out_dir, "config.json"))
-    with open(os.path.join(out_dir, "results.jsonl"), "w", encoding="utf-8") as f:
-        for rec in records:
-            f.write(json.dumps(rec, sort_keys=True) + "\n")
+    write_records(records, os.path.join(out_dir, "results.jsonl"))
     write_report(rows, out_dir)
-
-
-# Fields every results record needs, with their kind for ``_is_type``.
-_RECORD_FIELDS = {"problem": "int", "run_count": "int", "mode": "str", "method": "str",
-                  "energy": "float"}
-
-
-def load_records(path):
-    """Records of a results.jsonl file, one JSON object a line.
-
-    Each record needs integer ``problem`` and ``run_count``, string
-    ``mode`` and ``method`` and a finite number ``energy``. Syntax is
-    checked on every line first; then the first bad field raises
-    InputError naming its line.
-    """
-    lines = []
-    with open(path, "r", encoding="utf-8") as f:
-        for i, line in enumerate(f):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                lines.append((i + 1, json.loads(line)))
-            except json.JSONDecodeError as e:
-                raise InputError(f"{path}: line {i + 1}: {e.msg}") from e
-    if not lines:
-        raise InputError(f"{path}: no records")
-    for lineno, rec in lines:
-        if not isinstance(rec, dict):
-            raise InputError(f"{path}: line {lineno}: a record must be a JSON object")
-        for name, kind in _RECORD_FIELDS.items():
-            if not _is_type(rec.get(name), kind):
-                raise InputError(f"{path}: line {lineno}: field {name!r} must be {kind}, "
-                                 f"got {rec.get(name)!r}")
-    return [rec for _, rec in lines]
 
 
 @dataclass(frozen=True, slots=True)
@@ -597,9 +542,8 @@ def sensitivity_report(config: ExperimentConfig, out_dir=None,
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         write_json(report.to_dict(), os.path.join(out_dir, "sensitivity.json"))
-        with open(os.path.join(out_dir, "sensitivity.txt"), "w", encoding="utf-8") as f:
-            f.write(render_report(report.rows))
-            f.write(f"\ninstances with differing strategies: {len(report.differing)}\n")
+        write_text(render_report(report.rows) + f"\ninstances with differing strategies: "
+                   f"{len(report.differing)}\n", os.path.join(out_dir, "sensitivity.txt"))
     return report
 
 

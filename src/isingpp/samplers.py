@@ -12,12 +12,13 @@ are scheduled.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 from itertools import chain, islice
 
 import numpy as np
 
-from .core import SPIN_DTYPE, IsingProblem, SpinConfiguration
+from .core import SPIN_DTYPE, IsingProblem, SpinConfiguration, check_spins
 from .errors import InputError, ParameterError, SizeError
 from .rng import check_child_count, child_generators, make_generator
 
@@ -46,21 +47,24 @@ DEFAULT_THINNING = 10
 # The beta spacing of each annealing interpolation.
 INTERPOLATIONS = {"geometric": np.geomspace, "linear": np.linspace}
 DEFAULT_INTERPOLATION = "geometric"
+# The largest fixed_beta: Gibbs sampling multiplies fields by 2 beta. Were
+# it inf, a zero field would give inf * 0 = nan, and the spin -1 always.
+MAX_FIXED_BETA = sys.float_info.max / 2
 
 
 @dataclass(frozen=True, slots=True)
 class BetaSchedule:
-    """Inverse-temperature ramp for annealing, one value per sweep."""
+    """Inverse-temperature ramp for annealing, one finite positive value
+    per sweep."""
 
     start: float
     end: float
     interpolation: str = DEFAULT_INTERPOLATION
 
     def __post_init__(self):
-        if not (0 < self.start <= self.end):
-            raise ParameterError(
-                f"need 0 < start <= end, got start={self.start}, end={self.end}"
-            )
+        if not (0 < self.start <= self.end <= sys.float_info.max):
+            raise ParameterError(f"need 0 < start <= end, both finite, "
+                                 f"got start={self.start}, end={self.end}")
         if self.interpolation not in INTERPOLATIONS:
             raise ParameterError(f"unknown interpolation {self.interpolation!r}")
         # numpy holds an int beyond 64 bits as an object, which the
@@ -76,8 +80,8 @@ class BetaSchedule:
 class SamplerParams:
     """Knobs shared by the stochastic samplers.
 
-    ``beta_schedule`` drives simulated annealing; ``fixed_beta`` plus
-    ``burn_in``/``thinning`` drive the Gibbs chain.
+    ``beta_schedule`` drives simulated annealing; ``fixed_beta``, in (0,
+    ``MAX_FIXED_BETA``], plus ``burn_in``/``thinning`` drive the Gibbs chain.
     """
 
     num_runs: int
@@ -95,8 +99,9 @@ class SamplerParams:
         check_child_count(self.num_runs)
         if self.sweeps < 1:
             raise ParameterError(f"sweeps must be positive, got {self.sweeps}")
-        if self.fixed_beta is not None and self.fixed_beta <= 0:
-            raise ParameterError(f"fixed_beta must be positive, got {self.fixed_beta}")
+        if self.fixed_beta is not None and not 0 < self.fixed_beta <= MAX_FIXED_BETA:
+            raise ParameterError(
+                f"fixed_beta must lie in (0, {MAX_FIXED_BETA!r}], got {self.fixed_beta}")
         if self.burn_in < 0:
             raise ParameterError(f"burn_in must be non-negative, got {self.burn_in}")
         if self.thinning < 1:
@@ -145,9 +150,7 @@ class RunSet:
         if spins.ndim != 2 or not len(spins) or energies.shape != spins.shape[:1]:
             raise InputError(f"a RunSet needs m >= 1 runs as an (m, n) spin matrix and m "
                              f"energies, got shapes {spins.shape} and {energies.shape}")
-        bad = spins[(spins != 1) & (spins != -1)]
-        if bad.size:
-            raise ValueError(f"spins must be -1 or +1, found {np.unique(bad).tolist()}")
+        check_spins(spins)
         spins.setflags(write=False)
         energies.setflags(write=False)
         for name, value in zip(self.__slots__, (spins, energies, problem_id, provenance)):

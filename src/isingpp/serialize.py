@@ -1,4 +1,5 @@
-"""Reading and writing problem and runs files.
+"""The one file layer: encoding, decoding and type-checking problem,
+runs, config, results, report and sensitivity files.
 
 Problem files are JSON documents:
 
@@ -23,16 +24,21 @@ a string over '+'/'-' with vertex 0 first:
      "provenance": {"sampler": "...", "params": {...}, "seed": 1},
      "runs": [{"spins": "+-+", "energy": -2.5}, ...]}
 
-Writers emit keys in sorted order, indented by 2, with a trailing
-newline, so identical data produces identical bytes. The runs-file
-writer follows a json-encoded head with one record template per run,
-filled with the energy's ``float.__repr__`` (json's form of a finite
-float) and the spins text, which needs no escaping: its bytes are
-``json.dump``'s. The reader checks each rule on the runs' fields in one
-pass over all runs, and names the first run that breaks any rule with
-the first rule it breaks. No writer emits a non-finite number, and each
-encodes its whole text before it opens the path, so a refused payload
-leaves no file.
+A config file is one JSON object of ``ExperimentConfig`` fields, a
+results file (``results.jsonl``) one JSON record a line, and report and
+sensitivity files a JSON table and a text table each. ``read_json``
+raises the caller's error type, and ``is_type`` checks every JSON value.
+
+Writers emit keys in sorted order, indented by 2 (results records one a
+line), with a trailing newline, so identical data produces identical
+bytes. The runs-file writer follows a json-encoded head with one record
+template per run, filled with the energy's ``float.__repr__`` (json's
+form of a finite float) and the spins text, which needs no escaping: its
+bytes are ``json.dump``'s. The reader checks each rule on the runs'
+fields in one pass over all runs, and names the first run that breaks
+any rule with the first rule it breaks. No writer emits a non-finite
+number, and each encodes its whole text before it opens the path, so a
+refused payload leaves no file.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from itertools import chain
 
 import numpy as np
 
-from .core import ENERGY_ATOL, SPIN_DTYPE, IsingProblem
+from .core import ENERGY_ATOL, SPIN_DTYPE, IsingProblem, _float, _reject_first
 from .errors import InputError, ParseError
 from .samplers import Provenance, RunSet
 
@@ -88,7 +94,9 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
 
 
-def _write_text(text, path):
+def write_text(text, path):
+    """Write the text ``text`` to ``path``. Callers encode the whole text
+    first, so a payload that fails to encode leaves no file."""
     with open(path, "w", encoding="utf-8") as f:
         f.write(text)
 
@@ -96,15 +104,41 @@ def _write_text(text, path):
 def write_json(payload, path):
     """Write ``payload`` as indented JSON with sorted keys and a final
     newline, encoded whole before the path is opened."""
-    _write_text(_json_text(payload) + "\n", path)
+    write_text(_json_text(payload) + "\n", path)
 
 
-def _load_json(path):
+def write_records(records, path):
+    """Write a results file: each record as one line of JSON, keys sorted."""
+    write_text("".join(json.dumps(rec, sort_keys=True, allow_nan=False) + "\n"
+                       for rec in records), path)
+
+
+def _decode(text, path, error, line=1):
+    """The JSON value ``text``, which starts on line ``line`` of ``path``;
+    a syntax error raises ``error`` naming the line it is on."""
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            return json.load(f)
+        return json.loads(text)
     except json.JSONDecodeError as e:
-        raise ParseError(f"{path}: line {e.lineno}: {e.msg}") from e
+        raise error(f"{path}: line {line + e.lineno - 1}: {e.msg}") from e
+
+
+def read_json(path, error=ParseError):
+    """The JSON document in ``path``; a syntax error raises ``error``."""
+    with open(path, "r", encoding="utf-8") as f:
+        return _decode(f.read(), path, error)
+
+
+# The Python type of each JSON value kind.
+_KINDS = {"int": numbers.Integral, "float": numbers.Real, "str": str, "dict": dict,
+          "list": list, "null": type(None)}
+
+
+def is_type(value, kind: str) -> bool:
+    """Whether ``value`` is a JSON value of ``kind``, never a bool: an
+    int, a finite float (ints count), a str, a dict, a list or None."""
+    if isinstance(value, bool) or not isinstance(value, _KINDS[kind]):
+        return False
+    return kind != "float" or math.isfinite(_float(value))
 
 
 def _field(doc, name, path):
@@ -113,22 +147,12 @@ def _field(doc, name, path):
     return doc[name]
 
 
-def _typed_field(doc, name, path, types, form):
-    """``doc[name]``, which must be one of ``types`` (never a bool)."""
+def _typed_field(doc, name, path, form, *kinds):
+    """``doc[name]``, which must be a JSON value of one of ``kinds``."""
     value = _field(doc, name, path)
-    if not isinstance(value, types) or isinstance(value, bool):
+    if not any(is_type(value, kind) for kind in kinds):
         raise ParseError(f"{path}: field {name!r} must be {form}")
     return value
-
-
-def is_finite_number(value) -> bool:
-    """Whether ``value`` is a real number, not a bool, with a finite float value."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int beyond the float range
-        return False
 
 
 def save_problem(problem: IsingProblem, path):
@@ -144,7 +168,7 @@ def save_problem(problem: IsingProblem, path):
 def _columns(doc, name, path, width):
     """Field ``name`` of ``doc``, a list of lists of ``width`` items, as
     ``width`` columns."""
-    entries = _typed_field(doc, name, path, list, "a list")
+    entries = _typed_field(doc, name, path, "a list", "list")
     for i, entry in enumerate(entries):
         if not isinstance(entry, list) or len(entry) != width:
             raise ParseError(f"{path}: field {name!r} entry {i} must be a list of {width} items")
@@ -152,9 +176,9 @@ def _columns(doc, name, path, width):
 
 
 def load_problem(path) -> IsingProblem:
-    doc = _load_json(path)
+    doc = read_json(path)
     n = _field(doc, "vertex_count", path)
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+    if not is_type(n, "int") or n < 0:
         raise ParseError(f"{path}: field 'vertex_count' must be a non-negative integer")
     vertices, h_values = _columns(doc, "h", path, 2)
     a, b, couplings = _columns(doc, "J", path, 3)
@@ -181,7 +205,7 @@ def save_runset(runset: RunSet, path):
     records = ",\n".join([_RUN_RECORD] * len(texts)) % tuple(
         chain.from_iterable(zip(energies.tolist(), texts)))
     # The head ends in "\n}"; the runs list is its last key.
-    _write_text(f'{head[:-2]},\n  "runs": [\n{records}\n  ]\n}}\n', path)
+    write_text(f'{head[:-2]},\n  "runs": [\n{records}\n  ]\n}}\n', path)
 
 
 def _run_fields(records, path):
@@ -196,15 +220,12 @@ def _run_fields(records, path):
         ([text is not ... for text in texts], ": missing field 'spins'"),
         ([isinstance(text, str) for text in texts], ": field 'spins' must be a string"),
         ([energy is not ... for energy in energies], ": missing field 'energy'"),
-        # A float's own test first: is_finite_number gives the same answer.
-        ([math.isfinite(energy) if type(energy) is float else is_finite_number(energy)
+        # A float's own test first: is_type gives the same answer.
+        ([math.isfinite(energy) if type(energy) is float else is_type(energy, "float")
           for energy in energies], " field 'energy' must be a finite number"),
     ]
-    firsts = [passed.index(False) if False in passed else len(records)
-              for passed, _ in rules]
-    i = min(firsts)
-    if i < len(records):
-        raise ParseError(f"{path}: run {i}{rules[firsts.index(i)][1]}")
+    _reject_first([(passed, lambda i, rule=rule: ParseError(f"{path}: run {i}{rule}"))
+                   for passed, rule in rules])
     return texts, energies
 
 
@@ -217,22 +238,20 @@ def load_runset(path, problem: IsingProblem | None = None) -> RunSet:
     ``spins`` a string and its ``energy`` a finite number. Spins are
     decoded, and energies re-checked, all at once.
     """
-    doc = _load_json(path)
+    doc = read_json(path)
     prov_doc = _field(doc, "provenance", path)
     provenance = Provenance(
-        sampler=_typed_field(prov_doc, "sampler", path, str, "a string"),
-        params=_typed_field(prov_doc, "params", path, dict, "an object"),
-        seed=_typed_field(prov_doc, "seed", path, int, "an integer"),
+        sampler=_typed_field(prov_doc, "sampler", path, "a string", "str"),
+        params=_typed_field(prov_doc, "params", path, "an object", "dict"),
+        seed=_typed_field(prov_doc, "seed", path, "an integer", "int"),
     )
-    records = _field(doc, "runs", path)
-    if not isinstance(records, list):
-        raise ParseError(f"{path}: field 'runs' must be a list")
+    records = _typed_field(doc, "runs", path, "a list", "list")
     if not records:
         raise ParseError(f"{path}: field 'runs' is empty")
     texts, energies = _run_fields(records, path)
     runset = RunSet.from_matrix(strings_to_spins(texts, f"{path}: "), energies,
-                                _typed_field(doc, "problem_id", path, (str, type(None)),
-                                             "a string or null"), provenance)
+                                _typed_field(doc, "problem_id", path, "a string or null",
+                                             "str", "null"), provenance)
     if problem is not None:
         n = runset.spins.shape[1]
         if n != problem.vertex_count:
@@ -246,3 +265,31 @@ def load_runset(path, problem: IsingProblem | None = None) -> RunSet:
             raise InputError(f"{path}: run {i} stores energy {float(stored[i])}, "
                              f"evaluates to {fresh[i]}")
     return runset
+
+
+# Fields every results record needs, with their kind for ``is_type``.
+_RECORD_FIELDS = {"problem": "int", "run_count": "int", "mode": "str", "method": "str",
+                  "energy": "float"}
+
+
+def load_records(path):
+    """Records of a results file, one JSON object a line.
+
+    Each record needs integer ``problem`` and ``run_count``, string
+    ``mode`` and ``method`` and a finite number ``energy``. Syntax is
+    checked on every line first; then the first bad field raises
+    InputError naming its line.
+    """
+    with open(path, "r", encoding="utf-8") as f:
+        records = [(n, _decode(text, path, InputError, n))
+                   for n, text in enumerate(map(str.strip, f), 1) if text]
+    if not records:
+        raise InputError(f"{path}: no records")
+    for n, rec in records:
+        if not is_type(rec, "dict"):
+            raise InputError(f"{path}: line {n}: a record must be a JSON object")
+        for name, kind in _RECORD_FIELDS.items():
+            if not is_type(rec.get(name), kind):
+                raise InputError(f"{path}: line {n}: field {name!r} must be {kind}, "
+                                 f"got {rec.get(name)!r}")
+    return [rec for _, rec in records]

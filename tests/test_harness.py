@@ -444,6 +444,15 @@ def test_load_records_checks_each_record(tmp_path, field, value):
         load_records(path)
 
 
+def test_write_outputs_refuses_a_non_finite_record(tmp_path):
+    """The results writer encodes every record before it opens the file,
+    so a nan energy, which load_records would refuse, leaves no file."""
+    records = [GOOD_RECORD, {**GOOD_RECORD, "best_input": 1.0, "energy": float("nan")}]
+    with pytest.raises(ValueError):
+        harness.write_outputs(tiny_config(), records, [], tmp_path)
+    assert not (tmp_path / "results.jsonl").exists()
+
+
 def test_load_records_rejects_non_object_line(tmp_path):
     path = tmp_path / "results.jsonl"
     path.write_text(json.dumps(GOOD_RECORD) + "\n[1, 2]\n", encoding="utf-8")
@@ -745,6 +754,19 @@ def test_cli_sample_at_huge_beta_quenches_without_warnings(tmp_path):
         # Row a is the run with spin a flipped.
         flips = np.where(np.eye(n, dtype=bool), -run.spins, run.spins)
         assert (problem.evaluate_many(flips) - problem.evaluate(run.spins) >= -1e-9).all()
+
+
+def test_cli_sample_rejects_a_gibbs_beta_whose_double_overflows(tmp_path, capsys):
+    """Gibbs sampling multiplies fields by 2 beta; at inf a zero field
+    gives inf * 0 = nan, which would set the spin to -1 every time."""
+    problems = gen_problems(tmp_path)
+    out = tmp_path / "runs.json"
+    assert main(["sample", "--problem", str(problems / "problem_0000.json"),
+                 "--mode", "sampling", "--beta", "1e308", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "fixed_beta" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("mode", ["raw", "sampling", "random"])
@@ -1108,6 +1130,8 @@ def test_sweep_hpe_records_match_standalone_hpe():
     ({"gibbs_beta": 0.0}, "sampling"),
     ({"gibbs_thinning": 0}, "sampling"),
     ({"gibbs_burn_in": -1}, "sampling"),
+    # 2 * beta overflows; a zero field would give a spin of nan odds.
+    ({"gibbs_beta": 1e308}, "sampling"),
 ])
 def test_cli_experiment_rejects_bad_sampler_settings_before_sampling(
         tmp_path, capsys, monkeypatch, fields, mode):

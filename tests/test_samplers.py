@@ -1,6 +1,8 @@
 """Sampler determinism, chain correctness, and the enumeration oracle."""
 
 import hashlib
+import math
+import warnings
 import weakref
 
 import numpy as np
@@ -18,6 +20,7 @@ from isingpp import (
     complete_graph,
     exact_ground_state,
     gibbs_sample,
+    gibbs_sample_many,
     grid_graph,
     path_graph,
     random_problem,
@@ -119,6 +122,14 @@ class TestBetaSchedule:
         with pytest.raises(ParameterError):
             BetaSchedule(0.1, 1.0, "cubic")
 
+    @pytest.mark.parametrize("start, end", [(1.0, math.inf), (math.nan, 1.0),
+                                            (1.0, math.nan),
+                                            pytest.param(1.0, 10**400, id="1.0-10**400")])
+    def test_refuses_non_finite_betas(self, start, end):
+        # At beta = inf a flip of dE = 0 gets 0 * -inf = nan odds, and is never taken.
+        with pytest.raises(ParameterError, match="both finite"):
+            BetaSchedule(start, end)
+
 
 class TestSamplerParams:
     def test_validation(self):
@@ -130,6 +141,12 @@ class TestSamplerParams:
             SamplerParams(num_runs=1, seed=1, fixed_beta=-1.0)
         with pytest.raises(ParameterError):
             SamplerParams(num_runs=1, seed=1, thinning=0)
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, 1e308,
+                                      pytest.param(10**400, id="10**400")])
+    def test_refuses_a_fixed_beta_whose_double_is_not_finite(self, beta):
+        with pytest.raises(ParameterError, match="fixed_beta"):
+            SamplerParams(num_runs=1, seed=1, fixed_beta=beta)
 
     def test_run_count_is_bounded_by_the_child_streams(self):
         assert SamplerParams(num_runs=2**32, seed=1).num_runs == 2**32
@@ -451,6 +468,20 @@ class TestGibbsSample:
             num_runs=10000, seed=3, fixed_beta=0.01, burn_in=50, thinning=1))
         means = rs.spins_matrix().astype(np.float64).mean(axis=0)
         assert np.all(np.abs(means) < 0.1)
+
+    @pytest.mark.parametrize("beta", [1e300, samplers.MAX_FIXED_BETA])
+    def test_zero_field_site_is_a_fair_coin_at_the_largest_betas(self, beta):
+        """2 beta f is finite or +-inf, never nan, so vertex 0, with no
+        field, takes each spin half the time, alone and in columns."""
+        problem = IsingProblem(3, {0: 0.0, 1: 0.5}, {(1, 2): 1.0})
+        params = [SamplerParams(num_runs=2000, seed=seed, fixed_beta=beta, burn_in=0,
+                                thinning=1) for seed in (0, 1)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            runsets = [gibbs_sample(problem, params[0]),
+                       *gibbs_sample_many([(problem, q, None) for q in params])]
+        for rs in runsets:
+            assert abs(rs.spins[:, 0].mean()) < 0.1
 
     def test_sample_count_and_provenance(self):
         problem = make_chimera_problem(seed=21, rows=1, cols=1)

@@ -1,6 +1,9 @@
-"""Problem and runs file round trips and parse diagnostics."""
+"""Problem and runs file round trips, parse diagnostics, and the one file
+layer."""
 
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -387,3 +390,31 @@ class TestNonFiniteNotWritten:
         with pytest.raises(ValueError):
             write_json([{"x": 1.0}, {"x": [2.0, float("nan")]}], path)
         assert not path.exists()
+
+
+# json's encoders and decoders; only serialize calls them.
+_JSON_CALLS = {"load", "loads", "dump", "dumps"}
+
+
+def file_calls(path):
+    """``line: call`` of every ``open(...)`` and ``json.<load|loads|dump|dumps>(...)``
+    in ``path``, read with ``ast``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "open":
+            found.append(f"{node.lineno}: open")
+        elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+              and func.value.id == "json" and func.attr in _JSON_CALLS):
+            found.append(f"{node.lineno}: json.{func.attr}")
+    return found
+
+
+def test_only_serialize_opens_files_or_calls_json():
+    package = Path(__file__).resolve().parent.parent / "src" / "isingpp"
+    assert file_calls(package / "serialize.py")
+    found = {path.name: file_calls(path) for path in sorted(package.glob("*.py"))
+             if path.name != "serialize.py"}
+    assert found and not any(found.values()), found
