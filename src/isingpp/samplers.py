@@ -35,6 +35,14 @@ _UNIFORM_BUFFER = 1 << 17
 # neighbours' spin pattern, for sites of at most this many neighbours: a
 # lone Gibbs chain site by site, the level kernels level by level.
 _TABLE_DEGREE = 6
+# A table reader of at most this many (site, column) entries packs each
+# entry's index bits into one uint64 (see _table_reader).
+_PACKED_ENTRIES = 128
+# Byte k of a uint64 times this lands at bit 56 + k, with no carries.
+_PACK = np.array(0x0102040810204080, dtype=np.uint64)
+# A lone Gibbs chain runs as one column when its every step is tabled and
+# holds this many vertices on average (see gibbs_sample_many).
+_COLUMN_STEP_SITES = 40
 # The spin of each state bit of the level kernels, as a float and as a spin.
 _SIGNS = np.array([-1.0, 1.0])
 _SPINS = np.array([-1, 1], dtype=SPIN_DTYPE)
@@ -484,16 +492,53 @@ def _anneal_table(P, W, jobs):
 def _table_reader(state, P, table, slot):
     """A function that reads, for each (site j, column c), entry
     ``table[j, slot[c], i]`` of the (sites, jobs, patterns) ``table``, i
-    the pattern of the state bits of rows ``P[:, j]`` in column c, row
-    ``P[k, j]`` as bit k."""
+    the pattern of the at most 8 state bits of rows ``P[:, j]`` in column
+    c, row ``P[k, j]`` as bit k.
+
+    Up to ``_PACKED_ENTRIES`` (site, column) entries, one gather puts an
+    entry's bits in the top ``len(P)`` bytes of a uint64, bit k in byte 8
+    - len(P) + k; times ``_PACK`` byte k lands at bit 56 + k, so a shift
+    by 64 - len(P) gives i and drops the other bytes, which read row 0.
+    Such a reader returns the same array at every read. Beyond that
+    bound, i is the ``add.reduce`` of bit k times 2**k. Measured per
+    sweep of the default Chimera graph (2 cores, numpy 2.4), packing is
+    faster up to 3 Gibbs columns (64 sites a step) and 12 annealing
+    columns (16 sites a level), and slower from 6 and 16 columns; on a
+    16-vertex path it is even at 16 Gibbs columns and slower from 32; a
+    one-column step of 1,024 sites reads as fast either way. The bound
+    of 128 entries packs only where packing was faster or even.
+    """
     sites, jobs, patterns = table.shape
     base = (np.arange(sites)[:, None] * jobs + slot) * patterns
     table = table.ravel()
-    weights = (1 << np.arange(len(P), dtype=np.uint8))[:, None, None]
+    columns = state.shape[1]
+    if sites * columns > _PACKED_ENTRIES:
+        weights = (1 << np.arange(len(P), dtype=np.uint8))[:, None, None]
+
+        def read():
+            index = np.add.reduce(state.take(P, axis=0) * weights, axis=0, dtype=np.uint8)
+            return table.take(base + index)
+        return read
+    # A view of the C-contiguous state: flat[r * columns + c] is row r of
+    # column c. The bytes below an entry's bits read row 0.
+    flat = state.reshape(-1)
+    rows = np.zeros((sites, 8), dtype=np.intp)
+    rows[:, 8 - len(P):] = P.T
+    gather = rows.reshape(1, -1) * columns + np.arange(columns)[:, None]
+    # Each read overwrites the same index and result; every index is in
+    # range, so "clip" only spares take a buffered copy.
+    packed = np.empty(gather.shape, dtype=np.uint8)
+    x = packed.view(np.uint64)
+    shift = np.array(64 - len(P), dtype=np.uint64)
+    base = base.T.astype(np.uint64)
+    out = np.empty(x.shape)
 
     def read():
-        index = np.add.reduce(state.take(P, axis=0) * weights, axis=0, dtype=np.uint8)
-        return table.take(base + index)
+        flat.take(gather, out=packed, mode="clip")
+        np.multiply(x, _PACK, out=x)
+        np.right_shift(x, shift, out=x)
+        np.add(x, base, out=x)
+        return table.take(x, out=out, mode="clip").T
     return read
 
 
@@ -526,7 +571,9 @@ def gibbs_sample(problem: IsingProblem, params: SamplerParams,
     f_a = h[a] + sum_b J[a,b] s[b], summed h first, then b ascending.
     Since f_a depends only on a's neighbours' spins, the chain looks
     p_up up in a per-site table where a has few neighbours (see
-    ``_gibbs_chain``); the states are those of summing f_a at every visit.
+    ``_gibbs_chain`` and ``_gibbs_columns``, one of which runs the chain,
+    as ``gibbs_sample_many`` routes it); the states are those of summing
+    f_a at every visit.
     """
     return gibbs_sample_many([(problem, params, problem_id)])[0]
 
@@ -535,12 +582,20 @@ def gibbs_sample_many(jobs) -> list:
     """``gibbs_sample`` of each ``(problem, params, problem_id)`` job, the
     problems on one graph: one RunSet per job. Chains run as the columns
     of one kernel (``_gibbs_columns``), which pipelines the sweeps in
-    lagged steps (2 a sweep on the default Chimera graph), except a lone
-    chain, which runs site by site in Python (``_gibbs_chain``). Both sum
-    every field in one order, but a column's ``np.exp`` can differ from
-    ``math.exp`` in the last bit, so its spins can differ from the lone
-    chain's only where a uniform falls between the two ``p_up`` values, a
-    few ulps apart.
+    lagged steps (2 a sweep on the default Chimera graph), on the
+    schedule built here. A lone chain runs as one column only where every
+    step is tabled and the graph has at least ``_COLUMN_STEP_SITES``
+    vertices a step, the measured crossover (chains of 3,000 sweeps on
+    induced subgraphs of default problem 0); elsewhere it runs site by
+    site in Python (``_gibbs_chain``), whose cost grows with the
+    vertices, not the steps. So the default Chimera graph (64 a step)
+    takes the column; graphs with wide steps, such as complete graphs,
+    and two-step graphs of under 80 vertices, such as the 39 to
+    73-vertex persistence remainders of default problems, take the
+    chain. Both kernels sum every field in one order, but a column's
+    ``np.exp`` can differ from ``math.exp`` in the last bit, so a lone
+    chain's spins can differ between the two only where a uniform falls
+    between the two ``p_up`` values, a few ulps apart.
     """
     jobs = list(jobs)
     if not jobs:
@@ -548,11 +603,13 @@ def gibbs_sample_many(jobs) -> list:
     problems, params, _ = zip(*jobs)
     if any(q.fixed_beta is None for q in params):
         raise ParameterError("gibbs_sample requires fixed_beta")
-    # A lone empty problem goes on to _level_tables, which rejects it.
-    if len(jobs) == 1 and problems[0].vertex_count:
+    schedule = _level_tables(problems, len(problems))
+    _, levels, _ = schedule
+    if len(jobs) == 1 and (problems[0].vertex_count < _COLUMN_STEP_SITES * len(levels)
+                           or any(len(P) - 1 > _TABLE_DEGREE for _, P, _ in levels)):
         spins = [_gibbs_chain(problems[0], params[0])]
     else:
-        spins = _gibbs_columns(problems, params)
+        spins = _gibbs_columns(problems, params, schedule)
     return [_wrap_runs(problem, s, "gibbs_sample", q.to_dict(), q.seed, pid)
             for (problem, q, pid), s in zip(jobs, spins)]
 
@@ -642,7 +699,7 @@ def _gibbs_chain(problem, params):
     return samples
 
 
-def _gibbs_columns(problems, params):
+def _gibbs_columns(problems, params, schedule=None):
     """(num_runs, n) states of the Gibbs chain of each (problem, params),
     the problems on one graph, as columns of one kernel.
 
@@ -656,43 +713,67 @@ def _gibbs_columns(problems, params):
     up to ``np.exp`` against ``math.exp`` (see ``gibbs_sample_many``). A
     step's rows are sorted by lag, so in super-sweep T < max lag those
     that have begun, lag <= T, are the head of its slice. A chain's state
-    after sweep s is collected one lag class at a time, class l after
-    super-sweep s - 1 + l. A row runs on past its chain's last sweep, and
-    a chain that has drawn all its sweeps stops drawing: no sweep reads
-    the spins of a later one, so the collected states are the chain's.
+    after sweep s is that of lag class l after super-sweep s - 1 + l. The
+    state rows of the last max lag + W super-sweeps wait in a ring, and
+    every state completed in a window of W super-sweeps is written with
+    one gather, W bounded so that the gather's index, one entry a spin,
+    fits ``_UNIFORM_BUFFER``. A row runs on past its chain's last sweep,
+    and a chain that has drawn all its sweeps stops drawing: no sweep
+    reads the spins of a later one, so the collected states are the
+    chain's. ``schedule`` is the ``_level_tables`` of the call, built
+    here if not given.
     """
-    order, levels, lag = _level_tables(problems, len(problems))
-    n, top = len(order), int(lag.max())
+    order, levels, lag = schedule or _level_tables(problems, len(problems))
+    n, top, columns = len(order), int(lag.max()), len(params)
     beta2 = np.array([2.0 * q.fixed_beta for q in params])
-    totals = [q.burn_in + q.num_runs * q.thinning for q in params]
+    burn_in, thinning, runs = (np.array([getattr(q, name) for q in params])
+                               for name in ("burn_in", "thinning", "num_runs"))
+    totals = (burn_in + runs * thinning).tolist()
     gens = [make_generator(q.seed) for q in params]
     state = _initial_state(gens, order)
     # ends[l]: the number of a step's rows of lag at most l.
     steps = [(rows, _gibbs_level(state, P, W, beta2),
               np.searchsorted(lag[rows], np.arange(top + 1), side="right").tolist())
              for rows, P, W in levels]
-    # The state rows of each lag class, and their vertices.
-    classes = [(rows[:, None], order[rows])
-               for rows in map(np.flatnonzero, lag == np.arange(top + 1)[:, None])]
-    # Chain c's states are rows first[c]: of samples; due maps a sweep
-    # count to the (sample rows, chains) whose states are those after it.
-    first = np.cumsum([0] + [q.num_runs for q in params])
-    due = {}
-    for c, q in enumerate(params):
-        for k in range(q.num_runs):
-            due.setdefault(q.burn_in + (k + 1) * q.thinning, []).append((first[c] + k, c))
-    due = {s: (np.array(got)[:, :1], np.array(got)[:, 1]) for s, got in due.items()}
+    # history[T % span] holds the state rows after super-sweep T. A window
+    # of super-sweeps completes at most window * columns states of n spins,
+    # so its gather index fits _UNIFORM_BUFFER entries, and neither it nor
+    # the history grows with the runs or the sweeps.
+    last = max(totals) + top
+    window = min(max(1, _UNIFORM_BUFFER // (n * columns)), last)
+    span = top + window
+    history = np.empty((span, n, columns), dtype=np.uint8)
+    # Each vertex's lag and its history entry within a super-sweep.
+    row = np.empty(n, dtype=np.intp)
+    row[order] = np.arange(n)
+    vertex_lag, vertex_entry = lag[row], row * columns
+    # Chain c's states are rows first[c]: of samples.
+    first = np.concatenate([[0], np.cumsum(runs)])
     samples = np.empty((first[-1], n), dtype=SPIN_DTYPE)
+
+    def collect(lo, hi):
+        # Writes the states after sweeps lo..hi. Sample k (from 1) of chain
+        # c is its state after sweep s = burn_in + k thinning, whose lag
+        # class l is in the history of super-sweep s - 1 + l.
+        k_lo = np.maximum(-((burn_in - lo) // thinning), 1)
+        count = np.maximum(np.minimum((hi - burn_in) // thinning, runs) - k_lo + 1, 0)
+        c = np.repeat(np.arange(columns), count)
+        k = np.arange(len(c)) - np.repeat(np.cumsum(count) - count - k_lo, count)
+        s = burn_in[c] + k * thinning[c]
+        slot = ((s - 1)[:, None] + np.arange(top + 1)) % span * (n * columns) + c[:, None]
+        index = slot.take(vertex_lag, axis=1)
+        index += vertex_entry
+        samples[first[c] + k - 1] = _SPINS.take(history.reshape(-1).take(index))
+
     # exp overflows to inf where x > 709, where the x > 700 guard decides.
     with np.errstate(over="ignore"):
         for T, u in enumerate(_sweep_uniforms(gens, totals, order, lag)):
             for rows, p_up, ends in steps:
                 begun = slice(ends[min(T, top)])
                 state[rows][begun] = (u[rows] < p_up())[begun]
-            for lagged, (rows, vertices) in enumerate(classes):
-                if T + 1 - lagged in due:
-                    ids, chains = due[T + 1 - lagged]
-                    samples[ids, vertices] = _SPINS[state[rows, chains].T]
+            history[T % span] = state[:n]
+            if (T + 1) % window == 0 or T + 1 == last:
+                collect(T + 1 - top - T % window, T + 1 - top)
     return np.split(samples, first[1:-1])
 
 

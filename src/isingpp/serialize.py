@@ -122,10 +122,20 @@ def _decode(text, path, error, line=1):
         raise error(f"{path}: line {line + e.lineno - 1}: {e.msg}") from e
 
 
-def read_json(path, error=ParseError):
-    """The JSON document in ``path``; a syntax error raises ``error``."""
+def _read_text(path, error):
+    """The text of ``path``; bytes that are not UTF-8 raise ``error``
+    naming the path."""
     with open(path, "r", encoding="utf-8") as f:
-        return _decode(f.read(), path, error)
+        try:
+            return f.read()
+        except UnicodeDecodeError as e:
+            raise error(f"{path}: not UTF-8 text: {e.reason} at byte {e.start}") from e
+
+
+def read_json(path, error=ParseError):
+    """The JSON document in ``path``; a syntax error, or bytes that are
+    not UTF-8, raise ``error``."""
+    return _decode(_read_text(path, error), path, error)
 
 
 # The Python type of each JSON value kind.
@@ -278,11 +288,12 @@ def load_records(path):
     Each record needs integer ``problem`` and ``run_count``, string
     ``mode`` and ``method`` and a finite number ``energy``. Syntax is
     checked on every line first; then the first bad field raises
-    InputError naming its line.
+    InputError naming its line. A file that is not UTF-8 raises
+    InputError naming the path.
     """
-    with open(path, "r", encoding="utf-8") as f:
-        records = [(n, _decode(text, path, InputError, n))
-                   for n, text in enumerate(map(str.strip, f), 1) if text]
+    lines = _read_text(path, InputError).split("\n")
+    records = [(n, _decode(text, path, InputError, n))
+               for n, text in enumerate(map(str.strip, lines), 1) if text]
     if not records:
         raise InputError(f"{path}: no records")
     for n, rec in records:

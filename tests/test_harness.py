@@ -797,6 +797,20 @@ def test_cli_sample_missing_problem_exits_with_diagnostic(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command, flag", [("compare", "--results"), ("sample", "--problem")])
+def test_cli_names_a_file_that_is_not_utf8(tmp_path, capsys, command, flag):
+    """A file that starts with bytes ff fe, a UTF-16 byte-order mark, is
+    not UTF-8: one error line names it, and the command exits 2."""
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{}")
+    out = tmp_path / "out.json"
+    assert main([command, flag, str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err and "UTF-8" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mode", ["raw", "sampling", "random"])
 def test_cli_sample_refuses_more_runs_than_a_seed_has_streams(tmp_path, capsys, mode):
     """10^12 runs exceed the 2**32 child streams of a seed: one line and

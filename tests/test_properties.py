@@ -1368,6 +1368,98 @@ def test_default_chimera_levels_are_all_tabled(monkeypatch):
     assert len(tabled) == levels + steps
 
 
+def test_lone_gibbs_column_collects_across_windows():
+    """A lone chain on the default Chimera graph, which runs as one
+    column, gives the Python chain's states at thinning 1 and 10 with
+    burn-ins on both sides of the first window's end, and at a thinning
+    longer than a window. Every sample is a state of one Python
+    trajectory: that after sweep burn_in + k thinning."""
+    problem = problem_for(ExperimentConfig(), 0)
+    window = samplers._UNIFORM_BUFFER // problem.vertex_count
+    cases = [(burn_in, thinning, runs) for thinning, runs in ((1, 300), (10, 120))
+             for burn_in in (0, 1, window - 1, window, window + 1)] + [(1, window + 3, 3)]
+    sweeps = max(burn_in + thinning * runs for burn_in, thinning, runs in cases)
+    trajectory = python_gibbs_chain(problem, SamplerParams(
+        num_runs=sweeps, seed=3, fixed_beta=1.0, burn_in=0, thinning=1))
+    for burn_in, thinning, runs in cases:
+        params = SamplerParams(num_runs=runs, seed=3, fixed_beta=1.0, burn_in=burn_in,
+                               thinning=thinning)
+        expected = trajectory[burn_in + thinning - 1::thinning][:runs]
+        assert np.array_equal(samplers.gibbs_sample(problem, params).spins, expected)
+
+
+def test_mixed_gibbs_columns_collect_across_windows():
+    """Six chains on the default Chimera graph in one call, of different
+    lengths, betas, burn-ins and thinnings, some shorter than a window of
+    six columns and some spanning several, each give the Python chain's
+    states."""
+    problems = [problem_for(ExperimentConfig(), k) for k in range(3)] * 2
+    window = samplers._UNIFORM_BUFFER // (128 * len(problems))
+    shapes = [(5, 1, 1), (200, 0, 1), (30, window - 1, 7), (3, window + 1, window + 2),
+              (60, 17, 3), (1, 2 * window, 1)]
+    jobs = [(problem, SamplerParams(num_runs=runs, seed=40 + c, fixed_beta=0.5 + 0.25 * c,
+                                    burn_in=burn_in, thinning=thinning), None)
+            for c, (problem, (runs, burn_in, thinning)) in enumerate(zip(problems, shapes))]
+    for (problem, params, _), runset in zip(jobs, samplers.gibbs_sample_many(jobs)):
+        assert np.array_equal(runset.spins, python_gibbs_chain(problem, params))
+
+
+@derandomized
+@given(st.integers(0, 7), st.integers(1, 4), st.integers(1, 32), st.integers(1, 3),
+       st.integers(0, 2**32 - 1))
+def test_packed_index_is_the_reduced_index(width, columns, sites, jobs, seed):
+    """A table reader of few (site, column) entries, which packs each
+    entry's index bits into one uint64, reads the entries that summing
+    bit k times 2**k reads, at widths 0 to 7 and with pad rows (row n,
+    the constant +1) among the index rows."""
+    n = 9
+    rng = np.random.default_rng(seed)
+    state = np.ones((n + 1, columns), dtype=np.uint8)
+    state[:n] = rng.integers(0, 2, (n, columns))
+    P = rng.integers(0, n + 1, (width, sites))
+    P[:, ::2] = n
+    # Entry (j, job, i) of this table is its own flat position.
+    table = np.arange(sites * jobs << width, dtype=np.float64).reshape(sites, jobs, -1)
+    slot = rng.integers(0, jobs, columns)
+    assert sites * columns <= samplers._PACKED_ENTRIES
+    packed = samplers._table_reader(state, P, table, slot)()
+    with mock.patch.object(samplers, "_PACKED_ENTRIES", 0):
+        reduced = samplers._table_reader(state, P, table, slot)()
+    assert packed.shape == reduced.shape == (sites, columns)
+    assert np.array_equal(packed, reduced)
+
+
+def test_lone_gibbs_chains_run_where_they_are_cheaper(monkeypatch):
+    """A lone chain on the default 128-vertex Chimera graph, 64 vertices
+    a step, runs as one column; one on K16, whose steps are summed, and
+    one on a 50-vertex remainder of it, 25 vertices a step, run site by
+    site. Each gives the Python chain's states."""
+    calls = []
+    for name in ("_gibbs_chain", "_gibbs_columns"):
+        real = getattr(samplers, name)
+        monkeypatch.setattr(samplers, name, lambda *args, real=real, name=name: (
+            calls.append(name) or real(*args)))
+    problem = problem_for(ExperimentConfig(), 0)
+    # Two runs that differ on vertices 0 to 49 only: persistence at
+    # threshold 1 freezes the other 78.
+    spins = np.ones((2, problem.vertex_count), dtype=np.int8)
+    spins[1, :50] = -1
+    remainder = persistence_fix(problem, RunSet.from_matrix(
+        spins, problem.evaluate_many(spins), None, None), 1.0).reduced_problem
+    rng = np.random.default_rng(16)
+    k16 = IsingProblem(16, dict(enumerate(rng.uniform(-1.0, 1.0, 16))),
+                       {e: rng.uniform(-1.0, 1.0) for e in complete_graph(16)})
+    assert remainder.vertex_count == 50
+    assert len(samplers._level_tables([remainder], 1)[1]) == 2
+    params = SamplerParams(num_runs=20, seed=9, fixed_beta=1.0, burn_in=5, thinning=2)
+    for case, kernel in ((problem, "_gibbs_columns"), (k16, "_gibbs_chain"),
+                         (remainder, "_gibbs_chain")):
+        calls.clear()
+        runset = samplers.gibbs_sample(case, params)
+        assert calls == [kernel]
+        assert np.array_equal(runset.spins, python_gibbs_chain(case, params))
+
+
 @derandomized
 @given(graphs(), st.integers(1, 2048))
 def test_lagged_schedule_keeps_the_sweep_order(graph, columns):

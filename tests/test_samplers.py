@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 import warnings
 import weakref
 
@@ -437,6 +438,24 @@ class TestBatchedSampling:
 
 
 class TestGibbsSample:
+    def test_lone_column_memory_does_not_grow_with_the_runs(self):
+        """A lone thinning-1 chain on the default graph runs as one column,
+        whose states wait in a ring of a bounded number of super-sweeps
+        and are written a window at a time: beyond the samples matrix, it
+        holds no more at 8,192 runs than at 2,048."""
+        problem = problem_for(ExperimentConfig(), 0)
+        beyond = []
+        for runs in (2048, 8192):
+            params = SamplerParams(num_runs=runs, seed=1, fixed_beta=1.0, burn_in=0, thinning=1)
+            tracemalloc.start()
+            try:
+                samplers._gibbs_columns([problem], [params])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            beyond.append(peak - runs * problem.vertex_count)
+        assert beyond[1] <= beyond[0] + 4096
+
     def test_requires_fixed_beta(self):
         problem = IsingProblem(2, h={0: 1.0})
         with pytest.raises(ParameterError):

@@ -24,7 +24,9 @@ OUT_DIR must not exist yet. The script runs, in process, through
 * ``gen`` of one default problem, ``sample`` of it in modes raw, sampling
   and random, and ``pp`` of each runs file with every method, then
   ``sample`` of 2,048 2-sweep raw runs, whose merge levels span several
-  256-pair blocks, and ``pp`` of them with the three MQC methods, into
+  256-pair blocks, and ``pp`` of them with the three MQC methods, and
+  ``sample`` of 2,048 sampling-mode runs at thinning 1, one lone Gibbs
+  chain whose states span several collection windows, into
   ``OUT_DIR/pipeline``;
 * a hand-written problem with three uncoupled vertices, its ``J``
   pairs listed in descending order and ``h`` entries out of order, one
@@ -165,6 +167,9 @@ def run_pipeline(out):
     for method in MQC_METHODS:
         _run("pp", "--problem", problem_path, "--runs-file", large, "--method", method,
              "--seed", "11", "--out", os.path.join(pipeline, f"pp_raw_2048_{method}.json"))
+    _run("sample", "--problem", problem_path, "--mode", "sampling", "--runs", "2048",
+         "--thinning", "1", "--seed", "7", "--out",
+         os.path.join(pipeline, "runs_sampling_2048.json"))
 
     irregular = os.path.join(out, "irregular")
     os.makedirs(irregular)
