@@ -294,9 +294,9 @@ class SpinConfiguration:
     energy: float
 
     def __post_init__(self):
-        arr = np.asarray(self.spins, dtype=SPIN_DTYPE)
-        check_spins(arr)
-        arr = arr.copy()
+        arr = np.asarray(self.spins)
+        check_spins(arr)  # as given: a cast first would read 1.7 or 257 as a spin
+        arr = arr.astype(SPIN_DTYPE)
         arr.setflags(write=False)
         object.__setattr__(self, "spins", arr)
         object.__setattr__(self, "energy", float(self.energy))
@@ -319,15 +319,16 @@ def tunnel_contribution(problem: IsingProblem, config: SpinConfiguration,
 
     Couplings with both ends inside the tunnel are excluded, so negating
     every spin in the tunnel negates the value exactly. A vertex listed
-    twice counts once; an empty tunnel is rejected.
+    twice counts once; an empty tunnel is rejected, and so is an entry
+    that is not a vertex id, as ``IsingProblem`` reads them.
     """
-    verts = np.unique(np.fromiter((int(v) for v in vertices), dtype=np.intp))
-    if not verts.size:
+    vertices, n = list(vertices), problem.vertex_count
+    if not vertices:
         raise InputError("a tunnel must contain at least one vertex")
-    if verts[0] < 0 or verts[-1] >= problem.vertex_count:
-        raise IndexError(
-            f"tunnel vertices out of range for {problem.vertex_count} vertices"
-        )
+    ids, ok = _vertex_ids(vertices, n)
+    _reject_first([(ok, lambda i: IndexError(
+        f"tunnel entry {i}: vertex {vertices[i]!r} is not an integer in range({n})"))])
+    verts = np.unique(ids)
     s = np.asarray(config.spins, dtype=np.float64)
     problem._check_length(s)
 

@@ -153,12 +153,13 @@ class RunSet:
         return runset
 
     def _set(self, spins, energies, problem_id, provenance):
-        spins = np.array(spins, dtype=SPIN_DTYPE)
+        spins = np.asarray(spins)
         energies = np.array(energies, dtype=np.float64)
         if spins.ndim != 2 or not len(spins) or energies.shape != spins.shape[:1]:
             raise InputError(f"a RunSet needs m >= 1 runs as an (m, n) spin matrix and m "
                              f"energies, got shapes {spins.shape} and {energies.shape}")
-        check_spins(spins)
+        check_spins(spins)  # as given: a cast first would read 1.7 or 257 as a spin
+        spins = spins.astype(SPIN_DTYPE)
         spins.setflags(write=False)
         energies.setflags(write=False)
         for name, value in zip(self.__slots__, (spins, energies, problem_id, provenance)):
@@ -569,11 +570,11 @@ def gibbs_sample(problem: IsingProblem, params: SamplerParams,
     collected. Site a is redrawn from its exact conditional,
     P(s[a] = +1 | rest) = 1 / (1 + exp(2 beta f_a)) with
     f_a = h[a] + sum_b J[a,b] s[b], summed h first, then b ascending.
-    Since f_a depends only on a's neighbours' spins, the chain looks
-    p_up up in a per-site table where a has few neighbours (see
-    ``_gibbs_chain`` and ``_gibbs_columns``, one of which runs the chain,
-    as ``gibbs_sample_many`` routes it); the states are those of summing
-    f_a at every visit.
+    Since f_a depends only on a's neighbours' spins, a site of at most
+    ``_TABLE_DEGREE`` neighbours looks p_up up in its row of a
+    ``_gibbs_table``, whose entries are those of summing f_a at the
+    visit; the two kernels that ``gibbs_sample_many`` routes a chain to
+    read one table.
     """
     return gibbs_sample_many([(problem, params, problem_id)])[0]
 
@@ -585,17 +586,18 @@ def gibbs_sample_many(jobs) -> list:
     lagged steps (2 a sweep on the default Chimera graph), on the
     schedule built here. A lone chain runs as one column only where every
     step is tabled and the graph has at least ``_COLUMN_STEP_SITES``
-    vertices a step, the measured crossover (chains of 3,000 sweeps on
-    induced subgraphs of default problem 0); elsewhere it runs site by
-    site in Python (``_gibbs_chain``), whose cost grows with the
-    vertices, not the steps. So the default Chimera graph (64 a step)
-    takes the column; graphs with wide steps, such as complete graphs,
-    and two-step graphs of under 80 vertices, such as the 39 to
-    73-vertex persistence remainders of default problems, take the
-    chain. Both kernels sum every field in one order, but a column's
-    ``np.exp`` can differ from ``math.exp`` in the last bit, so a lone
-    chain's spins can differ between the two only where a uniform falls
-    between the two ``p_up`` values, a few ulps apart.
+    vertices a step, the crossover measured on induced subgraphs of
+    default problem 0 (chains of 3,000 sweeps; on paths it is about 48);
+    elsewhere ``_gibbs_chain`` runs the same schedule site by site in
+    Python, at a cost that grows with the vertices, not the steps. So the
+    default Chimera graph (64 a step) takes the column; complete graphs,
+    whose steps are wide, and two-step graphs of under 80 vertices, such
+    as the persistence remainders of default problems, take the chain.
+    Both kernels read the p_up of every site of at most ``_TABLE_DEGREE``
+    neighbours from ``_gibbs_table``, so there the route changes no bit.
+    A wider site's p_up is ``np.exp``'s in a column and ``math.exp``'s in
+    the chain, which can differ in the last bit: spins differ only where
+    a uniform falls between the two, a few ulps apart.
     """
     jobs = list(jobs)
     if not jobs:
@@ -607,68 +609,58 @@ def gibbs_sample_many(jobs) -> list:
     _, levels, _ = schedule
     if len(jobs) == 1 and (problems[0].vertex_count < _COLUMN_STEP_SITES * len(levels)
                            or any(len(P) - 1 > _TABLE_DEGREE for _, P, _ in levels)):
-        spins = [_gibbs_chain(problems[0], params[0])]
+        spins = [_gibbs_chain(params[0], schedule)]
     else:
         spins = _gibbs_columns(problems, params, schedule)
     return [_wrap_runs(problem, s, "gibbs_sample", q.to_dict(), q.seed, pid)
             for (problem, q, pid), s in zip(jobs, spins)]
 
 
-def _gibbs_chain(problem, params):
-    """(num_runs, n) states of one Gibbs chain, one site at a time.
+def _gibbs_chain(params, schedule):
+    """(num_runs, n) states of one Gibbs chain, one site at a time: the
+    program of ``_gibbs_columns`` on ``schedule``, the ``_level_tables``
+    of the call, read site by site.
 
-    The generator draws the initial state, as in ``_initial_state``, then
-    n uniforms a sweep, ``_SWEEP_CHUNK`` sweeps a call. A site of at most
-    ``_TABLE_DEGREE`` neighbours reads ``p_up`` from a table of at most 64
-    entries built once per chain, indexed by its neighbours' spins: bit k
-    of its index is set when its neighbour k, in adjacency order, is +1,
-    and a flip XORs the flipped site's bit into each such neighbour's
-    index. An entry is the
-    value a visit that sums the field would compute: h first, then
-    ``w * (+-1)`` left to right (``_pattern_fields``, the level kernels'
-    table builder), and p_up from the chain's one ``heat_bath``, so the
-    states are that chain's bit for bit. Sites of more neighbours sum
-    their field at each visit.
+    It keeps the columns' state rows (``_initial_state``), as spins, and
+    visits the sites in vertex order, n uniforms a sweep, drawn
+    ``_SWEEP_CHUNK`` sweeps a call. A site whose step's ``P`` rows past
+    the first ``_TABLE_DEGREE`` are pads reads p_up from its row of the
+    step's ``_gibbs_table``, bit k of its index the spin of row
+    ``P[1 + k]`` (pads +1), as a column does; a flip XORs the flipped
+    row's bit into each index that holds it. Any other site sums its
+    field h first, then its rows' terms left to right, into a scalar
+    ``math.exp`` heat bath. The states are collected in row order and
+    put in vertex order once.
     """
-    n = problem.vertex_count
+    order, levels, _ = schedule
+    n = len(order)
     beta2 = 2.0 * params.fixed_beta
     rng = make_generator(params.seed)
-    state = _SPINS[_initial_state([rng], np.arange(n))[:n, 0]].tolist()
-    adj, start = problem._adj.tolist(), problem._adj_start.tolist()
-    degree = np.diff(problem._adj_start)
+    state = _SPINS[_initial_state([rng], order)[:, 0]].tolist()
 
     def heat_bath(x):
         # Above x = 700, p_up is 0.0; below x = -700 it is 1.0.
         return 0.0 if x > 700.0 else 1.0 if x < -700.0 else 1.0 / (1.0 + math.exp(x))
 
-    # idx[a] is site a's table index; watchers[b] holds the (site, bit) of
-    # each index that holds b's spin.
-    tables, idx, watchers = [None] * n, [0] * n, [[] for _ in range(n)]
-    for d in range(_TABLE_DEGREE + 1):
-        group = np.flatnonzero(degree == d)
-        if not group.size:
-            continue
-        # f[i, p] is the field of site group[i] under neighbour pattern p,
-        # summed as the visit sums it: h first, then the neighbours.
-        terms = np.vstack([problem._h_vec[group],
-                           problem._adj_w[problem._adj_start[group] + np.arange(d)[:, None]]])
-        # The sums are finite, as IsingProblem bounds them, but at a large
-        # beta, beta2 * f overflows to inf without a word, as in Python.
-        with np.errstate(over="ignore"):
-            f = _pattern_fields(terms, [None, *range(d)], 1 << d)
-            f *= beta2
-        for a, x in zip(group.tolist(), f):
-            tables[a] = list(map(heat_bath, x.tolist()))
-            for k, b in enumerate(adj[start[a]:start[a + 1]]):
-                watchers[b].append((a, 1 << k))
-                if state[b] > 0:
-                    idx[a] |= 1 << k
-    # Per site: the vertex, its h, its table, or else its adjacency entries
-    # as (neighbour, coupling) pairs, and its watchers.
-    entries = list(zip(adj, problem._adj_w.tolist()))
-    sites = [(a, h, tuple(entries[start[a]:start[a + 1]]) if table is None else (), table,
-              tuple(watchers[a]))
-             for a, (h, table) in enumerate(zip(problem._h_vec.tolist(), tables))]
+    # Per row: its h, its (row, coupling) terms or else its table, and its
+    # table index; watchers[b] holds the (row, bit) of each index that
+    # holds row b's spin.
+    sites, idx, watchers = [None] * n, [0] * n, [[] for _ in range(n + 1)]
+    for rows, P, W in levels:
+        width = min(len(P) - 1, _TABLE_DEGREE)
+        narrow = (P[1 + width:] == n).all(axis=0)
+        tables = iter(_gibbs_table(W[:1 + width, narrow], [beta2])[:, 0].tolist())
+        for a, p, w, tabled in zip(range(rows.start, rows.stop), P.T.tolist(),
+                                   W[:, :, 0].T.tolist(), narrow.tolist()):
+            if tabled:
+                for k, b in enumerate(p[1:1 + width]):
+                    watchers[b].append((a, 1 << k))
+                    idx[a] |= (state[b] > 0) << k
+                sites[a] = (w[0], (), next(tables))
+            else:
+                # The pads' terms, 0.0 each, change no p_up and are left out.
+                sites[a] = (w[0], tuple((b, c) for b, c in zip(p[1:], w[1:]) if b < n), None)
+    sites = [(a, *sites[a], tuple(watchers[a])) for a in np.argsort(order).tolist()]
 
     samples = np.empty((params.num_runs, n), dtype=SPIN_DTYPE)
     collected = 0
@@ -678,11 +670,11 @@ def _gibbs_chain(problem, params):
         # PCG64 gives k sweeps at once exactly as k draws of one sweep.
         if sweep % len(drawn) == 0:
             uniforms = rng.random(out=drawn[:total_sweeps - sweep]).tolist()
-        for (a, f, nbrs, table, flips), u in zip(sites, uniforms[sweep % len(drawn)]):
+        for (a, f, terms, table, flips), u in zip(sites, uniforms[sweep % len(drawn)]):
             if table is None:
                 # The field is summed term by term: sum() compensates float
                 # sums from Python 3.12 on, which would change the chain's bits.
-                for b, w in nbrs:
+                for b, w in terms:
                     f += w * state[b]
                 p_up = heat_bath(beta2 * f)
             else:
@@ -694,23 +686,24 @@ def _gibbs_chain(problem, params):
                     idx[b] ^= bit
         done = sweep + 1 - params.burn_in
         if done > 0 and done % params.thinning == 0:
-            samples[collected] = state
+            samples[collected] = state[:n]
             collected += 1
-    return samples
+    spins = np.empty_like(samples)
+    spins[:, order] = samples
+    return spins
 
 
-def _gibbs_columns(problems, params, schedule=None):
+def _gibbs_columns(problems, params, schedule):
     """(num_runs, n) states of the Gibbs chain of each (problem, params),
     the problems on one graph, as columns of one kernel.
 
     Column c is chain c, with its own coefficients, beta, burn-in,
-    thinning and generator, drawn as in ``_gibbs_chain``. A super-sweep
-    runs the steps of ``_level_tables``; a step takes each site's p_up
-    from ``_gibbs_level``, read from a per-site table of each chain where
-    the step is narrow, and sets the spins whose uniform falls below.
-    Each field is summed h first, then the neighbours left to right, at
-    any number of columns, one included, so the chain is ``_gibbs_chain``'s
-    up to ``np.exp`` against ``math.exp`` (see ``gibbs_sample_many``). A
+    thinning and generator. A super-sweep runs the steps of ``schedule``,
+    the ``_level_tables`` of the call; a step takes each site's p_up from
+    ``_gibbs_level``, read from a ``_gibbs_table`` of each chain where the
+    step is narrow, and sets the spins whose uniform falls below. Each
+    field is summed h first, then the neighbours left to right, at any
+    number of columns, one included (see ``gibbs_sample_many``). A
     step's rows are sorted by lag, so in super-sweep T < max lag those
     that have begun, lag <= T, are the head of its slice. A chain's state
     after sweep s is that of lag class l after super-sweep s - 1 + l. The
@@ -720,10 +713,9 @@ def _gibbs_columns(problems, params, schedule=None):
     fits ``_UNIFORM_BUFFER``. A row runs on past its chain's last sweep,
     and a chain that has drawn all its sweeps stops drawing: no sweep
     reads the spins of a later one, so the collected states are the
-    chain's. ``schedule`` is the ``_level_tables`` of the call, built
-    here if not given.
+    chain's.
     """
-    order, levels, lag = schedule or _level_tables(problems, len(problems))
+    order, levels, lag = schedule
     n, top, columns = len(order), int(lag.max()), len(params)
     beta2 = np.array([2.0 * q.fixed_beta for q in params])
     burn_in, thinning, runs = (np.array([getattr(q, name) for q in params])
@@ -779,14 +771,11 @@ def _gibbs_columns(problems, params, schedule=None):
 
 def _gibbs_level(state, P, W, beta2):
     """A function that gives p_up of each site of a level in each column
-    of ``state``, as a (level size, columns) array.
-
-    The field sums h first, then the neighbours left to right, pads
-    included, with ``_ordered_sum``; x = 2 beta f, and p_up = 1 / (1 +
-    exp(x)) with the 700 guards of ``_heat_bath``. A level of at most
-    ``_TABLE_DEGREE`` neighbours reads p_up from a table of each chain,
-    built once per call, whose index's bit k is the spin of neighbour
-    row k. A wider level sums its terms at each step.
+    of ``state``, as a (level size, columns) array. A level of at most
+    ``_TABLE_DEGREE`` neighbours reads it from a ``_gibbs_table`` of each
+    chain, built once per call. A wider level sums its terms at each step
+    as the table does, h first, then the neighbours left to right, pads
+    included, with ``_ordered_sum``, and takes ``_heat_bath`` of 2 beta f.
     """
     width = P.shape[0] - 1
     if width > _TABLE_DEGREE:
@@ -797,13 +786,21 @@ def _gibbs_level(state, P, W, beta2):
             x *= beta2
             return _heat_bath(x)
         return summed
+    return _table_reader(state, P[1:], _gibbs_table(W, beta2), np.arange(len(beta2)))
+
+
+def _gibbs_table(W, beta2):
+    """The (sites, chains, patterns) p_up table of sites whose terms ``W``
+    are a step's of ``_level_tables``, h first, under each chain's 2 beta
+    ``beta2``: the one p_up table of both Gibbs kernels. An index's bit k
+    is the spin of term k + 1. Each field is summed as a step sums it
+    (``_pattern_fields``), then times 2 beta into ``_heat_bath``."""
     # The sums are finite, as IsingProblem bounds them, but at a large
     # beta, 2 beta f overflows to inf, where the x > 700 guard decides.
     with np.errstate(over="ignore"):
-        x = _pattern_fields(W, [None, *range(width)], 1 << width)
-        x *= beta2[:, None]
-        table = _heat_bath(x)
-    return _table_reader(state, P[1:], table, np.arange(len(beta2)))
+        x = _pattern_fields(W, [None, *range(len(W) - 1)], 1 << len(W) - 1)
+        x *= np.reshape(beta2, (-1, 1))
+        return _heat_bath(x)
 
 
 def _heat_bath(x):

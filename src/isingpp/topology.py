@@ -73,6 +73,9 @@ class ProblemGenSpec:
     def __post_init__(self):
         for name in ("h_range", "j_range"):
             lo, hi = getattr(self, name)
+            for bound, value in (("lower", lo), ("upper", hi)):
+                if math.isnan(value):
+                    raise ParameterError(f"{name} {bound} bound is NaN: [{lo}, {hi}]")
             if not (lo <= hi):
                 raise ParameterError(f"{name} is empty: [{lo}, {hi}]")
             check_span(name, lo, hi)

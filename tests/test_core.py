@@ -1,5 +1,6 @@
 """Energy arithmetic, spin configurations, and tunnel contributions."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -263,6 +264,22 @@ class TestSpinConfiguration:
             SpinConfiguration(np.array([1, 3, 0, -1, 0]), 0.0)
         assert str(info.value) == "spins must be -1 or +1, found [0, 3]"
 
+    @pytest.mark.parametrize("spins, bad", [
+        ([1.7, -1.2], "[-1.2, 1.7]"), ([1, 257], "[257]"),
+        (np.array([1, 255], dtype=np.uint8), "[255]"), (["1", "-1"], "['-1', '1']")])
+    def test_checks_spins_before_casting(self, spins, bad):
+        """An int8 cast would read each of these as +-1."""
+        with pytest.raises(ValueError) as info:
+            SpinConfiguration(spins, 0.0)
+        assert str(info.value) == f"spins must be -1 or +1, found {bad}"
+
+    @pytest.mark.parametrize("spins", [
+        np.array([1, -1], dtype=np.int8), np.array([1, -1], dtype=np.int64), [1.0, -1.0],
+        [True, -1]])
+    def test_accepts_spins_of_any_type_that_are_plus_minus_one(self, spins):
+        config = SpinConfiguration(spins, 0.0)
+        assert config.spins.dtype == np.int8 and config.spins.tolist() == [1, -1]
+
     def test_spins_read_only(self):
         config = SpinConfiguration(np.array([1, -1]), 0.0)
         with pytest.raises(ValueError):
@@ -296,6 +313,19 @@ class TestTunnel:
         for empty in [(), [], np.array([], dtype=int)]:
             with pytest.raises(InputError, match="at least one vertex"):
                 tunnel_contribution(problem, config, empty)
+
+    @pytest.mark.parametrize("vertices, entry", [
+        (("1",), "entry 0: vertex '1'"), ((0, 1.5), "entry 1: vertex 1.5"),
+        ((True,), "entry 0: vertex True"), ((1, 0, None), "entry 2: vertex None"),
+        (np.array([0.0, 1.0]), "entry 0: vertex np.float64(0.0)"), ((0, 2), "entry 1: vertex 2")])
+    def test_entries_that_are_not_vertex_ids_rejected(self, vertices, entry):
+        """The vertex-id rule of IsingProblem: integers in range, never
+        bools, floats, strings or None; the error names the first entry
+        that breaks it."""
+        problem = IsingProblem(2, J={(0, 1): 1.0})
+        config = problem.configuration([1, 1])
+        with pytest.raises(IndexError, match=rf"^tunnel {re.escape(entry)} is not an integer"):
+            tunnel_contribution(problem, config, vertices)
 
 
 class TestTunnelContribution:

@@ -709,6 +709,19 @@ def test_cli_gen_rejects_empty_coefficient_interval(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("h_range, bound", [(["nan", "1"], "lower"), (["0", "nan"], "upper")])
+def test_cli_gen_names_a_nan_range_bound(tmp_path, capsys, h_range, bound):
+    """NaN <= 1 is false, but the interval is not empty: its bound is NaN."""
+    out = tmp_path / "x"
+    code = main(["gen", "--topology", "path", "--n", "4", "--count", "1",
+                 "--h-range", *h_range, "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: h_range {bound} bound is NaN")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def sample_runs(tmp_path, problem_path, out_name, mode="raw", runs=6, seed=3):
     out = tmp_path / out_name
     code = main(["sample", "--problem", str(problem_path), "--mode", mode,

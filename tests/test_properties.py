@@ -1149,7 +1149,7 @@ def test_lone_gibbs_chain_takes_beta_fields_beyond_the_float_range(beta):
     params = SamplerParams(num_runs=20, seed=1, fixed_beta=beta, burn_in=3, thinning=1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        spins = samplers._gibbs_chain(problem, params)
+        spins = samplers._gibbs_chain(params, samplers._level_tables([problem], 1))
     assert problem._adj_start[1] > samplers._TABLE_DEGREE
     assert np.array_equal(spins, python_gibbs_chain(problem, params))
 
@@ -1220,6 +1220,42 @@ def test_lone_gibbs_chain_matches_python_chain(problem, data):
     expected = python_gibbs_chain(problem, params)
     assert np.array_equal(runset.spins, expected)
     assert same_bits(runset.energies(), problem.evaluate_many(expected))
+
+
+def tabled_problems(graph, seed):
+    """A problem on ``graph`` less the edges that would give a vertex more
+    than ``samplers._TABLE_DEGREE`` neighbours, with many exact-zero
+    coefficients."""
+    n, edges = graph
+    degree, kept = [0] * n, []
+    for a, b in edges:
+        if max(degree[a], degree[b]) < samplers._TABLE_DEGREE:
+            degree[a] += 1
+            degree[b] += 1
+            kept.append((a, b))
+    rng = np.random.default_rng(seed)
+
+    def values(size):
+        return np.where(rng.random(size) < 0.3, 0.0, rng.uniform(-2.0, 2.0, size))
+
+    return IsingProblem(n, dict(enumerate(values(n))), dict(zip(kept, values(len(kept)))))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(st.builds(tabled_problems, graphs(), st.integers(0, 2**32 - 1)), st.data())
+def test_lone_gibbs_chain_is_its_column(problem, data):
+    """On a graph of at most ``_TABLE_DEGREE`` neighbours a site, the lone
+    chain and the one column on the same schedule read the same p_up
+    table, so they give the same spins bit for bit; betas of 400 and 1e6
+    push x past both 700 guards."""
+    params = SamplerParams(
+        num_runs=data.draw(st.sampled_from([20, 60])), seed=data.draw(st.integers(0, 2**32)),
+        fixed_beta=data.draw(st.one_of(st.floats(0.05, 5.0), st.sampled_from([400.0, 1e6]))),
+        burn_in=data.draw(st.integers(0, 20)), thinning=data.draw(st.integers(1, 3)))
+    schedule = samplers._level_tables([problem], 1)
+    assert np.diff(problem._adj_start).max(initial=0) <= samplers._TABLE_DEGREE
+    assert np.array_equal(samplers._gibbs_chain(params, schedule),
+                          samplers._gibbs_columns([problem], [params], schedule)[0])
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -1347,7 +1383,8 @@ def test_one_gibbs_column_is_python_chain(problem, beta):
     hold the hub at -1 where the chain holds it at +1."""
     params = SamplerParams(num_runs=30, seed=7, fixed_beta=beta, burn_in=5, thinning=2)
     expected = python_gibbs_chain(problem, params)
-    assert np.array_equal(samplers._gibbs_columns([problem], [params])[0], expected)
+    assert np.array_equal(samplers._gibbs_columns(
+        [problem], [params], samplers._level_tables([problem], 1))[0], expected)
 
 
 def test_default_chimera_levels_are_all_tabled(monkeypatch):
@@ -1552,9 +1589,11 @@ def test_short_lagged_chains_are_the_level_chains(graph, top, runs):
     jobs = gibbs_jobs(problems, runs, seed=11)
     if len(jobs) == 1:
         (problem, params, _), = jobs
-        lagged = samplers._gibbs_columns([problem], [params])
+        lagged = samplers._gibbs_columns([problem], [params],
+                                         samplers._level_tables([problem], 1))
         with mock.patch.object(samplers, "_UNIFORM_BUFFER", 0):
-            assert all(map(np.array_equal, lagged, samplers._gibbs_columns([problem], [params])))
+            assert all(map(np.array_equal, lagged, samplers._gibbs_columns(
+                [problem], [params], samplers._level_tables([problem], 1))))
         return
     lagged, levels = lagged_and_level_runsets(jobs)
     assert same_runsets(lagged, levels)

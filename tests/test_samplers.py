@@ -169,6 +169,22 @@ class TestRunSet:
         with pytest.raises(InputError):
             RunSet(runs=(a, b), problem_id="x", provenance=Provenance("s", {}, 0))
 
+    @pytest.mark.parametrize("spins, bad", [
+        ([[1.7, -1.2]], "[-1.2, 1.7]"), ([[1, 257]], "[257]"),
+        (np.array([[1, 255]], dtype=np.uint8), "[255]"), ([["1", "-1"]], "['-1', '1']")])
+    def test_checks_spins_before_casting(self, spins, bad):
+        """An int8 cast would read each of these as +-1."""
+        with pytest.raises(ValueError) as info:
+            RunSet.from_matrix(spins, [0.0], "x", Provenance("s", {}, 0))
+        assert str(info.value) == f"spins must be -1 or +1, found {bad}"
+
+    @pytest.mark.parametrize("spins", [
+        np.array([[1, -1]], dtype=np.int8), np.array([[1, -1]], dtype=np.int64),
+        [[1.0, -1.0]], [[True, -1]]])
+    def test_accepts_spins_of_any_type_that_are_plus_minus_one(self, spins):
+        runset = RunSet.from_matrix(spins, [0.0], "x", Provenance("s", {}, 0))
+        assert runset.spins.dtype == np.int8 and runset.spins.tolist() == [[1, -1]]
+
     def test_accessors(self):
         problem = IsingProblem(2, h={0: 1.0})
         rs = random_runs(problem, count=5, seed=3)
@@ -436,6 +452,30 @@ class TestBatchedSampling:
         params = SamplerParams(num_runs=2, seed=0, fixed_beta=352.5, burn_in=0, thinning=1)
         assert gibbs_sample(problem, params).spins.tolist() == [[-1, 1] * 5] * 2
 
+    def test_lone_and_batched_chains_read_one_p_up(self, monkeypatch):
+        """A 1-vertex chain whose x = 2 beta h, with p_up of np.exp and of
+        math.exp a few ulps apart, and whose every uniform is the smaller
+        of the two: run alone, it reads the columns' p_up, so it gives
+        the spins of the same job run as a column of a 2-job call."""
+        x = -0.1546382707428613
+        u = min(samplers._heat_bath(np.array([x]))[0], 1.0 / (1.0 + math.exp(x)))
+        real = samplers.make_generator
+
+        class FixedUniforms:
+            def __init__(self, seed):
+                self.bit_generator = real(seed).bit_generator
+
+            def random(self, out):
+                out[...] = u
+                return out
+
+        monkeypatch.setattr(samplers, "make_generator", FixedUniforms)
+        problem = IsingProblem(1, {0: x})
+        params = SamplerParams(num_runs=4, seed=0, fixed_beta=0.5, burn_in=0, thinning=1)
+        alone = gibbs_sample(problem, params).spins
+        batched = gibbs_sample_many([(problem, params, None)] * 2)
+        assert alone.tolist() == batched[0].spins.tolist() == batched[1].spins.tolist()
+
 
 class TestGibbsSample:
     def test_lone_column_memory_does_not_grow_with_the_runs(self):
@@ -449,7 +489,8 @@ class TestGibbsSample:
             params = SamplerParams(num_runs=runs, seed=1, fixed_beta=1.0, burn_in=0, thinning=1)
             tracemalloc.start()
             try:
-                samplers._gibbs_columns([problem], [params])
+                samplers._gibbs_columns([problem], [params],
+                                        samplers._level_tables([problem], 1))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
