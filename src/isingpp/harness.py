@@ -17,6 +17,8 @@ import math
 import os
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
+from typing import NamedTuple
 
 from .altpp import (DEFAULT_PERSISTENCE_ROUNDS, DEFAULT_PERSISTENCE_THRESHOLD,
                     DEFAULT_WIDTH_CAP, MAX_WIDTH, builtin_opt_pp, sample_persistence)
@@ -62,10 +64,9 @@ _MQC_STRATEGY = {
     "mqc_rank": PairingStrategy.RANK_ORDER,
     "mqc_maxdiff": PairingStrategy.MAX_DIFFERENCE,
 }
-METHODS = (*_MQC_STRATEGY, "builtin_pp", "sample_persistence", "hpe")
-# Problems whose cells of one mode, every run count's input runs and every
-# hpe scale's runs, are sampled in one call; their run sets are held until
-# the block's records are out.
+# Problems whose input runs of one mode, at every run count, are sampled in
+# one call, and whose cells each method's function takes at once; their
+# run sets are held until the block's records are out.
 _PROBLEM_BLOCK = 16
 # Time bench_reduce spends on each run count in each of its rounds.
 _BENCH_ROUND_SECONDS = 0.2
@@ -153,8 +154,9 @@ class ExperimentConfig:
             raise ConfigError(
                 f"methods must be a nonempty subset of {METHODS}, got {self.methods}"
             )
-        if len(set(self.methods)) != len(self.methods):
-            raise ConfigError(f"duplicate methods in {self.methods}")
+        for name in ("run_counts", "modes", "methods"):
+            if len(set(getattr(self, name))) != len(getattr(self, name)):
+                raise ConfigError(f"duplicate {name} in {getattr(self, name)}")
         # Parameters of the listed methods only, so unused ones stay free.
         if "builtin_pp" in self.methods and not 1 <= self.width_cap <= MAX_WIDTH:
             raise ConfigError(f"width_cap must lie in 1..{MAX_WIDTH}, got {self.width_cap}")
@@ -270,119 +272,138 @@ def mode_runset(config: ExperimentConfig, problem: IsingProblem, index: int,
     return sample_many(SAMPLERS[mode], [_input_job(config, problem, index, mode, num_runs)])[0]
 
 
-def _emulated(config: ExperimentConfig, problem: IsingProblem):
-    """hpe's scaled-and-quantized copies of ``problem``, one per scale."""
-    model = PrecisionModel(h_clip=config.h_range, j_clip=config.j_range,
-                           levels=config.hpe_levels)
-    return emulate(problem, config.hpe_scales, model)
-
-
-def _hpe_jobs(config: ExperimentConfig, copies, mode: str, num_runs: int, index: int,
-              seed: int | None = None):
-    """The ``sample_many`` jobs of hpe's scales in a cell of ``num_runs``
-    runs, seeded with ``seed`` when given, else with a seed derived from
-    the master seed, the mode and the problem ``index``."""
-    per_scale = _runs_per_scale(config, num_runs)
-    s = derive_seed(config.master_seed, "hpe", mode, index) if seed is None else seed
-    return hpe_jobs(copies, per_scale, sampler_params(config, mode, per_scale, s))
-
-
 def _runs_per_scale(config: ExperimentConfig, num_runs: int) -> int:
     """Budget parity: a cell's run count split across hpe's scales."""
     return max(1, num_runs // len(config.hpe_scales))
 
 
+class Cell(NamedTuple):
+    """A (problem, run count, mode) cell: the problem's index in its family,
+    the problem, its input run set and the mode. A method that re-samples
+    takes ``seed_for`` it: ``seed`` if given, else one derived from the
+    master seed, the method, the mode and ``index``."""
+
+    index: int
+    problem: IsingProblem
+    runset: RunSet
+    mode: str
+    seed: int | None = None
+
+    def seed_for(self, config: ExperimentConfig, method: str) -> int:
+        return derive_seed(config.master_seed, method, self.mode, self.index) \
+            if self.seed is None else self.seed
+
+
+def _single(final, **fields):
+    return final.spins[None], [final.energy], {"energy": final.energy, **fields}
+
+
+def _mqc(strategy, config, cells):
+    for cell in cells:
+        final, trace = mqc_reduce(cell.problem, cell.runset, strategy)
+        yield _single(final, levels=len(trace.levels))
+
+
+def _builtin_pp(config, cells):
+    for cell in cells:
+        out = builtin_opt_pp(cell.problem, cell.runset, config.width_cap)
+        yield out.spins, out.energies(), {"energy": float(out.energies().min())}
+
+
+def _persistence(config, cells):
+    for cell in cells:
+        yield _single(sample_persistence(cell.problem, SAMPLERS[cell.mode], sampler_params(
+            config, cell.mode, len(cell.runset), cell.seed_for(config, "persistence")),
+            threshold=config.persistence_threshold, rounds=config.persistence_rounds,
+            initial_runs=cell.runset))
+
+
+def _hpe(config, cells):
+    """Samples, when called, each (problem, mode)'s ``emulate`` copies at its
+    largest cell, one ``sample_scales`` call a mode. A cell merges each scale's
+    first ``_runs_per_scale`` runs: a run's states do not depend on the run count."""
+    cells, scales = list(cells), {}
+    largest = {(c.index, c.mode): c for c in sorted(cells, key=lambda c: len(c.runset))}
+    model = PrecisionModel(h_clip=config.h_range, j_clip=config.j_range,
+                           levels=config.hpe_levels)
+    for mode in dict.fromkeys(cell.mode for cell in cells):
+        tops = [cell for cell in largest.values() if cell.mode == mode]
+        runsets = iter(sample_scales(SAMPLERS[mode], [job for cell in tops for job in hpe_jobs(
+            emulate(cell.problem, config.hpe_scales, model),
+            _runs_per_scale(config, len(cell.runset)),
+            sampler_params(config, mode, 1, cell.seed_for(config, "hpe")))]))
+        for cell in tops:
+            scales[cell.index, mode] = list(itertools.islice(runsets, len(config.hpe_scales)))
+
+    def merge(cell):
+        n = _runs_per_scale(config, len(cell.runset))
+        final, _ = hpe_from_runsets(cell.problem, [
+            RunSet.from_matrix(rs.spins[:n], rs.energies()[:n], rs.problem_id, rs.provenance)
+            for rs in scales[cell.index, cell.mode]], scales=config.hpe_scales)
+        return _single(final)
+    return map(merge, cells)
+
+
+# The one method dispatch. Each post-processor's function of (config,
+# cells) does its block-wide work when called and returns an iterator of
+# each cell's (output spins, their energies, record fields), in cell order.
+_METHOD_TABLE = {**{name: partial(_mqc, strategy) for name, strategy in _MQC_STRATEGY.items()},
+                 "builtin_pp": _builtin_pp, "sample_persistence": _persistence, "hpe": _hpe}
+METHODS = tuple(_METHOD_TABLE)
+
+
 def apply_method(config: ExperimentConfig, problem: IsingProblem, runset,
-                 method: str, mode: str, index: int = 0, seed: int | None = None,
-                 hpe_runsets=None):
-    """Run one post-processor; returns (output spins, their energies,
-    record fields), the spins one row per output run.
+                 method: str, mode: str, index: int = 0, seed: int | None = None):
+    """Run one post-processor on one cell; returns (output spins, their
+    energies, record fields), the spins one row per output run.
 
-    sample_persistence and hpe re-sample with the sampler of ``mode``,
-    seeded with ``seed`` when given, else with a seed derived from the
-    master seed, the method, the mode and the problem ``index``. hpe
-    merges ``hpe_runsets`` instead when given: the run sets of its
-    ``_hpe_jobs`` at this or a larger run count, which a sweep samples
-    with the rest of its block. Either way hpe merges each scale's first
-    ``_runs_per_scale`` runs, the cell's budget: a run's states do not
-    depend on the run count. On a problem with no vertices neither
-    samples: both return the empty run at energy 0.0.
+    This is the one-cell call of the method's function, which a sweep
+    calls on a block's cells. sample_persistence and hpe re-sample with
+    the sampler of ``mode``, seeded as ``Cell`` says. On a problem with no
+    vertices neither samples: both return the empty run at energy 0.0.
     """
-    def single(final, **fields):
-        return final.spins[None], [final.energy], {"energy": final.energy, **fields}
-
-    if method in _MQC_STRATEGY:
-        final, trace = mqc_reduce(problem, runset, _MQC_STRATEGY[method])
-        return single(final, levels=len(trace.levels))
-    if method == "builtin_pp":
-        out = builtin_opt_pp(problem, runset, config.width_cap)
-        return out.spins, out.energies(), {"energy": float(out.energies().min())}
-    if method == "sample_persistence":
-        s = derive_seed(config.master_seed, "persistence", mode, index) if seed is None else seed
-        return single(sample_persistence(
-            problem, SAMPLERS[mode], sampler_params(config, mode, len(runset), s),
-            threshold=config.persistence_threshold,
-            rounds=config.persistence_rounds,
-            initial_runs=runset,
-        ))
-    if method == "hpe":
-        if hpe_runsets is None:
-            hpe_runsets = sample_scales(SAMPLERS[mode], _hpe_jobs(
-                config, _emulated(config, problem), mode, len(runset), index, seed))
-        per_scale = _runs_per_scale(config, len(runset))
-        final, _ = hpe_from_runsets(problem, [
-            RunSet.from_matrix(rs.spins[:per_scale], rs.energies()[:per_scale], rs.problem_id,
-                               rs.provenance) for rs in hpe_runsets], scales=config.hpe_scales)
-        return single(final)
-    raise ConfigError(f"unknown method {method!r}")
+    if method not in _METHOD_TABLE:
+        raise ConfigError(f"unknown method {method!r}")
+    return next(_METHOD_TABLE[method](config, [Cell(index, problem, runset, mode, seed)]))
 
 
 def _sweep(config: ExperimentConfig, methods):
     """One record per cell and method, in sweep order: the cell, the best
     input energy and the method's record fields.
 
-    Every listed mode's sampler settings are checked before the first cell.
-    For each block of up to ``_PROBLEM_BLOCK`` problems and each mode, one
-    sampler call samples every run count's input runs and, when hpe is
-    listed, each problem's hpe scales, from copies emulated once per
-    problem. The scales are sampled once, at the largest run count, and
-    every cell passes them to ``apply_method``, which takes its budget.
+    Every listed mode's sampler settings are checked, at the largest run
+    count, before the first cell. For each block of up to
+    ``_PROBLEM_BLOCK`` problems and each mode, one sampler call samples
+    every run count's input runs. Each method's function is then called on
+    the block's cells, and their outputs are taken cell by cell, in the
+    order (problem, run count, mode, method).
     """
     for mode in config.modes:
         try:
-            sampler_params(config, mode, 1, 0)
+            sampler_params(config, mode, max(config.run_counts), 0)
         except ParameterError as e:
             raise ConfigError(f"sampler settings of mode {mode!r}: {e}") from e
-    cells = list(itertools.product(config.run_counts, config.modes))
     for lo in range(0, config.problem_count, _PROBLEM_BLOCK):
         indices = range(lo, min(lo + _PROBLEM_BLOCK, config.problem_count))
         problems = [problem_for(config, index) for index in indices]
-        copies = [_emulated(config, problem) for problem in problems] if "hpe" in methods else []
-        # (run count, mode, k) -> the input run set of the block's problem k;
-        # (mode, k) -> with hpe the run sets of its scales.
-        inputs, scales = {}, {}
+        # (run count, mode, k) -> the input run set of the block's problem k.
+        inputs = {}
         for mode in config.modes:
             keys = [(num_runs, mode, k) for num_runs in config.run_counts
                     for k in range(len(problems))]
-            hpe_groups = [_hpe_jobs(config, copies[k], mode, max(config.run_counts), indices[k])
-                          for k in range(len(copies))]
-            runsets = iter(sample_many(SAMPLERS[mode], [
-                *(job for jobs in hpe_groups for job in jobs),
-                *(_input_job(config, problems[k], indices[k], mode, num_runs)
-                  for num_runs, _, k in keys)]))
-            for k, jobs in enumerate(hpe_groups):
-                scales[mode, k] = list(itertools.islice(runsets, len(jobs)))
-            inputs.update(zip(keys, runsets))
-        for k, (index, problem) in enumerate(zip(indices, problems)):
-            for num_runs, mode in cells:
-                runset = inputs[num_runs, mode, k]
-                best_input = float(runset.energies().min())
-                for method in methods:
-                    *_, fields = apply_method(config, problem, runset, method, mode, index,
-                                              hpe_runsets=scales.get((mode, k)))
-                    yield {"problem": index, "problem_id": runset.problem_id,
-                           "run_count": num_runs, "mode": mode, "method": method,
-                           "best_input": best_input, **fields}
+            inputs.update(zip(keys, sample_many(SAMPLERS[mode], [
+                _input_job(config, problems[k], indices[k], mode, num_runs)
+                for num_runs, _, k in keys])))
+        cells = [Cell(index, problem, inputs[num_runs, mode, k], mode)
+                 for k, (index, problem) in enumerate(zip(indices, problems))
+                 for num_runs, mode in itertools.product(config.run_counts, config.modes)]
+        outputs = [_METHOD_TABLE[method](config, cells) for method in methods]
+        for cell, *outs in zip(cells, *outputs):
+            best_input = float(cell.runset.energies().min())
+            for method, (*_, fields) in zip(methods, outs):
+                yield {"problem": cell.index, "problem_id": cell.runset.problem_id,
+                       "run_count": len(cell.runset), "mode": cell.mode, "method": method,
+                       "best_input": best_input, **fields}
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None):

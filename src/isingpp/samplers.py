@@ -114,6 +114,10 @@ class SamplerParams:
             raise ParameterError(f"burn_in must be non-negative, got {self.burn_in}")
         if self.thinning < 1:
             raise ParameterError(f"thinning must be positive, got {self.thinning}")
+        # A Gibbs chain's sweep count is an int64 in its kernels.
+        if self.burn_in + self.num_runs * self.thinning > 2**63 - 1:
+            raise ParameterError(f"burn_in + num_runs * thinning must be at most 2**63 - 1, got "
+                                 f"{self.burn_in} + {self.num_runs} * {self.thinning}")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -611,7 +615,7 @@ def gibbs_sample_many(jobs) -> list:
                            or any(len(P) - 1 > _TABLE_DEGREE for _, P, _ in levels)):
         spins = [_gibbs_chain(params[0], schedule)]
     else:
-        spins = _gibbs_columns(problems, params, schedule)
+        spins = _gibbs_columns(params, schedule)
     return [_wrap_runs(problem, s, "gibbs_sample", q.to_dict(), q.seed, pid)
             for (problem, q, pid), s in zip(jobs, spins)]
 
@@ -693,9 +697,9 @@ def _gibbs_chain(params, schedule):
     return spins
 
 
-def _gibbs_columns(problems, params, schedule):
-    """(num_runs, n) states of the Gibbs chain of each (problem, params),
-    the problems on one graph, as columns of one kernel.
+def _gibbs_columns(params, schedule):
+    """(num_runs, n) states of the Gibbs chain of each of ``params``, on the
+    problems of ``schedule``, as columns of one kernel.
 
     Column c is chain c, with its own coefficients, beta, burn-in,
     thinning and generator. A super-sweep runs the steps of ``schedule``,

@@ -2,8 +2,10 @@
 invariants, byte-stable outputs, and end-to-end pipeline runs."""
 
 import hashlib
+import importlib
 import json
 import os
+import re
 import time
 import warnings
 
@@ -23,8 +25,10 @@ from isingpp import (
 from isingpp import altpp, harness
 from isingpp.cli import _config, build_parser, main
 from isingpp.errors import ConfigError, InputError
-from isingpp.hpe import hpe_jobs
+from isingpp.hpe import PrecisionModel, ScaleSet, emulate, hpe, hpe_jobs, sample_scales
 from isingpp.harness import (
+    METHODS,
+    Cell,
     ComparisonRow,
     build_report,
     load_config,
@@ -136,6 +140,31 @@ def test_config_rejects_unknown_fields():
 def test_config_rejects_bad_values(overrides):
     with pytest.raises(ConfigError):
         tiny_config(**overrides)
+
+
+DUPLICATES = {"run_counts": (20, 20), "modes": ("raw", "raw"),
+              "methods": ("mqc_sequential", "builtin_pp", "mqc_sequential")}
+
+
+@pytest.mark.parametrize("field", DUPLICATES)
+def test_config_rejects_duplicate_entries(field):
+    # A duplicate would sample and post-process its cells again, and
+    # report each of their rows twice.
+    with pytest.raises(ConfigError, match=rf"^duplicate {field} in "
+                       rf"{re.escape(str(DUPLICATES[field]))}$"):
+        tiny_config(**{field: DUPLICATES[field]})
+
+
+@pytest.mark.parametrize("field", DUPLICATES)
+def test_cli_experiment_rejects_duplicate_entries(tmp_path, capsys, monkeypatch, field):
+    calls = count_sampler_calls(monkeypatch)
+    out = tmp_path / "exp"
+    path = write_raw_config(tmp_path, **{field: list(DUPLICATES[field])})
+    assert main(["experiment", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: duplicate {field} in ") and err.count("\n") == 1
+    assert calls == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -839,6 +868,22 @@ def test_cli_sample_refuses_more_runs_than_a_seed_has_streams(tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--burn-in", "10000000000000000000"],
+    ["--thinning", "100000000000000000", "--runs", "100"],
+], ids=["burn_in", "thinning"])
+def test_cli_sample_refuses_a_gibbs_chain_beyond_int64_sweeps(tmp_path, capsys, flags):
+    problems = gen_problems(tmp_path)
+    out = tmp_path / "runs.json"
+    code = main(["sample", "--problem", str(problems / "problem_0000.json"),
+                 "--mode", "sampling", *flags, "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: burn_in + num_runs * thinning must be at most 2**63 - 1")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_cli_reports_running_out_of_memory_in_one_line(tmp_path, capsys, monkeypatch):
     def exhausted(problem, params, problem_id=None):
         raise MemoryError("Unable to allocate 7.28 TiB for an array")
@@ -1113,26 +1158,35 @@ def test_sweep_samples_each_block_and_mode_in_one_call(monkeypatch):
         return sample_many(sampler, jobs)
 
     monkeypatch.setattr(harness, "sample_many", counted)
+    # hpe's scales go through hpe.sample_scales.
+    monkeypatch.setattr(importlib.import_module("isingpp.hpe"), "sample_many", counted)
     run_experiment(config)
-    # Per block and mode: each problem's hpe scales once, at the largest
-    # run count, then each cell's input runs.
+    # Per block: each mode's input runs of every cell, then, when hpe's
+    # function is called, each mode's hpe scales of every problem, once,
+    # at the largest run count.
     per_scale = max(config.run_counts) // len(config.hpe_scales)
+    model = PrecisionModel(config.h_range, config.j_range, config.hpe_levels)
     expected = []
     for block in (range(harness._PROBLEM_BLOCK), [harness._PROBLEM_BLOCK]):
         problems = [problem_for(config, index) for index in block]
         for mode in config.modes:
-            jobs = [job for index, problem in zip(block, problems) for job in hpe_jobs(
-                harness._emulated(config, problem), per_scale, sampler_params(
-                    config, mode, per_scale, derive_seed(config.master_seed, "hpe", mode, index)))]
-            jobs += [(problem, sampler_params(config, mode, num_runs, derive_seed(
-                config.master_seed, "sample", mode, num_runs, index)), f"p{index:04d}")
-                for num_runs in config.run_counts for index, problem in zip(block, problems)]
-            expected.append((harness.SAMPLERS[mode], content(jobs)))
+            expected.append((harness.SAMPLERS[mode], content([
+                (problem, sampler_params(config, mode, num_runs, derive_seed(
+                    config.master_seed, "sample", mode, num_runs, index)), f"p{index:04d}")
+                for num_runs in config.run_counts for index, problem in zip(block, problems)])))
+        for mode in config.modes:
+            expected.append((harness.SAMPLERS[mode], content([
+                job for index, problem in zip(block, problems) for job in hpe_jobs(
+                    emulate(problem, config.hpe_scales, model), per_scale, sampler_params(
+                        config, mode, per_scale,
+                        derive_seed(config.master_seed, "hpe", mode, index)))])))
     assert calls == expected
 
 
 def test_sweep_hpe_records_match_standalone_hpe():
-    # 17 problems span two blocks; 3 runs give hpe one run per scale.
+    # 17 problems span two blocks; 3 runs give hpe one run per scale. The
+    # sweep merges each cell's budget of the scales sampled at its
+    # problem's largest cell; the one-cell call samples the cell's own.
     config = tiny_config(problem_count=17, run_counts=(3, 8), methods=("hpe",))
     records, _ = run_experiment(config)
     assert len(records) == 17 * 2 * 2
@@ -1140,14 +1194,92 @@ def test_sweep_hpe_records_match_standalone_hpe():
         index, mode = rec["problem"], rec["mode"]
         problem = problem_for(config, index)
         runset = mode_runset(config, problem, index, mode, rec["run_count"])
-        # apply_method samples the cell's scales itself, or merges the cell's
-        # budget of the largest cell's scales.
-        largest = sample_many(harness.SAMPLERS[mode], harness._hpe_jobs(
-            config, harness._emulated(config, problem), mode, max(config.run_counts), index))
-        for hpe_runsets in (None, largest):
-            *_, fields = harness.apply_method(config, problem, runset, "hpe", mode, index,
-                                              hpe_runsets=hpe_runsets)
-            assert fields["energy"].hex() == rec["energy"].hex()
+        *_, fields = harness.apply_method(config, problem, runset, "hpe", mode, index)
+        assert fields["energy"].hex() == rec["energy"].hex()
+
+
+def test_every_record_is_its_cells_one_cell_call():
+    # Two blocks, both modes and every method of the table: 408 records.
+    config = tiny_config(problem_count=17, run_counts=(3, 8), methods=METHODS)
+    records, _ = run_experiment(config)
+    assert len(records) == 17 * 2 * 2 * len(METHODS) == 408
+    runsets = {}
+    for rec in records:
+        cell = rec["problem"], rec["mode"], rec["run_count"]
+        problem = problem_for(config, rec["problem"])
+        if cell not in runsets:
+            runsets[cell] = mode_runset(config, problem, *cell)
+        *_, fields = harness.apply_method(config, problem, runsets[cell], rec["method"],
+                                          rec["mode"], rec["problem"])
+        assert fields["energy"].hex() == rec["energy"].hex()
+        assert {**rec, **fields} == rec
+
+
+def test_a_methods_block_call_gives_each_cells_one_cell_call(monkeypatch):
+    # The larger raw cell comes first, against a sweep's ascending run
+    # counts, so hpe samples the scales of the first cell.
+    config = tiny_config(problem_count=1, methods=METHODS)
+    sampled = []
+    monkeypatch.setattr(harness, "sample_scales", lambda sampler, jobs: (
+        sampled.append([q.num_runs for _, q, _ in jobs]) or sample_scales(sampler, jobs)))
+    problem = problem_for(config, 0)
+    raw = mode_runset(config, problem, 0, "raw", 8)
+    cells = [Cell(0, problem, raw, "raw"),
+             Cell(0, problem, RunSet.from_matrix(raw.spins[:4], raw.energies()[:4],
+                                                 raw.problem_id, raw.provenance), "raw"),
+             Cell(0, problem, mode_runset(config, problem, 0, "sampling", 4), "sampling", 9)]
+    for method in METHODS:
+        outputs = harness._METHOD_TABLE[method](config, cells)
+        if method == "hpe":
+            # One call a mode, at the mode's largest cell: 8 // 4 and 4 // 4 runs.
+            assert sampled == [[2] * 4, [1] * 4]
+        for cell, (spins, energies, fields) in zip(cells, outputs, strict=True):
+            one = harness.apply_method(config, problem, cell.runset, method, cell.mode,
+                                       seed=cell.seed)
+            assert np.array_equal(spins, one[0]) and list(energies) == list(one[1])
+            assert fields == one[2]
+    with pytest.raises(ConfigError, match="unknown method 'annealer'"):
+        harness.apply_method(config, problem, raw, "annealer", "raw")
+
+
+CONTRACT_CONFIGS = {
+    "tiny_two_blocks": lambda: tiny_config(problem_count=17, run_counts=(3, 8), methods=METHODS),
+    "default_four": lambda: ExperimentConfig(problem_count=4, methods=METHODS),
+}
+
+
+@pytest.fixture(scope="module", params=list(CONTRACT_CONFIGS))
+def swept(request):
+    config = CONTRACT_CONFIGS[request.param]()
+    return config, run_experiment(config)[0]
+
+
+def test_mqc_and_builtin_pp_never_end_above_the_best_input(swept):
+    # Both start from the cell's input runs and never raise an energy.
+    config, records = swept
+    checked = [rec for rec in records if rec["method"] in (*harness._MQC_STRATEGY, "builtin_pp")]
+    assert len(checked) == config.problem_count * 2 * 2 * 4
+    for rec in checked:
+        assert rec["energy"] <= rec["best_input"] + ENERGY_ATOL, rec
+
+
+def test_hpe_never_ends_above_its_best_scale_run(swept):
+    # hpe merges its scales' runs with MQC at full precision, so it ends at
+    # or below the best of them. hpe() samples a cell's scales as the
+    # one-cell call does, and its report gives their best energies.
+    config, records = swept
+    checked = [rec for rec in records if rec["method"] == "hpe"]
+    assert len(checked) == config.problem_count * 2 * 2
+    model = PrecisionModel(config.h_range, config.j_range, config.hpe_levels)
+    for rec in checked:
+        index, mode = rec["problem"], rec["mode"]
+        per_scale = harness._runs_per_scale(config, rec["run_count"])
+        final, report = hpe(problem_for(config, index), ScaleSet(config.hpe_scales, per_scale),
+                            model, sampler_params(config, mode, per_scale, derive_seed(
+                                config.master_seed, "hpe", mode, index)),
+                            sampler=harness.SAMPLERS[mode])
+        assert final.energy.hex() == rec["energy"].hex()
+        assert rec["energy"] <= min(report.per_scale_best) + ENERGY_ATOL, rec
 
 
 @pytest.mark.parametrize("fields, mode", [
@@ -1159,6 +1291,9 @@ def test_sweep_hpe_records_match_standalone_hpe():
     ({"gibbs_burn_in": -1}, "sampling"),
     # 2 * beta overflows; a zero field would give a spin of nan odds.
     ({"gibbs_beta": 1e308}, "sampling"),
+    # A chain's sweep count must fit int64 at the largest run count.
+    ({"gibbs_burn_in": 10**19}, "sampling"),
+    ({"gibbs_thinning": 2**61}, "sampling"),
 ])
 def test_cli_experiment_rejects_bad_sampler_settings_before_sampling(
         tmp_path, capsys, monkeypatch, fields, mode):

@@ -1255,7 +1255,7 @@ def test_lone_gibbs_chain_is_its_column(problem, data):
     schedule = samplers._level_tables([problem], 1)
     assert np.diff(problem._adj_start).max(initial=0) <= samplers._TABLE_DEGREE
     assert np.array_equal(samplers._gibbs_chain(params, schedule),
-                          samplers._gibbs_columns([problem], [params], schedule)[0])
+                          samplers._gibbs_columns([params], schedule)[0])
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -1384,7 +1384,7 @@ def test_one_gibbs_column_is_python_chain(problem, beta):
     params = SamplerParams(num_runs=30, seed=7, fixed_beta=beta, burn_in=5, thinning=2)
     expected = python_gibbs_chain(problem, params)
     assert np.array_equal(samplers._gibbs_columns(
-        [problem], [params], samplers._level_tables([problem], 1))[0], expected)
+        [params], samplers._level_tables([problem], 1))[0], expected)
 
 
 def test_default_chimera_levels_are_all_tabled(monkeypatch):
@@ -1589,11 +1589,10 @@ def test_short_lagged_chains_are_the_level_chains(graph, top, runs):
     jobs = gibbs_jobs(problems, runs, seed=11)
     if len(jobs) == 1:
         (problem, params, _), = jobs
-        lagged = samplers._gibbs_columns([problem], [params],
-                                         samplers._level_tables([problem], 1))
+        lagged = samplers._gibbs_columns([params], samplers._level_tables([problem], 1))
         with mock.patch.object(samplers, "_UNIFORM_BUFFER", 0):
             assert all(map(np.array_equal, lagged, samplers._gibbs_columns(
-                [problem], [params], samplers._level_tables([problem], 1))))
+                [params], samplers._level_tables([problem], 1))))
         return
     lagged, levels = lagged_and_level_runsets(jobs)
     assert same_runsets(lagged, levels)

@@ -489,8 +489,7 @@ class TestGibbsSample:
             params = SamplerParams(num_runs=runs, seed=1, fixed_beta=1.0, burn_in=0, thinning=1)
             tracemalloc.start()
             try:
-                samplers._gibbs_columns([problem], [params],
-                                        samplers._level_tables([problem], 1))
+                samplers._gibbs_columns([params], samplers._level_tables([problem], 1))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
