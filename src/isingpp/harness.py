@@ -210,6 +210,10 @@ def topology_graph(topology: dict):
     if not isinstance(kind, str) or kind not in TOPOLOGIES:
         raise ConfigError(f"unknown topology kind {kind!r}")
     keys, build = TOPOLOGIES[kind]
+    unknown = set(topology) - {"kind", *keys}
+    if unknown:
+        raise ConfigError(f"unknown topology keys {sorted(unknown, key=repr)}; "
+                          f"topology {kind!r} takes {list(keys)}")
     for key in keys:
         if not is_type(topology.get(key), "int"):
             raise ConfigError(

@@ -31,18 +31,14 @@ _RUN_BLOCK = 256
 # (1 MB: a full 256-run block of 128 vertices draws 4 sweeps a call).
 _SWEEP_CHUNK = 16
 _UNIFORM_BUFFER = 1 << 17
-# The samplers read local values from per-site tables, indexed by the
-# neighbours' spin pattern, for sites of at most this many neighbours: a
-# lone Gibbs chain site by site, the level kernels level by level.
+# The level kernels read local values from per-site tables, indexed by
+# the neighbours' spin pattern, for sites of at most this many neighbours.
 _TABLE_DEGREE = 6
 # A table reader of at most this many (site, column) entries packs each
 # entry's index bits into one uint64 (see _table_reader).
 _PACKED_ENTRIES = 128
 # Byte k of a uint64 times this lands at bit 56 + k, with no carries.
 _PACK = np.array(0x0102040810204080, dtype=np.uint64)
-# A lone Gibbs chain runs as one column when its every step is tabled and
-# holds this many vertices on average (see gibbs_sample_many).
-_COLUMN_STEP_SITES = 40
 # The spin of each state bit of the level kernels, as a float and as a spin.
 _SIGNS = np.array([-1.0, 1.0])
 _SPINS = np.array([-1, 1], dtype=SPIN_DTYPE)
@@ -549,7 +545,7 @@ def _table_reader(state, P, table, slot):
 
 def _pattern_fields(terms, bits, patterns):
     """f[..., p]: the local field of each site under each spin pattern p,
-    the one table builder of the three kernels. ``terms[r]`` holds the
+    the one table builder of both level kernels. ``terms[r]`` holds the
     coefficients of term r, in summation order; its spin is +1 where bit
     ``bits[r]`` of p is set, -1 where not, and +1 where ``bits[r]`` is
     None. The terms are added left to right, elementwise, with the same
@@ -577,31 +573,20 @@ def gibbs_sample(problem: IsingProblem, params: SamplerParams,
     Since f_a depends only on a's neighbours' spins, a site of at most
     ``_TABLE_DEGREE`` neighbours looks p_up up in its row of a
     ``_gibbs_table``, whose entries are those of summing f_a at the
-    visit; the two kernels that ``gibbs_sample_many`` routes a chain to
-    read one table.
+    visit; a wider site sums it at each visit. Either takes p_up from
+    ``_heat_bath``.
     """
     return gibbs_sample_many([(problem, params, problem_id)])[0]
 
 
 def gibbs_sample_many(jobs) -> list:
     """``gibbs_sample`` of each ``(problem, params, problem_id)`` job, the
-    problems on one graph: one RunSet per job. Chains run as the columns
-    of one kernel (``_gibbs_columns``), which pipelines the sweeps in
-    lagged steps (2 a sweep on the default Chimera graph), on the
-    schedule built here. A lone chain runs as one column only where every
-    step is tabled and the graph has at least ``_COLUMN_STEP_SITES``
-    vertices a step, the crossover measured on induced subgraphs of
-    default problem 0 (chains of 3,000 sweeps; on paths it is about 48);
-    elsewhere ``_gibbs_chain`` runs the same schedule site by site in
-    Python, at a cost that grows with the vertices, not the steps. So the
-    default Chimera graph (64 a step) takes the column; complete graphs,
-    whose steps are wide, and two-step graphs of under 80 vertices, such
-    as the persistence remainders of default problems, take the chain.
-    Both kernels read the p_up of every site of at most ``_TABLE_DEGREE``
-    neighbours from ``_gibbs_table``, so there the route changes no bit.
-    A wider site's p_up is ``np.exp``'s in a column and ``math.exp``'s in
-    the chain, which can differ in the last bit: spins differ only where
-    a uniform falls between the two, a few ulps apart.
+    problems on one graph: one RunSet per job. Every call, a lone job's
+    included, runs its chains as the columns of one kernel
+    (``_gibbs_columns``), which pipelines the sweeps in lagged steps (2 a
+    sweep on the default Chimera graph), on the schedule built here. So
+    every site reads one p_up rule, and a job gets the same spins alone
+    or among other jobs.
     """
     jobs = list(jobs)
     if not jobs:
@@ -609,92 +594,9 @@ def gibbs_sample_many(jobs) -> list:
     problems, params, _ = zip(*jobs)
     if any(q.fixed_beta is None for q in params):
         raise ParameterError("gibbs_sample requires fixed_beta")
-    schedule = _level_tables(problems, len(problems))
-    _, levels, _ = schedule
-    if len(jobs) == 1 and (problems[0].vertex_count < _COLUMN_STEP_SITES * len(levels)
-                           or any(len(P) - 1 > _TABLE_DEGREE for _, P, _ in levels)):
-        spins = [_gibbs_chain(params[0], schedule)]
-    else:
-        spins = _gibbs_columns(params, schedule)
+    spins = _gibbs_columns(params, _level_tables(problems, len(problems)))
     return [_wrap_runs(problem, s, "gibbs_sample", q.to_dict(), q.seed, pid)
             for (problem, q, pid), s in zip(jobs, spins)]
-
-
-def _gibbs_chain(params, schedule):
-    """(num_runs, n) states of one Gibbs chain, one site at a time: the
-    program of ``_gibbs_columns`` on ``schedule``, the ``_level_tables``
-    of the call, read site by site.
-
-    It keeps the columns' state rows (``_initial_state``), as spins, and
-    visits the sites in vertex order, n uniforms a sweep, drawn
-    ``_SWEEP_CHUNK`` sweeps a call. A site whose step's ``P`` rows past
-    the first ``_TABLE_DEGREE`` are pads reads p_up from its row of the
-    step's ``_gibbs_table``, bit k of its index the spin of row
-    ``P[1 + k]`` (pads +1), as a column does; a flip XORs the flipped
-    row's bit into each index that holds it. Any other site sums its
-    field h first, then its rows' terms left to right, into a scalar
-    ``math.exp`` heat bath. The states are collected in row order and
-    put in vertex order once.
-    """
-    order, levels, _ = schedule
-    n = len(order)
-    beta2 = 2.0 * params.fixed_beta
-    rng = make_generator(params.seed)
-    state = _SPINS[_initial_state([rng], order)[:, 0]].tolist()
-
-    def heat_bath(x):
-        # Above x = 700, p_up is 0.0; below x = -700 it is 1.0.
-        return 0.0 if x > 700.0 else 1.0 if x < -700.0 else 1.0 / (1.0 + math.exp(x))
-
-    # Per row: its h, its (row, coupling) terms or else its table, and its
-    # table index; watchers[b] holds the (row, bit) of each index that
-    # holds row b's spin.
-    sites, idx, watchers = [None] * n, [0] * n, [[] for _ in range(n + 1)]
-    for rows, P, W in levels:
-        width = min(len(P) - 1, _TABLE_DEGREE)
-        narrow = (P[1 + width:] == n).all(axis=0)
-        tables = iter(_gibbs_table(W[:1 + width, narrow], [beta2])[:, 0].tolist())
-        for a, p, w, tabled in zip(range(rows.start, rows.stop), P.T.tolist(),
-                                   W[:, :, 0].T.tolist(), narrow.tolist()):
-            if tabled:
-                for k, b in enumerate(p[1:1 + width]):
-                    watchers[b].append((a, 1 << k))
-                    idx[a] |= (state[b] > 0) << k
-                sites[a] = (w[0], (), next(tables))
-            else:
-                # The pads' terms, 0.0 each, change no p_up and are left out.
-                sites[a] = (w[0], tuple((b, c) for b, c in zip(p[1:], w[1:]) if b < n), None)
-    sites = [(a, *sites[a], tuple(watchers[a])) for a in np.argsort(order).tolist()]
-
-    samples = np.empty((params.num_runs, n), dtype=SPIN_DTYPE)
-    collected = 0
-    total_sweeps = params.burn_in + params.num_runs * params.thinning
-    drawn = np.empty((min(_SWEEP_CHUNK, total_sweeps), n), dtype=np.float64)
-    for sweep in range(total_sweeps):
-        # PCG64 gives k sweeps at once exactly as k draws of one sweep.
-        if sweep % len(drawn) == 0:
-            uniforms = rng.random(out=drawn[:total_sweeps - sweep]).tolist()
-        for (a, f, terms, table, flips), u in zip(sites, uniforms[sweep % len(drawn)]):
-            if table is None:
-                # The field is summed term by term: sum() compensates float
-                # sums from Python 3.12 on, which would change the chain's bits.
-                for b, w in terms:
-                    f += w * state[b]
-                p_up = heat_bath(beta2 * f)
-            else:
-                p_up = table[idx[a]]
-            s = 1 if u < p_up else -1
-            if s != state[a]:
-                state[a] = s
-                for b, bit in flips:
-                    idx[b] ^= bit
-        done = sweep + 1 - params.burn_in
-        if done > 0 and done % params.thinning == 0:
-            samples[collected] = state[:n]
-            collected += 1
-    spins = np.empty_like(samples)
-    spins[:, order] = samples
-    return spins
 
 
 def _gibbs_columns(params, schedule):
@@ -707,17 +609,16 @@ def _gibbs_columns(params, schedule):
     ``_gibbs_level``, read from a ``_gibbs_table`` of each chain where the
     step is narrow, and sets the spins whose uniform falls below. Each
     field is summed h first, then the neighbours left to right, at any
-    number of columns, one included (see ``gibbs_sample_many``). A
-    step's rows are sorted by lag, so in super-sweep T < max lag those
-    that have begun, lag <= T, are the head of its slice. A chain's state
-    after sweep s is that of lag class l after super-sweep s - 1 + l. The
-    state rows of the last max lag + W super-sweeps wait in a ring, and
-    every state completed in a window of W super-sweeps is written with
-    one gather, W bounded so that the gather's index, one entry a spin,
-    fits ``_UNIFORM_BUFFER``. A row runs on past its chain's last sweep,
-    and a chain that has drawn all its sweeps stops drawing: no sweep
-    reads the spins of a later one, so the collected states are the
-    chain's.
+    number of columns, one included. A step's rows are sorted by lag, so
+    in super-sweep T < max lag those that have begun, lag <= T, are the
+    head of its slice. A chain's state after sweep s is that of lag class
+    l after super-sweep s - 1 + l. The state rows of the last max lag + W
+    super-sweeps wait in a ring, and every state completed in a window of
+    W super-sweeps is written with one gather, W bounded so that the
+    gather's index, one entry a spin, fits ``_UNIFORM_BUFFER``. A row runs
+    on past its chain's last sweep, and a chain that has drawn all its
+    sweeps stops drawing: no sweep reads the spins of a later one, so the
+    collected states are the chain's.
     """
     order, levels, lag = schedule
     n, top, columns = len(order), int(lag.max()), len(params)
@@ -796,7 +697,7 @@ def _gibbs_level(state, P, W, beta2):
 def _gibbs_table(W, beta2):
     """The (sites, chains, patterns) p_up table of sites whose terms ``W``
     are a step's of ``_level_tables``, h first, under each chain's 2 beta
-    ``beta2``: the one p_up table of both Gibbs kernels. An index's bit k
+    ``beta2``: the one p_up table of the Gibbs kernel. An index's bit k
     is the spin of term k + 1. Each field is summed as a step sums it
     (``_pattern_fields``), then times 2 beta into ``_heat_bath``."""
     # The sums are finite, as IsingProblem bounds them, but at a large

@@ -276,6 +276,22 @@ def test_topology_graph_rejects_unknown_kind():
 
 
 @pytest.mark.parametrize(
+    "topology, unknown",
+    [
+        ({"kind": "path", "n": 8, "rows": 3, "shroe": 2}, "['rows', 'shroe']"),
+        ({"kind": "chimera", "rows": 2, "cols": 2, "shore": 4, "n": 32}, "['n']"),
+        ({"kind": "grid", "rows": 2, "cols": 3, "Rows": 2}, "['Rows']"),
+    ],
+)
+def test_topology_graph_rejects_unknown_keys(topology, unknown):
+    keys = {"path": "['n']", "chimera": "['rows', 'cols', 'shore']", "grid": "['rows', 'cols']"}
+    with pytest.raises(ConfigError) as e:
+        topology_graph(topology)
+    assert str(e.value) == (f"unknown topology keys {unknown}; "
+                            f"topology {topology['kind']!r} takes {keys[topology['kind']]}")
+
+
+@pytest.mark.parametrize(
     "topology,key",
     [
         ({"kind": "grid"}, "rows"),
@@ -1357,7 +1373,8 @@ def test_cli_experiment_unknown_config_field_exits(tmp_path, capsys):
 @pytest.mark.parametrize(
     "doc",
     [{"topology": {"kind": "grid"}}, {"problem_count": "3"},
-     {"methods": ["mqc_sequential", "hpe"], "hpe_scales": [2.0, 1.0]}],
+     {"methods": ["mqc_sequential", "hpe"], "hpe_scales": [2.0, 1.0]},
+     {"topology": {"kind": "path", "n": 8, "rows": 3, "shroe": 2}}],
 )
 def test_cli_experiment_malformed_config_exits(tmp_path, capsys, doc):
     path = tmp_path / "config.json"

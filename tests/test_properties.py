@@ -1141,15 +1141,16 @@ def test_fields_beyond_the_float_range_are_rejected():
 @pytest.mark.parametrize("beta", [1e9, 1e300])
 def test_lone_gibbs_chain_takes_beta_fields_beyond_the_float_range(beta):
     """Finite fields near the float limit times 2 beta overflow to inf, in
-    the tables as in the Python chain, and the chain warns of none. Hub 0
-    has more neighbours than a table holds, so it sums its field; vertex
-    10 has a field small enough to leave its spin to chance at beta 1e9."""
+    the tables and the summed steps as in the Python chain, and the chain
+    warns of none. Hub 0 has more neighbours than a table holds, so it
+    sums its field; vertex 10 has a field small enough to leave its spin
+    to chance at beta 1e9."""
     problem = IsingProblem(11, {0: 1e300, 1: -1e300, 2: 3e299, 3: -5.0, 10: 1e-9},
                            {(0, v): (-1) ** v * 1e299 for v in range(1, 10)})
     params = SamplerParams(num_runs=20, seed=1, fixed_beta=beta, burn_in=3, thinning=1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        spins = samplers._gibbs_chain(params, samplers._level_tables([problem], 1))
+        spins = samplers.gibbs_sample(problem, params).spins
     assert problem._adj_start[1] > samplers._TABLE_DEGREE
     assert np.array_equal(spins, python_gibbs_chain(problem, params))
 
@@ -1178,10 +1179,10 @@ def test_lone_gibbs_chain_is_python_chain():
 
 @st.composite
 def lone_chain_problems(draw):
-    """A problem with sites on both sides of the lone chain's table bound
-    of ``samplers._TABLE_DEGREE`` neighbours: a star, K8 to K10, a random
-    graph (often with isolated vertices) or a few Chimera cells (up to 6
-    neighbours a site), with many exact-zero coefficients."""
+    """A problem with sites on both sides of the Gibbs kernel's table
+    bound of ``samplers._TABLE_DEGREE`` neighbours: a star, K8 to K10, a
+    random graph (often with isolated vertices) or a few Chimera cells (up
+    to 6 neighbours a site), with many exact-zero coefficients."""
     kind = draw(st.sampled_from(["star", "complete", "random", "chimera"]))
     if kind == "star":
         n = draw(st.integers(2, 30))
@@ -1220,42 +1221,6 @@ def test_lone_gibbs_chain_matches_python_chain(problem, data):
     expected = python_gibbs_chain(problem, params)
     assert np.array_equal(runset.spins, expected)
     assert same_bits(runset.energies(), problem.evaluate_many(expected))
-
-
-def tabled_problems(graph, seed):
-    """A problem on ``graph`` less the edges that would give a vertex more
-    than ``samplers._TABLE_DEGREE`` neighbours, with many exact-zero
-    coefficients."""
-    n, edges = graph
-    degree, kept = [0] * n, []
-    for a, b in edges:
-        if max(degree[a], degree[b]) < samplers._TABLE_DEGREE:
-            degree[a] += 1
-            degree[b] += 1
-            kept.append((a, b))
-    rng = np.random.default_rng(seed)
-
-    def values(size):
-        return np.where(rng.random(size) < 0.3, 0.0, rng.uniform(-2.0, 2.0, size))
-
-    return IsingProblem(n, dict(enumerate(values(n))), dict(zip(kept, values(len(kept)))))
-
-
-@settings(derandomize=True, database=None, deadline=None, max_examples=30)
-@given(st.builds(tabled_problems, graphs(), st.integers(0, 2**32 - 1)), st.data())
-def test_lone_gibbs_chain_is_its_column(problem, data):
-    """On a graph of at most ``_TABLE_DEGREE`` neighbours a site, the lone
-    chain and the one column on the same schedule read the same p_up
-    table, so they give the same spins bit for bit; betas of 400 and 1e6
-    push x past both 700 guards."""
-    params = SamplerParams(
-        num_runs=data.draw(st.sampled_from([20, 60])), seed=data.draw(st.integers(0, 2**32)),
-        fixed_beta=data.draw(st.one_of(st.floats(0.05, 5.0), st.sampled_from([400.0, 1e6]))),
-        burn_in=data.draw(st.integers(0, 20)), thinning=data.draw(st.integers(1, 3)))
-    schedule = samplers._level_tables([problem], 1)
-    assert np.diff(problem._adj_start).max(initial=0) <= samplers._TABLE_DEGREE
-    assert np.array_equal(samplers._gibbs_chain(params, schedule),
-                          samplers._gibbs_columns([params], schedule)[0])
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -1466,16 +1431,15 @@ def test_packed_index_is_the_reduced_index(width, columns, sites, jobs, seed):
     assert np.array_equal(packed, reduced)
 
 
-def test_lone_gibbs_chains_run_where_they_are_cheaper(monkeypatch):
-    """A lone chain on the default 128-vertex Chimera graph, 64 vertices
-    a step, runs as one column; one on K16, whose steps are summed, and
-    one on a 50-vertex remainder of it, 25 vertices a step, run site by
-    site. Each gives the Python chain's states."""
+def test_lone_gibbs_chains_run_as_one_column(monkeypatch):
+    """A lone chain runs as one column wherever it is: on the default
+    128-vertex Chimera graph, 64 vertices a step, on K16, whose steps are
+    summed, and on a 50-vertex remainder of the default graph, 25
+    vertices a step. Each gives the Python chain's states."""
     calls = []
-    for name in ("_gibbs_chain", "_gibbs_columns"):
-        real = getattr(samplers, name)
-        monkeypatch.setattr(samplers, name, lambda *args, real=real, name=name: (
-            calls.append(name) or real(*args)))
+    real = samplers._gibbs_columns
+    monkeypatch.setattr(samplers, "_gibbs_columns", lambda *args: (
+        calls.append(len(args[0])) or real(*args)))
     problem = problem_for(ExperimentConfig(), 0)
     # Two runs that differ on vertices 0 to 49 only: persistence at
     # threshold 1 freezes the other 78.
@@ -1489,11 +1453,10 @@ def test_lone_gibbs_chains_run_where_they_are_cheaper(monkeypatch):
     assert remainder.vertex_count == 50
     assert len(samplers._level_tables([remainder], 1)[1]) == 2
     params = SamplerParams(num_runs=20, seed=9, fixed_beta=1.0, burn_in=5, thinning=2)
-    for case, kernel in ((problem, "_gibbs_columns"), (k16, "_gibbs_chain"),
-                         (remainder, "_gibbs_chain")):
+    for case in (problem, k16, remainder):
         calls.clear()
         runset = samplers.gibbs_sample(case, params)
-        assert calls == [kernel]
+        assert calls == [1]
         assert np.array_equal(runset.spins, python_gibbs_chain(case, params))
 
 

@@ -452,13 +452,17 @@ class TestBatchedSampling:
         params = SamplerParams(num_runs=2, seed=0, fixed_beta=352.5, burn_in=0, thinning=1)
         assert gibbs_sample(problem, params).spins.tolist() == [[-1, 1] * 5] * 2
 
-    def test_lone_and_batched_chains_read_one_p_up(self, monkeypatch):
-        """A 1-vertex chain whose x = 2 beta h, with p_up of np.exp and of
-        math.exp a few ulps apart, and whose every uniform is the smaller
-        of the two: run alone, it reads the columns' p_up, so it gives
-        the spins of the same job run as a column of a 2-job call."""
+    @pytest.mark.parametrize("leaves", [0, 7])
+    def test_lone_and_batched_chains_read_one_p_up(self, monkeypatch, leaves):
+        """A chain whose vertex 0 has x = 2 beta h, with p_up of np.exp and
+        of math.exp a few ulps apart, and whose every uniform is the
+        smaller of the two: run alone, it reads the columns' p_up, so it
+        gives the spins of the same job run as a column of a 2-job call.
+        Given 7 leaves coupled by 0.0, vertex 0 has more neighbours than a
+        table holds and sums its field, which the leaves leave at h."""
         x = -0.1546382707428613
-        u = min(samplers._heat_bath(np.array([x]))[0], 1.0 / (1.0 + math.exp(x)))
+        p_up = samplers._heat_bath(np.array([x]))[0]
+        u = min(p_up, 1.0 / (1.0 + math.exp(x)))
         real = samplers.make_generator
 
         class FixedUniforms:
@@ -470,11 +474,13 @@ class TestBatchedSampling:
                 return out
 
         monkeypatch.setattr(samplers, "make_generator", FixedUniforms)
-        problem = IsingProblem(1, {0: x})
+        problem = IsingProblem(1 + leaves, {0: x}, {(0, v): 0.0 for v in range(1, 1 + leaves)})
+        assert (problem._adj_start[1] > samplers._TABLE_DEGREE) == bool(leaves)
         params = SamplerParams(num_runs=4, seed=0, fixed_beta=0.5, burn_in=0, thinning=1)
         alone = gibbs_sample(problem, params).spins
         batched = gibbs_sample_many([(problem, params, None)] * 2)
         assert alone.tolist() == batched[0].spins.tolist() == batched[1].spins.tolist()
+        assert alone[:, 0].tolist() == [1 if u < p_up else -1] * 4
 
 
 class TestGibbsSample:

@@ -25,8 +25,8 @@ OUT_DIR must not exist yet. The script runs, in process, through
   and random, and ``pp`` of each runs file with every method, then
   ``sample`` of 2,048 2-sweep raw runs, whose merge levels span several
   256-pair blocks, and ``pp`` of them with the three MQC methods, and
-  ``sample`` of 2,048 sampling-mode runs at thinning 1, one lone Gibbs
-  chain whose states span several collection windows, into
+  ``sample`` of 2,048 sampling-mode runs at thinning 1, one Gibbs chain
+  whose states span several collection windows, into
   ``OUT_DIR/pipeline``;
 * a hand-written problem with three uncoupled vertices, its ``J``
   pairs listed in descending order and ``h`` entries out of order, one
@@ -34,15 +34,20 @@ OUT_DIR must not exist yet. The script runs, in process, through
   sampling, and ``pp`` of each runs file with every method, into
   ``OUT_DIR/irregular``;
 * ``gen`` of one complete-graph problem on 16 vertices, whose every site
-  has more neighbours than a lone Gibbs chain tabulates, ``sample`` of it
-  in modes raw and sampling, and ``pp`` of each runs file with every
-  method, then ``sample`` of one raw run, an annealing block of one
-  column, into ``OUT_DIR/complete``;
+  has more neighbours than a level kernel tabulates, ``sample`` of it in
+  modes raw and sampling, and ``pp`` of each runs file with every method,
+  then ``sample`` of one raw run, an annealing block of one column, into
+  ``OUT_DIR/complete``;
 * a hand-written problem on a 9-leaf star whose hub is joined to a
   Chimera cell, so the level kernels both read fields from tables and
   sum them, ``sample`` of it in modes raw and sampling, and ``pp`` of
   each runs file with every method (``hpe`` in sampling mode runs its 4
   scales as Gibbs columns), into ``OUT_DIR/mixed_width``;
+* ``pp --method sample_persistence --resample-mode sampling`` of the
+  sampling-mode runs of ``complete`` and of ``mixed_width``, whose
+  rounds sample a lone Gibbs chain on each remainder (on ``mixed_width``
+  the whole graph, its hub summing 10 neighbours), into the same
+  directories;
 * ``gen`` of two problems of each topology kind at its default sizes,
   into ``OUT_DIR/gen/<kind>``;
 * the ``--help`` text of the program and of each subcommand, into
@@ -188,6 +193,13 @@ def run_pipeline(out):
     _sample_and_pp(complete, "problem_0000.json", ("raw", "sampling"), "3", "17")
     _run("sample", "--problem", os.path.join(complete, "problem_0000.json"), "--mode", "raw",
          "--runs", "1", "--seed", "3", "--out", os.path.join(complete, "runs_raw_one.json"))
+
+    for directory, name, pp_seed in ((complete, "problem_0000.json", "17"),
+                                     (mixed, "problem.json", "19")):
+        _run("pp", "--problem", os.path.join(directory, name), "--runs-file",
+             os.path.join(directory, "runs_sampling.json"), "--method", "sample_persistence",
+             "--resample-mode", "sampling", "--seed", pp_seed, "--out",
+             os.path.join(directory, "pp_sampling_sample_persistence_resampled.json"))
 
     for kind in TOPOLOGY_KINDS:
         _run("gen", "--topology", kind, "--count", "2", "--out", os.path.join(out, "gen", kind))
