@@ -165,6 +165,21 @@ def _decompose(vertex_count, edges, width_cap):
     return tuple(subgraphs)
 
 
+def _folded_fields(problem: IsingProblem, spins, inside) -> np.ndarray:
+    """The (runs, |inside|) local fields of the vertices where the mask
+    ``inside`` is set, in ascending order, under each row of the (runs,
+    n) matrix ``spins`` with the inside spins left out: h, then each
+    coupling to an outside neighbour times that neighbour's spin, in
+    adjacency order, one term after another, as add.at adds them."""
+    ends = np.repeat(np.arange(problem.vertex_count), np.diff(problem._adj_start))
+    fold = inside[ends] & ~inside[problem._adj]
+    fields = np.tile(problem._h_vec[inside], (len(spins), 1))
+    column = np.cumsum(inside) - 1  # an inside vertex's column of fields
+    np.add.at(fields, (slice(None), column[ends[fold]]),
+              problem._adj_w[fold] * spins[:, problem._adj[fold]])
+    return fields
+
+
 # Most table entries one elimination block may hold: a subgraph of width w
 # takes up to 2^(w+1) entries per run, so blocks hold 2^20 >> (w+1) runs.
 _TABLE_BUDGET = 1 << 20
@@ -186,7 +201,6 @@ def _eliminate(problem: IsingProblem, spins, sub: Subgraph) -> np.ndarray:
     for v in sub.vertices:
         if not (0 <= v < problem.vertex_count):
             raise IndexError(f"subgraph vertex {v} out of range")
-    inside = set(sub.vertices)
     in_sub = np.zeros(problem.vertex_count, dtype=bool)
     in_sub[list(sub.vertices)] = True
     m = spins.shape[0]
@@ -194,12 +208,7 @@ def _eliminate(problem: IsingProblem, spins, sub: Subgraph) -> np.ndarray:
     # Factors: scope is a sorted tuple of variables, table axis k + 1
     # indexes scope[k] with 0 -> spin -1, 1 -> spin +1.
     factors = []
-    for v in sub.vertices:
-        unary = np.full(m, problem._h_vec[v])
-        lo, hi = problem._adj_start[v:v + 2]
-        for b, w in zip(problem._adj[lo:hi].tolist(), problem._adj_w[lo:hi].tolist()):
-            if b not in inside:
-                unary += w * spins[:, b]
+    for v, unary in zip(sub.vertices, _folded_fields(problem, spins, in_sub).T):
         # A zero field adds nothing, so the runs that have one are unaffected.
         if np.any(unary != 0.0):
             factors.append(((v,), np.stack([-unary, unary], axis=1)))
@@ -339,13 +348,7 @@ def persistence_fix(problem: IsingProblem, runset: RunSet,
     free = fixed == 0
     index = np.cumsum(free) - 1  # a free vertex's id in the reduced problem
 
-    # The adjacency entries from a free vertex to a frozen one fold in, in
-    # adjacency order, as add.at adds them.
-    ends = np.repeat(np.arange(problem.vertex_count), np.diff(problem._adj_start))
-    fold = free[ends] & ~free[problem._adj]
-    h = problem._h_vec.copy()
-    np.add.at(h, ends[fold], problem._adj_w[fold] * fixed[problem._adj[fold]])
-    folded = h[free]
+    folded = _folded_fields(problem, fixed[None], free)[0]
     fields = np.flatnonzero(folded)  # a field that folds to 0.0 takes no h entry
     a, b, w = problem._edge_a, problem._edge_b, problem._edge_w
     inner = free[a] & free[b]

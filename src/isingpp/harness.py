@@ -48,7 +48,6 @@ from .serialize import is_type, load_records, read_json, write_json, write_recor
 from .topology import (
     ChimeraSpec,
     ProblemGenSpec,
-    check_span,
     chimera_graph,
     complete_graph,
     grid_graph,
@@ -142,10 +141,10 @@ class ExperimentConfig:
         for name in ("h_range", "j_range"):
             if len(getattr(self, name)) != 2:
                 raise ConfigError(f"{name} must hold two numbers, got {getattr(self, name)}")
-            try:
-                check_span(name, *getattr(self, name))
-            except ParameterError as e:
-                raise ConfigError(str(e)) from e
+        try:
+            ProblemGenSpec(self.h_range, self.j_range, 0)  # the owner of the range rules
+        except ParameterError as e:
+            raise ConfigError(str(e)) from e
         if not self.run_counts or any(n < 1 for n in self.run_counts):
             raise ConfigError(f"run_counts must be positive, got {self.run_counts}")
         if not self.modes or any(m not in MODES for m in self.modes):

@@ -159,8 +159,11 @@ class RunSet:
             raise InputError(f"a RunSet needs m >= 1 runs as an (m, n) spin matrix and m "
                              f"energies, got shapes {spins.shape} and {energies.shape}")
         check_spins(spins)  # as given: a cast first would read 1.7 or 257 as a spin
-        spins = spins.astype(SPIN_DTYPE)
-        spins.setflags(write=False)
+        # A read-only int8 matrix, as a sampler's fresh one or a view of
+        # another run set, is kept as it is; any other is copied.
+        if spins.dtype != SPIN_DTYPE or spins.flags.writeable:
+            spins = spins.astype(SPIN_DTYPE)
+            spins.setflags(write=False)
         energies.setflags(write=False)
         for name, value in zip(self.__slots__, (spins, energies, problem_id, provenance)):
             object.__setattr__(self, name, value)
@@ -192,6 +195,7 @@ class RunSet:
 
 
 def _wrap_runs(problem, spins_matrix, name, params_dict, seed, problem_id=None):
+    spins_matrix.setflags(write=False)  # the run set then takes it without a copy
     return RunSet.from_matrix(
         spins_matrix, problem.evaluate_many(spins_matrix),
         problem_id if problem_id is not None else problem.content_hash(),
@@ -210,13 +214,13 @@ def _level_tables(problems, columns=0):
     as the sweep does, and no edge joins two vertices of one step. Where
     a phi exists that climbs by exactly 1 along every edge, it is taken,
     0 at each connected component's minimum, with D = 2 (1 without
-    edges). Else, as on a triangle, phi is the level, 1 + the largest
-    level among the lower-indexed neighbours or 0 if there are none, and
-    D the largest level gap of an edge + 1. D then grows until max lag +
-    1 sweeps of uniforms of ``columns`` chains fit ``_UNIFORM_BUFFER``
-    (see ``_sweep_uniforms``). At D = the level count, and always at
-    ``columns=0``, the annealer's case, phi is the level and every lag 0:
-    the steps are the levels, so no graph takes more steps than levels.
+    edges); D then grows until max lag + 1 sweeps of uniforms of
+    ``columns`` chains fit ``_UNIFORM_BUFFER`` (see ``_sweep_uniforms``).
+    Else, as on a triangle, and always at ``columns=0``, the annealer's
+    case, and wherever D reaches the level count, phi is the level, 1 +
+    the largest level among the lower-indexed neighbours or 0 if there
+    are none, and D the level count, so every lag is 0: the steps are
+    the levels, and no graph takes more steps than levels.
 
     The kernels keep one state row per vertex, sorted by (step, lag,
     vertex), so a step's rows are one slice, plus row n, which holds a
@@ -257,12 +261,10 @@ def _level_tables(problems, columns=0):
                 phi[v] -= low
     level, phi = np.array(level), np.array(phi)
     ea, eb = first._edge_a, first._edge_b
+    D = int(level.max()) + 1
     if columns and (phi[eb] - phi[ea] == 1).all():
-        D = 2 if len(ea) else 1
-    else:
-        phi, D = level, int((level[eb] - level[ea]).max(initial=0)) + 1
-    max_lag = max(0, _UNIFORM_BUFFER // (n * columns) - 1) if columns else 0
-    D = max(D, int(phi.max()) // (max_lag + 1) + 1)
+        max_lag = max(0, _UNIFORM_BUFFER // (n * columns) - 1)
+        D = max(2 if len(ea) else 1, int(phi.max()) // (max_lag + 1) + 1)
     if D > level.max():
         phi, D = level, int(level.max()) + 1
     order = np.lexsort((phi // D, phi % D))
@@ -347,9 +349,10 @@ def simulated_anneal(problem: IsingProblem, params: SamplerParams,
     n)`` draws them (see ``_initial_state``), then n uniforms per sweep.
     Within a sweep vertices are visited in index order; flipping spin a
     changes the energy by dE = -2 s[a] (h[a] + sum_b J[a,b] s[b]) at
-    O(degree) cost, the sum taken left to right over a's neighbours in
-    ascending order, and the flip is accepted with probability min(1,
-    exp(-beta dE)), uniform a of the sweep deciding.
+    O(degree) cost, the field summed as every field of the package is:
+    h first, then b ascending, one term after another. The flip is
+    accepted with probability min(1, exp(-beta dE)), uniform a of the
+    sweep deciding.
 
     Blocks of up to ``_RUN_BLOCK`` runs advance together, one dependency
     level of vertices at a time (see ``_level_tables``). Vertices of one
@@ -359,7 +362,7 @@ def simulated_anneal(problem: IsingProblem, params: SamplerParams,
     A level whose sites have at most ``_TABLE_DEGREE`` neighbours reads
     each spin's max(dE, 0) from a per-site table, indexed by the spins of
     its neighbours and its own (lookup-table Monte Carlo); a wider level
-    sums its fields (see ``_anneal_level``). Either costs about ten numpy
+    sums its fields (``_summed_field``). Either costs about ten numpy
     calls a level, whatever its size, so paths and complete graphs, one
     vertex a level, pay that per vertex.
     """
@@ -403,7 +406,7 @@ def simulated_anneal_many(jobs) -> list:
             # are held at once.
             if tables is None or not np.array_equal(here, block_jobs):
                 tables = None
-                tables, block_jobs = [_anneal_table(P, W, here) for _, P, W in levels], here
+                tables, block_jobs = [_anneal_table(W, here) for _, _, W in levels], here
             pooled[lo:lo + size] = _anneal_block(
                 order, levels, tables, lag, column_job[lo:lo + size], slot, betas,
                 list(islice(gens, size)))
@@ -451,20 +454,16 @@ def _anneal_level(state, rows, P, W, column_job, table=None, slot=None):
     ``rows`` in each column of ``state``, column c with problem
     ``column_job[c]``'s coefficients, as a (level size, columns) array.
 
-    dE = -2 s f: the field f sums the neighbours' terms left to right,
-    pads included, with ``_ordered_sum``, and then adds h. A level of at
+    dE = -2 s f, the field f summed by ``_summed_field``. A level of at
     most ``_TABLE_DEGREE`` neighbours reads dE from its ``_anneal_table``,
     column c at slot ``slot[c]``. A wider level, given no table, sums its
-    terms at each step.
+    field at each step.
     """
     if table is None:
         weights = W[:, :, column_job]
 
         def summed():
-            terms = _SIGNS.take(state.take(P, axis=0))
-            terms *= weights
-            x = _ordered_sum(terms[1:])
-            x += terms[0]
+            x = _summed_field(state, P, weights)
             x *= np.where(state[rows], -2.0, 2.0)
             return np.maximum(x, 0.0, out=x)
         return summed
@@ -472,22 +471,21 @@ def _anneal_level(state, rows, P, W, column_job, table=None, slot=None):
                          table, slot)
 
 
-def _anneal_table(P, W, jobs):
+def _anneal_table(W, jobs):
     """The (sites, jobs, patterns) max(dE, 0) table of a level of
-    ``_level_tables`` under each of problems ``jobs``, or None for a level
-    wider than ``_TABLE_DEGREE``. An index's bit k is the spin of
-    neighbour row k (pads are +1), its top bit the site's own spin."""
-    width = P.shape[0] - 1
-    if width > _TABLE_DEGREE:
+    ``_level_tables`` with terms ``W`` under each of problems ``jobs``, or
+    None for a level wider than ``_TABLE_DEGREE``. An index's bit k is the
+    spin of term k + 1 (pads are +1), its top bit the site's own spin:
+    the ``_pattern_fields`` table times 2 where that spin is -1, then
+    times -2 where it is +1."""
+    if len(W) - 1 > _TABLE_DEGREE:
         return None
-    W = W[:, :, jobs]
-    # The terms in summation order, the field of a width-0 level being
-    # 0.0 + h, as _ordered_sum of no rows is 0.0.
-    terms = np.concatenate([W[1:] if width else np.zeros_like(W[:1]), W[:1]])
-    patterns = 2 << width
-    f = _pattern_fields(terms, [*range(width), None] if width else [None, None], patterns)
-    f *= np.where(np.arange(patterns) >> width & 1, -2.0, 2.0)
-    return np.maximum(f, 0.0, out=f)
+    f = _pattern_fields(W[:, :, jobs])
+    half = f.shape[-1]
+    table = np.empty(f.shape[:-1] + (2 * half,))
+    np.multiply(f, 2.0, out=table[..., :half])
+    np.multiply(f, -2.0, out=table[..., half:])
+    return np.maximum(table, 0.0, out=table)
 
 
 def _table_reader(state, P, table, slot):
@@ -543,20 +541,27 @@ def _table_reader(state, P, table, slot):
     return read
 
 
-def _pattern_fields(terms, bits, patterns):
-    """f[..., p]: the local field of each site under each spin pattern p,
-    the one table builder of both level kernels. ``terms[r]`` holds the
-    coefficients of term r, in summation order; its spin is +1 where bit
-    ``bits[r]`` of p is set, -1 where not, and +1 where ``bits[r]`` is
-    None. The terms are added left to right, elementwise, with the same
-    IEEE operations as a step that sums them, so every entry has that
-    sum's bits."""
-    index = np.arange(patterns)
-    f = None
-    for w, bit in zip(terms, bits):
-        spin = np.ones(patterns) if bit is None else np.where(index >> bit & 1, 1.0, -1.0)
-        t = w[..., None] * spin
-        f = t if f is None else f + t
+def _summed_field(state, P, W):
+    """The local field of each site of a step in each column of
+    ``state``, from the step's state rows ``P`` and their coefficients
+    ``W``: h first, then the neighbours in ascending order, one term
+    after another (``_ordered_sum``), pads included."""
+    terms = _SIGNS.take(state.take(P, axis=0))
+    terms *= W
+    return _ordered_sum(terms)
+
+
+def _pattern_fields(W):
+    """f[..., p]: the local field of each site of a step under each spin
+    pattern p of its neighbours, from the step's terms ``W``, the one
+    table builder of both level kernels. Term 0 is h; the spin of term k
+    + 1 is +1 where bit k of p is set, -1 where not. The terms are added
+    as ``_summed_field`` adds them, with the same IEEE operations, so
+    every entry has that sum's bits."""
+    index = np.arange(1 << len(W) - 1)
+    f = np.repeat(W[0][..., None], len(index), axis=-1)
+    for k, w in enumerate(W[1:]):
+        f += w[..., None] * np.where(index >> k & 1, 1.0, -1.0)
     return f
 
 
@@ -569,11 +574,12 @@ def gibbs_sample(problem: IsingProblem, params: SamplerParams,
     sampled every ``thinning`` sweeps until ``num_runs`` states have been
     collected. Site a is redrawn from its exact conditional,
     P(s[a] = +1 | rest) = 1 / (1 + exp(2 beta f_a)) with
-    f_a = h[a] + sum_b J[a,b] s[b], summed h first, then b ascending.
-    Since f_a depends only on a's neighbours' spins, a site of at most
-    ``_TABLE_DEGREE`` neighbours looks p_up up in its row of a
-    ``_gibbs_table``, whose entries are those of summing f_a at the
-    visit; a wider site sums it at each visit. Either takes p_up from
+    f_a = h[a] + sum_b J[a,b] s[b], summed as the annealer sums it: h
+    first, then b ascending, one term after another. Since f_a depends
+    only on a's neighbours' spins, a site of at most ``_TABLE_DEGREE``
+    neighbours looks p_up up in its row of a ``_gibbs_table``, whose
+    entries are those of summing f_a at the visit; a wider site sums it
+    at each visit (``_summed_field``). Either takes p_up from
     ``_heat_bath``.
     """
     return gibbs_sample_many([(problem, params, problem_id)])[0]
@@ -678,16 +684,13 @@ def _gibbs_level(state, P, W, beta2):
     """A function that gives p_up of each site of a level in each column
     of ``state``, as a (level size, columns) array. A level of at most
     ``_TABLE_DEGREE`` neighbours reads it from a ``_gibbs_table`` of each
-    chain, built once per call. A wider level sums its terms at each step
-    as the table does, h first, then the neighbours left to right, pads
-    included, with ``_ordered_sum``, and takes ``_heat_bath`` of 2 beta f.
+    chain, built once per call. A wider level sums its field at each step
+    with ``_summed_field``, as the table does, and takes ``_heat_bath`` of
+    2 beta f.
     """
-    width = P.shape[0] - 1
-    if width > _TABLE_DEGREE:
+    if len(P) - 1 > _TABLE_DEGREE:
         def summed():
-            terms = _SIGNS.take(state.take(P, axis=0))
-            terms *= W
-            x = _ordered_sum(terms)
+            x = _summed_field(state, P, W)
             x *= beta2
             return _heat_bath(x)
         return summed
@@ -703,7 +706,7 @@ def _gibbs_table(W, beta2):
     # The sums are finite, as IsingProblem bounds them, but at a large
     # beta, 2 beta f overflows to inf, where the x > 700 guard decides.
     with np.errstate(over="ignore"):
-        x = _pattern_fields(W, [None, *range(len(W) - 1)], 1 << len(W) - 1)
+        x = _pattern_fields(W)
         x *= np.reshape(beta2, (-1, 1))
         return _heat_bath(x)
 
@@ -765,9 +768,6 @@ def exact_ground_state(problem: IsingProblem) -> SpinConfiguration:
         raise SizeError(
             f"exact enumeration capped at {EXACT_VERTEX_CAP} vertices, got {n}"
         )
-    if n == 0:
-        return SpinConfiguration(np.empty(0, dtype=SPIN_DTYPE), 0.0)
-
     shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
     best_energy = math.inf
     best_spins = None

@@ -56,12 +56,6 @@ def _bounded(what, vertices, edges):
                         f"above the limit of {SIZE_LIMIT}")
 
 
-def check_span(name, lo, hi):
-    """Raise unless ``hi - lo`` is finite, as uniform draws need."""
-    if not math.isfinite(hi - lo):
-        raise ParameterError(f"{name} [{lo}, {hi}] does not span a finite width")
-
-
 @dataclass(frozen=True, slots=True)
 class ProblemGenSpec:
     """Uniform coefficient ranges plus the seed that fixes the draw."""
@@ -78,7 +72,8 @@ class ProblemGenSpec:
                     raise ParameterError(f"{name} {bound} bound is NaN: [{lo}, {hi}]")
             if not (lo <= hi):
                 raise ParameterError(f"{name} is empty: [{lo}, {hi}]")
-            check_span(name, lo, hi)
+            if not math.isfinite(hi - lo):  # as uniform draws need
+                raise ParameterError(f"{name} [{lo}, {hi}] does not span a finite width")
         object.__setattr__(self, "h_range", (float(self.h_range[0]), float(self.h_range[1])))
         object.__setattr__(self, "j_range", (float(self.j_range[0]), float(self.j_range[1])))
 

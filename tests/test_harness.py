@@ -135,6 +135,8 @@ def test_config_rejects_unknown_fields():
         {"methods": ()},
         {"methods": ("mqc_sequential", "annealer")},
         {"methods": ("mqc_rank", "mqc_rank")},
+        {"h_range": (2.0, -2.0)},
+        {"j_range": (1.0, -1.0)},
     ],
 )
 def test_config_rejects_bad_values(overrides):
@@ -200,7 +202,7 @@ def test_config_rejects_wrong_types(doc):
         ("hpe", {"hpe_scales": ()}, "hpe_scales"),
         ("hpe", {"hpe_scales": (0.0, 1.0)}, "hpe_scales"),
         ("hpe", {"h_range": (1.0, 1.0)}, "h_range"),
-        ("hpe", {"j_range": (1.0, -1.0)}, "j_range"),
+        ("hpe", {"j_range": (1.0, 1.0)}, "j_range"),
         ("hpe", {"hpe_levels": 1}, "hpe_levels"),
         ("sample_persistence", {"run_counts": (4, 1)}, "run_counts"),
         ("builtin_pp", {"width_cap": 23}, "width_cap"),
@@ -1374,7 +1376,8 @@ def test_cli_experiment_unknown_config_field_exits(tmp_path, capsys):
     "doc",
     [{"topology": {"kind": "grid"}}, {"problem_count": "3"},
      {"methods": ["mqc_sequential", "hpe"], "hpe_scales": [2.0, 1.0]},
-     {"topology": {"kind": "path", "n": 8, "rows": 3, "shroe": 2}}],
+     {"topology": {"kind": "path", "n": 8, "rows": 3, "shroe": 2}},
+     {"h_range": [2.0, -2.0]}],
 )
 def test_cli_experiment_malformed_config_exits(tmp_path, capsys, doc):
     path = tmp_path / "config.json"

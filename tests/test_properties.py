@@ -874,11 +874,11 @@ def summed(sample, jobs):
         return sample(jobs)
 
 
-def per_vertex_anneal(problem, params, neighbour_sum):
+def per_vertex_anneal(problem, params, field_sum):
     """The Metropolis kernel as first written, kept as its specification:
     all runs advance together one vertex at a time, in index order.
-    ``neighbour_sum(spins, weights)`` sums each run's neighbour terms from
-    the (runs, degree) neighbour spins and the couplings."""
+    ``field_sum(h, spins, weights)`` sums each run's field from h, the
+    (runs, degree) neighbour spins and the couplings."""
     n = problem.vertex_count
     gens = [make_generator(s) for s in child_sequences(params.seed, params.num_runs)]
     spins = np.empty((params.num_runs, n), dtype=np.int8)
@@ -897,24 +897,26 @@ def per_vertex_anneal(problem, params, neighbour_sum):
         for a in range(n):
             field = h_vec[a]
             if nbr[a].size:
-                field = field + neighbour_sum(spins[:, nbr[a]].astype(np.float64), nbr_w[a])
+                field = field_sum(field, spins[:, nbr[a]].astype(np.float64), nbr_w[a])
             delta = -2.0 * spins[:, a] * field
             accept = uniforms[:, a] < np.exp(-beta * np.maximum(delta, 0.0))
             spins[accept, a] *= -1
     return spins
 
 
-def left_to_right(spins, weights):
-    terms = spins * weights
-    total = terms[:, 0]
-    for k in range(1, len(weights)):
-        total = total + terms[:, k]
+def left_to_right(h, spins, weights):
+    """The package's one field rule: h first, then the neighbour terms in
+    ascending order, one term after another."""
+    total = h
+    for term in (spins * weights).T:
+        total = total + term
     return total
 
 
-def blas_dot(spins, weights):
-    """The sum as first written: a BLAS product, in the kernel's own order."""
-    return spins @ weights
+def blas_dot(h, spins, weights):
+    """The neighbour sum as first written, a BLAS product in the kernel's
+    own order, added to h: exact, and so equal, on integral sums only."""
+    return h + spins @ weights
 
 
 @st.composite
@@ -1155,16 +1157,17 @@ def test_lone_gibbs_chain_takes_beta_fields_beyond_the_float_range(beta):
     assert np.array_equal(spins, python_gibbs_chain(problem, params))
 
 
-def test_anneal_adds_h_to_the_neighbour_sum():
-    """The problem of the test above, annealed: vertex 3's field is h = 1.0
-    plus the neighbour terms 1e16, -1e16, -0.5 summed left to right, which
-    is 0.5, so the vertex settles at -1; summed h first, as the Gibbs
-    columns sum it, the field would be -0.5 and it would settle at +1."""
+def test_anneal_sums_h_first():
+    """The problem of ``test_gibbs_columns_sum_h_first_then_left_to_right``,
+    annealed: vertex 3's field is h = 1.0 and then the neighbour terms
+    1e16, -1e16, -0.5, summed h first as every field is, which is -0.5,
+    so the vertex settles at +1; summed with h last, the field would be
+    0.5 and it would settle at -1."""
     problem = IsingProblem(4, {0: 1e30, 1: 1e30, 2: 1e30, 3: 1.0},
                            {(0, 3): -1e16, (1, 3): 1e16, (2, 3): 0.5})
     params = SamplerParams(num_runs=3, seed=0, sweeps=2, beta_schedule=BetaSchedule(1e3, 1e3))
     expected = per_vertex_anneal(problem, params, left_to_right)
-    assert (expected == [-1, -1, -1, -1]).all()
+    assert (expected == [-1, -1, -1, 1]).all()
     for runset in samplers.simulated_anneal_many([(problem, params, None)] * 2):
         assert np.array_equal(runset.spins, expected)
 
@@ -1283,9 +1286,9 @@ def test_mixed_width_levels_match_summed_and_specification(block):
 def cancelling_star():
     """Hub 8 of a 9-vertex star, its leaves held at -1 by h = 1e30, so its
     neighbour terms are -1, 1, 1, -0.5, 1e16, 1, -1e16, -1, and h = 0.5.
-    Left to right its field is -1.0 with h first, as Gibbs sums it, and
-    -0.5 with h last, as the annealer does; summed pairwise, the two give
-    0.5 and 1.0, of the other sign."""
+    Summed h first and then left to right, as every field is, its field
+    is -1.0; with h last it would be -0.5, and summed pairwise 0.5 or
+    1.0, of the other sign."""
     weights = [1.0, -1.0, -1.0, 0.5, -1e16, -1.0, 1e16, 1.0]
     return IsingProblem(9, {**{a: 1e30 for a in range(8)}, 8: 0.5},
                         {(a, 8): w for a, w in enumerate(weights)})
@@ -1309,8 +1312,8 @@ def wide_level_problems():
 def test_one_column_wide_levels_sum_in_specified_order(problem, beta, seed):
     """With one column, each wide level's Gibbs p_up is, bit for bit, the
     Python sum of h first and then the neighbour terms left to right,
-    through ``_heat_bath``; its annealing max(dE, 0) is the per-vertex
-    specification's, the neighbour terms left to right and then h."""
+    through ``_heat_bath``; its annealing max(dE, 0) is that of the same
+    sum."""
     n = problem.vertex_count
     rng = np.random.default_rng(seed)
     order, levels, _ = samplers._level_tables([problem])
@@ -1335,10 +1338,7 @@ def test_one_column_wide_levels_sum_in_specified_order(problem, beta, seed):
                 f += t
             with np.errstate(over="ignore"):
                 assert same_bits(p_up[j], samplers._heat_bath(np.array([beta2[0] * f])))
-            total = terms[0]
-            for t in terms[1:]:
-                total += t
-            assert same_bits(delta[j], np.maximum([-2.0 * spins[a] * (h + total)], 0.0))
+            assert same_bits(delta[j], np.maximum([-2.0 * spins[a] * f], 0.0))
 
 
 @pytest.mark.parametrize("problem, beta", wide_level_problems())

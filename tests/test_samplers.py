@@ -185,6 +185,18 @@ class TestRunSet:
         runset = RunSet.from_matrix(spins, [0.0], "x", Provenance("s", {}, 0))
         assert runset.spins.dtype == np.int8 and runset.spins.tolist() == [[1, -1]]
 
+    def test_keeps_a_read_only_int8_matrix_and_copies_any_other(self):
+        frozen = np.array([[1, -1], [-1, -1]], dtype=np.int8)
+        frozen.setflags(write=False)
+        runset = RunSet.from_matrix(frozen, [0.0, 0.0], "x", Provenance("s", {}, 0))
+        assert np.shares_memory(runset.spins, frozen)
+        writable = frozen.copy()
+        runset = RunSet.from_matrix(writable, [0.0, 0.0], "x", Provenance("s", {}, 0))
+        assert not np.shares_memory(runset.spins, writable)
+        writable[0, 0] = -1
+        assert runset.spins.tolist() == [[1, -1], [-1, -1]]
+        assert not runset.spins.flags.writeable
+
     def test_accessors(self):
         problem = IsingProblem(2, h={0: 1.0})
         rs = random_runs(problem, count=5, seed=3)
@@ -654,6 +666,11 @@ class TestExactGroundState:
         gs = exact_ground_state(problem)
         rs = random_runs(problem, count=10000, seed=1)
         assert gs.energy <= rs.energies().min() + 1e-9
+
+    def test_no_vertices(self):
+        gs = exact_ground_state(IsingProblem(0))
+        assert gs.spins.dtype == np.int8 and gs.spins.shape == (0,)
+        assert gs.energy == 0.0
 
     def test_size_cap(self):
         problem = IsingProblem(26)
