@@ -365,37 +365,37 @@ def sample_persistence(problem: IsingProblem, sampler, params: SamplerParams,
                        threshold: float = DEFAULT_PERSISTENCE_THRESHOLD,
                        rounds: int = DEFAULT_PERSISTENCE_ROUNDS,
                        initial_runs: RunSet | None = None) -> SpinConfiguration:
-    """Iterate {sample, freeze, reduce} and return the assembled best run.
+    """Iterate {sample, freeze, reduce} and return the best assembled run.
 
-    ``sampler`` is any callable of (problem, params) -> RunSet. Round r
-    re-seeds it with a sub-seed derived from (params.seed, r); when
-    ``initial_runs`` is given it serves as round 0's sample. Freezing
-    happens between rounds; the final round's best run fills the
-    remaining free vertices. Once every vertex is frozen the remaining
-    rounds change nothing.
+    Sample persistence of Karimi, Rosenberg and Katzgraber (arXiv:1706.07826).
+    ``sampler`` is any callable of (problem, params) -> RunSet; round r
+    re-seeds it from (params.seed, r), and ``initial_runs``, if given, is
+    round 0's sample. One spin vector holds the frozen spins; each round
+    writes its best run at the free vertices, then freezes more. It returns
+    the earliest lowest-energy of these runs and, once all vertices are
+    frozen, of the all-frozen vector: never above ``initial_runs``' best.
     """
     if rounds < 1:
         raise ParameterError(f"rounds must be positive, got {rounds}")
-    frozen = []
-    current = problem
-    spins = np.zeros(0, dtype=np.int8)
+    spins = np.zeros(problem.vertex_count, dtype=SPIN_DTYPE)
+    free = np.arange(problem.vertex_count)  # the current problem's vertices' ids
+    current, best = problem, None
     for r in range(rounds):
-        if current.vertex_count == 0:
+        if current.vertex_count:
+            if r == 0 and initial_runs is not None:
+                runset = initial_runs
+                if runset.spins.shape[1] != current.vertex_count:
+                    raise InputError("initial_runs do not fit the problem")
+            else:
+                round_params = replace(params, seed=derive_seed(params.seed, "persistence", r))
+                runset = sampler(current, round_params)
+            spins[free] = runset.best().spins
+        assembled = problem.configuration(spins)
+        best = assembled if best is None or assembled.energy < best.energy else best
+        if current.vertex_count == 0 or r == rounds - 1:
             break
-        if r == 0 and initial_runs is not None:
-            runset = initial_runs
-            if runset.spins.shape[1] != current.vertex_count:
-                raise InputError("initial_runs do not fit the problem")
-        else:
-            round_params = replace(params, seed=derive_seed(params.seed, "persistence", r))
-            runset = sampler(current, round_params)
-        if r == rounds - 1:
-            spins = runset.best().spins
-            break
-        frozen.append(persistence_fix(current, runset, threshold))
-        current = frozen[-1].reduced_problem
-
-    # Unfold the freezing rounds, last first, back to the full vertex set.
-    for fa in reversed(frozen):
-        spins = fa.assemble(spins)
-    return problem.configuration(spins)
+        fa = persistence_fix(current, runset, threshold)
+        spins[free[list(fa.assignments)]] = list(fa.assignments.values())
+        free = free[list(fa.free_vertices)]
+        current = fa.reduced_problem
+    return best

@@ -277,8 +277,8 @@ class IsingProblem:
 
 def check_spins(spins):
     """Raise ValueError unless every entry of the array ``spins`` is -1 or +1."""
-    bad = spins[(spins != 1) & (spins != -1)]
-    if bad.size:
+    if np.count_nonzero(spins == 1) + np.count_nonzero(spins == -1) != spins.size:
+        bad = spins[(spins != 1) & (spins != -1)]
         raise ValueError(f"spins must be -1 or +1, found {np.unique(bad).tolist()}")
 
 

@@ -266,7 +266,8 @@ class TestSpinConfiguration:
 
     @pytest.mark.parametrize("spins, bad", [
         ([1.7, -1.2], "[-1.2, 1.7]"), ([1, 257], "[257]"),
-        (np.array([1, 255], dtype=np.uint8), "[255]"), (["1", "-1"], "['-1', '1']")])
+        (np.array([1, 255], dtype=np.uint8), "[255]"), (["1", "-1"], "['-1', '1']"),
+        ([float("nan"), 1.0], "[nan]")])
     def test_checks_spins_before_casting(self, spins, bad):
         """An int8 cast would read each of these as +-1."""
         with pytest.raises(ValueError) as info:

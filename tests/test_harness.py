@@ -8,6 +8,7 @@ import os
 import re
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -965,6 +966,19 @@ def test_cli_pp_single_run_passes_through(tmp_path):
     assert reduced[0].same_spins(original[0])
 
 
+def test_cli_pp_persistence_refuses_one_run_with_more_than_one_round(tmp_path, capsys):
+    problem_path = gen_problems(tmp_path) / "problem_0000.json"
+    runs_path = sample_runs(tmp_path, problem_path, "one.json", runs=1)
+    capsys.readouterr()
+    out = tmp_path / "pp.json"
+    assert main(["pp", "--problem", str(problem_path), "--runs-file", str(runs_path),
+                 "--method", "sample_persistence", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "at least two runs" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("method, mode", [
     *(pytest.param(m, "raw", id=m) for m in (
         "mqc_sequential", "mqc_rank", "mqc_maxdiff", "builtin_pp", "sample_persistence")),
@@ -1279,6 +1293,76 @@ def test_mqc_and_builtin_pp_never_end_above_the_best_input(swept):
     assert len(checked) == config.problem_count * 2 * 2 * 4
     for rec in checked:
         assert rec["energy"] <= rec["best_input"] + ENERGY_ATOL, rec
+
+
+def test_persistence_never_ends_above_the_best_input(swept):
+    # Round 0's assembled run is the input's best, and a later round's
+    # replaces it only when strictly lower (Karimi et al., arXiv:1706.07826).
+    config, records = swept
+    checked = [rec for rec in records if rec["method"] == "sample_persistence"]
+    assert len(checked) == config.problem_count * 2 * 2
+    for rec in checked:
+        assert rec["energy"] <= rec["best_input"], rec
+
+
+def persistence_by_rounds(problem, sampler, params, threshold, rounds, initial_runs):
+    """sample_persistence's rule unfolded through ``FixedAssignment``: each
+    round's best run assembled by every earlier round's ``assemble``, last
+    first, and the all-frozen vector once reached; the earliest minimum."""
+    fixes, assembled, current = [], [], problem
+    for r in range(rounds):
+        if current.vertex_count == 0:
+            spins = np.zeros(0, dtype=np.int8)
+        elif r == 0:
+            spins = (runset := initial_runs).best().spins
+        else:
+            runset = sampler(current, replace(
+                params, seed=derive_seed(params.seed, "persistence", r)))
+            spins = runset.best().spins
+        for fa in reversed(fixes):
+            spins = fa.assemble(spins)
+        assembled.append(problem.configuration(spins))
+        if current.vertex_count == 0 or r == rounds - 1:
+            break
+        fixes.append(altpp.persistence_fix(current, runset, threshold))
+        current = fixes[-1].reduced_problem
+    return min(assembled, key=lambda c: c.energy)
+
+
+def test_persistence_records_are_the_earliest_best_assembled_round(swept):
+    # tiny_two_blocks freezes every vertex of 29 cells; both configs have
+    # sampling-mode cells whose later rounds end below the input.
+    config, records = swept
+    below = []
+    for rec in records:
+        if rec["method"] != "sample_persistence":
+            continue
+        index, mode = rec["problem"], rec["mode"]
+        problem = problem_for(config, index)
+        runset = mode_runset(config, problem, index, mode, rec["run_count"])
+        best = persistence_by_rounds(
+            problem, harness.SAMPLERS[mode], sampler_params(
+                config, mode, len(runset), derive_seed(config.master_seed, "persistence",
+                                                       mode, index)),
+            config.persistence_threshold, config.persistence_rounds, runset)
+        assert best.energy.hex() == rec["energy"].hex(), rec
+        spins, *_ = harness.apply_method(config, problem, runset, "sample_persistence",
+                                         mode, index)
+        assert np.array_equal(spins[0], best.spins)
+        below.append(best.energy < runset.best().energy)
+    assert any(below) and not all(below)
+
+
+def test_persistence_keeps_the_best_input_where_its_last_round_ends_above_it():
+    # The default experiment's sampling-mode, 400-run cell of problem 13:
+    # the last round's best run, assembled, is 0.942 above the input's best.
+    config = ExperimentConfig(problem_count=16, methods=METHODS)
+    problem = problem_for(config, 13)
+    runset = mode_runset(config, problem, 13, "sampling", 400)
+    spins, _, fields = harness.apply_method(config, problem, runset, "sample_persistence",
+                                            "sampling", 13)
+    assert fields["energy"].hex() == runset.best().energy.hex() == (-184.41916840815477).hex()
+    assert np.array_equal(spins[0], runset.best().spins)
 
 
 def test_hpe_never_ends_above_its_best_scale_run(swept):

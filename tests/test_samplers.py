@@ -171,12 +171,28 @@ class TestRunSet:
 
     @pytest.mark.parametrize("spins, bad", [
         ([[1.7, -1.2]], "[-1.2, 1.7]"), ([[1, 257]], "[257]"),
-        (np.array([[1, 255]], dtype=np.uint8), "[255]"), ([["1", "-1"]], "['-1', '1']")])
+        (np.array([[1, 255]], dtype=np.uint8), "[255]"), ([["1", "-1"]], "['-1', '1']"),
+        ([[float("nan"), 1.0]], "[nan]")])
     def test_checks_spins_before_casting(self, spins, bad):
         """An int8 cast would read each of these as +-1."""
         with pytest.raises(ValueError) as info:
             RunSet.from_matrix(spins, [0.0], "x", Provenance("s", {}, 0))
         assert str(info.value) == f"spins must be -1 or +1, found {bad}"
+
+    def test_from_matrix_checks_a_read_only_matrix_near_its_own_size(self):
+        """A read-only int8 matrix is kept as it is, and its spin check holds
+        one bool mask of the matrix's size at a time."""
+        spins = np.random.default_rng(5).choice(np.array([-1, 1], dtype=np.int8),
+                                                size=(8192, 128))
+        spins.setflags(write=False)
+        energies = np.zeros(len(spins))
+        tracemalloc.start()
+        try:
+            RunSet.from_matrix(spins, energies, "x", Provenance("s", {}, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * spins.nbytes
 
     @pytest.mark.parametrize("spins", [
         np.array([[1, -1]], dtype=np.int8), np.array([[1, -1]], dtype=np.int64),

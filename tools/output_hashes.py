@@ -48,6 +48,12 @@ OUT_DIR must not exist yet. The script runs, in process, through
   rounds sample a lone Gibbs chain on each remainder (on ``mixed_width``
   the whole graph, its hub summing 10 neighbours), into the same
   directories;
+* ``gen`` of the default config's first 14 problems, ``sample`` of
+  problem 13 in sampling mode with 400 runs, and ``pp --method
+  sample_persistence --resample-mode sampling`` of those runs, with the
+  seeds the default experiment derives for that cell, into
+  ``OUT_DIR/persistence_cell``: its rounds end above the best input run,
+  so the result is the input's best;
 * ``gen`` of two problems of each topology kind at its default sizes,
   into ``OUT_DIR/gen/<kind>``;
 * the ``--help`` text of the program and of each subcommand, into
@@ -201,6 +207,19 @@ def run_pipeline(out):
              "--resample-mode", "sampling", "--seed", pp_seed, "--out",
              os.path.join(directory, "pp_sampling_sample_persistence_resampled.json"))
 
+    # The default experiment's sampling-mode, 400-run cell of problem 13:
+    # derive_seed(2024, "sample", "sampling", 400, 13) and
+    # derive_seed(2024, "persistence", "sampling", 13).
+    cell = os.path.join(out, "persistence_cell")
+    _run("gen", "--count", "14", "--seed", "316", "--out", cell)
+    cell_runs = os.path.join(cell, "runs_sampling.json")
+    _run("sample", "--problem", os.path.join(cell, "problem_0013.json"), "--mode", "sampling",
+         "--runs", "400", "--seed", "8964919128785046527", "--out", cell_runs)
+    _run("pp", "--problem", os.path.join(cell, "problem_0013.json"), "--runs-file", cell_runs,
+         "--method", "sample_persistence", "--resample-mode", "sampling",
+         "--seed", "4909063203267201489", "--out",
+         os.path.join(cell, "pp_sampling_sample_persistence.json"))
+
     for kind in TOPOLOGY_KINDS:
         _run("gen", "--topology", kind, "--count", "2", "--out", os.path.join(out, "gen", kind))
 
@@ -213,8 +232,9 @@ def run_pipeline(out):
                   encoding="utf-8") as f:
             f.write(text.getvalue())
 
-    paths = sorted(glob.glob(os.path.join(out, "*", "problem*.json"))
-                   + glob.glob(os.path.join(out, "gen", "*", "problem*.json")))
+    paths = sorted(glob.glob(os.path.join(out, "gen", "*", "problem*.json"))
+                   + [path for name in ("pipeline", "irregular", "complete", "mixed_width")
+                      for path in glob.glob(os.path.join(out, name, "problem*.json"))])
     with open(os.path.join(out, "content_hashes.txt"), "w", encoding="utf-8") as f:
         f.writelines(f"{load_problem(path).content_hash()}  {os.path.relpath(path, out)}\n"
                      for path in paths)
