@@ -170,13 +170,16 @@ def _folded_fields(problem: IsingProblem, spins, inside) -> np.ndarray:
     ``inside`` is set, in ascending order, under each row of the (runs,
     n) matrix ``spins`` with the inside spins left out: h, then each
     coupling to an outside neighbour times that neighbour's spin, in
-    adjacency order, one term after another, as add.at adds them."""
+    adjacency order, one ``+=`` a rank over the fields that have an
+    outside neighbour of that rank."""
     ends = np.repeat(np.arange(problem.vertex_count), np.diff(problem._adj_start))
-    fold = inside[ends] & ~inside[problem._adj]
+    fold = np.flatnonzero(inside[ends] & ~inside[problem._adj])
+    owner = ends[fold]  # sorted, so a field's entries are adjacent
+    rank = np.arange(fold.size) - np.searchsorted(owner, owner)
+    column = (np.cumsum(inside) - 1)[owner]  # each entry's column of fields
     fields = np.tile(problem._h_vec[inside], (len(spins), 1))
-    column = np.cumsum(inside) - 1  # an inside vertex's column of fields
-    np.add.at(fields, (slice(None), column[ends[fold]]),
-              problem._adj_w[fold] * spins[:, problem._adj[fold]])
+    for at in (rank == r for r in range(rank.max(initial=-1) + 1)):
+        fields[:, column[at]] += problem._adj_w[fold[at]] * spins[:, problem._adj[fold[at]]]
     return fields
 
 

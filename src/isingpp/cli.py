@@ -123,9 +123,9 @@ def cmd_pp(args):
     runset = load_runset(args.runs_file, problem)
     # The input file fixes the run budget; the resampling methods take
     # their seed from --seed as given.
-    spins, energies, _ = apply_method(_config(args, methods=(args.method,)), problem,
-                                      runset, args.method, args.resample_mode,
-                                      seed=args.seed)
+    config = _config(args, methods=(args.method,), run_counts=(len(runset),))
+    spins, energies, _ = apply_method(config, problem, runset, args.method,
+                                      args.resample_mode, seed=args.seed)
     result = RunSet.from_matrix(spins, energies, runset.problem_id, Provenance(
         sampler=args.method,
         params={"source_sampler": runset.provenance.sampler,

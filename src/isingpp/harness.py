@@ -169,8 +169,8 @@ class ExperimentConfig:
             # Every round but the last freezes on agreement between runs.
             if self.persistence_rounds >= 2 and min(self.run_counts) < 2:
                 raise ConfigError(
-                    f"run_counts must be at least 2 for sample_persistence with "
-                    f"{self.persistence_rounds} rounds, got {self.run_counts}")
+                    f"sample_persistence with {self.persistence_rounds} persistence_rounds "
+                    f"(--rounds) needs at least two runs, got run_counts {self.run_counts}")
         if "hpe" in self.methods:
             # The parameter types hpe() takes check their own values.
             for name, build in (("hpe_scales", ScaleSet),

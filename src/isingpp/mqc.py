@@ -10,16 +10,18 @@ whole-tunnel flip, the merged energy never exceeds either input's.
 
 ``mqc_reduce`` folds a whole RunSet to a single configuration by repeated
 pairwise merging, each level one (runs, n) spin matrix; ``hpe`` reduces
-its groups through the same level loop. The pairing order at each level
-is a strategy choice:
+its groups through the same level loop. A pairing strategy only orders
+each group's runs:
 
-* sequential      - pair runs in the order they appear;
-* rank_order      - sort by energy (ties by position) and pair adjacent;
-* max_difference  - greedily pair the remaining runs with the largest
-                    Hamming distance, smallest index pair on ties.
+* sequential      - the order they appear in;
+* rank_order      - by energy, ties by position;
+* max_difference  - the pairs a greedy takes, in turn, of the remaining
+                    runs with the largest Hamming distance, smallest
+                    index pair on ties.
 
-An odd run out is carried to the next level unchanged, after the merged
-pairs.
+Adjacent runs of the order pair; an odd order's last run is carried to
+the next level unchanged, after the merged pairs. A level orders and
+pairs all its groups in one call.
 
 All pairs of a level are merged together, ``_ROW_BLOCK`` (256) pairs per
 numpy pass. The disagreement entries of a block are the nodes of one
@@ -293,29 +295,23 @@ class ReductionTrace:
 
 
 def _pair_indices(spins, energies, strategy):
-    """Index pairs plus the leftover index (or None) for one level: the
-    rows of ``spins``, with cached ``energies``.
+    """The (G, m // 2, 2) index pairs and the (G,) leftover rows, None for
+    even m, of one level: the (G, m, n) ``spins``, with (G, m) ``energies``.
 
-    ``strategy`` is a PairingStrategy, checked by the caller. A pair
-    (i, j) means row i plays run 1 and row j run 2 in the merge, so ties
-    inside a tunnel go to row i. Max-difference pairs have i < j and come
-    out in (distance descending, i, j) order; they cost one m x m int16
-    distance table and a few dozen numpy rounds on sampled runs (see the
-    module docstring).
+    ``strategy``, a PairingStrategy checked by the caller, orders each
+    group's rows: their own order, a stable ``argsort`` of the energies or
+    ``_max_difference_order``. Adjacent entries pair and an odd order's
+    last is left over. In a pair (i, j) row i plays run 1 and row j run 2
+    in the merge, so ties inside a tunnel go to row i.
     """
-    m = len(spins)
+    groups, m = energies.shape
     if strategy == PairingStrategy.SEQUENTIAL:
-        pairs = [(i, i + 1) for i in range(0, m - 1, 2)]
-        leftover = m - 1 if m % 2 else None
-        return pairs, leftover
-
-    if strategy == PairingStrategy.RANK_ORDER:
-        order = np.argsort(energies, kind="stable").tolist()
-        pairs = list(zip(order[0:m - 1:2], order[1::2]))
-        leftover = order[-1] if m % 2 else None
-        return pairs, leftover
-
-    return _max_difference_pairs(spins)
+        order = np.tile(np.arange(m), (groups, 1))
+    elif strategy == PairingStrategy.RANK_ORDER:
+        order = np.argsort(energies, axis=1, kind="stable")
+    else:
+        order = np.stack([_max_difference_order(group) for group in spins])
+    return order[:, :m - m % 2].reshape(groups, m // 2, 2), order[:, -1] if m % 2 else None
 
 
 # Rows of the distance table filled or rescanned, and pairs merged, per
@@ -342,8 +338,9 @@ def _distance_table(spins):
     return dist
 
 
-def _max_difference_pairs(spins):
-    """Greedy max-Hamming-distance pairing of the rows of ``spins``.
+def _max_difference_order(spins):
+    """Greedy max-Hamming-distance pairing of the rows of ``spins``, as an
+    order: the pairs in the order the greedy takes them, then a free row.
 
     The greedy takes, step by step, the live pair first in (distance
     descending, i ascending, j ascending) order. A pair that is first
@@ -365,7 +362,7 @@ def _max_difference_pairs(spins):
     at worst, when every round matches one pair and rescans every row.
     Sampled runs need a few dozen rounds. The greedy takes its pairs in
     (distance descending, i, j) order, so one ``lexsort`` of the
-    matching, kept in ``mate``, gives its list.
+    matching, kept in ``mate``, gives its order.
     """
     m = spins.shape[0]
     dist = _distance_table(spins)
@@ -388,13 +385,14 @@ def _max_difference_pairs(spins):
     i = np.flatnonzero(mate > np.arange(m))
     j = mate[i]
     order = np.lexsort((j, i, -dist[i, j]))
-    pairs = list(zip(i[order].tolist(), j[order].tolist()))
-    return pairs, int(live[0]) if m % 2 else None
+    return np.concatenate((np.stack((i[order], j[order]), axis=1).ravel(), live))
 
 
 def pair_runs(runset: RunSet, strategy: PairingStrategy):
     """Pair up a RunSet's runs; returns (index pairs, leftover index)."""
-    return _pair_indices(runset.spins, runset.energies(), _strategy(strategy))
+    pairs, leftover = _pair_indices(runset.spins[None], runset.energies()[None],
+                                    _strategy(strategy))
+    return list(map(tuple, pairs[0].tolist())), None if leftover is None else int(leftover[0])
 
 
 def _merge_pairs(problem, spins, pairs):
@@ -423,34 +421,30 @@ def _merge_pairs(problem, spins, pairs):
 
 def _reduce_levels(problem, spins, energies, strategy):
     """Reduce each group of runs in the (G, k, n) ``spins``, with (G, k)
-    ``energies``, to one: every level pairs each group under ``strategy``
-    and merges all groups' pairs in one ``_merge_pairs`` call; a group's
-    odd run out follows its merged pairs, energy unchanged. Returns the
-    winners' (G, n) spins and (G,) energies, and group 0's levels.
+    ``energies``, to one: every level pairs all groups in one
+    ``_pair_indices`` call and merges them in one ``_merge_pairs`` call; a
+    group's odd run out follows its merged pairs, energy unchanged.
+    Returns the winners' (G, n) spins and (G,) energies, and group 0's levels.
     """
     problem._check_length(spins)
     groups, size, n = spins.shape
     levels = []
     while size > 1:
-        flat, flat_energies = spins.reshape(groups * size, n), energies.reshape(-1)
-        flat_pairs, left = [], []
-        for g in range(groups):
-            pairs, leftover = _pair_indices(spins[g], energies[g], strategy)
-            flat_pairs += [(g * size + i, g * size + j) for i, j in pairs]
-            if leftover is not None:
-                left.append(g * size + leftover)
+        pairs, left = _pair_indices(spins, energies, strategy)
+        first = np.arange(groups) * size  # each group's first row in the flat level
         merged, merged_energies, index, counts, sizes, contrib1 = _merge_pairs(
-            problem, flat, flat_pairs)
+            problem, spins.reshape(groups * size, n), pairs + first[:, None, None])
         half = size // 2
         tunnels = int(counts[:half].sum())
-        levels.append(ReductionLevel(size, left[0] if left else None, index[:half],
+        levels.append(ReductionLevel(size, None if left is None else int(left[0]), index[:half],
                                      counts[:half], sizes[:tunnels], contrib1[:tunnels]))
-        spins = merged.reshape(groups, half, n)
-        energies = merged_energies.reshape(groups, half)
-        if left:
-            spins = np.concatenate([spins, flat[left][:, None]], axis=1)
-            energies = np.concatenate([energies, flat_energies[left][:, None]], axis=1)
-        size = spins.shape[1]
+        merged = merged.reshape(groups, half, n)
+        merged_energies = merged_energies.reshape(groups, half)
+        if left is not None:
+            rows = np.arange(groups), left
+            merged = np.concatenate([merged, spins[rows][:, None]], axis=1)
+            merged_energies = np.concatenate([merged_energies, energies[rows][:, None]], axis=1)
+        spins, energies, size = merged, merged_energies, merged.shape[1]
     return spins[:, 0], energies[:, 0], levels
 
 

@@ -975,6 +975,7 @@ def test_cli_pp_persistence_refuses_one_run_with_more_than_one_round(tmp_path, c
                  "--method", "sample_persistence", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "at least two runs" in err
+    assert "--rounds" in err
     assert err.count("\n") == 1
     assert not out.exists()
 

@@ -332,10 +332,8 @@ class TestPairRuns:
 
 
 def reduce_pairs_for(configs, strategy):
-    """pair_runs minus the RunSet packaging, for hand-built config lists."""
-    from isingpp.mqc import _pair_indices
-    return _pair_indices(np.stack([c.spins for c in configs]),
-                         np.array([c.energy for c in configs]), strategy)
+    """pair_runs of hand-built config lists, their energies as given."""
+    return pair_runs(isingpp.RunSet(list(configs), None, None), strategy)
 
 
 class TestMqcReduce:

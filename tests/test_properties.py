@@ -65,6 +65,7 @@ from isingpp.mqc import (
     _pair_indices,
     _reduce_levels,
     mqc_reduce,
+    pair_runs,
     reduce_configs,
 )
 from isingpp.rng import child_sequences, child_words, make_generator
@@ -402,12 +403,11 @@ def packed_contributions(trace):
 
 def pairwise_reduction(problem, configs, strategy):
     """The reduction merged one pair at a time with ``merge_pair``, each
-    level paired by ``_pair_indices``; returns the final configuration and
+    level paired by ``pair_runs``; returns the final configuration and
     the trace dict."""
     levels = []
     while len(configs) > 1:
-        pairs, leftover = _pair_indices(np.stack([c.spins for c in configs]),
-                                        np.array([c.energy for c in configs]), strategy)
+        pairs, leftover = pair_runs(RunSet(configs, None, None), strategy)
         merged, records = [], []
         for i, j in pairs:
             ref, sizes, contributions, adopted = merge_pair(problem, configs[i], configs[j])
@@ -644,6 +644,11 @@ def test_spin_parser_matches_per_run_parser(texts):
         assert spins.dtype == np.int8 and np.array_equal(spins, expected)
 
 
+def one_group_pairs(spins, energies, strategy):
+    """``pair_runs`` of the rows of ``spins`` with cached ``energies``."""
+    return pair_runs(RunSet.from_matrix(spins, energies, None, None), strategy)
+
+
 @derandomized
 @given(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 2.5]), min_size=1, max_size=40))
 def test_rank_order_pairing_matches_sorted(energies):
@@ -653,7 +658,36 @@ def test_rank_order_pairing_matches_sorted(energies):
     expected = ([(order[k], order[k + 1]) for k in range(0, m - 1, 2)],
                 order[-1] if m % 2 else None)
     spins = np.ones((m, 1), dtype=np.int8)
-    assert _pair_indices(spins, np.array(energies), PairingStrategy.RANK_ORDER) == expected
+    assert one_group_pairs(spins, energies, PairingStrategy.RANK_ORDER) == expected
+
+
+@derandomized
+@given(st.sampled_from(list(PairingStrategy)), st.integers(1, 3), st.integers(1, 13),
+       st.integers(1, 5), st.integers(1, 13), st.integers(0, 2**32 - 1))
+def test_one_pairing_call_pairs_each_group_as_its_own_call(strategy, groups, m, n, distinct,
+                                                           seed):
+    """One ``_pair_indices`` call over G groups of m runs gives each group
+    the pairs and leftover of its own one-group call. Each group's pairs,
+    then its leftover, are an order of its rows: the identity under
+    sequential pairing and the (energy, position) order under rank order.
+    Runs repeat and energies tie, -0.0 with 0.0."""
+    rng = np.random.default_rng(seed)
+    rows = rng.choice(np.array([-1, 1], dtype=np.int8), size=(distinct, n))
+    spins = rows[rng.integers(0, distinct, size=(groups, m))]
+    energies = rng.choice([-1.0, -0.0, 0.0, 2.5], size=(groups, m))
+    pairs, left = _pair_indices(spins, energies, strategy)
+    assert pairs.shape == (groups, m // 2, 2)
+    assert left is None if m % 2 == 0 else left.shape == (groups,)
+    for g in range(groups):
+        alone, leftover = one_group_pairs(spins[g], energies[g], strategy)
+        assert pairs[g].tolist() == [list(p) for p in alone]
+        assert (left is None and leftover is None) or left[g] == leftover
+        order = pairs[g].ravel().tolist() + ([] if leftover is None else [leftover])
+        assert sorted(order) == list(range(m))
+        if strategy == PairingStrategy.SEQUENTIAL:
+            assert order == list(range(m))
+        elif strategy == PairingStrategy.RANK_ORDER:
+            assert order == sorted(range(m), key=lambda i: (energies[g][i], i))
 
 
 def lexsort_max_difference(spins):
@@ -698,7 +732,7 @@ def spin_matrices(draw):
 def test_max_difference_pairing_matches_lexsort_greedy(spins):
     problem = IsingProblem(spins.shape[1])
     energies = np.array([problem.configuration(row).energy for row in spins])
-    assert _pair_indices(spins, energies, PairingStrategy.MAX_DIFFERENCE) == \
+    assert one_group_pairs(spins, energies, PairingStrategy.MAX_DIFFERENCE) == \
         lexsort_max_difference(spins)
 
 
@@ -747,7 +781,7 @@ def test_max_difference_pairing_matches_spec_at_worst_case(m):
     spins = np.where(np.arange(m) < np.arange(m)[:, None], -1, 1).astype(np.int8)
     expected = ([(k, m - 1 - k) for k in range(m // 2)], m // 2 if m % 2 else None)
     assert lexsort_max_difference(spins) == expected
-    assert _pair_indices(spins, np.zeros(m), PairingStrategy.MAX_DIFFERENCE) == expected
+    assert one_group_pairs(spins, np.zeros(m), PairingStrategy.MAX_DIFFERENCE) == expected
 
 
 def scan_min_degree_elimination(vertices, edges):

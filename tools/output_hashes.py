@@ -65,7 +65,14 @@ OUT_DIR must not exist yet. The script runs, in process, through
 * the sha256 of ``json.dumps(trace.to_dict(), sort_keys=True)`` for the
   ``mqc_reduce`` trace of every ``pipeline`` runs file, the 2,048-run
   one last, under each pairing strategy, one ``sha256  path strategy``
-  line each, into ``OUT_DIR/traces.txt``. No command writes a trace.
+  line each, into ``OUT_DIR/traces.txt``. No command writes a trace;
+* the sha256 of the final spins and the ``.hex()`` of every ``HpeReport``
+  energy of ``hpe_from_runsets`` on the three 100-run ``pipeline`` files
+  as three scales, random, sampling and raw, so that rank order reverses
+  each group of 3 and the first level of every group has a leftover,
+  under each pairing strategy, one ``sha256  strategy`` line each, into
+  ``OUT_DIR/hpe_traces.txt``. No command pairs hpe's groups other than
+  sequentially.
 
 It then prints one ``sha256  path`` line per file, sorted by path
 relative to OUT_DIR. Run it once with the ``src`` of each of two
@@ -85,6 +92,7 @@ import sys
 
 from isingpp.cli import main
 from isingpp.harness import METHODS, ExperimentConfig
+from isingpp.hpe import hpe_from_runsets
 from isingpp.mqc import PairingStrategy, mqc_reduce
 from isingpp.serialize import load_problem, load_runset
 
@@ -248,6 +256,16 @@ def run_pipeline(out):
                                    sort_keys=True)
                 digest = hashlib.sha256(trace.encode()).hexdigest()
                 f.write(f"{digest}  {os.path.relpath(path, out)} {strategy.value}\n")
+
+    runsets = [load_runset(os.path.join(pipeline, f"runs_{mode}.json"), problem)
+               for mode in reversed(MODES)]
+    with open(os.path.join(out, "hpe_traces.txt"), "w", encoding="utf-8") as f:
+        for strategy in PairingStrategy:
+            final, report = hpe_from_runsets(problem, runsets, strategy=strategy)
+            energies = (*report.per_scale_best, *report.group_energies, report.final_energy)
+            digest = hashlib.sha256(final.spins.tobytes()
+                                    + " ".join(e.hex() for e in energies).encode())
+            f.write(f"{digest.hexdigest()}  {strategy.value}\n")
 
 
 def hash_lines(out):
