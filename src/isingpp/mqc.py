@@ -41,19 +41,18 @@ each tunnel, concatenated over its blocks. The PairMerge records are
 built from those columns only when ``ReductionLevel.pairs`` is read.
 
 Sequential pairing is O(m) and rank order O(m log m) for m runs.
-Max-difference pairing fills one m x m int16 table of Hamming
-distances (2 m^2 bytes: 8 MiB at 2,048 runs) with blocked float32
-matrix products, O(m^2 n) for n vertices, and then runs the greedy in
-rounds over a per-row cache of each run's farthest free partner. A
-round matches, all at once, every pair of runs that are each other's
-cached partner; these are pairs the one-pair-a-step greedy takes
-whatever else it takes, so the pairs are the same. The table is not
-written after it is filled; taken runs are masked out of the rows a
-round rescans. A round costs O(m) plus O(m) for each run whose cached
-partner it took. Level 0 of 2,048 sampled runs took 33-42 rounds and
-about 5 rescans per run, so the greedy is O(m^2) there. Distances like
-|i - j| force one pair a round, m/2 rounds that rescan every row, so
-the worst case is O(m^3).
+Max-difference pairing fills one m x m table of Hamming distances plus
+one, one byte a pair up to 254 vertices (4 MiB at 2,048 runs), with
+float32 products over its upper triangle, O(m^2 n) for n vertices; a
+table above ``_TABLE_LIMIT`` (2^30 bytes) raises SizeError. The greedy
+then runs in rounds over a per-row cache of each run's farthest free
+partner. A round matches, all at once, every pair of runs that are each
+other's cached partner; these are pairs the one-pair-a-step greedy
+takes whatever else it takes, so the pairs are the same. A round costs
+O(m) plus O(m) for each run whose cached partner it took. Level 0 of
+2,048 sampled runs took 33-42 rounds and about 5 rescans per run, so
+the greedy is O(m^2) there. Distances like |i - j| force one pair a
+round, m/2 rounds that rescan every row, so the worst case is O(m^3).
 """
 
 from __future__ import annotations
@@ -64,7 +63,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .core import IsingProblem, SpinConfiguration
-from .errors import DimensionError, InputError
+from .errors import DimensionError, InputError, SizeError
 from .samplers import RunSet
 
 
@@ -314,27 +313,39 @@ def _pair_indices(spins, energies, strategy):
     return order[:, :m - m % 2].reshape(groups, m // 2, 2), order[:, -1] if m % 2 else None
 
 
-# Rows of the distance table filled or rescanned, and pairs merged, per
-# numpy call.
+# Rows of the distance table rescanned, and pairs merged, per numpy call.
 _ROW_BLOCK = 256
+# Rows of the distance table filled per float32 product, and its
+# largest size in bytes.
+_FILL_BLOCK = 128
+_TABLE_LIMIT = 2**30
 
 
 def _distance_table(spins):
-    """Hamming distances between the rows of ``spins``, -1 on the diagonal.
+    """Hamming distances plus one between the rows of ``spins``, 0 on the
+    diagonal: entry (i, j) = (j, i) >= 1 for i != j.
 
-    Entry (i, j) = (j, i) is the distance of rows i and j for i != j. The
-    table is int16 (int32 beyond 32,766 vertices) and is filled in blocks
-    of rows as (n - S_blk @ S^T) / 2. Each dot product sums n terms of
-    +-1, which float32 holds exactly below 2^24 vertices, and
-    ``IsingProblem`` refuses more than ``core.SIZE_LIMIT`` = 2^20.
+    The dtype is ``np.min_scalar_type(n + 1)``, uint8 up to 254 vertices.
+    Each block of rows is filled against the rows from its first on, as
+    (n + 2 - S_blk @ S^T) / 2 in place in float32, and its transpose
+    below the diagonal. A dot product sums n terms of +-1, exact in
+    float32 below 2^24 vertices; ``core.SIZE_LIMIT`` is 2^20.
     """
     m, n = spins.shape
+    dtype = np.min_scalar_type(n + 1)
+    if m * m * dtype.itemsize > _TABLE_LIMIT:
+        raise SizeError(f"max-difference pairing of {m} runs needs a distance table "
+                        f"above the limit of {_TABLE_LIMIT} bytes")
     s = spins.astype(np.float32)
-    dist = np.empty((m, m), dtype=np.int16 if n <= 32766 else np.int32)
-    for lo in range(0, m, _ROW_BLOCK):
-        block = dist[lo:lo + _ROW_BLOCK]
-        block[...] = (n - s[lo:lo + _ROW_BLOCK] @ s.T) / 2
-    np.fill_diagonal(dist, -1)
+    dist = np.empty((m, m), dtype=dtype)
+    for lo in range(0, m, _FILL_BLOCK):
+        hi = lo + _FILL_BLOCK
+        prod = s[lo:hi] @ s[lo:].T
+        np.subtract(n + 2, prod, out=prod)
+        prod *= 0.5
+        dist[lo:hi, lo:] = prod
+        dist[hi:, lo:hi] = dist[lo:hi, hi:].T
+    np.fill_diagonal(dist, 0)
     return dist
 
 
@@ -348,43 +359,44 @@ def _max_difference_order(spins):
     greedy takes whatever else it takes before, so matching all of them
     at once, round after round, gives the same pairs (Preis, STACS 1999).
     ``best[i]`` caches row i's first argmax over its live columns: its
-    largest distance, then smallest index, which is row i's first pair in
-    that order. A round matches every i < j with ``best[i] == j`` and
+    largest distance, then smallest index, which is row i's first pair
+    in that order. A round matches every i < j with ``best[i] == j`` and
     ``best[j] == i``. The table is never written after it is filled:
-    ``dead`` holds -1 for each taken run and 0 for a free one, and a
-    rescanned row is OR-ed with it, which (distances being >= 0, in two's
-    complement) turns the taken columns to -1 and leaves the rest as they
-    are. Taking runs only lowers entries, so a row is rescanned only when
-    its cached partner was taken.
+    ``alive`` holds all ones for a free run and 0 for a taken one, and a
+    rescanned row is AND-ed with it, which turns the taken columns to 0,
+    below every live entry, and leaves the rest as they are. Taking runs
+    only lowers entries, so a row is rescanned only when its cached
+    partner was taken.
 
     A round costs O(m) plus O(m) for each rescanned row, and the first
     live pair is always matched, so there are at most m/2 rounds: O(m^3)
     at worst, when every round matches one pair and rescans every row.
     Sampled runs need a few dozen rounds. The greedy takes its pairs in
     (distance descending, i, j) order, so one ``lexsort`` of the
-    matching, kept in ``mate``, gives its order.
+    matching, kept in ``mate``, gives its order (the unsigned distances
+    widened before they are negated).
     """
     m = spins.shape[0]
     dist = _distance_table(spins)
     best = dist.argmax(axis=1)
-    dead = np.zeros(m, dtype=dist.dtype)
+    alive = np.full(m, np.iinfo(dist.dtype).max, dtype=dist.dtype)
     live = np.arange(m)
     mate = np.full(m, -1)
     while live.size > 1:
         partner = best[live]
         mutual = live[(best[partner] == live) & (live < partner)]
         mate[mutual] = best[mutual]
-        dead[mutual] = dead[mate[mutual]] = -1
-        live = live[dead[live] == 0]
-        stale = live[dead[best[live]] != 0]
+        alive[mutual] = alive[mate[mutual]] = 0
+        live = live[alive[live] != 0]
+        stale = live[alive[best[live]] == 0]
         for lo in range(0, stale.size, _ROW_BLOCK):
             rows = stale[lo:lo + _ROW_BLOCK]
             table = dist[rows]
-            table |= dead
+            table &= alive
             best[rows] = table.argmax(axis=1)
     i = np.flatnonzero(mate > np.arange(m))
     j = mate[i]
-    order = np.lexsort((j, i, -dist[i, j]))
+    order = np.lexsort((j, i, -dist[i, j].astype(np.int64)))
     return np.concatenate((np.stack((i[order], j[order]), axis=1).ravel(), live))
 
 

@@ -30,7 +30,8 @@ from isingpp import (
 )
 import isingpp
 from isingpp import mqc
-from isingpp.errors import DimensionError, InputError
+from isingpp.cli import main
+from isingpp.errors import DimensionError, InputError, SizeError
 from isingpp.harness import problem_for
 from isingpp.mqc import reduce_configs
 
@@ -60,29 +61,49 @@ def fragment_graph():
 
 class TestHammingDistance:
     """``mqc._distance_table``, the Hamming distances of max-difference
-    pairing: entry (i, j) = (j, i) for i != j, -1 on the diagonal."""
+    pairing: entry (i, j) = (j, i) is the distance plus one for i != j,
+    0 on the diagonal."""
 
     def test_examples(self):
         a, b, c = [1, -1, 1], [1, 1, 1], [-1, 1, -1]
         table = mqc._distance_table(np.array([a, a, b, c], dtype=np.int8))
-        assert table.tolist() == [[-1, 0, 1, 3],
-                                  [0, -1, 1, 3],
-                                  [1, 1, -1, 2],
-                                  [3, 3, 2, -1]]
+        assert table.dtype == np.uint8
+        assert table.tolist() == [[0, 1, 2, 4],
+                                  [1, 0, 2, 4],
+                                  [2, 2, 0, 3],
+                                  [4, 4, 3, 0]]
 
     def test_symmetric(self):
         """Each unordered pair is held at (i, j) and (j, i), and equals the
-        disagreement count from either run's side."""
+        disagreement count from either run's side, plus one."""
         p = make_chimera_problem(seed=1, rows=1, cols=1)
         rs = random_runs(p, count=6, seed=2)
         table = mqc._distance_table(rs.spins_matrix())
         assert np.array_equal(table, table.T)
         for i in range(6):
-            assert table[i, i] == -1
+            assert table[i, i] == 0
             for j in range(6):
                 if i != j:
                     count = int(np.count_nonzero(rs[j].spins != rs[i].spins))
-                    assert table[i, j] == count
+                    assert table[i, j] == count + 1
+
+    @pytest.mark.parametrize("n, dtype", [(0, np.uint8), (254, np.uint8), (255, np.uint16),
+                                          (65534, np.uint16), (65535, np.uint32)])
+    def test_dtype_holds_the_largest_distance_plus_one(self, n, dtype):
+        spins = np.array([[1] * n, [-1] * n], dtype=np.int8)
+        table = mqc._distance_table(spins)
+        assert table.dtype == dtype
+        assert table.tolist() == [[0, n + 1], [n + 1, 0]]
+
+    @pytest.mark.parametrize("n, runs", [(2, 10), (255, 7)])
+    def test_table_limit_is_the_largest_size_allowed(self, monkeypatch, n, runs):
+        """A table of exactly the limit is built; one run more is refused,
+        at one byte a pair below 255 vertices and two from 255."""
+        monkeypatch.setattr(mqc, "_TABLE_LIMIT", 100)
+        spins = np.ones((runs + 1, n), dtype=np.int8)
+        assert mqc._distance_table(spins[:runs]).shape == (runs, runs)
+        with pytest.raises(SizeError, match=f"pairing of {runs + 1} runs .* limit of 100 bytes"):
+            mqc._distance_table(spins)
 
 
 class TestDisagreementTunnels:
@@ -301,8 +322,8 @@ class TestPairRuns:
                 call()
 
     def test_max_difference_memory_is_one_small_table(self):
-        """2,048 runs of 128 vertices: the int16 distance table is 8 MiB;
-        the pair-list version peaked at 153 MiB."""
+        """2,048 runs of 128 vertices: the uint8 distance table is 4 MiB;
+        the int16 table peaked at 13 MiB, the pair-list version at 153 MiB."""
         problem = make_chimera_problem(seed=5, rows=4, cols=4)
         rs = random_runs(problem, count=2048, seed=5)
         tracemalloc.start()
@@ -312,7 +333,41 @@ class TestPairRuns:
         finally:
             tracemalloc.stop()
         assert len(pairs) == 1024 and leftover is None
-        assert peak < 24 * 2**20
+        assert peak < 8 * 2**20
+
+    def test_max_difference_refuses_a_table_above_the_limit(self):
+        """32,768 runs of 2 vertices would take a 1 GiB table, the limit;
+        32,769 are refused before any table is built."""
+        problem = IsingProblem(2)
+        spins = np.tile(np.array([[1, -1], [-1, 1]], dtype=np.int8), (16385, 1))[:32769]
+        rs = isingpp.RunSet.from_matrix(spins, problem.evaluate_many(spins), None, None)
+        tracemalloc.start()
+        try:
+            for call in (lambda: pair_runs(rs, PairingStrategy.MAX_DIFFERENCE),
+                         lambda: mqc_reduce(problem, rs, PairingStrategy.MAX_DIFFERENCE)):
+                with pytest.raises(SizeError, match="pairing of 32769 runs .* limit of "
+                                   "1073741824 bytes"):
+                    call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_cli_pp_refuses_a_table_above_the_limit(self, tmp_path, capsys):
+        problem = tmp_path / "problem.json"
+        problem.write_text(json.dumps({"vertex_count": 2, "h": [[0, 0.5]], "J": [[0, 1, -1.0]]}),
+                           encoding="utf-8")
+        runs = tmp_path / "runs.json"
+        assert main(["sample", "--problem", str(problem), "--mode", "random",
+                     "--runs", "32769", "--out", str(runs)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "pp.json"
+        assert main(["pp", "--problem", str(problem), "--runs-file", str(runs),
+                     "--method", "mqc_maxdiff", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "32769 runs" in err and "limit" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_kept_trace_memory_is_columns(self):
         """2,048 Gibbs runs of a default problem: the trace of a sequential

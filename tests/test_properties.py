@@ -736,6 +736,22 @@ def test_max_difference_pairing_matches_lexsort_greedy(spins):
         lexsort_max_difference(spins)
 
 
+@pytest.mark.parametrize("n", [254, 255, 300])
+@pytest.mark.parametrize("distinct", [3, 80])
+def test_max_difference_pairing_matches_lexsort_greedy_on_wide_runs(n, distinct):
+    """81 runs of 254 vertices (a one-byte table, its largest entry 255)
+    and of 255 and 300 (a two-byte table), each a copy of one of 3 rows
+    (tie-heavy) or of up to 80 (mostly distinct), run 1 the flip of run
+    0, so the farthest pair is n apart."""
+    rng = np.random.default_rng(n * 100 + distinct)
+    rows = rng.choice(np.array([-1, 1], dtype=np.int8), size=(distinct, n))
+    spins = rows[rng.integers(0, distinct, size=81)]
+    spins[1] = -spins[0]  # one pair at distance n
+    energies = np.zeros(len(spins))
+    assert one_group_pairs(spins, energies, PairingStrategy.MAX_DIFFERENCE) == \
+        lexsort_max_difference(spins)
+
+
 def assert_levels_pair_as_spec(problem, runset):
     """Every level of a max-difference ``mqc_reduce`` pairs its runs as
     ``lexsort_max_difference`` pairs them, the merged runs of one level

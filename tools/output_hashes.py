@@ -54,6 +54,12 @@ OUT_DIR must not exist yet. The script runs, in process, through
   seeds the default experiment derives for that cell, into
   ``OUT_DIR/persistence_cell``: its rounds end above the best input run,
   so the result is the input's best;
+* ``gen`` of one 256-vertex Chimera problem (4 x 8 cells of shore 4)
+  and ``sample`` of 100 2-sweep raw runs of it, both into a temporary
+  directory, and ``pp --method mqc_maxdiff`` of those runs, whose
+  distance table takes two bytes a pair and whose result differs from
+  the other two strategies', into
+  ``OUT_DIR/wide/pp_raw_mqc_maxdiff.json``;
 * ``gen`` of two problems of each topology kind at its default sizes,
   into ``OUT_DIR/gen/<kind>``;
 * the ``--help`` text of the program and of each subcommand, into
@@ -89,6 +95,7 @@ import io
 import json
 import os
 import sys
+import tempfile
 
 from isingpp.cli import main
 from isingpp.harness import METHODS, ExperimentConfig
@@ -227,6 +234,18 @@ def run_pipeline(out):
          "--method", "sample_persistence", "--resample-mode", "sampling",
          "--seed", "4909063203267201489", "--out",
          os.path.join(cell, "pp_sampling_sample_persistence.json"))
+
+    os.makedirs(os.path.join(out, "wide"))
+    with tempfile.TemporaryDirectory() as scratch:
+        wide_problem = os.path.join(scratch, "problem_0000.json")
+        wide_runs = os.path.join(scratch, "runs_raw.json")
+        _run("gen", "--topology", "chimera", "--rows", "4", "--cols", "8", "--shore", "4",
+             "--count", "1", "--out", scratch)
+        _run("sample", "--problem", wide_problem, "--mode", "raw", "--runs", "100",
+             "--sweeps", "2", "--seed", "23", "--out", wide_runs)
+        _run("pp", "--problem", wide_problem, "--runs-file", wide_runs, "--method",
+             "mqc_maxdiff", "--seed", "29", "--out",
+             os.path.join(out, "wide", "pp_raw_mqc_maxdiff.json"))
 
     for kind in TOPOLOGY_KINDS:
         _run("gen", "--topology", kind, "--count", "2", "--out", os.path.join(out, "gen", kind))
